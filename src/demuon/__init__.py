@@ -27,6 +27,7 @@ from .noise import NoiseModel, sample_noise, stochastic_gradient
 from .optimizers import (
     ALGORITHMS,
     BaselineParams,
+    Diverged,
     RunResult,
     RunState,
     ScheduleParams,

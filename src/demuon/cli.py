@@ -17,6 +17,7 @@ import sys
 
 from . import config as config_mod
 from . import runner
+from .optimizers import Diverged
 
 
 def _add_common(parser):
@@ -93,6 +94,10 @@ def main(argv=None) -> int:
             print(json.dumps(cfg.as_dict(), sort_keys=True, indent=2))
     except Exception as exc:  # noqa: BLE001 - every failure becomes an error JSON
         payload = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, Diverged):
+            payload.update(
+                algorithm=exc.algorithm, iteration=exc.iteration, node=exc.node, quantity=exc.quantity
+            )
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
     return 0

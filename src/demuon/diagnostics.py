@@ -147,7 +147,7 @@ def potential(problem, xs, ms, vs, params: PotentialParams) -> float:
     vs = np.asarray(vs, dtype=float)
     x_mean = xs.mean(axis=0)
     term_f = problems.objective_at(problem, x_mean)
-    grads = np.stack([problems.exact_gradient(problem, i, xs[i]) for i in range(problem.n_nodes)])
+    grads = problems.exact_gradient(problem, None, xs)
     term_m = params.p * frobenius_norm(stack_blocks(grads - ms)) ** params.alpha
     term_v = params.q * consensus_error_nuclear(vs)
     return term_f + term_m + term_v

@@ -15,9 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import diagnostics, problems
+from . import diagnostics, linalg, problems
 from .diagnostics import MetricsRow, PotentialParams
-from .linalg import frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm
+# frobenius_norm is not called here but stays importable from this module:
+# bench/tracing.py wraps the norm functions where this module looks them up.
+from .linalg import frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm  # noqa: F401
 from .noise import NoiseModel, sample_noise
 from .topology import MixingSpec, mix_blocks
 
@@ -31,6 +33,25 @@ TRACKER_ALGORITHMS = (DEMUON, GT_NSGDM)
 # Dedicated substream tag for the post-run uniform iteration draw, so the
 # draw never perturbs (or depends on) the trajectory's noise streams.
 _REPORT_STREAM = 0x696F7461
+# Relative rounding slack of the Frobenius screen in the ball check.
+_BALL_SCREEN_SLACK = 1e-12
+
+
+class Diverged(ValueError):
+    """A round produced a non-finite iterate, momentum or tracker.
+
+    Carries the algorithm, the iteration (round) that produced the value,
+    the first node holding one, and the quantity.
+    """
+
+    def __init__(self, algorithm: str, iteration: int, node: int, quantity: str):
+        super().__init__(
+            f"{algorithm} diverged at iteration {iteration}: node {node} has a non-finite {quantity}"
+        )
+        self.algorithm = algorithm
+        self.iteration = iteration
+        self.node = node
+        self.quantity = quantity
 
 
 @dataclass(frozen=True)
@@ -99,10 +120,11 @@ class BaselineParams:
 
 @dataclass(frozen=True)
 class RunState:
-    """Per-node (X, M, V) triples entering round `iter`.
+    """Per-node (X, M, V) stacks entering round `iter`.
 
     x holds the iterates X^k; m and v hold the previous round's momenta and
     trackers (M^{k-1}, V^{k-1}), both zero before the first round.
+    `orthogonalizer` is the parsed (kind, iters) of `parse_orthogonalizer`.
     """
 
     iter: int
@@ -110,7 +132,7 @@ class RunState:
     m: np.ndarray
     v: np.ndarray
     algorithm: str
-    orthogonalizer: str = "svd"
+    orthogonalizer: tuple = ("svd", 0)
 
     @property
     def n_nodes(self) -> int:
@@ -135,65 +157,100 @@ def initial_state(algorithm: str, n_nodes: int, x0: np.ndarray, orthogonalizer: 
     """Replicate a common starting point and zero the momentum/tracker buffers."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    parse_orthogonalizer(orthogonalizer)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2:
-        raise ValueError(f"starting point must be one m x n matrix, got ndim={x0.ndim}")
+    polar = parse_orthogonalizer(orthogonalizer)
+    try:
+        x0 = linalg.as_matrix(x0)
+    except ValueError as exc:
+        raise ValueError(f"starting point must be one finite m x n matrix: {exc}") from exc
     x = np.broadcast_to(x0, (n_nodes,) + x0.shape).copy()
     zeros = np.zeros_like(x)
-    return RunState(0, x, zeros, zeros.copy(), algorithm, orthogonalizer)
+    return RunState(0, x, zeros, zeros.copy(), algorithm, polar)
 
 
-def _orthogonalize(v: np.ndarray, orthogonalizer: str) -> np.ndarray:
-    if not v.any():
-        return np.zeros_like(v)
-    kind, iters = parse_orthogonalizer(orthogonalizer)
+def _check_finite(state: RunState, **stacks):
+    """Raise Diverged naming the first non-finite quantity and node of this round."""
+    for quantity, stack in stacks.items():
+        if not np.isfinite(stack).all():
+            node = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+            raise Diverged(state.algorithm, state.iter, node, quantity)
+
+
+def _polar_directions(v: np.ndarray, orthogonalizer: tuple) -> np.ndarray:
+    """Polar factor of every node's tracker in one stacked call; a zero tracker gives a zero step."""
+    kind, iters = orthogonalizer
     if kind == "svd":
         return msgn_exact(v)
-    return msgn_newton_schulz(v, iters)
+    dirs = np.zeros_like(v)
+    live = v.any(axis=(1, 2))
+    if live.any():
+        dirs[live] = msgn_newton_schulz(v[live], iters)
+    return dirs
+
+
+def _normalized_directions(v: np.ndarray) -> np.ndarray:
+    """V_i/||V_i||_F for every node, zero where V_i = 0."""
+    norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
+    return np.divide(v, norms, out=np.zeros_like(v), where=norms > 0.0)
 
 
 def clip_to_frobenius(g: np.ndarray, tau: float) -> np.ndarray:
-    """Scale g onto the Frobenius ball of radius tau when it lands outside."""
-    norm = float(np.linalg.norm(g))
-    if norm <= tau or norm == 0.0:
+    """Scale g onto the Frobenius ball of radius tau when it lands outside.
+
+    `g` may be a stack of matrices; each one is clipped on its own, and g
+    itself is returned when every matrix already lies inside.
+    """
+    norms = np.linalg.norm(g, axis=(-2, -1), keepdims=True)
+    if (norms <= tau).all():
         return g
-    return g * (tau / norm)
+    return g * (tau / np.maximum(norms, tau))
 
 
 def _noisy_gradients(state: RunState, problem, noise_model: NoiseModel):
-    """Per-node exact gradients and noise draws for the current round."""
+    """Stacked exact gradients and per-node noise draws for the current round."""
     k = state.iter
-    grads = np.stack(
-        [problems.exact_gradient(problem, i, state.x[i]) for i in range(state.n_nodes)]
-    )
+    grads = problems.exact_gradient(problem, None, state.x)
     noise = np.stack(
         [sample_noise(noise_model, problem.m, problem.n, i, k) for i in range(state.n_nodes)]
     )
     return grads, noise
 
 
-def demuon_step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, schedule: ScheduleParams):
-    """One round of momentum, tracking, and orthogonalized mixing updates."""
-    if state.algorithm != DEMUON:
-        raise ValueError(f"state built for {state.algorithm!r}, not {DEMUON!r}")
+def _tracked_round(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel,
+                   eta: float, theta: float, direction):
+    """Momentum, tracker and mixed iterate updates shared by the tracked algorithms."""
     w = mixing.weights
     grads, noise = _noisy_gradients(state, problem, noise_model)
-    m_new = (1.0 - schedule.theta) * state.m + schedule.theta * (grads + noise)
+    m_new = (1.0 - theta) * state.m + theta * (grads + noise)
     v_new = mix_blocks(w, state.v + m_new - state.m)
-    dirs = np.stack([_orthogonalize(v_new[i], state.orthogonalizer) for i in range(state.n_nodes)])
-    x_new = mix_blocks(w, state.x - schedule.eta * dirs)
-    info = {"directions": dirs, "eta": schedule.eta, "exact_grads": grads, "noise": noise}
+    _check_finite(state, momentum=m_new, tracker=v_new)
+    dirs = direction(v_new)
+    x_new = mix_blocks(w, state.x - eta * dirs)
+    _check_finite(state, iterate=x_new)
+    info = {"directions": dirs, "eta": eta, "exact_grads": grads, "noise": noise}
     return replace(state, iter=state.iter + 1, x=x_new, m=m_new, v=v_new), info
+
+
+def _check_algorithm(state: RunState, algorithm: str):
+    if state.algorithm != algorithm:
+        raise ValueError(f"state built for {state.algorithm!r}, not {algorithm!r}")
+
+
+def demuon_step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, schedule: ScheduleParams):
+    """One round of momentum, tracking, and orthogonalized mixing updates."""
+    _check_algorithm(state, DEMUON)
+    return _tracked_round(
+        state, problem, mixing, noise_model, schedule.eta, schedule.theta,
+        lambda v: _polar_directions(v, state.orthogonalizer),
+    )
 
 
 def dsgd_step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params: BaselineParams):
     """One round of plain stochastic-gradient mixing with constant step size."""
-    if state.algorithm != DSGD:
-        raise ValueError(f"state built for {state.algorithm!r}, not {DSGD!r}")
+    _check_algorithm(state, DSGD)
     grads, noise = _noisy_gradients(state, problem, noise_model)
     g = grads + noise
     x_new = mix_blocks(mixing.weights, state.x - params.dsgd_eta * g)
+    _check_finite(state, iterate=x_new)
     info = {"directions": g, "eta": params.dsgd_eta, "exact_grads": grads, "noise": noise}
     return replace(state, iter=state.iter + 1, x=x_new), info
 
@@ -204,21 +261,21 @@ def dsgd_clip_step(state: RunState, problem, mixing: MixingSpec, noise_model: No
     eta_k = eta/(k+1) and tau_k = tau*(k+1)^(2/5); gradients are clipped onto
     the Frobenius ball of radius tau_k before mixing.
     """
-    if state.algorithm != DSGD_CLIP:
-        raise ValueError(f"state built for {state.algorithm!r}, not {DSGD_CLIP!r}")
+    _check_algorithm(state, DSGD_CLIP)
     k = state.iter
     eta_k = params.clip_eta / (k + 1)
     tau_k = params.clip_tau * (k + 1) ** 0.4
     grads, noise = _noisy_gradients(state, problem, noise_model)
-    clipped = np.stack([clip_to_frobenius(grads[i] + noise[i], tau_k) for i in range(state.n_nodes)])
+    clipped = clip_to_frobenius(grads + noise, tau_k)
     x_new = mix_blocks(mixing.weights, state.x - eta_k * clipped)
+    _check_finite(state, iterate=x_new)
     info = {
         "directions": clipped,
         "eta": eta_k,
         "tau": tau_k,
         "exact_grads": grads,
         "noise": noise,
-        "clip_norms": [float(np.linalg.norm(clipped[i])) for i in range(state.n_nodes)],
+        "clip_norms": np.linalg.norm(clipped, axis=(1, 2)).tolist(),
     }
     return replace(state, iter=state.iter + 1, x=x_new), info
 
@@ -229,28 +286,33 @@ def gt_nsgdm_step(state: RunState, problem, mixing: MixingSpec, noise_model: Noi
     Shares the momentum and tracker recursions with the orthogonalized
     engine; only the step direction differs (V/||V||_F, zero when V = 0).
     """
-    if state.algorithm != GT_NSGDM:
-        raise ValueError(f"state built for {state.algorithm!r}, not {GT_NSGDM!r}")
-    w = mixing.weights
-    grads, noise = _noisy_gradients(state, problem, noise_model)
-    m_new = (1.0 - params.gt_theta) * state.m + params.gt_theta * (grads + noise)
-    v_new = mix_blocks(w, state.v + m_new - state.m)
-    dirs = np.zeros_like(v_new)
-    for i in range(state.n_nodes):
-        norm = float(np.linalg.norm(v_new[i]))
-        if norm > 0.0:
-            dirs[i] = v_new[i] / norm
-    x_new = mix_blocks(w, state.x - params.gt_eta * dirs)
-    info = {"directions": dirs, "eta": params.gt_eta, "exact_grads": grads, "noise": noise}
-    return replace(state, iter=state.iter + 1, x=x_new, m=m_new, v=v_new), info
+    _check_algorithm(state, GT_NSGDM)
+    return _tracked_round(
+        state, problem, mixing, noise_model, params.gt_eta, params.gt_theta, _normalized_directions
+    )
 
 
 _STEPS = {DEMUON: demuon_step, DSGD: dsgd_step, DSGD_CLIP: dsgd_clip_step, GT_NSGDM: gt_nsgdm_step}
 
 
 def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params):
-    """Dispatch one round to the state's algorithm."""
+    """Dispatch one round to the state's algorithm.
+
+    Raises Diverged when the round produces a non-finite iterate, momentum
+    or tracker.
+    """
     return _STEPS[state.algorithm](state, problem, mixing, noise_model, params)
+
+
+def _outside_ball(xs: np.ndarray, radius: float) -> bool:
+    """Whether some node's iterate has spectral norm above `radius`.
+
+    ||X||_2 <= ||X||_F, so only nodes whose Frobenius norm exceeds the
+    radius (less a rounding slack) can be outside; only those are decomposed.
+    """
+    fro = np.linalg.norm(xs, axis=(1, 2))
+    near = fro > radius * (1.0 - _BALL_SCREEN_SLACK)
+    return bool(near.any()) and float(np.max(spectral_norm(xs[near]))) > radius
 
 
 @dataclass
@@ -343,7 +405,7 @@ def run(
 
         tracking = cons_v = pot = None
         if tracked:
-            tracking = frobenius_norm(state.v.mean(axis=0) - state.m.mean(axis=0))
+            tracking = float(np.linalg.norm(state.v.mean(axis=0) - state.m.mean(axis=0)))
             cons_v = diagnostics.consensus_error_nuclear(state.v)
             max_track = max(max_track, tracking)
             if potential_params is not None:
@@ -353,12 +415,13 @@ def run(
             resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
             max_ave_resid = max(max_ave_resid, resid)
 
-        for i in range(state.n_nodes):
-            noise_moment_sum += nuclear_norm(info["noise"][i]) ** noise_model.alpha
-            noise_draws += 1
+        # One stacked SVD gives the mean gradient's nuclear norm and every noise draw's.
+        nuclear = nuclear_norm(np.concatenate((avg_grad[None], info["noise"])))
+        noise_moment_sum += float(np.sum(nuclear[1:] ** noise_model.alpha))
+        noise_draws += state.n_nodes
 
         if not ball_exited and problem.ball_radius != float("inf"):
-            if max(spectral_norm(state.x[i]) for i in range(state.n_nodes)) > problem.ball_radius:
+            if _outside_ball(state.x, problem.ball_radius):
                 ball_exited = True
                 warnings.warn(
                     f"iterates left the certified ball (radius {problem.ball_radius}) "
@@ -371,7 +434,7 @@ def run(
             iter=k,
             consensus_error_x=cons_x,
             consensus_bound=bound,
-            avg_grad_nuclear=nuclear_norm(avg_grad),
+            avg_grad_nuclear=float(nuclear[0]),
             tracking_residual=tracking,
             consensus_error_v=cons_v,
             potential=pot,

@@ -14,7 +14,7 @@ Problem file format (dense CSV blocks, nodes in index order):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 
 import numpy as np
@@ -34,6 +34,10 @@ class ProblemFormatError(ValueError):
 class ProblemSet:
     """N local objectives over m x n iterates, with certified constants.
 
+    The node data are stacked float arrays: `a` (N, p, m) and `b` (N, p, n)
+    for quadratics, `c` (N, m, m) for the Gram family; the unused ones are
+    None. Sequences of per-node matrices are stacked once at construction.
+
     `lipschitz_star` bounds the nuclear-norm gradient variation against the
     spectral-norm argument distance; for quadratics it is global
     (ball_radius = inf), for the Gram family it is certified only while
@@ -44,64 +48,96 @@ class ProblemSet:
     n_nodes: int
     m: int
     n: int
-    a: tuple = ()
-    b: tuple = ()
-    c: tuple = ()
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+    c: np.ndarray | None = None
     lipschitz_star: float | None = None
     f_low: float | None = None
     ball_radius: float = inf
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"problem kind must be one of {KINDS}, got {self.kind!r}")
+        names = ("a", "b") if self.kind == QUADRATIC else ("c",)
+        for name in names:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} problem needs node data {name!r}")
+            object.__setattr__(self, name, as_matrix(getattr(self, name), stack=True))
+        if self.kind == QUADRATIC:
+            p = self.a.shape[-2]
+            shapes = ((self.n_nodes, p, self.m), (self.n_nodes, p, self.n))
+        else:
+            shapes = ((self.n_nodes, self.m, self.m),)
+        for name, shape in zip(names, shapes):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"node data {name!r} has shape {getattr(self, name).shape}, expected {shape}")
 
     @property
     def lipschitz_stacked(self) -> float | None:
         return None if self.lipschitz_star is None else self.n_nodes * self.lipschitz_star
 
 
-def _check_node(problem: ProblemSet, i: int):
+def _iterate(problem: ProblemSet, x, stacked: bool = False) -> np.ndarray:
+    """Validate one m x n iterate or, when `stacked`, also the (N, m, n) per-node stack."""
+    x = as_matrix(x, stack=stacked)
+    shapes = [(problem.m, problem.n)]
+    if stacked:
+        shapes.append((problem.n_nodes, problem.m, problem.n))
+    if x.shape not in shapes:
+        raise ValueError(f"iterate shape {x.shape} does not match problem {' or '.join(map(str, shapes))}")
+    return x
+
+
+def _nodes(problem: ProblemSet, i: int | None):
+    """Index into the node data: node i, or every node when i is None."""
+    if i is None:
+        return slice(None)
     if not 0 <= i < problem.n_nodes:
         raise IndexError(f"node index {i} out of range for {problem.n_nodes} nodes")
+    return i
 
 
-def _check_shape(problem: ProblemSet, x: np.ndarray):
-    if x.shape != (problem.m, problem.n):
-        raise ValueError(f"iterate shape {x.shape} does not match problem ({problem.m}, {problem.n})")
+def _values(problem: ProblemSet, nodes, x: np.ndarray):
+    """f_i(x) for the selected nodes, one value per node."""
+    if problem.kind == QUADRATIC:
+        r = problem.a[nodes] @ x - problem.b[nodes]
+        return 0.5 * np.sum(r * r, axis=(-2, -1))
+    g = x @ x.T - problem.c[nodes]
+    return 0.25 * np.sum(g * g, axis=(-2, -1))
 
 
 def value(problem: ProblemSet, i: int, x) -> float:
     """Local objective f_i at x."""
-    x = as_matrix(x)
-    _check_node(problem, i)
-    _check_shape(problem, x)
-    if problem.kind == QUADRATIC:
-        r = problem.a[i] @ x - problem.b[i]
-        return 0.5 * float(np.sum(r * r))
-    g = x @ x.T - problem.c[i]
-    return 0.25 * float(np.sum(g * g))
+    nodes = _nodes(problem, i)
+    return float(_values(problem, nodes, _iterate(problem, x)))
 
 
-def exact_gradient(problem: ProblemSet, i: int, x) -> np.ndarray:
-    """Exact gradient of f_i at x."""
-    x = as_matrix(x)
-    _check_node(problem, i)
-    _check_shape(problem, x)
+def exact_gradient(problem: ProblemSet, i: int | None, x) -> np.ndarray:
+    """Exact gradient of f_i at x.
+
+    With i None, the gradients of every node in one batched product: x is
+    then the (N, m, n) stack of per-node iterates (or one m x n iterate
+    shared by all nodes) and the result is the (N, m, n) gradient stack.
+    """
+    nodes = _nodes(problem, i)
+    x = _iterate(problem, x, stacked=i is None)
     if problem.kind == QUADRATIC:
-        return problem.a[i].T @ (problem.a[i] @ x - problem.b[i])
-    return (x @ x.T - problem.c[i]) @ x
+        a = problem.a[nodes]
+        return np.swapaxes(a, -2, -1) @ (a @ x - problem.b[nodes])
+    return (x @ np.swapaxes(x, -2, -1) - problem.c[nodes]) @ x
 
 
 def average_gradient(problem: ProblemSet, xs) -> np.ndarray:
     """(1/N) sum_i grad f_i(xs[i]) for one iterate per node."""
-    xs = list(xs)
-    if len(xs) != problem.n_nodes:
-        raise ValueError(f"expected {problem.n_nodes} iterates, got {len(xs)}")
-    total = np.zeros((problem.m, problem.n))
-    for i, x in enumerate(xs):
-        total += exact_gradient(problem, i, x)
-    return total / problem.n_nodes
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 3 or xs.shape[0] != problem.n_nodes:
+        raise ValueError(f"expected {problem.n_nodes} iterates, got shape {xs.shape}")
+    return exact_gradient(problem, None, xs).mean(axis=0)
 
 
 def objective_at(problem: ProblemSet, x) -> float:
     """Global objective f(x) = (1/N) sum_i f_i(x) at a common iterate."""
-    return sum(value(problem, i, x) for i in range(problem.n_nodes)) / problem.n_nodes
+    return float(np.mean(_values(problem, slice(None), _iterate(problem, x))))
 
 
 def _conditioned_random(rng: np.random.Generator, rows: int, cols: int, cond: float) -> np.ndarray:
@@ -111,6 +147,32 @@ def _conditioned_random(rng: np.random.Generator, rows: int, cols: int, cond: fl
     r = min(rows, cols)
     s = np.linspace(1.0, 1.0 / cond, r)
     return (u * s) @ vt
+
+
+def _certified_quadratic(a: np.ndarray, b: np.ndarray, f_low: float | None = None) -> ProblemSet:
+    """Quadratic ProblemSet with its Lipschitz certificate max_i ||A_i^T A_i||_*.
+
+    Without `f_low`, the lower bound is the objective at the least-squares
+    minimizer of the stacked system.
+    """
+    n_nodes, _, m = a.shape
+    n = b.shape[-1]
+    l_star = float(np.max(nuclear_norm(np.swapaxes(a, -2, -1) @ a)))
+    problem = ProblemSet(QUADRATIC, n_nodes, m, n, a=a, b=b, lipschitz_star=l_star, f_low=f_low)
+    if f_low is None:
+        x_opt = np.linalg.lstsq(problem.a.reshape(-1, m), problem.b.reshape(-1, n), rcond=None)[0]
+        problem = replace(problem, f_low=objective_at(problem, x_opt))
+    return problem
+
+
+def _certified_gram(c: np.ndarray, n: int, ball_radius: float) -> ProblemSet:
+    """Gram-matching ProblemSet with f_low = 0 and the certificate on the spectral ball."""
+    n_nodes, m, _ = c.shape
+    l_star = 3.0 * min(m, n) * ball_radius**2 + float(np.max(nuclear_norm(c)))
+    return ProblemSet(
+        NONCONVEX_GRAM, n_nodes, m, n, c=c,
+        lipschitz_star=l_star, f_low=0.0, ball_radius=ball_radius,
+    )
 
 
 def make_quadratic(
@@ -131,22 +193,12 @@ def make_quadratic(
     if heterogeneity < 0:
         raise ValueError(f"heterogeneity must be nonnegative, got {heterogeneity}")
     rng = np.random.default_rng(seed)
-    a = tuple(_conditioned_random(rng, p, m, cond) for _ in range(n_nodes))
+    a = np.stack([_conditioned_random(rng, p, m, cond) for _ in range(n_nodes)])
     x_star = 0.5 * rng.standard_normal((m, n))
     deltas = [rng.standard_normal((p, n)) for _ in range(n_nodes - 1)]
     deltas.append(-np.sum(deltas, axis=0) if deltas else np.zeros((p, n)))
-    b = tuple(a[i] @ x_star + heterogeneity * deltas[i] for i in range(n_nodes))
-    l_star = max(nuclear_norm(ai.T @ ai) for ai in a)
-    problem = ProblemSet(QUADRATIC, n_nodes, m, n, a=a, b=b, lipschitz_star=l_star, f_low=0.0)
-    if heterogeneity > 0:
-        stacked_a = np.vstack(a)
-        stacked_b = np.vstack(b)
-        x_opt = np.linalg.lstsq(stacked_a, stacked_b, rcond=None)[0]
-        problem = ProblemSet(
-            QUADRATIC, n_nodes, m, n, a=a, b=b,
-            lipschitz_star=l_star, f_low=objective_at(problem, x_opt),
-        )
-    return problem
+    b = a @ x_star + heterogeneity * np.stack(deltas)
+    return _certified_quadratic(a, b, f_low=0.0 if heterogeneity == 0 else None)
 
 
 def make_nonconvex_gram(
@@ -172,15 +224,10 @@ def make_nonconvex_gram(
         g = rng.standard_normal((m, m))
         sym.append(0.5 * (g + g.T))
     sym.append(-np.sum(sym, axis=0) if sym else np.zeros((m, m)))
-    base = x_star @ x_star.T
-    c = tuple(base + heterogeneity * sym[i] for i in range(n_nodes))
+    c = x_star @ x_star.T + heterogeneity * np.stack(sym)
     if ball_radius is None:
         ball_radius = 2.0 * (1.0 + spectral_norm(x_star))
-    l_star = 3.0 * min(m, n) * ball_radius**2 + max(nuclear_norm(ci) for ci in c)
-    return ProblemSet(
-        NONCONVEX_GRAM, n_nodes, m, n, c=c,
-        lipschitz_star=l_star, f_low=0.0, ball_radius=ball_radius,
-    )
+    return _certified_gram(c, n, ball_radius)
 
 
 def _parse_block(lines, start: int, rows: int, cols: int, label: str) -> tuple[np.ndarray, int]:
@@ -224,44 +271,25 @@ def load_problem(path) -> ProblemSet:
     if any(d < 1 for d in dims):
         raise ProblemFormatError(f"{path}: line 1: dimensions must be positive, got {dims}")
     n_nodes, m, n = dims[0], dims[1], dims[2]
+    blocks = (("A", dims[3], m), ("B", dims[3], n)) if kind == QUADRATIC else (("C", m, m),)
+    data = {label: [] for label, _, _ in blocks}
     pos = 1
-    if kind == QUADRATIC:
-        p = dims[3]
-        a, b = [], []
-        for i in range(n_nodes):
+    for i in range(n_nodes):
+        for label, rows, cols in blocks:
             try:
-                ai, pos = _parse_block(lines, pos, p, m, f"A_{i}")
-                bi, pos = _parse_block(lines, pos, p, n, f"B_{i}")
+                block, pos = _parse_block(lines, pos, rows, cols, f"{label}_{i}")
             except ProblemFormatError as exc:
                 raise ProblemFormatError(f"{path}: node {i}: {exc}") from exc
-            a.append(ai)
-            b.append(bi)
-        problem = ProblemSet(QUADRATIC, n_nodes, m, n, a=tuple(a), b=tuple(b))
-        l_star = max(nuclear_norm(ai.T @ ai) for ai in a)
-        stacked_a = np.vstack(a)
-        stacked_b = np.vstack(b)
-        x_opt = np.linalg.lstsq(stacked_a, stacked_b, rcond=None)[0]
-        problem = ProblemSet(
-            QUADRATIC, n_nodes, m, n, a=tuple(a), b=tuple(b),
-            lipschitz_star=l_star, f_low=objective_at(problem, x_opt),
-        )
-    else:
-        c = []
-        for i in range(n_nodes):
-            try:
-                ci, pos = _parse_block(lines, pos, m, m, f"C_{i}")
-            except ProblemFormatError as exc:
-                raise ProblemFormatError(f"{path}: node {i}: {exc}") from exc
-            c.append(ci)
-        radius = 2.0 * (1.0 + max(spectral_norm(ci) for ci in c) ** 0.5)
-        l_star = 3.0 * min(m, n) * radius**2 + max(nuclear_norm(ci) for ci in c)
-        problem = ProblemSet(
-            NONCONVEX_GRAM, n_nodes, m, n, c=tuple(c),
-            lipschitz_star=l_star, f_low=0.0, ball_radius=radius,
-        )
+            data[label].append(block)
     if pos != len(lines):
         raise ProblemFormatError(f"{path}: line {pos + 1}: trailing data after last node block")
-    return problem
+    try:
+        if kind == QUADRATIC:
+            return _certified_quadratic(np.stack(data["A"]), np.stack(data["B"]))
+        c = np.stack(data["C"])
+        return _certified_gram(c, n, 2.0 * (1.0 + float(np.max(spectral_norm(c))) ** 0.5))
+    except ValueError as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
 def dump_problem(problem: ProblemSet, path):

@@ -35,7 +35,7 @@ from demuon.problems import ProblemSet, QUADRATIC, make_quadratic
 from demuon.runner import execute, sweep
 from demuon.topology import build_complete, build_directed_exponential, build_ring
 
-from conftest import conditioned_matrix, random_matrix
+from linalg_oracles import conditioned_matrix, random_matrix
 
 SEEDS = (0, 1, 2)
 

@@ -12,7 +12,7 @@ from demuon.linalg import (
     spectral_norm,
 )
 
-from conftest import conditioned_matrix, random_matrix, svdvals_oracle
+from linalg_oracles import conditioned_matrix, random_matrix, svdvals_oracle
 
 
 def test_as_matrix_rejects_bad_input():

@@ -368,3 +368,84 @@ def test_run_warns_when_ball_exited():
         res = run("demuon", prob, build_complete(2), noise, ScheduleParams(0.3, 0.5),
                   horizon=10, seed=1)
     assert res.ball_exited
+
+
+BALL_CASES = [
+    ("demuon", ScheduleParams(0.3, 0.5), 1.0),
+    ("dsgd", BaselineParams(dsgd_eta=0.05), 0.5),
+    ("gt_nsgdm", BaselineParams(), 1.0),
+]
+
+
+@pytest.mark.parametrize("algorithm, params, radius", BALL_CASES)
+def test_ball_exit_warns_at_the_per_node_reference_iteration(algorithm, params, radius):
+    import re
+    import warnings
+
+    from demuon.problems import make_nonconvex_gram
+
+    prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5, ball_radius=radius)
+    noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
+    mixing = build_ring(3)
+    # Reference: every node's spectral norm after every round.
+    st = initial_state(algorithm, 3, np.zeros((4, 3)))
+    expected = None
+    for k in range(40):
+        st, _ = step(st, prob, mixing, noise, params)
+        if max(spectral_norm(st.x[i]) for i in range(3)) > radius:
+            expected = k
+            break
+    assert expected is not None and expected > 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = run(algorithm, prob, mixing, noise, params, horizon=40, seed=1)
+    exits = [str(w.message) for w in caught if "certified ball" in str(w.message)]
+    assert res.ball_exited
+    assert len(exits) == 1
+    assert int(re.search(r"at iteration (\d+)", exits[0]).group(1)) == expected
+
+
+def test_ball_check_decomposes_no_iterate_inside_the_ball(monkeypatch):
+    import demuon.optimizers as optimizers
+    from demuon.problems import make_nonconvex_gram
+
+    decomposed = []
+    monkeypatch.setattr(optimizers, "spectral_norm", lambda a: decomposed.append(a) or spectral_norm(a))
+    prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5)
+    noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
+    for algorithm, params in (("demuon", ScheduleParams(0.05, 0.5)), ("dsgd", BaselineParams(dsgd_eta=0.05))):
+        res = run(algorithm, prob, build_ring(3), noise, params, horizon=60, seed=1)
+        assert not res.ball_exited
+    assert decomposed == []
+
+
+def dsgd_divergence_setup():
+    """The divergence repro: dsgd at eta = 1 on the Gram family under Student-t noise (dof 1.3)."""
+    from demuon.problems import make_nonconvex_gram
+
+    prob = make_nonconvex_gram(4, 4, 3, seed=0)
+    noise = NoiseModel("student_t", 1.2, 0.3, dof=1.3, base_seed=0)
+    return prob, build_ring(4), noise, BaselineParams(dsgd_eta=1.0)
+
+
+def test_dsgd_divergence_stops_at_the_round_with_context():
+    import warnings
+
+    from demuon.optimizers import Diverged
+
+    prob, mixing, noise, params = dsgd_divergence_setup()
+    st = initial_state("dsgd", 4, np.zeros((4, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow on the way out
+        with pytest.raises(Diverged) as caught:
+            for _ in range(50):
+                assert np.isfinite(st.x).all()
+                st, _ = step(st, prob, mixing, noise, params)
+        exc = caught.value
+        assert isinstance(exc, ValueError)
+        assert (exc.algorithm, exc.iteration, exc.quantity) == ("dsgd", st.iter, "iterate")
+        assert 0 <= exc.node < 4
+        with pytest.raises(Diverged) as from_run:
+            run("dsgd", prob, mixing, noise, params, horizon=50, seed=0)
+    assert (from_run.value.iteration, from_run.value.node) == (exc.iteration, exc.node)
+    assert f"iteration {exc.iteration}" in str(from_run.value)

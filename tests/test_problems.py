@@ -216,3 +216,23 @@ def test_problem_file_errors(tmp_path):
     truncated.write_text("quadratic 2 2 1 1\n1.0,0.0\n")
     with pytest.raises(ProblemFormatError):
         load_problem(truncated)
+
+
+def test_problem_file_rejects_non_finite_entries(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("quadratic 1 2 1 1\n1.0,nan\n0.0\n")
+    with pytest.raises(ProblemFormatError, match="finite"):
+        load_problem(path)
+
+
+def test_problem_set_stacks_node_data_once():
+    a = (np.eye(2), 2.0 * np.eye(2))
+    b = (np.ones((2, 1)), np.zeros((2, 1)))
+    prob = ProblemSet(QUADRATIC, 2, 2, 1, a=a, b=b)
+    assert isinstance(prob.a, np.ndarray) and prob.a.shape == (2, 2, 2)
+    assert isinstance(prob.b, np.ndarray) and prob.b.shape == (2, 2, 1)
+    np.testing.assert_array_equal(prob.a[1], a[1])
+    with pytest.raises(ValueError, match="shape"):
+        ProblemSet(QUADRATIC, 3, 2, 1, a=a, b=b)
+    with pytest.raises(ValueError, match="needs node data"):
+        ProblemSet("nonconvex_gram", 2, 2, 1, a=a, b=b)

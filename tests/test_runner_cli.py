@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -166,3 +167,46 @@ def test_record_timing_fills_last_column(tmp_path):
     untimed = execute(cfg, record_timing=False)
     rows = open(untimed.metrics_path).read().splitlines()[1:]
     assert all(row.rsplit(",", 1)[1] == "" for row in rows)
+
+
+def test_cli_divergence_error_names_round_node_and_quantity(tmp_path, capsys):
+    # dsgd at eta = 1 on the Gram family under Student-t noise (dof 1.3) diverges.
+    path = tmp_path / "diverge.ini"
+    path.write_text(
+        f"""
+[run]
+algorithm = dsgd
+horizon = 50
+seed = 0
+out_dir = {tmp_path}
+
+[topology]
+family = ring
+n_nodes = 4
+
+[problem]
+kind = nonconvex_gram
+m = 4
+n = 3
+seed = 0
+
+[noise]
+family = student_t
+alpha = 1.2
+scale = 0.3
+dof = 1.3
+
+[schedule]
+dsgd_eta = 1.0
+"""
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow on the way out
+        assert main(["run", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "Diverged"
+    assert err["algorithm"] == "dsgd"
+    assert err["quantity"] == "iterate"
+    assert isinstance(err["iteration"], int) and 0 <= err["iteration"] < 50
+    assert isinstance(err["node"], int) and 0 <= err["node"] < 4
+    assert f"iteration {err['iteration']}" in err["message"]
