@@ -32,12 +32,9 @@ from .optimizers import (
     RunState,
     ScheduleParams,
     clip_to_frobenius,
-    demuon_step,
-    dsgd_clip_step,
-    dsgd_step,
-    gt_nsgdm_step,
     initial_state,
     run,
+    step,
     theoretical_schedule,
 )
 from .problems import (

@@ -230,19 +230,12 @@ def build_noise(cfg: ExperimentConfig, seed: int | None = None) -> noise_mod.Noi
 def build_params(cfg: ExperimentConfig, horizon: int | None = None):
     """Schedule for tracker algorithms, baseline constants for the rest."""
     horizon = cfg.horizon if horizon is None else horizon
-    if cfg.algorithm == optimizers.DEMUON:
+    if cfg.algorithm in optimizers.TRACKER_ALGORITHMS:
         if cfg.schedule_mode == "theorem":
             return optimizers.theoretical_schedule(horizon, cfg.alpha)
         return optimizers.ScheduleParams(cfg.eta, cfg.theta, horizon, cfg.alpha)
-    if cfg.algorithm == optimizers.GT_NSGDM and cfg.schedule_mode == "theorem":
-        sched = optimizers.theoretical_schedule(horizon, cfg.alpha)
-        return optimizers.BaselineParams(
-            dsgd_eta=cfg.dsgd_eta, clip_eta=cfg.clip_eta, clip_tau=cfg.clip_tau,
-            gt_eta=sched.eta, gt_theta=sched.theta,
-        )
     return optimizers.BaselineParams(
         dsgd_eta=cfg.dsgd_eta, clip_eta=cfg.clip_eta, clip_tau=cfg.clip_tau,
-        gt_eta=cfg.eta, gt_theta=cfg.theta,
     )
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import problems
 from .linalg import frobenius_norm, nuclear_norm, spectral_norm
 
 CSV_COLUMNS = (
@@ -136,21 +135,21 @@ def theorem_potential_params(
     return PotentialParams(p, q, alpha, target_epsilon)
 
 
-def potential(problem, xs, ms, vs, params: PotentialParams) -> float:
+def potential(objective_at_mean: float, grads, ms, vs, params: PotentialParams) -> float:
     """Objective at the mean plus weighted momentum-error and tracker-consensus terms.
 
     P = f(mean X) + p * ||grad F stack - M stack||_F^alpha
                   + q * ||V stack - replicated mean V||_*
+
+    `objective_at_mean` is f(mean X) and `grads` the (N, m, n) stack of exact
+    local gradients at the same iterates X, as the run already computes them.
     """
-    xs = np.asarray(xs, dtype=float)
+    grads = np.asarray(grads, dtype=float)
     ms = np.asarray(ms, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    x_mean = xs.mean(axis=0)
-    term_f = problems.objective_at(problem, x_mean)
-    grads = problems.exact_gradient(problem, None, xs)
     term_m = params.p * frobenius_norm(stack_blocks(grads - ms)) ** params.alpha
     term_v = params.q * consensus_error_nuclear(vs)
-    return term_f + term_m + term_v
+    return objective_at_mean + term_m + term_v
 
 
 def u_dm_constant(

@@ -102,20 +102,16 @@ def theoretical_schedule(horizon: int, alpha: float = 2.0) -> ScheduleParams:
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Constant hyper-parameters of the three baseline update schemes."""
+    """Constant hyper-parameters of the two untracked baselines, dsgd and dsgd_clip."""
 
     dsgd_eta: float = 0.01
     clip_eta: float = 10.0
     clip_tau: float = 0.1
-    gt_eta: float = 0.1
-    gt_theta: float = 0.2
 
     def __post_init__(self):
-        for name in ("dsgd_eta", "clip_eta", "clip_tau", "gt_eta"):
+        for name in ("dsgd_eta", "clip_eta", "clip_tau"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.gt_theta <= 1.0:
-            raise ValueError(f"gt_theta must lie in (0, 1], got {self.gt_theta}")
 
 
 @dataclass(frozen=True)
@@ -205,103 +201,57 @@ def clip_to_frobenius(g: np.ndarray, tau: float) -> np.ndarray:
     return g * (tau / np.maximum(norms, tau))
 
 
-def _noisy_gradients(state: RunState, problem, noise_model: NoiseModel):
-    """Stacked exact gradients and per-node noise draws for the current round."""
+def _round_schedule(algorithm: str, params, k: int) -> tuple[float, float | None]:
+    """(eta_k, tau_k) of round k; tau_k is the clipping radius, None when nothing is clipped.
+
+    dsgd_clip decays eta_k = eta/(k+1) and grows tau_k = tau*(k+1)^(2/5);
+    every other algorithm keeps a constant step.
+    """
+    if algorithm == DSGD_CLIP:
+        return params.clip_eta / (k + 1), params.clip_tau * (k + 1) ** 0.4
+    if algorithm == DSGD:
+        return params.dsgd_eta, None
+    return params.eta, None
+
+
+def _directions(state: RunState, g: np.ndarray, tau: float | None) -> np.ndarray:
+    """Map the round's tracker (tracked algorithms) or stochastic gradient to the step direction."""
+    if state.algorithm == DEMUON:
+        return _polar_directions(g, state.orthogonalizer)
+    if state.algorithm == GT_NSGDM:
+        return _normalized_directions(g)
+    if state.algorithm == DSGD_CLIP:
+        return clip_to_frobenius(g, tau)
+    return g
+
+
+def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params):
+    """One synchronous round of the state's algorithm.
+
+    `params` is a ScheduleParams for the tracked algorithms (demuon,
+    gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. Returns the next
+    state and the round record `exact_grads`, `noise`, `directions`, `eta`
+    and `tau`; raises Diverged when the round produces a non-finite iterate,
+    momentum or tracker.
+    """
     k = state.iter
     grads = problems.exact_gradient(problem, None, state.x)
     noise = np.stack(
         [sample_noise(noise_model, problem.m, problem.n, i, k) for i in range(state.n_nodes)]
     )
-    return grads, noise
-
-
-def _tracked_round(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel,
-                   eta: float, theta: float, direction):
-    """Momentum, tracker and mixed iterate updates shared by the tracked algorithms."""
-    w = mixing.weights
-    grads, noise = _noisy_gradients(state, problem, noise_model)
-    m_new = (1.0 - theta) * state.m + theta * (grads + noise)
-    v_new = mix_blocks(w, state.v + m_new - state.m)
-    _check_finite(state, momentum=m_new, tracker=v_new)
-    dirs = direction(v_new)
-    x_new = mix_blocks(w, state.x - eta * dirs)
+    eta, tau = _round_schedule(state.algorithm, params, k)
+    m, v = state.m, state.v
+    if state.algorithm in TRACKER_ALGORITHMS:
+        m = (1.0 - params.theta) * state.m + params.theta * (grads + noise)
+        v = mix_blocks(mixing.weights, state.v + m - state.m)
+        _check_finite(state, momentum=m, tracker=v)
+        dirs = _directions(state, v, tau)
+    else:
+        dirs = _directions(state, grads + noise, tau)
+    x_new = mix_blocks(mixing.weights, state.x - eta * dirs)
     _check_finite(state, iterate=x_new)
-    info = {"directions": dirs, "eta": eta, "exact_grads": grads, "noise": noise}
-    return replace(state, iter=state.iter + 1, x=x_new, m=m_new, v=v_new), info
-
-
-def _check_algorithm(state: RunState, algorithm: str):
-    if state.algorithm != algorithm:
-        raise ValueError(f"state built for {state.algorithm!r}, not {algorithm!r}")
-
-
-def demuon_step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, schedule: ScheduleParams):
-    """One round of momentum, tracking, and orthogonalized mixing updates."""
-    _check_algorithm(state, DEMUON)
-    return _tracked_round(
-        state, problem, mixing, noise_model, schedule.eta, schedule.theta,
-        lambda v: _polar_directions(v, state.orthogonalizer),
-    )
-
-
-def dsgd_step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params: BaselineParams):
-    """One round of plain stochastic-gradient mixing with constant step size."""
-    _check_algorithm(state, DSGD)
-    grads, noise = _noisy_gradients(state, problem, noise_model)
-    g = grads + noise
-    x_new = mix_blocks(mixing.weights, state.x - params.dsgd_eta * g)
-    _check_finite(state, iterate=x_new)
-    info = {"directions": g, "eta": params.dsgd_eta, "exact_grads": grads, "noise": noise}
-    return replace(state, iter=state.iter + 1, x=x_new), info
-
-
-def dsgd_clip_step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params: BaselineParams):
-    """One round of clipped stochastic-gradient mixing with decaying step size.
-
-    eta_k = eta/(k+1) and tau_k = tau*(k+1)^(2/5); gradients are clipped onto
-    the Frobenius ball of radius tau_k before mixing.
-    """
-    _check_algorithm(state, DSGD_CLIP)
-    k = state.iter
-    eta_k = params.clip_eta / (k + 1)
-    tau_k = params.clip_tau * (k + 1) ** 0.4
-    grads, noise = _noisy_gradients(state, problem, noise_model)
-    clipped = clip_to_frobenius(grads + noise, tau_k)
-    x_new = mix_blocks(mixing.weights, state.x - eta_k * clipped)
-    _check_finite(state, iterate=x_new)
-    info = {
-        "directions": clipped,
-        "eta": eta_k,
-        "tau": tau_k,
-        "exact_grads": grads,
-        "noise": noise,
-        "clip_norms": np.linalg.norm(clipped, axis=(1, 2)).tolist(),
-    }
-    return replace(state, iter=state.iter + 1, x=x_new), info
-
-
-def gt_nsgdm_step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params: BaselineParams):
-    """One round of tracked, Frobenius-normalized momentum mixing.
-
-    Shares the momentum and tracker recursions with the orthogonalized
-    engine; only the step direction differs (V/||V||_F, zero when V = 0).
-    """
-    _check_algorithm(state, GT_NSGDM)
-    return _tracked_round(
-        state, problem, mixing, noise_model, params.gt_eta, params.gt_theta, _normalized_directions
-    )
-
-
-_STEPS = {DEMUON: demuon_step, DSGD: dsgd_step, DSGD_CLIP: dsgd_clip_step, GT_NSGDM: gt_nsgdm_step}
-
-
-def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params):
-    """Dispatch one round to the state's algorithm.
-
-    Raises Diverged when the round produces a non-finite iterate, momentum
-    or tracker.
-    """
-    return _STEPS[state.algorithm](state, problem, mixing, noise_model, params)
+    info = {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": eta, "tau": tau}
+    return replace(state, iter=k + 1, x=x_new, m=m, v=v), info
 
 
 def _outside_ball(xs: np.ndarray, radius: float) -> bool:
@@ -354,16 +304,15 @@ def run(
     depend on the draw. `sink`, when given, receives each MetricsRow as it
     is produced.
     """
-    if algorithm == DEMUON:
-        if not isinstance(params, ScheduleParams):
-            raise TypeError(f"{algorithm} expects ScheduleParams")
-    elif not isinstance(params, BaselineParams):
-        raise TypeError(f"{algorithm} expects BaselineParams")
+    tracked = algorithm in TRACKER_ALGORITHMS
+    expected = ScheduleParams if tracked else BaselineParams
+    if not isinstance(params, expected):
+        raise TypeError(f"{algorithm} expects {expected.__name__}")
     if horizon is None:
-        horizon = params.horizon if isinstance(params, ScheduleParams) else None
+        horizon = params.horizon if tracked else None
     if horizon is None or horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon}")
-    if isinstance(params, ScheduleParams) and params.derived_from_theorem and horizon != params.horizon:
+    if tracked and params.derived_from_theorem and horizon != params.horizon:
         raise ValueError(
             f"theorem schedule was derived for K={params.horizon}, cannot run K={horizon}"
         )
@@ -375,12 +324,9 @@ def run(
     if x0 is None:
         x0 = np.zeros((problem.m, problem.n))
     state = initial_state(algorithm, mixing.n_nodes, x0, orthogonalizer)
-    tracked = algorithm in TRACKER_ALGORITHMS
+    bound = None
     if tracked:
-        eta = params.eta if algorithm == DEMUON else params.gt_eta
-        bound = diagnostics.consensus_bound(eta, mixing.mixing_rate, mixing.n_nodes)
-    else:
-        bound = None
+        bound = diagnostics.consensus_bound(params.eta, mixing.mixing_rate, mixing.n_nodes)
 
     rows = []
     violations = 0
@@ -399,6 +345,7 @@ def run(
 
         grads = info["exact_grads"]
         avg_grad = grads.mean(axis=0)
+        objective = problems.objective_at(problem, x_mean_prev)
         cons_x = diagnostics.consensus_error(x_prev)
         if bound is not None and cons_x > bound + 1e-9:
             violations += 1
@@ -409,7 +356,7 @@ def run(
             cons_v = diagnostics.consensus_error_nuclear(state.v)
             max_track = max(max_track, tracking)
             if potential_params is not None:
-                pot = diagnostics.potential(problem, x_prev, state.m, state.v, potential_params)
+                pot = diagnostics.potential(objective, grads, state.m, state.v, potential_params)
         if algorithm == DEMUON:
             applied = info["eta"] * info["directions"].mean(axis=0)
             resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
@@ -438,7 +385,7 @@ def run(
             tracking_residual=tracking,
             consensus_error_v=cons_v,
             potential=pot,
-            objective_at_mean=problems.objective_at(problem, x_mean_prev),
+            objective_at_mean=objective,
             wall_time_ms=(time.perf_counter() - t0) * 1e3,
         )
         rows.append(row)

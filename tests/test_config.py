@@ -11,7 +11,7 @@ from demuon.config import (
     validate_config,
     with_overrides,
 )
-from demuon.optimizers import BaselineParams, ScheduleParams
+from demuon.optimizers import BaselineParams, ScheduleParams, theoretical_schedule
 
 MINIMAL = """
 [run]
@@ -85,10 +85,13 @@ def test_theorem_mode_restrictions():
 def test_build_params_baselines():
     cfg = parse_config(MINIMAL.replace("algorithm = demuon", "algorithm = gt_nsgdm"))
     params = build_params(cfg)
-    assert isinstance(params, BaselineParams)
-    assert params.gt_eta == 0.1 and params.gt_theta == 0.2
+    assert isinstance(params, ScheduleParams)
+    assert params.eta == 0.1 and params.theta == 0.2
+    theorem = MINIMAL.replace("algorithm = demuon", "algorithm = gt_nsgdm") + "\n[schedule]\nmode = theorem\n"
+    assert build_params(parse_config(theorem)) == theoretical_schedule(10, 2.0)
     cfg_clip = parse_config(MINIMAL.replace("algorithm = demuon", "algorithm = dsgd_clip"))
     params_clip = build_params(cfg_clip)
+    assert isinstance(params_clip, BaselineParams)
     assert params_clip.clip_eta == 10.0 and params_clip.clip_tau == 0.1
 
 

@@ -67,7 +67,9 @@ def test_potential_degenerate_params_is_objective(rng):
     ms = rng.standard_normal((3, 3, 2))
     vs = rng.standard_normal((3, 3, 2))
     params = PotentialParams(0.0, 0.0, 2.0)
-    assert potential(prob, xs, ms, vs, params) == pytest.approx(
+    assert potential(
+        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, vs, params
+    ) == pytest.approx(
         objective_at(prob, xs.mean(axis=0)), rel=1e-14
     )
 
@@ -79,7 +81,9 @@ def test_potential_vanishing_penalties(rng):
     ms = np.stack([exact_gradient(prob, i, xs[i]) for i in range(2)])
     vs = np.broadcast_to(rng.standard_normal((2, 2)), (2, 2, 2)).copy()
     params = PotentialParams(0.8, 1.3, 2.0)
-    assert potential(prob, xs, ms, vs, params) == pytest.approx(
+    assert potential(
+        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, vs, params
+    ) == pytest.approx(
         objective_at(prob, xs.mean(axis=0)), abs=1e-12
     )
 
@@ -98,7 +102,9 @@ def test_potential_matches_brute_force(rng):
     v_dev = np.vstack([vs[i] - vs.mean(axis=0) for i in range(3)])
     term_v = params.q * np.sum(np.linalg.svd(v_dev, compute_uv=False))
     expected = f_mean + term_m + term_v
-    assert potential(prob, xs, ms, vs, params) == pytest.approx(expected, abs=1e-12)
+    assert potential(
+        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, vs, params
+    ) == pytest.approx(expected, abs=1e-12)
 
 
 def test_theorem_potential_params():

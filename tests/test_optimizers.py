@@ -10,10 +10,6 @@ from demuon.optimizers import (
     BaselineParams,
     ScheduleParams,
     clip_to_frobenius,
-    demuon_step,
-    dsgd_clip_step,
-    dsgd_step,
-    gt_nsgdm_step,
     initial_state,
     parse_orthogonalizer,
     run,
@@ -79,7 +75,7 @@ def test_single_node_hand_simulation():
     # f(x) = 0.5 (x - 2)^2, x0 = 0, theta = 1, eta = 0.5 -> x1 = 0.5
     prob = scalar_quadratic([2.0])
     st = initial_state("demuon", 1, np.zeros((1, 1)))
-    st, _ = demuon_step(st, prob, build_complete(1), NOISELESS, ScheduleParams(0.5, 1.0))
+    st, _ = step(st, prob, build_complete(1), NOISELESS, ScheduleParams(0.5, 1.0))
     assert st.m[0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert st.v[0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert st.x[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -88,7 +84,7 @@ def test_single_node_hand_simulation():
 def test_two_node_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
     st = initial_state("demuon", 2, np.zeros((1, 1)))
-    st, _ = demuon_step(st, prob, build_complete(2), NOISELESS, ScheduleParams(0.5, 1.0))
+    st, _ = step(st, prob, build_complete(2), NOISELESS, ScheduleParams(0.5, 1.0))
     np.testing.assert_allclose(st.m[:, 0, 0], [0.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(st.v[:, 0, 0], [-1.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(st.x[:, 0, 0], [0.5, 0.5], atol=1e-12)
@@ -97,21 +93,21 @@ def test_two_node_hand_simulation():
 def test_dsgd_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
     st = initial_state("dsgd", 2, np.zeros((1, 1)))
-    st, _ = dsgd_step(st, prob, build_complete(2), NOISELESS, BaselineParams(dsgd_eta=0.1))
+    st, _ = step(st, prob, build_complete(2), NOISELESS, BaselineParams(dsgd_eta=0.1))
     np.testing.assert_allclose(st.x[:, 0, 0], [0.1, 0.1], atol=1e-12)
 
 
 def test_dsgd_reduces_to_gradient_descent():
     prob = scalar_quadratic([2.0])
     st = initial_state("dsgd", 1, np.zeros((1, 1)))
-    st, _ = dsgd_step(st, prob, build_complete(1), NOISELESS, BaselineParams(dsgd_eta=0.25))
+    st, _ = step(st, prob, build_complete(1), NOISELESS, BaselineParams(dsgd_eta=0.25))
     assert st.x[0, 0, 0] == pytest.approx(0.25 * 2.0, abs=1e-15)
 
 
 def test_dsgd_zero_gradient_fixed_point():
     prob = scalar_quadratic([0.0, 0.0])
     st = initial_state("dsgd", 2, np.zeros((1, 1)))
-    st, _ = dsgd_step(st, prob, build_complete(2), NOISELESS, BaselineParams())
+    st, _ = step(st, prob, build_complete(2), NOISELESS, BaselineParams())
     assert not st.x.any()
 
 
@@ -119,13 +115,13 @@ def test_clip_schedule_and_norms():
     prob = scalar_quadratic([5.0, -5.0])
     params = BaselineParams(clip_eta=10.0, clip_tau=0.1)
     st = initial_state("dsgd_clip", 2, np.zeros((1, 1)))
-    st, info = dsgd_clip_step(st, prob, build_complete(2), NOISELESS, params)
+    st, info = step(st, prob, build_complete(2), NOISELESS, params)
     assert info["eta"] == 10.0
     assert info["tau"] == pytest.approx(0.1)
-    assert all(n <= info["tau"] + 1e-15 for n in info["clip_norms"])
+    assert all(n <= info["tau"] + 1e-15 for n in np.linalg.norm(info["directions"], axis=(1, 2)))
     # k = 31: eta_31 = 10/32, tau_31 = 0.1 * 32^(2/5) = 0.4
     st31 = replace(initial_state("dsgd_clip", 2, np.zeros((1, 1))), iter=31)
-    _, info31 = dsgd_clip_step(st31, prob, build_complete(2), NOISELESS, params)
+    _, info31 = step(st31, prob, build_complete(2), NOISELESS, params)
     assert info31["eta"] == pytest.approx(0.3125, abs=1e-15)
     assert info31["tau"] == pytest.approx(0.4, abs=1e-12)
 
@@ -146,7 +142,7 @@ def test_gt_directions_are_unit_or_zero(rng):
     st = initial_state("gt_nsgdm", 3, np.zeros((3, 2)))
     mixing = build_ring(3)
     for _ in range(25):
-        st, info = gt_nsgdm_step(st, prob, mixing, noise, BaselineParams())
+        st, info = step(st, prob, mixing, noise, ScheduleParams(0.1, 0.2))
         for i in range(3):
             norm = frobenius_norm(info["directions"][i])
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
@@ -155,7 +151,7 @@ def test_gt_directions_are_unit_or_zero(rng):
 def test_gt_zero_tracker_gives_zero_direction():
     prob = scalar_quadratic([0.0])
     st = initial_state("gt_nsgdm", 1, np.zeros((1, 1)))
-    st, info = gt_nsgdm_step(st, prob, build_complete(1), NOISELESS, BaselineParams())
+    st, info = step(st, prob, build_complete(1), NOISELESS, ScheduleParams(0.1, 0.2))
     assert not info["directions"].any()
     assert not st.x.any()
 
@@ -165,8 +161,8 @@ def test_gt_single_node_normalized_step():
     t = np.array([[3.0, 0.0], [0.0, 4.0]])
     prob = ProblemSet(QUADRATIC, 1, 2, 2, a=(np.eye(2),), b=(t,))
     st = initial_state("gt_nsgdm", 1, np.zeros((2, 2)))
-    params = BaselineParams(gt_eta=0.5, gt_theta=1.0)
-    st, _ = gt_nsgdm_step(st, prob, build_complete(1), NOISELESS, params)
+    params = ScheduleParams(0.5, 1.0)
+    st, _ = step(st, prob, build_complete(1), NOISELESS, params)
     expected = 0.5 * t / frobenius_norm(t)
     np.testing.assert_allclose(st.x[0], expected, atol=1e-12)
 
@@ -184,10 +180,10 @@ def test_scalar_demuon_equals_gt_nsgdm(rng):
         st_d = initial_state("demuon", 1, np.zeros((1, 1)))
         st_g = initial_state("gt_nsgdm", 1, np.zeros((1, 1)))
         sched = ScheduleParams(eta, theta)
-        params = BaselineParams(gt_eta=eta, gt_theta=theta)
+        params = ScheduleParams(eta, theta)
         for _ in range(12):
-            st_d, _ = demuon_step(st_d, prob, mix, noise, sched)
-            st_g, _ = gt_nsgdm_step(st_g, prob, mix, noise, params)
+            st_d, _ = step(st_d, prob, mix, noise, sched)
+            st_g, _ = step(st_g, prob, mix, noise, params)
         assert abs(st_d.x[0, 0, 0] - st_g.x[0, 0, 0]) <= 1e-10
 
 
@@ -200,7 +196,8 @@ def test_complete_graph_keeps_nodes_identical():
     sched = ScheduleParams(0.1, 0.3)
     base = BaselineParams()
     for algorithm, params in (
-        ("demuon", sched), ("dsgd", base), ("dsgd_clip", base), ("gt_nsgdm", base),
+        ("demuon", sched), ("dsgd", base), ("dsgd_clip", base),
+        ("gt_nsgdm", ScheduleParams(0.1, 0.2)),
     ):
         st = initial_state(algorithm, 4, np.zeros((2, 1)))
         for _ in range(20):
@@ -216,7 +213,7 @@ def test_demuon_directions_have_unit_spectral_norm(rng):
     mixing = build_ring(4)
     sched = ScheduleParams(0.1, 0.2)
     for _ in range(20):
-        st, info = demuon_step(st, prob, mixing, noise, sched)
+        st, info = step(st, prob, mixing, noise, sched)
         for i in range(4):
             assert spectral_norm(info["directions"][i]) <= 1.0 + 1e-10
 
@@ -256,7 +253,7 @@ def test_run_tracking_and_average_iterate_identities():
               horizon=60, seed=9)
     assert res.max_tracking_residual <= 1e-9
     assert res.max_avg_iterate_residual <= 1e-9
-    res_gt = run("gt_nsgdm", prob, build_ring(4), noise, BaselineParams(), horizon=60, seed=9)
+    res_gt = run("gt_nsgdm", prob, build_ring(4), noise, ScheduleParams(0.1, 0.2), horizon=60, seed=9)
     assert res_gt.max_tracking_residual <= 1e-9
 
 
@@ -280,12 +277,13 @@ def test_run_rejects_mismatched_params():
         run("demuon", prob, build_complete(3), NOISELESS, ScheduleParams(0.1, 0.2), horizon=5)
 
 
-def test_run_theorem_schedule_horizon_locked():
+@pytest.mark.parametrize("algorithm", ["demuon", "gt_nsgdm"])
+def test_run_theorem_schedule_horizon_locked(algorithm):
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     sched = theoretical_schedule(16, 2.0)
     with pytest.raises(ValueError):
-        run("demuon", prob, build_complete(2), NOISELESS, sched, horizon=8)
-    res = run("demuon", prob, build_complete(2), NOISELESS, sched)  # horizon from schedule
+        run(algorithm, prob, build_complete(2), NOISELESS, sched, horizon=8)
+    res = run(algorithm, prob, build_complete(2), NOISELESS, sched)  # horizon from schedule
     assert res.horizon == 16
 
 
@@ -336,7 +334,7 @@ def test_two_route_consensus_norms_sandwich_each_iteration():
         stacked_sp = consensus_error(st.x)
         assert stacked_sp >= np.mean(per_sp) - 1e-12
         assert stacked_sp <= math.sqrt(sum(v**2 for v in per_sp)) + 1e-12
-        st, _ = demuon_step(st, prob, mixing, noise, sched)
+        st, _ = step(st, prob, mixing, noise, sched)
         v_dev = st.v - st.v.mean(axis=0)
         per_nu = [nuclear_norm(d) for d in v_dev]
         stacked_nu = consensus_error_nuclear(st.v)
@@ -344,14 +342,23 @@ def test_two_route_consensus_norms_sandwich_each_iteration():
         assert stacked_nu <= sum(per_nu) + 1e-12
 
 
-def test_potential_trend_on_noiseless_run():
+def test_potential_trend_on_noiseless_run(monkeypatch):
+    import demuon.problems as problems
     from demuon.diagnostics import theorem_potential_params
 
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.3, seed=17)
     mixing = build_ring(4)
     sched = theoretical_schedule(200, 2.0)
     params = theorem_potential_params(200, 2.0, mixing.mixing_rate)
+    # The potential reuses the round's exact gradients and objective at the mean.
+    calls = {"exact_gradient": 0, "objective_at": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(problems, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(problems, name, counted)
     res = run("demuon", prob, mixing, NOISELESS, sched, seed=0, potential_params=params)
+    assert calls == {"exact_gradient": 200, "objective_at": 200}
     pots = [row.potential for row in res.rows]
     assert all(np.isfinite(p) for p in pots)
     best = np.minimum.accumulate(pots)
@@ -373,7 +380,7 @@ def test_run_warns_when_ball_exited():
 BALL_CASES = [
     ("demuon", ScheduleParams(0.3, 0.5), 1.0),
     ("dsgd", BaselineParams(dsgd_eta=0.05), 0.5),
-    ("gt_nsgdm", BaselineParams(), 1.0),
+    ("gt_nsgdm", ScheduleParams(0.1, 0.2), 1.0),
 ]
 
 
