@@ -217,23 +217,22 @@ def build_problem(cfg: ExperimentConfig) -> problems.ProblemSet:
     return problem
 
 
-def build_noise(cfg: ExperimentConfig, seed: int | None = None) -> noise_mod.NoiseModel:
+def build_noise(cfg: ExperimentConfig) -> noise_mod.NoiseModel:
     return noise_mod.NoiseModel(
         family=cfg.noise_family,
         alpha=cfg.alpha,
         scale=cfg.scale,
         dof=cfg.dof,
-        base_seed=cfg.seed if seed is None else seed,
+        base_seed=cfg.seed,
     )
 
 
-def build_params(cfg: ExperimentConfig, horizon: int | None = None):
+def build_params(cfg: ExperimentConfig):
     """Schedule for tracker algorithms, baseline constants for the rest."""
-    horizon = cfg.horizon if horizon is None else horizon
     if cfg.algorithm in optimizers.TRACKER_ALGORITHMS:
         if cfg.schedule_mode == "theorem":
-            return optimizers.theoretical_schedule(horizon, cfg.alpha)
-        return optimizers.ScheduleParams(cfg.eta, cfg.theta, horizon, cfg.alpha)
+            return optimizers.theoretical_schedule(cfg.horizon, cfg.alpha)
+        return optimizers.ScheduleParams(cfg.eta, cfg.theta, cfg.horizon, cfg.alpha)
     return optimizers.BaselineParams(
         dsgd_eta=cfg.dsgd_eta, clip_eta=cfg.clip_eta, clip_tau=cfg.clip_tau,
     )

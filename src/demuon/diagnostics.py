@@ -110,20 +110,15 @@ class PotentialParams:
     p: float
     q: float
     alpha: float = 2.0
-    target_epsilon: float | None = None
 
     def __post_init__(self):
         if self.p < 0 or self.q < 0:
             raise ValueError("potential weights must be nonnegative")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if self.target_epsilon is not None and not 0.0 < self.target_epsilon < 1.0:
-            raise ValueError(f"target_epsilon must lie in (0, 1), got {self.target_epsilon}")
 
 
-def theorem_potential_params(
-    horizon: int, alpha: float, lam: float, target_epsilon: float | None = None
-) -> PotentialParams:
+def theorem_potential_params(horizon: int, alpha: float, lam: float) -> PotentialParams:
     """Potential weights matching the theoretical step/weighting schedule."""
     if horizon < 4:
         raise ValueError(f"theorem-mode potential needs horizon >= 4, got {horizon}")
@@ -132,24 +127,23 @@ def theorem_potential_params(
     p = float(horizon) ** ((alpha**2 - 3.0 * alpha + 2.0) / (3.0 * alpha - 2.0))
     eta = float(horizon) ** (-(2.0 * alpha - 1.0) / (3.0 * alpha - 2.0))
     q = 2.0 * eta / (1.0 - lam)
-    return PotentialParams(p, q, alpha, target_epsilon)
+    return PotentialParams(p, q, alpha)
 
 
-def potential(objective_at_mean: float, grads, ms, vs, params: PotentialParams) -> float:
+def potential(objective_at_mean: float, grads, ms, consensus_v: float, params: PotentialParams) -> float:
     """Objective at the mean plus weighted momentum-error and tracker-consensus terms.
 
     P = f(mean X) + p * ||grad F stack - M stack||_F^alpha
                   + q * ||V stack - replicated mean V||_*
 
-    `objective_at_mean` is f(mean X) and `grads` the (N, m, n) stack of exact
-    local gradients at the same iterates X, as the run already computes them.
+    `objective_at_mean` is f(mean X), `grads` the (N, m, n) stack of exact
+    local gradients at the same iterates X and `consensus_v` the tracker
+    consensus `consensus_error_nuclear(V)`, as the run already computes them.
     """
     grads = np.asarray(grads, dtype=float)
     ms = np.asarray(ms, dtype=float)
-    vs = np.asarray(vs, dtype=float)
     term_m = params.p * frobenius_norm(stack_blocks(grads - ms)) ** params.alpha
-    term_v = params.q * consensus_error_nuclear(vs)
-    return objective_at_mean + term_m + term_v
+    return objective_at_mean + term_m + params.q * consensus_v
 
 
 def u_dm_constant(

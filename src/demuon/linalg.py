@@ -114,22 +114,20 @@ def reduced_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     return SvdFactors(u[:, keep], s[keep], vt[keep].T, rank_tol)
 
 
-def msgn_exact(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def msgn_exact(a) -> np.ndarray:
     """Orthogonal (polar) factor u @ v.T from the reduced SVD.
 
-    Singular directions with singular value <= rank_tol * (largest singular
-    value) are dropped, as in `reduced_svd`, so all nonzero singular values
-    of the result equal 1. The zero matrix maps to the zero matrix, which
-    turns a zero tracker into a zero step. `a` may be a stack of matrices;
-    one stacked SVD then gives every matrix's polar factor.
+    Singular directions with singular value <= DEFAULT_RANK_TOL * (largest
+    singular value) are dropped, as in `reduced_svd`, so all nonzero singular
+    values of the result equal 1. The zero matrix maps to the zero matrix,
+    which turns a zero tracker into a zero step. `a` may be a stack of
+    matrices; one stacked SVD then gives every matrix's polar factor.
     """
     a = as_matrix(a, stack=True)
-    if rank_tol < 0:
-        raise ValueError(f"rank_tol must be nonnegative, got {rank_tol}")
     u, s, vt = _svd(a)
     # Singular values are nonincreasing, so the kept directions are a prefix;
     # zeroing the rest equals truncating. A zero matrix keeps none.
-    u *= s[..., None, :] > rank_tol * s[..., None, :1]
+    u *= s[..., None, :] > DEFAULT_RANK_TOL * s[..., None, :1]
     return u @ vt
 
 

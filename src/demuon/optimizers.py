@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics, linalg, problems
-from .diagnostics import MetricsRow, PotentialParams
+from .diagnostics import MetricsRow
 # frobenius_norm is not called here but stays importable from this module:
 # bench/tracing.py wraps the norm functions where this module looks them up.
 from .linalg import frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm  # noqa: F401
@@ -293,12 +293,12 @@ def run(
     horizon: int | None = None,
     seed: int = 0,
     orthogonalizer: str = "svd",
-    x0: np.ndarray | None = None,
-    potential_params: PotentialParams | None = None,
     sink=None,
 ) -> RunResult:
-    """Execute K synchronous rounds and report per-iteration diagnostics.
+    """Execute K synchronous rounds from X = 0 and report per-iteration diagnostics.
 
+    A tracked algorithm run on a `theoretical_schedule` also reports each
+    round's potential, weighted by `diagnostics.theorem_potential_params`.
     The reported iteration index is drawn uniformly from {0, ..., K-1} once,
     after the loop, from a substream of `seed`, so the trajectory does not
     depend on the draw. `sink`, when given, receives each MetricsRow as it
@@ -321,12 +321,15 @@ def run(
             f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
         )
 
-    if x0 is None:
-        x0 = np.zeros((problem.m, problem.n))
+    x0 = np.zeros((problem.m, problem.n))
     state = initial_state(algorithm, mixing.n_nodes, x0, orthogonalizer)
-    bound = None
+    bound = pot_weights = None
     if tracked:
         bound = diagnostics.consensus_bound(params.eta, mixing.mixing_rate, mixing.n_nodes)
+        if params.derived_from_theorem:
+            pot_weights = diagnostics.theorem_potential_params(
+                params.horizon, params.alpha, mixing.mixing_rate
+            )
 
     rows = []
     violations = 0
@@ -355,12 +358,11 @@ def run(
             tracking = float(np.linalg.norm(state.v.mean(axis=0) - state.m.mean(axis=0)))
             cons_v = diagnostics.consensus_error_nuclear(state.v)
             max_track = max(max_track, tracking)
-            if potential_params is not None:
-                pot = diagnostics.potential(objective, grads, state.m, state.v, potential_params)
-        if algorithm == DEMUON:
-            applied = info["eta"] * info["directions"].mean(axis=0)
-            resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
-            max_ave_resid = max(max_ave_resid, resid)
+            if pot_weights is not None:
+                pot = diagnostics.potential(objective, grads, state.m, cons_v, pot_weights)
+        applied = info["eta"] * info["directions"].mean(axis=0)
+        resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
+        max_ave_resid = max(max_ave_resid, resid)
 
         # One stacked SVD gives the mean gradient's nuclear norm and every noise draw's.
         nuclear = nuclear_norm(np.concatenate((avg_grad[None], info["noise"])))

@@ -65,11 +65,6 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
     problem = config_mod.build_problem(cfg)
     noise_model = config_mod.build_noise(cfg)
     params = config_mod.build_params(cfg)
-    potential_params = None
-    if cfg.schedule_mode == "theorem" and cfg.algorithm in optimizers.TRACKER_ALGORITHMS:
-        potential_params = diagnostics.theorem_potential_params(
-            cfg.horizon, cfg.alpha, mixing.mixing_rate
-        )
     result = optimizers.run(
         cfg.algorithm,
         problem,
@@ -79,7 +74,6 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
         horizon=cfg.horizon,
         seed=cfg.seed,
         orthogonalizer=cfg.orthogonalizer,
-        potential_params=potential_params,
     )
 
     rid = run_id(cfg)

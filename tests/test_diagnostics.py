@@ -68,7 +68,7 @@ def test_potential_degenerate_params_is_objective(rng):
     vs = rng.standard_normal((3, 3, 2))
     params = PotentialParams(0.0, 0.0, 2.0)
     assert potential(
-        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, vs, params
+        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, consensus_error_nuclear(vs), params
     ) == pytest.approx(
         objective_at(prob, xs.mean(axis=0)), rel=1e-14
     )
@@ -82,7 +82,7 @@ def test_potential_vanishing_penalties(rng):
     vs = np.broadcast_to(rng.standard_normal((2, 2)), (2, 2, 2)).copy()
     params = PotentialParams(0.8, 1.3, 2.0)
     assert potential(
-        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, vs, params
+        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, consensus_error_nuclear(vs), params
     ) == pytest.approx(
         objective_at(prob, xs.mean(axis=0)), abs=1e-12
     )
@@ -103,7 +103,7 @@ def test_potential_matches_brute_force(rng):
     term_v = params.q * np.sum(np.linalg.svd(v_dev, compute_uv=False))
     expected = f_mean + term_m + term_v
     assert potential(
-        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, vs, params
+        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, None, xs), ms, consensus_error_nuclear(vs), params
     ) == pytest.approx(expected, abs=1e-12)
 
 

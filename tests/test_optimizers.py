@@ -3,7 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from demuon.diagnostics import consensus_bound
+from demuon.diagnostics import (
+    consensus_bound,
+    consensus_error_nuclear,
+    potential,
+    theorem_potential_params,
+)
 from demuon.linalg import frobenius_norm, spectral_norm
 from demuon.noise import NoiseModel
 from demuon.optimizers import (
@@ -17,7 +22,7 @@ from demuon.optimizers import (
     theoretical_schedule,
 )
 from demuon.problems import ProblemSet, QUADRATIC, make_quadratic
-from demuon.topology import build_complete, build_directed_exponential, build_ring
+from demuon.topology import MixingSpec, build_complete, build_directed_exponential, build_ring
 
 NOISELESS = NoiseModel("gaussian", 2.0, 0.0)
 
@@ -257,6 +262,24 @@ def test_run_tracking_and_average_iterate_identities():
     assert res_gt.max_tracking_residual <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "algorithm, params",
+    [
+        ("demuon", ScheduleParams(0.1, 0.2)),
+        ("dsgd", BaselineParams()),
+        ("dsgd_clip", BaselineParams()),
+        ("gt_nsgdm", ScheduleParams(0.1, 0.2)),
+    ],
+)
+def test_run_checks_mean_iterate_recursion_for_every_algorithm(algorithm, params):
+    # Rows sum to 1 but columns do not, so mixing moves the mean iterate and
+    # mean X+ = mean X - eta * mean(D) fails for every algorithm.
+    prob = make_quadratic(2, 3, 2, 4, heterogeneity=0.5, seed=6)
+    mixing = MixingSpec(2, np.array([[0.5, 0.5], [0.0, 1.0]]), 0.5, "custom")
+    res = run(algorithm, prob, mixing, NOISELESS, params, horizon=5, seed=0)
+    assert res.max_avg_iterate_residual > 1e-3
+
+
 def test_run_consensus_bound_holds():
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=10)
     noise = NoiseModel("gaussian", 2.0, 0.4, base_seed=2)
@@ -343,22 +366,37 @@ def test_two_route_consensus_norms_sandwich_each_iteration():
 
 
 def test_potential_trend_on_noiseless_run(monkeypatch):
+    import demuon.diagnostics as diagnostics
     import demuon.problems as problems
-    from demuon.diagnostics import theorem_potential_params
 
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.3, seed=17)
     mixing = build_ring(4)
     sched = theoretical_schedule(200, 2.0)
-    params = theorem_potential_params(200, 2.0, mixing.mixing_rate)
-    # The potential reuses the round's exact gradients and objective at the mean.
-    calls = {"exact_gradient": 0, "objective_at": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(problems, name), _name=name, **kwargs):
+    # The theorem schedule alone fills the potential, and the potential reuses
+    # the round's exact gradients, objective at the mean and tracker consensus.
+    calls = {"exact_gradient": 0, "objective_at": 0, "consensus_error_nuclear": 0}
+    for module, name in (
+        (problems, "exact_gradient"),
+        (problems, "objective_at"),
+        (diagnostics, "consensus_error_nuclear"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(problems, name, counted)
-    res = run("demuon", prob, mixing, NOISELESS, sched, seed=0, potential_params=params)
-    assert calls == {"exact_gradient": 200, "objective_at": 200}
+        monkeypatch.setattr(module, name, counted)
+    res = run("demuon", prob, mixing, NOISELESS, sched, seed=0)
+    assert calls == {"exact_gradient": 200, "objective_at": 200, "consensus_error_nuclear": 200}
+    monkeypatch.undo()
+    st0 = initial_state("demuon", 4, np.zeros((3, 2)))
+    st1, info = step(st0, prob, mixing, NOISELESS, sched)
+    by_hand = potential(
+        problems.objective_at(prob, st0.x.mean(axis=0)),
+        info["exact_grads"],
+        st1.m,
+        consensus_error_nuclear(st1.v),
+        theorem_potential_params(200, 2.0, mixing.mixing_rate),
+    )
+    assert res.rows[0].potential == by_hand
     pots = [row.potential for row in res.rows]
     assert all(np.isfinite(p) for p in pots)
     best = np.minimum.accumulate(pots)

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -157,6 +158,16 @@ def test_cli_compare(tmp_path, capsys):
     path = capsys.readouterr().out.strip()
     header = open(path).read().splitlines()[0]
     assert header.startswith("iter,demuon_avg_grad_nuclear")
+
+
+def test_theorem_schedule_fills_potential_column(tmp_path):
+    theorem = parse_config(config_text(tmp_path, extra="\n[schedule]\nmode = theorem\n"))
+    explicit = with_overrides(theorem, schedule_mode="explicit")
+    for cfg, filled in ((theorem, True), (explicit, False)):
+        with open(execute(cfg).metrics_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        assert all((row["potential"] != "") == filled for row in rows)
 
 
 def test_record_timing_fills_last_column(tmp_path):
