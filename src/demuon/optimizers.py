@@ -53,6 +53,10 @@ class Diverged(ValueError):
         self.node = node
         self.quantity = quantity
 
+    def __reduce__(self):
+        # Rebuilt from its fields, so it survives the trip back from a sweep worker.
+        return type(self), (self.algorithm, self.iteration, self.node, self.quantity)
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -235,20 +239,20 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
     momentum or tracker.
     """
     k = state.iter
-    grads = problems.exact_gradient(problem, None, state.x)
-    noise = np.stack(
-        [sample_noise(noise_model, problem.m, problem.n, i, k) for i in range(state.n_nodes)]
-    )
+    noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k)
     eta, tau = _round_schedule(state.algorithm, params, k)
     m, v = state.m, state.v
-    if state.algorithm in TRACKER_ALGORITHMS:
-        m = (1.0 - params.theta) * state.m + params.theta * (grads + noise)
-        v = mix_blocks(mixing.weights, state.v + m - state.m)
-        _check_finite(state, momentum=m, tracker=v)
-        dirs = _directions(state, v, tau)
-    else:
-        dirs = _directions(state, grads + noise, tau)
-    x_new = mix_blocks(mixing.weights, state.x - eta * dirs)
+    # A diverging round overflows on its way to inf/nan; _check_finite names it instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads = problems.exact_gradient(problem, None, state.x)
+        if state.algorithm in TRACKER_ALGORITHMS:
+            m = (1.0 - params.theta) * state.m + params.theta * (grads + noise)
+            v = mix_blocks(mixing.weights, state.v + m - state.m)
+            _check_finite(state, momentum=m, tracker=v)
+            dirs = _directions(state, v, tau)
+        else:
+            dirs = _directions(state, grads + noise, tau)
+        x_new = mix_blocks(mixing.weights, state.x - eta * dirs)
     _check_finite(state, iterate=x_new)
     info = {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": eta, "tau": tau}
     return replace(state, iter=k + 1, x=x_new, m=m, v=v), info
@@ -346,28 +350,31 @@ def run(
         state, info = step(state, problem, mixing, noise_model, params)
         k = state.iter - 1
 
-        grads = info["exact_grads"]
-        avg_grad = grads.mean(axis=0)
-        objective = problems.objective_at(problem, x_mean_prev)
-        cons_x = diagnostics.consensus_error(x_prev)
-        if bound is not None and cons_x > bound + 1e-9:
-            violations += 1
+        # A round just short of divergence can overflow its diagnostics; the row
+        # then reads inf, and the next round, if any, raises Diverged.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = info["exact_grads"]
+            avg_grad = grads.mean(axis=0)
+            objective = problems.objective_at(problem, x_mean_prev)
+            cons_x = diagnostics.consensus_error(x_prev)
+            if bound is not None and cons_x > bound + 1e-9:
+                violations += 1
 
-        tracking = cons_v = pot = None
-        if tracked:
-            tracking = float(np.linalg.norm(state.v.mean(axis=0) - state.m.mean(axis=0)))
-            cons_v = diagnostics.consensus_error_nuclear(state.v)
-            max_track = max(max_track, tracking)
-            if pot_weights is not None:
-                pot = diagnostics.potential(objective, grads, state.m, cons_v, pot_weights)
-        applied = info["eta"] * info["directions"].mean(axis=0)
-        resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
-        max_ave_resid = max(max_ave_resid, resid)
+            tracking = cons_v = pot = None
+            if tracked:
+                tracking = float(np.linalg.norm(state.v.mean(axis=0) - state.m.mean(axis=0)))
+                cons_v = diagnostics.consensus_error_nuclear(state.v)
+                max_track = max(max_track, tracking)
+                if pot_weights is not None:
+                    pot = diagnostics.potential(objective, grads, state.m, cons_v, pot_weights)
+            applied = info["eta"] * info["directions"].mean(axis=0)
+            resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
+            max_ave_resid = max(max_ave_resid, resid)
 
-        # One stacked SVD gives the mean gradient's nuclear norm and every noise draw's.
-        nuclear = nuclear_norm(np.concatenate((avg_grad[None], info["noise"])))
-        noise_moment_sum += float(np.sum(nuclear[1:] ** noise_model.alpha))
-        noise_draws += state.n_nodes
+            # One stacked SVD gives the mean gradient's nuclear norm and every noise draw's.
+            nuclear = nuclear_norm(np.concatenate((avg_grad[None], info["noise"])))
+            noise_moment_sum += float(np.sum(nuclear[1:] ** noise_model.alpha))
+            noise_draws += state.n_nodes
 
         if not ball_exited and problem.ball_radius != float("inf"):
             if _outside_ball(state.x, problem.ball_radius):

@@ -59,28 +59,55 @@ def _write_json(path: str, payload: dict):
 
 
 def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> ExecuteOutcome:
-    """Run one experiment and write metrics_<id>.csv and summary_<id>.json."""
+    """Run one experiment and write metrics_<id>.csv and summary_<id>.json.
+
+    A run that raises Diverged still writes the rows of the rounds it
+    finished and a summary with "status": "diverged" naming the iteration,
+    node and quantity; the error is then re-raised.
+    """
     config_mod.validate_config(cfg)
     mixing = config_mod.build_mixing(cfg)
     problem = config_mod.build_problem(cfg)
     noise_model = config_mod.build_noise(cfg)
     params = config_mod.build_params(cfg)
-    result = optimizers.run(
-        cfg.algorithm,
-        problem,
-        mixing,
-        noise_model,
-        params,
-        horizon=cfg.horizon,
-        seed=cfg.seed,
-        orthogonalizer=cfg.orthogonalizer,
-    )
 
     rid = run_id(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, f"metrics_{rid}.csv")
     summary_path = os.path.join(cfg.out_dir, f"summary_{rid}.json")
-    _write_metrics_csv(metrics_path, result.rows, record_timing)
+    rows = []
+    try:
+        result = optimizers.run(
+            cfg.algorithm,
+            problem,
+            mixing,
+            noise_model,
+            params,
+            horizon=cfg.horizon,
+            seed=cfg.seed,
+            orthogonalizer=cfg.orthogonalizer,
+            sink=rows.append,
+        )
+    except optimizers.Diverged as exc:
+        _write_metrics_csv(metrics_path, rows, record_timing)
+        _write_json(
+            summary_path,
+            {
+                "run_id": rid,
+                "algorithm": exc.algorithm,
+                "horizon": cfg.horizon,
+                "seed": cfg.seed,
+                "status": "diverged",
+                "iteration": exc.iteration,
+                "node": exc.node,
+                "quantity": exc.quantity,
+                "orthogonalizer": cfg.orthogonalizer,
+                "config": cfg.as_dict(),
+                "version": version_hash(),
+            },
+        )
+        raise
+    _write_metrics_csv(metrics_path, rows, record_timing)
 
     summary = {
         "run_id": rid,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demuon import noise
 from demuon.linalg import nuclear_norm
 from demuon.noise import NoiseModel, sample_noise, stochastic_gradient
 from demuon.problems import make_quadratic
@@ -25,26 +28,65 @@ def test_model_validation():
 
 def test_zero_scale_is_exact_zero():
     model = NoiseModel("gaussian", 2.0, 0.0)
-    assert not sample_noise(model, 3, 2, 0, 0).any()
+    assert not sample_noise(model, 3, 2, 1, 0)[0].any()
     model_t = NoiseModel("student_t", 1.5, 0.0, dof=1.8)
-    assert not sample_noise(model_t, 3, 2, 1, 7).any()
+    assert not sample_noise(model_t, 3, 2, 2, 7)[1].any()
 
 
 def test_streams_are_deterministic_and_distinct():
     model = NoiseModel("gaussian", 2.0, 1.0, base_seed=5)
-    a = sample_noise(model, 4, 3, node=2, iteration=9)
-    b = sample_noise(model, 4, 3, node=2, iteration=9)
+    a = sample_noise(model, 4, 3, 3, 9)[2]
+    b = sample_noise(model, 4, 3, 3, 9)[2]
     np.testing.assert_array_equal(a, b)
-    assert np.any(a != sample_noise(model, 4, 3, node=3, iteration=9))
-    assert np.any(a != sample_noise(model, 4, 3, node=2, iteration=10))
+    assert np.any(a != sample_noise(model, 4, 3, 4, 9)[3])
+    assert np.any(a != sample_noise(model, 4, 3, 3, 10)[2])
     other = NoiseModel("gaussian", 2.0, 1.0, base_seed=6)
-    assert np.any(a != sample_noise(other, 4, 3, node=2, iteration=9))
+    assert np.any(a != sample_noise(other, 4, 3, 3, 9)[2])
+
+
+def oracle_draw(model, m, n, node, iteration):
+    """The draw of the (base_seed, node, iteration) stream, built by numpy's own seeding."""
+    rng = np.random.default_rng((model.base_seed, node, iteration))
+    if model.family == "gaussian":
+        return rng.normal(0.0, model.scale, size=(m, n))
+    return model.scale * rng.standard_t(model.dof, size=(m, n))
+
+
+BASE_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+MODELS = st.one_of(
+    st.builds(NoiseModel, st.just("gaussian"), st.just(2.0), st.floats(0.1, 3.0), base_seed=BASE_SEEDS),
+    st.builds(
+        NoiseModel, st.just("student_t"), st.just(1.5), st.floats(0.1, 3.0), st.floats(1.6, 5.0),
+        base_seed=BASE_SEEDS,
+    ),
+)
+# Both sides of a 64-round block boundary, far out, and anywhere.
+ITERATIONS = st.one_of(st.sampled_from([0, 63, 64, 65, 10**6, 10**6 + 63]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(MODELS, st.integers(1, 70), st.sampled_from([(1, 1), (2, 5), (4, 3)]), ITERATIONS)
+def test_stacked_draws_equal_the_per_node_streams(model, n_nodes, shape, iteration):
+    stack = sample_noise(model, *shape, n_nodes, iteration)
+    assert stack.shape == (n_nodes, *shape)
+    for i in range(n_nodes):
+        assert np.array_equal(stack[i], oracle_draw(model, *shape, i, iteration))
+
+
+@pytest.mark.parametrize("n_nodes, iteration", [(2**32, 0), (1, 2**32), (0, 0), (1, -1)])
+def test_keys_the_hash_cannot_encode_are_rejected_before_hashing(n_nodes, iteration):
+    model = NoiseModel("gaussian", 2.0, 1.0)
+    before = noise._seed_block.cache_info()
+    with pytest.raises(ValueError):
+        sample_noise(model, 2, 2, n_nodes, iteration)
+    after = noise._seed_block.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_unbiasedness_monte_carlo():
     model = NoiseModel("gaussian", 2.0, 0.7, base_seed=31)
     n_draws = 10_000
-    draws = np.stack([sample_noise(model, 2, 3, 0, t) for t in range(n_draws)])
+    draws = np.stack([sample_noise(model, 2, 3, 1, t)[0] for t in range(n_draws)])
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n_draws)
     assert np.all(np.abs(mean) <= 4.0 * se)
@@ -53,8 +95,8 @@ def test_unbiasedness_monte_carlo():
 def test_nodes_are_uncorrelated():
     model = NoiseModel("gaussian", 2.0, 1.0, base_seed=13)
     n_draws = 10_000
-    a = np.array([sample_noise(model, 1, 1, 0, t)[0, 0] for t in range(n_draws)])
-    b = np.array([sample_noise(model, 1, 1, 1, t)[0, 0] for t in range(n_draws)])
+    a = np.array([sample_noise(model, 1, 1, 1, t)[0, 0, 0] for t in range(n_draws)])
+    b = np.array([sample_noise(model, 1, 1, 2, t)[1, 0, 0] for t in range(n_draws)])
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.05
 
@@ -66,7 +108,7 @@ def test_heavy_tail_alpha_moment_converges_variance_diverges():
     n_draws = 100_000
     nucs = np.empty(n_draws)
     for t in range(n_draws):
-        nucs[t] = nuclear_norm(sample_noise(model, 2, 2, 0, t))
+        nucs[t] = nuclear_norm(sample_noise(model, 2, 2, 1, t)[0])
     counts = np.arange(1, n_draws + 1)
     alpha_running = np.cumsum(nucs**model.alpha) / counts
     rel_change = abs(alpha_running[-1] - alpha_running[n_draws // 2 - 1]) / alpha_running[-1]

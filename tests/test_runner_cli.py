@@ -1,6 +1,5 @@
 import csv
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -180,16 +179,14 @@ def test_record_timing_fills_last_column(tmp_path):
     assert all(row.rsplit(",", 1)[1] == "" for row in rows)
 
 
-def test_cli_divergence_error_names_round_node_and_quantity(tmp_path, capsys):
-    # dsgd at eta = 1 on the Gram family under Student-t noise (dof 1.3) diverges.
-    path = tmp_path / "diverge.ini"
-    path.write_text(
-        f"""
+def diverging_config_text(out_dir, horizon=50):
+    """dsgd at eta = 1 on the Gram family under Student-t noise (dof 1.3): it diverges."""
+    return f"""
 [run]
 algorithm = dsgd
-horizon = 50
+horizon = {horizon}
 seed = 0
-out_dir = {tmp_path}
+out_dir = {out_dir}
 
 [topology]
 family = ring
@@ -210,9 +207,13 @@ dof = 1.3
 [schedule]
 dsgd_eta = 1.0
 """
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow on the way out
+
+
+def test_cli_divergence_error_names_round_node_and_quantity(tmp_path, capsys):
+    path = tmp_path / "diverge.ini"
+    path.write_text(diverging_config_text(tmp_path))
+    # The run leaves the certified ball before it diverges; that is its only warning.
+    with pytest.warns(RuntimeWarning, match="certified ball"):
         assert main(["run", str(path)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "Diverged"
@@ -221,3 +222,38 @@ dsgd_eta = 1.0
     assert isinstance(err["iteration"], int) and 0 <= err["iteration"] < 50
     assert isinstance(err["node"], int) and 0 <= err["node"] < 4
     assert f"iteration {err['iteration']}" in err["message"]
+
+
+def test_diverged_run_writes_its_finished_rounds_and_a_diverged_summary(tmp_path):
+    from demuon.optimizers import Diverged
+
+    cfg = parse_config(diverging_config_text(tmp_path / "diverged"))
+    with pytest.raises(Diverged) as caught, pytest.warns(RuntimeWarning, match="certified ball"):
+        execute(cfg)
+    exc = caught.value
+    rid = run_id(cfg)
+    summary = json.load(open(tmp_path / "diverged" / f"summary_{rid}.json"))
+    assert summary["status"] == "diverged"
+    assert summary["run_id"] == rid
+    assert (summary["algorithm"], summary["iteration"], summary["node"], summary["quantity"]) == (
+        "dsgd", exc.iteration, exc.node, "iterate",
+    )
+    assert summary["config"] == cfg.as_dict()
+    partial = open(tmp_path / "diverged" / f"metrics_{rid}.csv").read()
+    # The rounds before the failing one are exactly those of a run that stops there.
+    with pytest.warns(RuntimeWarning, match="certified ball"):
+        finished = execute(parse_config(diverging_config_text(tmp_path / "finished", exc.iteration)))
+    assert partial == open(finished.metrics_path).read()
+    assert len(partial.splitlines()) == exc.iteration + 1
+    assert "status" not in json.load(open(finished.summary_path))
+
+
+# Workers cannot hand the ball-exit warning back; they would raise it under the error filter.
+@pytest.mark.filterwarnings("ignore:iterates left the certified ball")
+def test_sweep_worker_divergence_reaches_the_cli_as_diverged(tmp_path, capsys):
+    path = tmp_path / "diverge.ini"
+    path.write_text(diverging_config_text(tmp_path).replace("horizon = 50", "horizon = 50\nsweep = 5, 50"))
+    assert main(["sweep", str(path), "--workers", "2"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "Diverged"
+    assert (err["algorithm"], err["quantity"]) == ("dsgd", "iterate")
