@@ -15,15 +15,13 @@ from .diagnostics import (
 )
 from .linalg import (
     NumericalFailure,
-    SvdFactors,
     frobenius_norm,
     msgn_exact,
     msgn_newton_schulz,
     nuclear_norm,
-    reduced_svd,
     spectral_norm,
 )
-from .noise import NoiseModel, sample_noise, stochastic_gradient
+from .noise import NoiseModel, sample_noise
 from .optimizers import (
     ALGORITHMS,
     BaselineParams,
@@ -40,7 +38,6 @@ from .optimizers import (
 from .problems import (
     ProblemFormatError,
     ProblemSet,
-    average_gradient,
     dump_problem,
     exact_gradient,
     load_problem,
@@ -57,7 +54,6 @@ from .topology import (
     build_ring,
     load_mixing_csv,
     mix_blocks,
-    mixing_rate,
     validate_mixing,
 )
 

@@ -45,17 +45,11 @@ class MetricsRow:
     wall_time_ms: float | None = None
 
     def csv_line(self, include_timing: bool = False) -> str:
-        cells = [
-            str(self.iter),
-            _fmt(self.consensus_error_x),
-            _fmt(self.consensus_bound),
-            _fmt(self.avg_grad_nuclear),
-            _fmt(self.tracking_residual),
-            _fmt(self.consensus_error_v),
-            _fmt(self.potential),
-            _fmt(self.objective_at_mean),
-            _fmt(self.wall_time_ms) if include_timing else "",
-        ]
+        """The row's cells in `CSV_COLUMNS` order; wall_time_ms stays blank unless `include_timing`."""
+        cells = [str(self.iter)]
+        for name in CSV_COLUMNS[1:]:
+            shown = include_timing or name != "wall_time_ms"
+            cells.append(_fmt(getattr(self, name)) if shown else "")
         return ",".join(cells)
 
 
@@ -72,22 +66,23 @@ def stack_blocks(blocks) -> np.ndarray:
     return arr.reshape(n_blocks * m, n)
 
 
+def _deviations(xs) -> np.ndarray:
+    """The (N m) x n vertical stack of deviations X_i - mean(X) of N same-shape matrices."""
+    arr = np.asarray(xs, dtype=float)
+    # Checked before the mean, which warns on an empty stack.
+    if arr.ndim != 3 or arr.shape[0] < 1:
+        raise ValueError(f"consensus error expects a nonempty (N, m, n) stack, got shape {arr.shape}")
+    return stack_blocks(arr - arr.mean(axis=0))
+
+
 def consensus_error(xs) -> float:
     """Spectral norm of the vertical stack of deviations X_i - mean(X)."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] < 1:
-        raise ValueError("consensus_error expects a nonempty list of same-shape matrices")
-    dev = arr - arr.mean(axis=0)
-    return spectral_norm(stack_blocks(dev))
+    return spectral_norm(_deviations(xs))
 
 
 def consensus_error_nuclear(xs) -> float:
     """Nuclear norm of the vertical stack of deviations X_i - mean(X)."""
-    arr = np.asarray(xs, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] < 1:
-        raise ValueError("consensus_error_nuclear expects a nonempty list of same-shape matrices")
-    dev = arr - arr.mean(axis=0)
-    return nuclear_norm(stack_blocks(dev))
+    return nuclear_norm(_deviations(xs))
 
 
 def consensus_bound(eta: float, lam: float, n_nodes: int) -> float:

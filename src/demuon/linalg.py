@@ -1,8 +1,6 @@
-"""Dense matrix primitives: norms, reduced SVD, and exact/iterative polar factors."""
+"""Dense matrix primitives: norms and exact/iterative polar factors."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,52 +74,14 @@ def nuclear_norm(a):
     return _per_matrix(_svd(as_matrix(a, stack=True), compute_uv=False).sum(axis=-1))
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Reduced SVD a = u @ diag(s) @ v.T with rank-truncated factors.
-
-    `u` is m x r and `v` is n x r, both column-orthogonal; `singular_values`
-    is strictly positive and nonincreasing. r = 0 for the zero matrix.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-    rank_tolerance: float
-
-    @property
-    def rank(self) -> int:
-        return int(self.singular_values.size)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singular_values) @ self.v.T
-
-
-def reduced_svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
-    """Reduced SVD with relative rank truncation.
-
-    Singular values <= rank_tol * (largest singular value) are dropped,
-    so a zero matrix yields empty factors (rank 0).
-    """
-    a = as_matrix(a)
-    if rank_tol < 0:
-        raise ValueError(f"rank_tol must be nonnegative, got {rank_tol}")
-    m, n = a.shape
-    if not a.any():
-        return SvdFactors(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), rank_tol)
-    u, s, vt = _svd(a)
-    keep = s > rank_tol * s[0]
-    return SvdFactors(u[:, keep], s[keep], vt[keep].T, rank_tol)
-
-
 def msgn_exact(a) -> np.ndarray:
     """Orthogonal (polar) factor u @ v.T from the reduced SVD.
 
     Singular directions with singular value <= DEFAULT_RANK_TOL * (largest
-    singular value) are dropped, as in `reduced_svd`, so all nonzero singular
-    values of the result equal 1. The zero matrix maps to the zero matrix,
-    which turns a zero tracker into a zero step. `a` may be a stack of
-    matrices; one stacked SVD then gives every matrix's polar factor.
+    singular value) are dropped, so all nonzero singular values of the
+    result equal 1. The zero matrix maps to the zero matrix, which turns a
+    zero tracker into a zero step. `a` may be a stack of matrices; one
+    stacked SVD then gives every matrix's polar factor.
     """
     a = as_matrix(a, stack=True)
     u, s, vt = _svd(a)

@@ -1,4 +1,4 @@
-"""Heavy-tailed stochastic gradient oracles with counter-based seeding.
+"""Heavy-tailed gradient noise with counter-based seeding.
 
 Each (base_seed, node, iteration) triple owns an independent stream: PCG64
 seeded by `SeedSequence((base_seed, node, iteration))`, the generator that
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-
-from . import problems
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
@@ -81,12 +79,6 @@ def sample_noise(model: NoiseModel, m: int, n: int, n_nodes: int, iteration: int
         else:
             out[i] = model.scale * rng.standard_t(model.dof, size=(m, n))
     return out
-
-
-def stochastic_gradient(problem, i: int, x: np.ndarray, model: NoiseModel, iteration: int) -> np.ndarray:
-    """Exact local gradient plus one sampled noise matrix (unbiased by construction)."""
-    grad = problems.exact_gradient(problem, i, x)
-    return grad + sample_noise(model, problem.m, problem.n, i + 1, iteration)[i]
 
 
 class _SeedWords(ISeedSequence):

@@ -72,10 +72,6 @@ class ProblemSet:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"node data {name!r} has shape {getattr(self, name).shape}, expected {shape}")
 
-    @property
-    def lipschitz_stacked(self) -> float | None:
-        return None if self.lipschitz_star is None else self.n_nodes * self.lipschitz_star
-
 
 def _iterate(problem: ProblemSet, x, stacked: bool = False) -> np.ndarray:
     """Validate one m x n iterate or, when `stacked`, also the (N, m, n) per-node stack."""
@@ -125,14 +121,6 @@ def exact_gradient(problem: ProblemSet, i: int | None, x) -> np.ndarray:
         a = problem.a[nodes]
         return np.swapaxes(a, -2, -1) @ (a @ x - problem.b[nodes])
     return (x @ np.swapaxes(x, -2, -1) - problem.c[nodes]) @ x
-
-
-def average_gradient(problem: ProblemSet, xs) -> np.ndarray:
-    """(1/N) sum_i grad f_i(xs[i]) for one iterate per node."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 3 or xs.shape[0] != problem.n_nodes:
-        raise ValueError(f"expected {problem.n_nodes} iterates, got shape {xs.shape}")
-    return exact_gradient(problem, None, xs).mean(axis=0)
 
 
 def objective_at(problem: ProblemSet, x) -> float:

@@ -75,6 +75,15 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, f"metrics_{rid}.csv")
     summary_path = os.path.join(cfg.out_dir, f"summary_{rid}.json")
+    summary = {
+        "run_id": rid,
+        "algorithm": cfg.algorithm,
+        "horizon": cfg.horizon,
+        "seed": cfg.seed,
+        "orthogonalizer": cfg.orthogonalizer,
+        "config": cfg.as_dict(),
+        "version": version_hash(),
+    }
     rows = []
     try:
         result = optimizers.run(
@@ -90,45 +99,24 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
         )
     except optimizers.Diverged as exc:
         _write_metrics_csv(metrics_path, rows, record_timing)
-        _write_json(
-            summary_path,
-            {
-                "run_id": rid,
-                "algorithm": exc.algorithm,
-                "horizon": cfg.horizon,
-                "seed": cfg.seed,
-                "status": "diverged",
-                "iteration": exc.iteration,
-                "node": exc.node,
-                "quantity": exc.quantity,
-                "orthogonalizer": cfg.orthogonalizer,
-                "config": cfg.as_dict(),
-                "version": version_hash(),
-            },
-        )
+        summary.update(status="diverged", iteration=exc.iteration, node=exc.node, quantity=exc.quantity)
+        _write_json(summary_path, summary)
         raise
     _write_metrics_csv(metrics_path, rows, record_timing)
 
-    summary = {
-        "run_id": rid,
-        "algorithm": cfg.algorithm,
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-        "mixing_rate": result.mixing_rate,
-        "iota": result.iota,
-        "grad_nuclear_at_iota": result.grad_nuclear_at_iota,
-        "avg_grad_nuclear_mean": result.avg_grad_nuclear_mean,
-        "final_avg_grad_nuclear": result.rows[-1].avg_grad_nuclear,
-        "final_objective_at_mean": result.rows[-1].objective_at_mean,
-        "consensus_bound_violations": result.consensus_violations,
-        "max_tracking_residual": result.max_tracking_residual,
-        "max_avg_iterate_residual": result.max_avg_iterate_residual,
-        "noise_alpha_moment": result.noise_alpha_moment,
-        "ball_exited": result.ball_exited,
-        "orthogonalizer": cfg.orthogonalizer,
-        "config": cfg.as_dict(),
-        "version": version_hash(),
-    }
+    summary.update(
+        mixing_rate=result.mixing_rate,
+        iota=result.iota,
+        grad_nuclear_at_iota=result.grad_nuclear_at_iota,
+        avg_grad_nuclear_mean=result.avg_grad_nuclear_mean,
+        final_avg_grad_nuclear=result.rows[-1].avg_grad_nuclear,
+        final_objective_at_mean=result.rows[-1].objective_at_mean,
+        consensus_bound_violations=result.consensus_violations,
+        max_tracking_residual=result.max_tracking_residual,
+        max_avg_iterate_residual=result.max_avg_iterate_residual,
+        noise_alpha_moment=result.noise_alpha_moment,
+        ball_exited=result.ball_exited,
+    )
     if record_timing:
         summary["total_wall_time_ms"] = sum(r.wall_time_ms or 0.0 for r in result.rows)
     _write_json(summary_path, summary)

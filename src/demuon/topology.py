@@ -77,7 +77,11 @@ def _deviation_norm(w: np.ndarray) -> float:
 
 
 def validate_mixing(w) -> MixingReport:
-    """Check nonnegativity, double stochasticity, primitivity, and rate < 1."""
+    """Check nonnegativity, double stochasticity, primitivity, and rate < 1.
+
+    The mixing rate is the spectral norm of W - (1 1^T)/N, so non-symmetric
+    (directed) matrices are handled.
+    """
     w = as_matrix(w)
     n = w.shape[0]
     if w.shape[0] != w.shape[1]:
@@ -94,18 +98,6 @@ def validate_mixing(w) -> MixingReport:
             break
     rate = _deviation_norm(w)
     return MixingReport(nonnegative, row, col, primitive, rate < 1.0, rate)
-
-
-def mixing_rate(w) -> float:
-    """Spectral norm of W - (1 1^T)/N for a validated doubly stochastic W.
-
-    Uses the largest singular value, so non-symmetric (directed) matrices
-    are handled; raises InvalidMixingError when any check fails.
-    """
-    report = validate_mixing(w)
-    if not report.ok:
-        raise InvalidMixingError("; ".join(report.failures()))
-    return report.mixing_rate
 
 
 def build_complete(n: int) -> MixingSpec:
@@ -153,7 +145,10 @@ def load_mixing_csv(path) -> MixingSpec:
         raise InvalidMixingError(
             f"mixing CSV {path} must be square, got {w.shape[0]}x{w.shape[1]}"
         )
-    report = validate_mixing(w)
+    try:
+        report = validate_mixing(w)
+    except ValueError as exc:  # non-finite entries
+        raise InvalidMixingError(f"mixing CSV {path}: {exc}") from exc
     if not report.ok:
         raise InvalidMixingError(f"mixing CSV {path}: " + "; ".join(report.failures()))
     return MixingSpec(w.shape[0], w, report.mixing_rate, CUSTOM)

@@ -1,4 +1,4 @@
-"""Matrix generators and an independent singular-value oracle shared by the tests.
+"""Matrix generators and independent singular-value and polar-factor oracles shared by the tests.
 
 They live outside `conftest.py` so that importing them cannot pick up
 `bench/conftest.py` when both test directories run in one pytest session.
@@ -13,6 +13,17 @@ def svdvals_oracle(a):
     gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
     eigs = np.linalg.eigvalsh(gram)
     return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
+
+
+def polar_oracle(a):
+    """Polar factor u @ v.T of `np.linalg.svd` over the singular values above 1e-12 * the largest.
+
+    That is `msgn_exact`'s relative rank mask (`DEFAULT_RANK_TOL`); the zero
+    matrix maps to zero.
+    """
+    u, s, vt = np.linalg.svd(np.asarray(a, dtype=float), full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    return u[:, keep] @ vt[keep]
 
 
 def random_matrix(rng, max_dim=16):

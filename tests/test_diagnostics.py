@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,16 @@ def test_consensus_error_upper_bound(rng):
         dev = xs - xs.mean(axis=0)
         per_block = math.sqrt(sum(spectral_norm(d) ** 2 for d in dev))
         assert consensus_error(xs) <= per_block + 1e-12
+
+
+@pytest.mark.parametrize("error", [consensus_error, consensus_error_nuclear])
+@pytest.mark.parametrize("xs", [np.ones((2, 3)), np.zeros((0, 2, 3))], ids=["2d", "empty"])
+def test_consensus_errors_reject_a_non_stack_before_averaging(error, xs):
+    # The mean of an empty stack would warn first; every warning is an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonempty"):
+            error(xs)
 
 
 def test_stacked_norm_sandwich(rng):
@@ -167,3 +179,12 @@ def test_metrics_row_csv():
     assert cells[3] == "1.25"
     assert cells[8] == ""  # timing blank unless requested
     assert row.csv_line(include_timing=True).split(",")[8] == "7.3"
+    # Every field distinct: each column reads back as the field its header names.
+    fields = [f.name for f in dataclasses.fields(MetricsRow)]
+    distinct = MetricsRow(1, *(k + 0.25 for k in range(2, len(fields) + 1)))
+    columns = csv_header().split(",")
+    cells = distinct.csv_line(include_timing=True).split(",")
+    assert sorted(columns) == sorted(fields)
+    assert len(cells) == len(columns)
+    for column, cell in zip(columns, cells):
+        assert float(cell) == getattr(distinct, column)

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from demuon.linalg import (
-    SvdFactors,
     as_matrix,
     frobenius_norm,
     msgn_exact,
     msgn_newton_schulz,
     nuclear_norm,
-    reduced_svd,
     spectral_norm,
 )
 
@@ -58,50 +56,6 @@ def test_norm_ordering(rng):
         scale = max(nu, 1.0)
         assert sp <= fr + 1e-12 * scale
         assert fr <= nu + 1e-12 * scale
-
-
-def test_reduced_svd_identity():
-    f = reduced_svd(np.eye(2))
-    assert f.rank == 2
-    np.testing.assert_allclose(f.singular_values, [1.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(f.reconstruct(), np.eye(2), atol=1e-12)
-
-
-def test_reduced_svd_truncates_rank_deficiency():
-    f = reduced_svd(np.diag([5.0, 0.0]), rank_tol=1e-12)
-    assert f.rank == 1
-    np.testing.assert_allclose(f.singular_values, [5.0], atol=1e-12)
-
-
-def test_reduced_svd_zero_matrix_is_rank_zero():
-    f = reduced_svd(np.zeros((3, 2)))
-    assert f.rank == 0
-    assert f.u.shape == (3, 0) and f.v.shape == (2, 0)
-
-
-def test_reduced_svd_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        reduced_svd(np.eye(2), rank_tol=-1.0)
-
-
-def test_reduced_svd_reconstruction_random(rng):
-    a = rng.standard_normal((4, 3))
-    f = reduced_svd(a)
-    err = np.linalg.norm(f.reconstruct() - a) / np.linalg.norm(a)
-    assert err <= 1e-8
-
-
-def test_reduced_svd_invariants_random(rng):
-    for _ in range(1000):
-        a = random_matrix(rng)
-        f = reduced_svd(a)
-        r = f.rank
-        assert np.all(f.singular_values > 0)
-        assert np.all(np.diff(f.singular_values) <= 0)
-        np.testing.assert_allclose(f.u.T @ f.u, np.eye(r), atol=1e-10)
-        np.testing.assert_allclose(f.v.T @ f.v, np.eye(r), atol=1e-10)
-        denom = max(np.linalg.norm(a), 1e-300)
-        assert np.linalg.norm(f.reconstruct() - a) / denom <= 1e-8
 
 
 def test_msgn_fixed_values():
@@ -174,10 +128,3 @@ def test_newton_schulz_rejects_zero_and_bad_iters():
         msgn_newton_schulz(np.zeros((2, 2)), iters=5)
     with pytest.raises(ValueError):
         msgn_newton_schulz(np.eye(2), iters=0)
-
-
-def test_svd_factors_rank_property(rng):
-    a = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
-    f = reduced_svd(a)
-    assert isinstance(f, SvdFactors)
-    assert f.rank == 2

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from demuon import noise
 from demuon.linalg import nuclear_norm
-from demuon.noise import NoiseModel, sample_noise, stochastic_gradient
-from demuon.problems import make_quadratic
+from demuon.noise import NoiseModel, sample_noise
 
 
 def test_model_validation():
@@ -115,35 +114,3 @@ def test_heavy_tail_alpha_moment_converges_variance_diverges():
     assert rel_change < 0.05
     second_running = np.cumsum(nucs**2) / counts
     assert second_running[-1] / second_running[n_draws // 10 - 1] > 1.2
-
-
-def test_stochastic_gradient_zero_scale_is_exact():
-    problem = make_quadratic(2, 3, 2, 4, heterogeneity=0.3, seed=7)
-    model = NoiseModel("gaussian", 2.0, 0.0)
-    from demuon.problems import exact_gradient
-
-    x = np.ones((3, 2))
-    np.testing.assert_array_equal(
-        stochastic_gradient(problem, 0, x, model, 5), exact_gradient(problem, 0, x)
-    )
-
-
-def test_stochastic_gradient_unbiased():
-    problem = make_quadratic(2, 2, 2, 3, heterogeneity=0.5, seed=3)
-    model = NoiseModel("gaussian", 2.0, 0.5, base_seed=17)
-    from demuon.problems import exact_gradient
-
-    x = 0.3 * np.ones((2, 2))
-    exact = exact_gradient(problem, 1, x)
-    n_draws = 10_000
-    draws = np.stack([stochastic_gradient(problem, 1, x, model, t) for t in range(n_draws)])
-    err = draws.mean(axis=0) - exact
-    se = draws.std(axis=0, ddof=1) / np.sqrt(n_draws)
-    assert np.all(np.abs(err) <= 4.0 * se)
-
-
-def test_stochastic_gradient_shape_mismatch():
-    problem = make_quadratic(2, 3, 2, 4, seed=0)
-    model = NoiseModel("gaussian", 2.0, 0.1)
-    with pytest.raises(ValueError):
-        stochastic_gradient(problem, 0, np.ones((2, 3)), model, 0)

@@ -10,7 +10,6 @@ from demuon.topology import (
     build_ring,
     load_mixing_csv,
     mix_blocks,
-    mixing_rate,
     validate_mixing,
 )
 
@@ -85,11 +84,6 @@ def test_rate_ordering_at_fixed_size():
     assert 0.0 < build_directed_exponential(8).mixing_rate < build_ring(8).mixing_rate
 
 
-def test_mixing_rate_rejects_identity():
-    with pytest.raises(InvalidMixingError):
-        mixing_rate(np.eye(2))
-
-
 def test_validate_reports_identity_failures():
     report = validate_mixing(np.eye(4))
     assert report.nonnegative and report.row_stochastic and report.column_stochastic
@@ -105,8 +99,8 @@ def test_validate_reports_column_failure():
 
 
 def test_mixing_rate_complete_and_ring():
-    assert mixing_rate(build_complete(8).weights) == 0.0
-    assert mixing_rate(build_ring(4).weights) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert validate_mixing(build_complete(8).weights).mixing_rate == 0.0
+    assert validate_mixing(build_ring(4).weights).mixing_rate == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_mix_blocks_preserves_block_average(rng):
@@ -141,3 +135,9 @@ def test_load_mixing_csv_rejects_invalid(tmp_path):
     np.savetxt(path2, np.ones((2, 3)) / 3.0, delimiter=",")
     with pytest.raises(InvalidMixingError):
         load_mixing_csv(path2)
+    # Entries numpy reads as nan or inf are rejected as an invalid file, naming it.
+    for name, entry in (("nan.csv", "nan"), ("overflow.csv", "1e400")):
+        path3 = tmp_path / name
+        path3.write_text(f"0.5,0.5\n0.5,{entry}\n")
+        with pytest.raises(InvalidMixingError, match=f"{name}.*finite"):
+            load_mixing_csv(path3)
