@@ -1,4 +1,13 @@
-"""Dense matrix primitives: norms and exact/iterative polar factors."""
+"""Dense matrix primitives: norms and exact/iterative polar factors.
+
+Spectral and nuclear norms of a non-square matrix (or stack) whose short side
+is at least `_GRAM_MIN_SIDE` take their singular values from `eigvalsh` of the
+short-side Gram matrix, clipped at 0 before the square root; that is several
+times cheaper than the SVD on the tall, thin consensus stacks and noise draws.
+Square and smaller inputs, and every slice the Gram cannot resolve (it
+overflowed, it underflowed or the slice is zero, or, for the nuclear norm, it
+is ill-conditioned), use the SVD.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +15,15 @@ import numpy as np
 
 DEFAULT_RANK_TOL = 1e-12
 NEWTON_SCHULZ_COEFFS = (1.5, -0.5)
+# Short side from which the Gram route beats the SVD; on a 2-vCPU host the
+# crossover fell between 8 and 12.
+_GRAM_MIN_SIDE = 12
+# Below this largest Gram eigenvalue the Gram's entries have underflowed, or
+# the slice is zero: tiny / eps.
+_GRAM_LAMBDA_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# An eigenvalue carries an absolute error of about eps * lambda_max, so the
+# nuclear norm takes the Gram route only where lambda_min >= this * lambda_max.
+_GRAM_NUCLEAR_RCOND = 1e-6
 
 
 class NumericalFailure(RuntimeError):
@@ -48,6 +66,37 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         ) from exc
 
 
+def _singular_values(a: np.ndarray, nuclear: bool) -> np.ndarray:
+    """Singular values of a validated matrix or stack, per matrix in descending order.
+
+    Non-square inputs with short side >= `_GRAM_MIN_SIDE` go through the
+    short-side Gram matrix; each slice whose Gram is not finite, whose largest
+    eigenvalue is below `_GRAM_LAMBDA_FLOOR` or, with `nuclear`, whose
+    smallest eigenvalue is below `_GRAM_NUCLEAR_RCOND` times its largest is
+    redone by the SVD. The decision is per slice, so a stack gives exactly
+    what its matrices give one by one.
+    """
+    m, n = a.shape[-2:]
+    if m == n or min(m, n) < _GRAM_MIN_SIDE:
+        return _svd(a, compute_uv=False)
+    at = np.swapaxes(a, -2, -1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        gram = at @ a if m > n else a @ at
+    # An overflowed slice is zeroed, which sends it to the SVD with the zero slices.
+    gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0
+    try:
+        lam = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError:  # LAPACK did not converge; the SVD decides every slice
+        return _svd(a, compute_uv=False)
+    ok = lam[..., -1] >= _GRAM_LAMBDA_FLOOR
+    if nuclear:
+        ok &= lam[..., 0] >= _GRAM_NUCLEAR_RCOND * lam[..., -1]
+    s = np.sqrt(np.maximum(lam[..., ::-1], 0.0))
+    if not ok.all():
+        s[~ok] = _svd(a[~ok], compute_uv=False)
+    return s
+
+
 def _per_matrix(values: np.ndarray):
     """A float for one matrix, the array of per-matrix values for a stack."""
     return float(values) if values.ndim == 0 else values
@@ -62,16 +111,22 @@ def spectral_norm(a):
     """Largest singular value; 0 for the zero matrix.
 
     `a` may be a stack of matrices; the result is then one value per matrix.
+    A non-square matrix with short side >= `_GRAM_MIN_SIDE` takes it from the
+    largest eigenvalue of its short-side Gram matrix; a square or smaller one,
+    and a slice whose Gram overflowed, underflowed or is zero, from the SVD.
     """
-    return _per_matrix(_svd(as_matrix(a, stack=True), compute_uv=False)[..., 0])
+    return _per_matrix(_singular_values(as_matrix(a, stack=True), nuclear=False)[..., 0])
 
 
 def nuclear_norm(a):
     """Sum of singular values.
 
     `a` may be a stack of matrices; the result is then one value per matrix.
+    Routed as `spectral_norm`, except that a slice whose smallest Gram
+    eigenvalue is below `_GRAM_NUCLEAR_RCOND` times its largest (a small
+    singular value the Gram cannot resolve) is taken from the SVD too.
     """
-    return _per_matrix(_svd(as_matrix(a, stack=True), compute_uv=False).sum(axis=-1))
+    return _per_matrix(_singular_values(as_matrix(a, stack=True), nuclear=True).sum(axis=-1))
 
 
 def msgn_exact(a) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Matrix generators and independent singular-value and polar-factor oracles shared by the tests.
+"""Matrix generators and singular-value and polar-factor oracles shared by the tests.
 
 They live outside `conftest.py` so that importing them cannot pick up
 `bench/conftest.py` when both test directories run in one pytest session.
@@ -8,7 +8,12 @@ import numpy as np
 
 
 def svdvals_oracle(a):
-    """Independent singular values: eigendecomposition of the Gram matrix."""
+    """Singular values from the eigendecomposition of the short-side Gram matrix.
+
+    This is the route `spectral_norm` and `nuclear_norm` take on non-square
+    inputs with a long enough short side, so it is no oracle for them there;
+    those are checked against `np.linalg.svd`.
+    """
     a = np.asarray(a, dtype=float)
     gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
     eigs = np.linalg.eigvalsh(gram)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demuon.linalg import (
     as_matrix,
@@ -47,6 +49,54 @@ def test_antidiagonal_matches_gram_oracle():
     np.testing.assert_allclose(s, [4.0, 3.0], atol=1e-12)
     assert spectral_norm(a) == pytest.approx(4.0, abs=1e-10)
     assert nuclear_norm(a) == pytest.approx(7.0, abs=1e-10)
+
+
+def kind_matrix(seed, shape, kind, scale):
+    """An m x n matrix of one kind: Gaussian, rank deficient, zero, or with a graded spectrum."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    r = min(m, n)
+    if kind == "gaussian":
+        a = rng.standard_normal((m, n))
+    elif kind == "deficient":
+        k = int(rng.integers(0, r))
+        a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+    elif kind == "zero":
+        a = np.zeros((m, n))
+    else:  # singular values from 1 down to a floor in [1e-14, 1], geometrically spaced
+        u = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        a = (u * np.logspace(0.0, -float(rng.uniform(0.0, 14.0)), r)) @ v.T
+    return a * scale
+
+
+sides = st.integers(1, 40)
+# m > n, m < n, square and 1x1, on both sides of the Gram-route threshold.
+shapes = st.tuples(sides, sides) | sides.map(lambda k: (k, k)) | st.just((1, 1))
+
+
+# Relative tolerances against the SVD. The spectral norm is the square root of
+# the largest Gram eigenvalue, good to a few eps. The nuclear norm's Gram route
+# keeps sigma_min >= 1e-3 sigma_max, where an eigenvalue error of eps * lambda_max
+# moves a singular value by about 1.1e-13 sigma_max; spectra with every singular
+# value but one at that floor reach 2e-13, Gaussian and graded ones 2e-14.
+SPECTRAL_RTOL = 1e-14
+NUCLEAR_RTOL = 1e-12
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    shapes,
+    st.sampled_from(("gaussian", "deficient", "zero", "graded")),
+    st.sampled_from((1.0, 1e200, 1e-170)),
+)
+def test_norms_match_numpy_svd(seed, shape, kind, scale):
+    a = kind_matrix(seed, shape, kind, scale)
+    s = np.linalg.svd(a, compute_uv=False)
+    # abs=0: a zero matrix must give exactly 0.
+    assert spectral_norm(a) == pytest.approx(s[0], rel=SPECTRAL_RTOL, abs=0.0)
+    assert nuclear_norm(a) == pytest.approx(s.sum(), rel=NUCLEAR_RTOL, abs=0.0)
 
 
 def test_norm_ordering(rng):

@@ -179,13 +179,13 @@ def test_record_timing_fills_last_column(tmp_path):
     assert all(row.rsplit(",", 1)[1] == "" for row in rows)
 
 
-def diverging_config_text(out_dir, horizon=50):
+def diverging_config_text(out_dir, horizon=50, m=4, n=3, seed=0):
     """dsgd at eta = 1 on the Gram family under Student-t noise (dof 1.3): it diverges."""
     return f"""
 [run]
 algorithm = dsgd
 horizon = {horizon}
-seed = 0
+seed = {seed}
 out_dir = {out_dir}
 
 [topology]
@@ -194,9 +194,9 @@ n_nodes = 4
 
 [problem]
 kind = nonconvex_gram
-m = 4
-n = 3
-seed = 0
+m = {m}
+n = {n}
+seed = {seed}
 
 [noise]
 family = student_t
@@ -246,6 +246,24 @@ def test_diverged_run_writes_its_finished_rounds_and_a_diverged_summary(tmp_path
     assert partial == open(finished.metrics_path).read()
     assert len(partial.splitlines()) == exc.iteration + 1
     assert "status" not in json.load(open(finished.summary_path))
+
+
+def test_divergence_at_a_gram_route_size_names_the_round_and_writes_the_summary(tmp_path):
+    # At 32 x 16 the diagnostic norms take the Gram route. At seed 2 the Gram of
+    # the last finite round's mean gradient overflows; that slice must fall back
+    # to the SVD, not raise LinAlgError from eigvalsh.
+    from demuon.optimizers import Diverged
+
+    cfg = parse_config(diverging_config_text(tmp_path, m=32, n=16, seed=2))
+    with pytest.raises(Diverged) as caught, pytest.warns(RuntimeWarning, match="certified ball"):
+        execute(cfg)
+    exc = caught.value
+    assert (exc.algorithm, exc.iteration, exc.quantity) == ("dsgd", 6, "iterate")
+    assert "iteration 6" in str(exc)
+    rid = run_id(cfg)
+    summary = json.load(open(tmp_path / f"summary_{rid}.json"))
+    assert (summary["status"], summary["iteration"], summary["node"]) == ("diverged", 6, exc.node)
+    assert len(open(tmp_path / f"metrics_{rid}.csv").read().splitlines()) == 6 + 1
 
 
 # Workers cannot hand the ball-exit warning back; they would raise it under the error filter.

@@ -23,6 +23,8 @@ from linalg_oracles import polar_oracle
 
 SLICE_KINDS = ("full", "deficient", "zero")
 dims = st.integers(1, 7)
+# Sizes on both sides of the norms' Gram-route threshold (`linalg._GRAM_MIN_SIDE`).
+gram_dims = st.integers(8, 40)
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -39,7 +41,9 @@ def build_stack(seed, m, n, kinds):
     return out
 
 
-stacks = st.builds(build_stack, seeds, dims, dims, st.lists(st.sampled_from(SLICE_KINDS), min_size=1, max_size=6))
+slice_kinds = st.lists(st.sampled_from(SLICE_KINDS), min_size=1, max_size=6)
+stacks = st.builds(build_stack, seeds, dims, dims, slice_kinds)
+gram_stacks = st.builds(build_stack, seeds, gram_dims, gram_dims, slice_kinds)
 
 
 @settings(max_examples=150, deadline=None)
@@ -73,7 +77,7 @@ def test_newton_schulz_stack_matches_per_matrix(stack, iters):
 
 
 @settings(max_examples=150, deadline=None)
-@given(stacks)
+@given(stacks | gram_stacks)
 def test_stacked_norms_match_per_matrix(stack):
     nuc = nuclear_norm(stack)
     spec = spectral_norm(stack)
