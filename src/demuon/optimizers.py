@@ -140,16 +140,17 @@ class RunState:
 
 
 def parse_orthogonalizer(spec: str) -> tuple[str, int]:
-    """Parse 'svd' or 'ns:<iters>' into (kind, iters)."""
+    """Parse 'svd' or 'ns:<iters>' into (kind, iters).
+
+    Only the canonical spelling of a positive count is accepted (no sign,
+    padding, zeros in front, underscores or non-ASCII digits), so one
+    computation has one spelling and one run id.
+    """
     if spec == "svd":
         return "svd", 0
-    if spec.startswith("ns:"):
-        try:
-            iters = int(spec[3:])
-        except ValueError:
-            iters = 0
-        if iters >= 1:
-            return "ns", iters
+    digits = spec[3:]
+    if spec.startswith("ns:") and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return "ns", int(digits)
     raise ValueError(f"orthogonalizer must be 'svd' or 'ns:<iters>', got {spec!r}")
 
 

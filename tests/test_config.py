@@ -59,8 +59,9 @@ def test_validation_names_offending_keys():
         parse_config(MINIMAL.replace("family = ring", "family = mesh"))
     with pytest.raises(ConfigError, match="noise.dof"):
         parse_config(MINIMAL + "\n[noise]\nfamily = student_t\nalpha = 1.5\n")
-    with pytest.raises(ConfigError, match="run.orthogonalizer"):
-        parse_config(MINIMAL.replace("horizon = 10", "horizon = 10\northogonalizer = qr"))
+    for bad in ("qr", "ns: 5", "ns:+5", "ns:1_0", "ns:05", "ns:\u0665"):
+        with pytest.raises(ConfigError, match="run.orthogonalizer"):
+            parse_config(MINIMAL.replace("horizon = 10", f"horizon = 10\northogonalizer = {bad}"))
 
 
 def test_missing_required_keys():

@@ -12,7 +12,7 @@ from demuon.linalg import (
     spectral_norm,
 )
 
-from linalg_oracles import conditioned_matrix, random_matrix, svdvals_oracle
+from linalg_oracles import conditioned_matrix, polar_oracle, random_matrix, svdvals_oracle
 
 
 def test_as_matrix_rejects_bad_input():
@@ -97,6 +97,25 @@ def test_norms_match_numpy_svd(seed, shape, kind, scale):
     # abs=0: a zero matrix must give exactly 0.
     assert spectral_norm(a) == pytest.approx(s[0], rel=SPECTRAL_RTOL, abs=0.0)
     assert nuclear_norm(a) == pytest.approx(s.sum(), rel=NUCLEAR_RTOL, abs=0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    shapes,
+    st.sampled_from(("gaussian", "deficient", "zero", "graded")),
+    st.sampled_from((1.0, 1e200, 1e-170)),
+)
+def test_msgn_exact_matches_polar_oracle(seed, shape, kind, scale):
+    a = kind_matrix(seed, shape, kind, scale)
+    polar = msgn_exact(a)
+    assert polar.shape == a.shape
+    if not a.any():
+        assert not polar.any()  # msgn(0) = 0: a zero tracker takes a zero step
+        return
+    np.testing.assert_allclose(polar, polar_oracle(a), rtol=0, atol=1e-12)
+    # The consensus envelope assumes ||step||_2 <= eta, so the factor must not overshoot.
+    assert spectral_norm(polar) <= 1.0 + 1e-12
 
 
 def test_norm_ordering(rng):

@@ -62,7 +62,10 @@ def test_schedule_params_validation():
 def test_parse_orthogonalizer():
     assert parse_orthogonalizer("svd") == ("svd", 0)
     assert parse_orthogonalizer("ns:15") == ("ns", 15)
-    for bad in ("ns:0", "ns:x", "qr"):
+    assert parse_orthogonalizer("ns:100") == ("ns", 100)
+    # Only the canonical spelling: each variant would get its own run id.
+    noncanonical = ("ns: 5", "ns:5 ", "ns:+5", "ns:1_0", "ns:05", "ns:\u0665", "ns:\u00b2")
+    for bad in ("ns:0", "ns:x", "ns:", "ns:-1", "ns", "qr", *noncanonical):
         with pytest.raises(ValueError):
             parse_orthogonalizer(bad)
 
@@ -212,10 +215,13 @@ def test_complete_graph_keeps_nodes_identical():
                 np.testing.assert_array_equal(st.x[i], st.x[0])
 
 
-def test_demuon_directions_have_unit_spectral_norm(rng):
-    prob = make_quadratic(4, 3, 3, 5, heterogeneity=0.6, seed=8)
+# 32x16 and 16x32 take the Gram-eigh polar factor; p = 40 rows keep the
+# gradients, and so the trackers, at full rank.
+@pytest.mark.parametrize("m, n, p", [(3, 3, 5), (32, 16, 40), (16, 32, 40)])
+def test_demuon_directions_have_unit_spectral_norm(m, n, p):
+    prob = make_quadratic(4, m, n, p, heterogeneity=0.6, seed=8)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=11)
-    st = initial_state("demuon", 4, np.zeros((3, 3)))
+    st = initial_state("demuon", 4, np.zeros((m, n)))
     mixing = build_ring(4)
     sched = ScheduleParams(0.1, 0.2)
     for _ in range(20):

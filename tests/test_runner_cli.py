@@ -148,6 +148,17 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "theta" in payload["message"]
 
 
+@pytest.mark.parametrize("spec", ["ns: 5", "ns:+5", "ns:1_0", "ns:05", "ns:\u0665"])
+def test_cli_rejects_noncanonical_orthogonalizer(tmp_path, capsys, spec):
+    path = tmp_path / "exp.ini"
+    path.write_text(config_text(tmp_path / "out"))
+    assert main(["run", str(path), "--orthogonalizer", spec]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert "run.orthogonalizer" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare(tmp_path, capsys):
     p1 = tmp_path / "a.ini"
     p2 = tmp_path / "b.ini"

@@ -23,7 +23,7 @@ from linalg_oracles import polar_oracle
 
 SLICE_KINDS = ("full", "deficient", "zero")
 dims = st.integers(1, 7)
-# Sizes on both sides of the norms' Gram-route threshold (`linalg._GRAM_MIN_SIDE`).
+# Sizes on both sides of the Gram-route threshold (`linalg._GRAM_MIN_SIDE`).
 gram_dims = st.integers(8, 40)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -46,9 +46,17 @@ stacks = st.builds(build_stack, seeds, dims, dims, slice_kinds)
 gram_stacks = st.builds(build_stack, seeds, gram_dims, gram_dims, slice_kinds)
 
 
-@settings(max_examples=150, deadline=None)
-@given(stacks)
-def test_msgn_exact_stack_matches_per_matrix(stack):
+# Per-slice scales: 1e200 overflows a slice's Gram and 1e-170 underflows it, so
+# a stack can mix slices the Gram route keeps with slices it hands to the SVD.
+slice_scales = st.lists(st.sampled_from((1.0, 1e200, 1e-170)), min_size=6, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks | gram_stacks, slice_scales)
+def test_msgn_exact_stack_matches_per_matrix(stack, scales):
+    # The polar factor's route depends on the matrix shape only, never on the
+    # stack size, so every slice must equal its own per-matrix call exactly.
+    stack = stack * np.array(scales[: len(stack)])[:, None, None]
     out = msgn_exact(stack)
     assert out.shape == stack.shape
     for a, polar in zip(stack, out):
