@@ -52,6 +52,7 @@ from .topology import (
     build_complete,
     build_directed_exponential,
     build_ring,
+    check_node_count,
     load_mixing_csv,
     mix_blocks,
     validate_mixing,

@@ -1,20 +1,18 @@
 """Experiment configuration: INI-style sections of flat key=value pairs.
 
-Sections and keys (defaults in brackets):
-
-  [run]       algorithm, horizon, seed [0], out_dir [runs],
-              orthogonalizer [svd], sweep []
-  [topology]  family, n_nodes, weights_csv (custom only)
-  [problem]   kind [quadratic], m [8], n [6], p [10],
-              heterogeneity [0.5], seed [0], path (custom_file only)
-  [noise]     family [gaussian], alpha [2.0], scale [0.1], dof (student_t)
-  [schedule]  mode [explicit], eta [0.1], theta [0.2],
-              dsgd_eta [0.01], clip_eta [10.0], clip_tau [0.1]
+`_FORMAT` declares the file format, one (section, key) -> field entry per
+key; `ExperimentConfig` holds every default, and README "Config format"
+lists the keys with their ranges. `validate_config` checks a rule that a
+cheap component owns by building that component (the noise model, the
+schedule, the baseline constants, the topology's node-count rule), so
+validation and the run apply the same rule. It reads none of the files a
+config names.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -64,25 +62,48 @@ class ExperimentConfig:
         return out
 
 
-def _get(parser, section, key, convert, default, *, required=False):
-    if not parser.has_option(section, key) or parser.get(section, key).strip() == "":
-        if required:
-            raise ConfigError(f"{section}.{key} is required")
-        return default
-    raw = parser.get(section, key).strip()
-    try:
-        return convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
-
-
 def _int_list(raw: str) -> tuple:
     return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
+# The file format: (section, key) -> (ExperimentConfig field, converter).
+_FORMAT = {
+    ("run", "algorithm"): ("algorithm", str),
+    ("run", "horizon"): ("horizon", int),
+    ("run", "seed"): ("seed", int),
+    ("run", "out_dir"): ("out_dir", str),
+    ("run", "orthogonalizer"): ("orthogonalizer", str),
+    ("run", "sweep"): ("sweep", _int_list),
+    ("topology", "family"): ("topology_family", str),
+    ("topology", "n_nodes"): ("n_nodes", int),
+    ("topology", "weights_csv"): ("weights_csv", str),
+    ("problem", "kind"): ("problem_kind", str),
+    ("problem", "m"): ("m", int),
+    ("problem", "n"): ("n", int),
+    ("problem", "p"): ("p", int),
+    ("problem", "heterogeneity"): ("heterogeneity", float),
+    ("problem", "seed"): ("problem_seed", int),
+    ("problem", "path"): ("problem_path", str),
+    ("noise", "family"): ("noise_family", str),
+    ("noise", "alpha"): ("alpha", float),
+    ("noise", "scale"): ("scale", float),
+    ("noise", "dof"): ("dof", float),
+    ("schedule", "mode"): ("schedule_mode", str),
+    ("schedule", "eta"): ("eta", float),
+    ("schedule", "theta"): ("theta", float),
+    ("schedule", "dsgd_eta"): ("dsgd_eta", float),
+    ("schedule", "clip_eta"): ("clip_eta", float),
+    ("schedule", "clip_tau"): ("clip_tau", float),
+}
+_REQUIRED = (("run", "algorithm"), ("run", "horizon"), ("topology", "family"), ("topology", "n_nodes"))
+
+
 def parse_config(source) -> ExperimentConfig:
-    """Parse a config file path or raw config text, validate, fill defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Parse a config file path or raw config text, fill defaults, validate.
+
+    An empty value leaves the key unset; an unknown section or key is an error.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     text = source
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -92,59 +113,54 @@ def parse_config(source) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config: {exc}") from exc
 
-    cfg = ExperimentConfig(
-        algorithm=_get(parser, "run", "algorithm", str, None, required=True),
-        horizon=_get(parser, "run", "horizon", int, None, required=True),
-        seed=_get(parser, "run", "seed", int, 0),
-        out_dir=_get(parser, "run", "out_dir", str, "runs"),
-        orthogonalizer=_get(parser, "run", "orthogonalizer", str, "svd"),
-        sweep=_get(parser, "run", "sweep", _int_list, ()),
-        topology_family=_get(parser, "topology", "family", str, None, required=True),
-        n_nodes=_get(parser, "topology", "n_nodes", int, None, required=True),
-        weights_csv=_get(parser, "topology", "weights_csv", str, None),
-        problem_kind=_get(parser, "problem", "kind", str, problems.QUADRATIC),
-        m=_get(parser, "problem", "m", int, 8),
-        n=_get(parser, "problem", "n", int, 6),
-        p=_get(parser, "problem", "p", int, 10),
-        heterogeneity=_get(parser, "problem", "heterogeneity", float, 0.5),
-        problem_seed=_get(parser, "problem", "seed", int, 0),
-        problem_path=_get(parser, "problem", "path", str, None),
-        noise_family=_get(parser, "noise", "family", str, noise_mod.GAUSSIAN),
-        alpha=_get(parser, "noise", "alpha", float, 2.0),
-        scale=_get(parser, "noise", "scale", float, 0.1),
-        dof=_get(parser, "noise", "dof", float, None),
-        schedule_mode=_get(parser, "schedule", "mode", str, "explicit"),
-        eta=_get(parser, "schedule", "eta", float, 0.1),
-        theta=_get(parser, "schedule", "theta", float, 0.2),
-        dsgd_eta=_get(parser, "schedule", "dsgd_eta", float, 0.01),
-        clip_eta=_get(parser, "schedule", "clip_eta", float, 10.0),
-        clip_tau=_get(parser, "schedule", "clip_tau", float, 0.1),
-    )
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    values = {}
+    for section in parser.sections():
+        if section not in {known for known, _ in _FORMAT}:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            if (section, key) not in _FORMAT:
+                raise ConfigError(f"unknown key {section}.{key}")
+            if raw.strip():
+                field, convert = _FORMAT[section, key]
+                try:
+                    values[field] = convert(raw.strip())
+                except ValueError as exc:
+                    raise ConfigError(f"{section}.{key}: {exc}") from exc
+    for section, key in _REQUIRED:
+        if _FORMAT[section, key][0] not in values:
+            raise ConfigError(f"{section}.{key} is required")
+    cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg
 
 
+def _checked(section: str, check, *args):
+    """`check(*args)`, with its ValueError turned into a ConfigError naming the key.
+
+    Component messages start with the offending field, which is the key in
+    `section`; the noise model's `base_seed` is `run.seed`.
+    """
+    try:
+        return check(*args)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        key = "run.seed" if field == "base_seed" else f"{section}.{field}"
+        raise ConfigError(f"{key} {rest}") from exc
+
+
 def validate_config(cfg: ExperimentConfig):
-    """End-to-end field validation; raises ConfigError naming the bad key."""
+    """Field validation; raises ConfigError naming the bad key. Builds no matrix."""
     if cfg.algorithm not in optimizers.ALGORITHMS:
         raise ConfigError(f"run.algorithm must be one of {optimizers.ALGORITHMS}, got {cfg.algorithm!r}")
     if cfg.horizon < 1:
         raise ConfigError(f"run.horizon must be a positive integer, got {cfg.horizon}")
-    if cfg.seed < 0:
-        raise ConfigError(f"run.seed must be nonnegative, got {cfg.seed}")
-    try:
-        optimizers.parse_orthogonalizer(cfg.orthogonalizer)
-    except ValueError as exc:
-        raise ConfigError(f"run.orthogonalizer: {exc}") from exc
+    _checked("run", optimizers.parse_orthogonalizer, cfg.orthogonalizer)
     if any(k < 1 for k in cfg.sweep):
         raise ConfigError(f"run.sweep entries must be positive integers, got {list(cfg.sweep)}")
 
-    if cfg.topology_family not in topology.FAMILIES:
-        raise ConfigError(
-            f"topology.family must be one of {topology.FAMILIES}, got {cfg.topology_family!r}"
-        )
-    if cfg.n_nodes < 1:
-        raise ConfigError(f"topology.n_nodes must be positive, got {cfg.n_nodes}")
+    _checked("topology", topology.check_node_count, cfg.topology_family, cfg.n_nodes)
     if cfg.topology_family == topology.CUSTOM and not cfg.weights_csv:
         raise ConfigError("topology.weights_csv is required for the custom family")
 
@@ -152,40 +168,31 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {cfg.problem_kind!r}")
     if cfg.problem_kind == CUSTOM_FILE and not cfg.problem_path:
         raise ConfigError("problem.path is required for kind custom_file")
-    if min(cfg.m, cfg.n, cfg.p) < 1:
-        raise ConfigError(f"problem dimensions must be positive, got m={cfg.m} n={cfg.n} p={cfg.p}")
-    if cfg.heterogeneity < 0:
-        raise ConfigError(f"problem.heterogeneity must be nonnegative, got {cfg.heterogeneity}")
+    # Building the problem would check these too, but builds its matrices.
+    for key in ("m", "n", "p"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"problem.{key} must be positive, got {getattr(cfg, key)}")
+    if not 0.0 <= cfg.heterogeneity < math.inf:
+        raise ConfigError(
+            f"problem.heterogeneity must be nonnegative and finite, got {cfg.heterogeneity}"
+        )
+    if cfg.problem_seed < 0:
+        raise ConfigError(f"problem.seed must be nonnegative, got {cfg.problem_seed}")
 
-    if cfg.noise_family not in noise_mod.FAMILIES:
-        raise ConfigError(f"noise.family must be one of {noise_mod.FAMILIES}, got {cfg.noise_family!r}")
-    if not 1.0 < cfg.alpha <= 2.0:
-        raise ConfigError(f"noise.alpha must lie in (1, 2], got {cfg.alpha}")
-    if cfg.scale < 0:
-        raise ConfigError(f"noise.scale must be nonnegative, got {cfg.scale}")
-    if cfg.noise_family == noise_mod.GAUSSIAN and cfg.alpha != 2.0:
-        raise ConfigError("noise.alpha must equal 2 for the gaussian family")
-    if cfg.noise_family == noise_mod.STUDENT_T:
-        if cfg.dof is None:
-            raise ConfigError("noise.dof is required for the student_t family")
-        if cfg.dof <= cfg.alpha:
-            raise ConfigError(f"noise.dof must exceed alpha, got dof={cfg.dof} alpha={cfg.alpha}")
+    _checked("noise", build_noise, cfg)
 
     if cfg.schedule_mode not in ("explicit", "theorem"):
         raise ConfigError(f"schedule.mode must be 'explicit' or 'theorem', got {cfg.schedule_mode!r}")
     if cfg.schedule_mode == "theorem":
         if cfg.algorithm not in optimizers.TRACKER_ALGORITHMS:
             raise ConfigError("schedule.mode=theorem only applies to demuon or gt_nsgdm")
-        horizons = cfg.sweep or (cfg.horizon,)
-        if min(horizons) < 4:
+        if min(cfg.sweep or (cfg.horizon,)) < 4:
             raise ConfigError("schedule.mode=theorem requires every horizon K >= 4")
-    if cfg.eta <= 0:
-        raise ConfigError(f"schedule.eta must be positive, got {cfg.eta}")
+    # Stricter than ScheduleParams, which also takes theta = 1.
     if not 0.0 < cfg.theta < 1.0:
         raise ConfigError(f"schedule.theta: theta must lie in (0,1), got {cfg.theta}")
-    for key in ("dsgd_eta", "clip_eta", "clip_tau"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"schedule.{key} must be positive, got {getattr(cfg, key)}")
+    _checked("schedule", optimizers.ScheduleParams, cfg.eta, cfg.theta)
+    _checked("schedule", optimizers.BaselineParams, cfg.dsgd_eta, cfg.clip_eta, cfg.clip_tau)
 
 
 def build_mixing(cfg: ExperimentConfig) -> topology.MixingSpec:
@@ -218,13 +225,7 @@ def build_problem(cfg: ExperimentConfig) -> problems.ProblemSet:
 
 
 def build_noise(cfg: ExperimentConfig) -> noise_mod.NoiseModel:
-    return noise_mod.NoiseModel(
-        family=cfg.noise_family,
-        alpha=cfg.alpha,
-        scale=cfg.scale,
-        dof=cfg.dof,
-        base_seed=cfg.seed,
-    )
+    return noise_mod.NoiseModel(cfg.noise_family, cfg.alpha, cfg.scale, cfg.dof, base_seed=cfg.seed)
 
 
 def build_params(cfg: ExperimentConfig):
@@ -233,9 +234,7 @@ def build_params(cfg: ExperimentConfig):
         if cfg.schedule_mode == "theorem":
             return optimizers.theoretical_schedule(cfg.horizon, cfg.alpha)
         return optimizers.ScheduleParams(cfg.eta, cfg.theta, cfg.horizon, cfg.alpha)
-    return optimizers.BaselineParams(
-        dsgd_eta=cfg.dsgd_eta, clip_eta=cfg.clip_eta, clip_tau=cfg.clip_tau,
-    )
+    return optimizers.BaselineParams(cfg.dsgd_eta, cfg.clip_eta, cfg.clip_tau)
 
 
 def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:

@@ -113,16 +113,23 @@ class PotentialParams:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
 
 
+def _theorem_powers(horizon: int, alpha: float) -> tuple[float, float, float]:
+    """The theorem's power laws (eta, theta, p) in K; see ScheduleParams and PotentialParams."""
+    k, d = float(horizon), 3.0 * alpha - 2.0
+    eta = k ** (-(2.0 * alpha - 1.0) / d)
+    theta = k ** (-alpha / d)
+    p = k ** ((alpha**2 - 3.0 * alpha + 2.0) / d)
+    return eta, theta, p
+
+
 def theorem_potential_params(horizon: int, alpha: float, lam: float) -> PotentialParams:
     """Potential weights matching the theoretical step/weighting schedule."""
     if horizon < 4:
         raise ValueError(f"theorem-mode potential needs horizon >= 4, got {horizon}")
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"mixing rate must lie in [0, 1), got {lam}")
-    p = float(horizon) ** ((alpha**2 - 3.0 * alpha + 2.0) / (3.0 * alpha - 2.0))
-    eta = float(horizon) ** (-(2.0 * alpha - 1.0) / (3.0 * alpha - 2.0))
-    q = 2.0 * eta / (1.0 - lam)
-    return PotentialParams(p, q, alpha)
+    eta, _, p = _theorem_powers(horizon, alpha)
+    return PotentialParams(p, 2.0 * eta / (1.0 - lam), alpha)
 
 
 def potential(objective_at_mean: float, grads, ms, consensus_v: float, params: PotentialParams) -> float:

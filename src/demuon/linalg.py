@@ -37,16 +37,7 @@ _GRAM_POLAR_RCOND = 1e-4
 
 
 class NumericalFailure(RuntimeError):
-    """An iterative linear-algebra kernel failed to converge.
-
-    Carries the matrix shape and, when the backend reports one, the
-    iteration count at failure, so callers can attach run context.
-    """
-
-    def __init__(self, message, shape=None, iterations=None):
-        super().__init__(message)
-        self.shape = shape
-        self.iterations = iterations
+    """An iterative linear-algebra kernel failed to converge; the message names the shape."""
 
 
 def as_matrix(a, stack: bool = False) -> np.ndarray:
@@ -71,9 +62,7 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
     try:
         return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(
-            f"SVD did not converge on a {a.shape} matrix: {exc}", shape=a.shape
-        ) from exc
+        raise NumericalFailure(f"SVD did not converge on a {a.shape} matrix: {exc}") from exc
 
 
 def _short_gram(a: np.ndarray):

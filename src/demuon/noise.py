@@ -12,6 +12,7 @@ directly, which changes the cost of seeding but not a single draw.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,24 +40,24 @@ class NoiseModel:
     base_seed: int = 0
 
     def __post_init__(self):
+        # Each message starts with the offending field's name.
         if self.family not in FAMILIES:
-            raise ValueError(f"noise family must be one of {FAMILIES}, got {self.family!r}")
+            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if self.scale < 0:
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
+        if not 0.0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be nonnegative and finite, got {self.scale}")
         if self.family == GAUSSIAN and self.alpha != 2.0:
-            raise ValueError("gaussian noise is only valid with alpha = 2")
+            raise ValueError("alpha must equal 2 for the gaussian family")
         if self.family == STUDENT_T:
             if self.dof is None:
-                raise ValueError("student_t noise requires dof")
-            if self.dof <= self.alpha:
+                raise ValueError("dof is required for the student_t family")
+            if not self.alpha < self.dof < math.inf:
                 raise ValueError(
-                    f"student_t dof must exceed alpha for a finite alpha-moment, "
-                    f"got dof={self.dof}, alpha={self.alpha}"
+                    f"dof must exceed alpha and be finite, got dof={self.dof} alpha={self.alpha}"
                 )
         if not 0 <= self.base_seed < 2**64:
-            raise ValueError(f"base_seed must be a 64-bit nonnegative integer, got {self.base_seed}")
+            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
 
 
 def sample_noise(model: NoiseModel, m: int, n: int, n_nodes: int, iteration: int) -> np.ndarray:

@@ -9,6 +9,7 @@ and results do not depend on how it is parallelized.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -73,8 +74,9 @@ class ScheduleParams:
     derived_from_theorem: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        # Each message starts with the offending field's name.
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if not 1.0 < self.alpha <= 2.0:
@@ -82,16 +84,9 @@ class ScheduleParams:
         if self.derived_from_theorem:
             if self.horizon < 4:
                 raise ValueError(f"theorem schedule needs horizon >= 4, got {self.horizon}")
-            eta, theta = _theorem_values(self.horizon, self.alpha)
+            eta, theta, _ = diagnostics._theorem_powers(self.horizon, self.alpha)
             if self.eta != eta or self.theta != theta:
                 raise ValueError("derived_from_theorem schedule does not match the power law")
-
-
-def _theorem_values(horizon: int, alpha: float) -> tuple[float, float]:
-    k = float(horizon)
-    eta = k ** (-(2.0 * alpha - 1.0) / (3.0 * alpha - 2.0))
-    theta = k ** (-alpha / (3.0 * alpha - 2.0))
-    return eta, theta
 
 
 def theoretical_schedule(horizon: int, alpha: float = 2.0) -> ScheduleParams:
@@ -100,7 +95,7 @@ def theoretical_schedule(horizon: int, alpha: float = 2.0) -> ScheduleParams:
         raise ValueError(f"theorem schedule needs horizon >= 4, got {horizon}")
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    eta, theta = _theorem_values(horizon, alpha)
+    eta, theta, _ = diagnostics._theorem_powers(horizon, alpha)
     return ScheduleParams(eta, theta, horizon, alpha, derived_from_theorem=True)
 
 
@@ -114,8 +109,8 @@ class BaselineParams:
 
     def __post_init__(self):
         for name in ("dsgd_eta", "clip_eta", "clip_tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,12 @@ from .linalg import as_matrix, nuclear_norm, spectral_norm
 QUADRATIC = "quadratic"
 NONCONVEX_GRAM = "nonconvex_gram"
 KINDS = (QUADRATIC, NONCONVEX_GRAM)
+# Condition number of every synthesized A_i.
+_COND = 3.0
+# A Gram target C_i counts as symmetric when max|C_i - C_i^T| is within this
+# multiple of max|C_i|: room for the round-off of a matrix written by another
+# program, far below any asymmetry that would change the gradient.
+_SYMMETRY_TOL = 1e-12
 
 
 class ProblemFormatError(ValueError):
@@ -71,6 +77,13 @@ class ProblemSet:
         for name, shape in zip(names, shapes):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"node data {name!r} has shape {getattr(self, name).shape}, expected {shape}")
+        if self.kind == NONCONVEX_GRAM:
+            # exact_gradient's (X X^T - C) X is the gradient of f only for symmetric C.
+            with np.errstate(over="ignore"):  # an overflowing difference is an asymmetry
+                skew = np.abs(self.c - np.swapaxes(self.c, -2, -1)).max(axis=(-2, -1))
+            bad = np.flatnonzero(skew > _SYMMETRY_TOL * np.abs(self.c).max(axis=(-2, -1)))
+            if bad.size:
+                raise ValueError(f"node {bad[0]}: C must be symmetric, max |C - C^T| = {skew[bad[0]]}")
 
 
 def _iterate(problem: ProblemSet, x, stacked: bool = False) -> np.ndarray:
@@ -170,7 +183,6 @@ def make_quadratic(
     p: int,
     heterogeneity: float = 0.0,
     seed: int = 0,
-    cond: float = 3.0,
 ) -> ProblemSet:
     """Synthesize a quadratic problem with a known consensus optimum.
 
@@ -178,10 +190,10 @@ def make_quadratic(
     heterogeneity = 0 every node shares the minimizer X* and f_low = 0.
     The Lipschitz certificate max_i ||A_i^T A_i||_* holds globally.
     """
-    if heterogeneity < 0:
-        raise ValueError(f"heterogeneity must be nonnegative, got {heterogeneity}")
+    if not 0.0 <= heterogeneity < inf:
+        raise ValueError(f"heterogeneity must be nonnegative and finite, got {heterogeneity}")
     rng = np.random.default_rng(seed)
-    a = np.stack([_conditioned_random(rng, p, m, cond) for _ in range(n_nodes)])
+    a = np.stack([_conditioned_random(rng, p, m, _COND) for _ in range(n_nodes)])
     x_star = 0.5 * rng.standard_normal((m, n))
     deltas = [rng.standard_normal((p, n)) for _ in range(n_nodes - 1)]
     deltas.append(-np.sum(deltas, axis=0) if deltas else np.zeros((p, n)))
@@ -203,8 +215,8 @@ def make_nonconvex_gram(
     (each f_i >= 0). The Lipschitz certificate is only claimed on the
     spectral ball ||X|| <= ball_radius.
     """
-    if heterogeneity < 0:
-        raise ValueError(f"heterogeneity must be nonnegative, got {heterogeneity}")
+    if not 0.0 <= heterogeneity < inf:
+        raise ValueError(f"heterogeneity must be nonnegative and finite, got {heterogeneity}")
     rng = np.random.default_rng(seed)
     x_star = 0.5 * rng.standard_normal((m, n))
     sym = []
@@ -219,27 +231,27 @@ def make_nonconvex_gram(
 
 
 def _parse_block(lines, start: int, rows: int, cols: int, label: str) -> tuple[np.ndarray, int]:
-    out = np.zeros((rows, cols))
-    for r in range(rows):
-        idx = start + r
-        if idx >= len(lines):
-            raise ProblemFormatError(f"unexpected end of file while reading {label}, line {idx + 1}")
+    out = []
+    for idx in range(start, start + rows):
         parts = lines[idx].split(",")
         if len(parts) != cols:
             raise ProblemFormatError(
                 f"line {idx + 1}: {label} expects {cols} values per row, got {len(parts)}"
             )
         try:
-            out[r] = [float(p) for p in parts]
+            out.append([float(p) for p in parts])
         except ValueError as exc:
             raise ProblemFormatError(f"line {idx + 1}: {label}: {exc}") from exc
-    return out, start + rows
+    return np.array(out), start + rows
 
 
 def load_problem(path) -> ProblemSet:
     """Parse a problem file (header + per-node dense CSV blocks)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc
     if not lines:
         raise ProblemFormatError(f"{path}: empty problem file")
     header = lines[0].split()
@@ -260,23 +272,30 @@ def load_problem(path) -> ProblemSet:
         raise ProblemFormatError(f"{path}: line 1: dimensions must be positive, got {dims}")
     n_nodes, m, n = dims[0], dims[1], dims[2]
     blocks = (("A", dims[3], m), ("B", dims[3], n)) if kind == QUADRATIC else (("C", m, m),)
+    # Checked before any block is read, so a header cannot make the parser
+    # allocate more rows than the file holds; rows are checked for width first.
+    rows = n_nodes * sum(block_rows for _, block_rows, _ in blocks)
+    if rows != len(lines) - 1:
+        raise ProblemFormatError(
+            f"{path}: line 1: header needs {rows} data rows, the file has {len(lines) - 1}"
+        )
     data = {label: [] for label, _, _ in blocks}
     pos = 1
     for i in range(n_nodes):
-        for label, rows, cols in blocks:
+        for label, block_rows, cols in blocks:
             try:
-                block, pos = _parse_block(lines, pos, rows, cols, f"{label}_{i}")
+                block, pos = _parse_block(lines, pos, block_rows, cols, f"{label}_{i}")
             except ProblemFormatError as exc:
                 raise ProblemFormatError(f"{path}: node {i}: {exc}") from exc
             data[label].append(block)
-    if pos != len(lines):
-        raise ProblemFormatError(f"{path}: line {pos + 1}: trailing data after last node block")
     try:
-        if kind == QUADRATIC:
-            return _certified_quadratic(np.stack(data["A"]), np.stack(data["B"]))
-        c = np.stack(data["C"])
-        return _certified_gram(c, n, 2.0 * (1.0 + float(np.max(spectral_norm(c))) ** 0.5))
-    except ValueError as exc:
+        # Finite entries can still overflow the certificates.
+        with np.errstate(over="raise", invalid="raise"):
+            if kind == QUADRATIC:
+                return _certified_quadratic(np.stack(data["A"]), np.stack(data["B"]))
+            c = np.stack(data["C"])
+            return _certified_gram(c, n, 2.0 * (1.0 + float(np.max(spectral_norm(c))) ** 0.5))
+    except (ValueError, ArithmeticError) as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 

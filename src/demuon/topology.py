@@ -100,18 +100,35 @@ def validate_mixing(w) -> MixingReport:
     return MixingReport(nonnegative, row, col, primitive, rate < 1.0, rate)
 
 
+def check_node_count(family: str, n_nodes: int):
+    """Raise ValueError unless `family` is known and has a graph on `n_nodes` nodes.
+
+    Every family needs n_nodes >= 1, a ring at least 3 and a directed
+    exponential graph a power of two >= 2. Each message starts with the
+    offending field's name.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+    if family == RING and n_nodes < 3:
+        raise ValueError(f"n_nodes must be >= 3 for the ring family, got {n_nodes}")
+    if family == DIRECTED_EXPONENTIAL and (n_nodes < 2 or n_nodes & (n_nodes - 1)):
+        raise ValueError(
+            f"n_nodes must be a power of two >= 2 for the directed_exponential family, got {n_nodes}"
+        )
+
+
 def build_complete(n: int) -> MixingSpec:
     """All-pairs averaging: W = (1 1^T)/n, mixing rate exactly 0."""
-    if n < 1:
-        raise ValueError(f"complete graph needs n >= 1, got {n}")
+    check_node_count(COMPLETE, n)
     w = np.full((n, n), 1.0 / n)
     return MixingSpec(n, w, _deviation_norm(w), COMPLETE)
 
 
 def build_ring(n: int) -> MixingSpec:
     """Undirected ring: each node averages itself and both neighbours at 1/3."""
-    if n < 3:
-        raise ValueError(f"ring graph needs n >= 3, got {n}")
+    check_node_count(RING, n)
     w = np.zeros((n, n))
     for i in range(n):
         w[i, i] = w[i, (i - 1) % n] = w[i, (i + 1) % n] = 1.0 / 3.0
@@ -124,8 +141,7 @@ def build_directed_exponential(n: int) -> MixingSpec:
     Node i sends to i, i+1, i+2, ..., i+2^(t-1) (mod n), each edge weighted
     1/(t+1); circulant, hence doubly stochastic.
     """
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"directed exponential graph needs n = 2^t, t >= 1, got {n}")
+    check_node_count(DIRECTED_EXPONENTIAL, n)
     t = n.bit_length() - 1
     offsets = [0] + [1 << s for s in range(t)]
     w = np.zeros((n, n))

@@ -19,6 +19,7 @@ from demuon.diagnostics import (
     u_dm_constant,
 )
 from demuon.linalg import frobenius_norm, nuclear_norm, spectral_norm
+from demuon.optimizers import theoretical_schedule
 from demuon.problems import exact_gradient, make_quadratic, objective_at
 
 
@@ -128,6 +129,12 @@ def test_theorem_potential_params():
     assert params_hetero.p <= 1.0
     with pytest.raises(ValueError):
         theorem_potential_params(3, 2.0, 0.0)
+
+
+def test_theorem_potential_shares_the_schedule_step():
+    for horizon, alpha, lam in ((4, 2.0, 0.0), (64, 1.5, 0.3), (1000, 1.1, 0.9)):
+        eta = theoretical_schedule(horizon, alpha).eta
+        assert theorem_potential_params(horizon, alpha, lam).q == 2.0 * eta / (1.0 - lam)
 
 
 def test_u_dm_fixed_substitutions():

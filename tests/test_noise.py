@@ -25,6 +25,22 @@ def test_model_validation():
         NoiseModel("gaussian", 2.0, 1.0, base_seed=-1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(family="gaussian", scale=float("nan")),
+        dict(family="gaussian", scale=float("inf")),
+        dict(family="student_t", alpha=1.5, dof=float("nan")),
+        dict(family="student_t", alpha=1.5, dof=float("inf")),
+    ],
+    ids=["scale-nan", "scale-inf", "dof-nan", "dof-inf"],
+)
+def test_model_rejects_non_finite_parameters(kwargs):
+    field = "scale" if "scale" in kwargs else "dof"
+    with pytest.raises(ValueError, match=rf"^{field} .*finite"):
+        NoiseModel(**kwargs)
+
+
 def test_zero_scale_is_exact_zero():
     model = NoiseModel("gaussian", 2.0, 0.0)
     assert not sample_noise(model, 3, 2, 1, 0)[0].any()

@@ -59,6 +59,15 @@ def test_schedule_params_validation():
         BaselineParams(clip_tau=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_step_sizes_must_be_finite(bad):
+    with pytest.raises(ValueError, match=r"^eta .*finite"):
+        ScheduleParams(eta=bad, theta=0.5)
+    for name in ("dsgd_eta", "clip_eta", "clip_tau"):
+        with pytest.raises(ValueError, match=rf"^{name} .*finite"):
+            BaselineParams(**{name: bad})
+
+
 def test_parse_orthogonalizer():
     assert parse_orthogonalizer("svd") == ("svd", 0)
     assert parse_orthogonalizer("ns:15") == ("ns", 15)

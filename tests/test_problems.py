@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demuon.linalg import nuclear_norm, spectral_norm
 from demuon.problems import (
+    NONCONVEX_GRAM,
     ProblemFormatError,
     ProblemSet,
     QUADRATIC,
@@ -234,3 +237,88 @@ def test_problem_set_stacks_node_data_once():
         ProblemSet(QUADRATIC, 3, 2, 1, a=a, b=b)
     with pytest.raises(ValueError, match="needs node data"):
         ProblemSet("nonconvex_gram", 2, 2, 1, a=a, b=b)
+
+
+@pytest.mark.parametrize("heterogeneity", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [make_quadratic, make_nonconvex_gram])
+def test_heterogeneity_must_be_finite(make, heterogeneity):
+    dims = (2, 3, 2, 4) if make is make_quadratic else (2, 3, 2)
+    with pytest.raises(ValueError, match=r"^heterogeneity .*finite"):
+        make(*dims, heterogeneity=heterogeneity)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "quadratic 1 1 1 100000000000000\n1.0\n",
+        "nonconvex_gram 1 100000000000000 1\n1.0\n",
+        "quadratic 1 100000000000000 1 1\n1.0\n0.0\n",
+        "quadratic 100000000000000 1 1 1\n1.0\n0.0\n",
+    ],
+    ids=["rows", "gram-rows", "columns", "nodes"],
+)
+def test_problem_file_header_is_checked_before_allocating(tmp_path, text):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    with pytest.raises(ProblemFormatError):
+        load_problem(path)
+
+
+def test_gram_target_must_be_symmetric(tmp_path):
+    path = tmp_path / "asym.txt"
+    path.write_text("nonconvex_gram 2 2 1\n1,0\n0,1\n1,2\n0,1\n")
+    with pytest.raises(ProblemFormatError, match="node 1: C must be symmetric"):
+        load_problem(path)
+    with pytest.raises(ValueError, match="symmetric"):
+        ProblemSet(NONCONVEX_GRAM, 1, 2, 1, c=np.array([[[1.0, 2.0], [0.0, 1.0]]]))
+    # Round-off within the documented tolerance is accepted.
+    c = np.array([[[1.0, 0.5], [0.5 + 1e-15, 1.0]]])
+    assert ProblemSet(NONCONVEX_GRAM, 1, 2, 1, c=c).n_nodes == 1
+
+
+def test_generated_gram_targets_are_exactly_symmetric():
+    for seed in range(40):
+        m, n, heterogeneity = 2 + seed % 7, 1 + seed % 4, 0.5 * (seed % 3)
+        c = make_nonconvex_gram(3, m, n, heterogeneity=heterogeneity, seed=seed).c
+        np.testing.assert_array_equal(c, np.swapaxes(c, -2, -1))
+
+
+# Fragments a mutation splices into a valid file: separators, signs, odd
+# numbers, an invalid UTF-8 byte, header words and a huge dimension.
+_TOKENS = (
+    b",", b"\n", b" ", b"-", b"e", b".", b"0", b"7", b"nan", b"inf", b"1e308", b"-1e308",
+    b"9" * 30, b"\xff", b"quadratic", b"nonconvex_gram", b"100000000000000",
+)
+
+
+@pytest.fixture(scope="module")
+def problem_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("problem_files")
+    texts = []
+    for problem in (make_quadratic(2, 2, 1, 2, 0.5, 3), make_nonconvex_gram(2, 2, 1, 0.5, 3)):
+        dump_problem(problem, root / f"{problem.kind}.txt")
+        texts.append((root / f"{problem.kind}.txt").read_bytes())
+    return root, texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_problem_files_raise_only_problem_format_errors(problem_files, data):
+    root, texts = problem_files
+    text = bytearray(data.draw(st.sampled_from(texts)))
+    ops = st.sampled_from(("insert", "replace", "delete"))
+    edit = st.tuples(ops, st.integers(0, 10**4), st.sampled_from(_TOKENS))
+    for op, at, token in data.draw(st.lists(edit, min_size=1, max_size=4)):
+        at %= len(text) + 1
+        if op == "insert":
+            text[at:at] = token
+        elif op == "replace":
+            text[at:at + len(token)] = token
+        else:
+            del text[at:at + len(token)]
+    path = root / "mutated.txt"
+    path.write_bytes(bytes(text))
+    try:
+        load_problem(path)
+    except ProblemFormatError:
+        pass

@@ -159,6 +159,26 @@ def test_cli_rejects_noncanonical_orthogonalizer(tmp_path, capsys, spec):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (("family = ring\nn_nodes = 4", "family = ring\nn_nodes = 2"), "topology.n_nodes"),
+        (("family = ring\nn_nodes = 4", "family = directed_exponential\nn_nodes = 6"), "topology.n_nodes"),
+        (("seed = 3\n", f"seed = {2**64}\n"), "run.seed"),
+    ],
+    ids=["ring-2", "directed_exponential-6", "seed-2**64"],
+)
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_validate_rejects_what_run_cannot_build(tmp_path, capsys, edit, key, verb):
+    path = tmp_path / "exp.ini"
+    path.write_text(config_text(tmp_path / "out").replace(*edit, 1))
+    assert main([verb, str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{key} ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare(tmp_path, capsys):
     p1 = tmp_path / "a.ini"
     p2 = tmp_path / "b.ini"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from demuon.topology import (
     build_directed_exponential,
     build_family,
     build_ring,
+    check_node_count,
     load_mixing_csv,
     mix_blocks,
     validate_mixing,
@@ -66,6 +69,25 @@ def test_directed_exponential_rejects_non_power_of_two():
     for n in (3, 6, 12):
         with pytest.raises(ValueError):
             build_directed_exponential(n)
+
+
+def test_check_node_count_is_the_builders_rule():
+    for family in ("complete", "ring", "directed_exponential"):
+        for n in range(18):
+            try:
+                check_node_count(family, n)
+            except ValueError as exc:
+                assert str(exc).startswith("n_nodes ")
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    build_family(family, n)
+            else:
+                assert build_family(family, n).n_nodes == n
+    for family, n in (("complete", 0), ("ring", 2), ("directed_exponential", 1), ("directed_exponential", 6)):
+        with pytest.raises(ValueError, match="^n_nodes "):
+            check_node_count(family, n)
+    with pytest.raises(ValueError, match="^family "):
+        check_node_count("mesh", 4)
+    check_node_count("custom", 1)
 
 
 def test_all_families_validate():
