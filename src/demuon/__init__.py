@@ -26,6 +26,7 @@ from .optimizers import (
     ALGORITHMS,
     BaselineParams,
     Diverged,
+    Lane,
     RunResult,
     RunState,
     ScheduleParams,

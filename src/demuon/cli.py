@@ -60,8 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(path) -> config_mod.ExperimentConfig:
+    """Parse the config file at `path`; a missing file raises FileNotFoundError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        return config_mod.parse_config(fh.read())
+
+
 def _load(path, args) -> config_mod.ExperimentConfig:
-    cfg = config_mod.parse_config(path)
+    cfg = _parse(path)
     return config_mod.with_overrides(
         cfg,
         seed=getattr(args, "seed", None),
@@ -90,7 +96,7 @@ def main(argv=None) -> int:
             cfgs = [_load(path, args) for path in args.configs]
             print(runner.compare(cfgs, out_dir=args.out_dir))
         elif args.verb == "validate":
-            cfg = config_mod.parse_config(args.config)
+            cfg = _parse(args.config)
             print(json.dumps(cfg.as_dict(), sort_keys=True, indent=2))
     except Exception as exc:  # noqa: BLE001 - every failure becomes an error JSON
         payload = {"error": type(exc).__name__, "message": str(exc)}

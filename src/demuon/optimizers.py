@@ -4,7 +4,9 @@ Each round is bulk-synchronous: the momentum stage runs for every node,
 then the tracker stage (which reads every node's new momentum), then the
 iterate stage (which reads every node's new tracker). Stages operate on
 immutable snapshots, so per-node work within a stage is order-independent
-and results do not depend on how it is parallelized.
+and results do not depend on how it is parallelized. `run` advances one or
+more lanes (algorithms on the same problem, mixing, noise, horizon and
+seed) in lockstep, so each round's noise is drawn and measured once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +45,8 @@ class Diverged(ValueError):
     """A round produced a non-finite iterate, momentum or tracker.
 
     Carries the algorithm, the iteration (round) that produced the value,
-    the first node holding one, and the quantity.
+    the first node holding one, and the quantity. Raised by `run`, it also
+    carries `finished`, the results of the lanes before the diverging one.
     """
 
     def __init__(self, algorithm: str, iteration: int, node: int, quantity: str):
@@ -53,10 +57,11 @@ class Diverged(ValueError):
         self.iteration = iteration
         self.node = node
         self.quantity = quantity
+        self.finished = []
 
     def __reduce__(self):
-        # Rebuilt from its fields, so it survives the trip back from a sweep worker.
-        return type(self), (self.algorithm, self.iteration, self.node, self.quantity)
+        # Rebuilt from its fields, `finished` included, so it survives the trip back from a sweep worker.
+        return type(self), (self.algorithm, self.iteration, self.node, self.quantity), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -284,66 +289,59 @@ class RunResult:
     ball_exited: bool
 
 
-def run(
-    algorithm: str,
-    problem,
-    mixing: MixingSpec,
-    noise_model: NoiseModel,
-    params,
-    horizon: int | None = None,
-    seed: int = 0,
-    orthogonalizer: str = "svd",
-    sink=None,
-) -> RunResult:
-    """Execute K synchronous rounds from X = 0 and report per-iteration diagnostics.
+@dataclass(frozen=True)
+class Lane:
+    """One algorithm of a `run`: its parameters, polar kernel and row sink.
 
-    A tracked algorithm run on a `theoretical_schedule` also reports each
-    round's potential, weighted by `diagnostics.theorem_potential_params`.
-    The reported iteration index is drawn uniformly from {0, ..., K-1} once,
-    after the loop, from a substream of `seed`, so the trajectory does not
-    depend on the draw. `sink`, when given, receives each MetricsRow as it
-    is produced.
+    `params` is a ScheduleParams for the tracked algorithms (demuon,
+    gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. `sink`, when
+    given, receives each of the lane's MetricsRows as it is produced.
     """
-    tracked = algorithm in TRACKER_ALGORITHMS
-    expected = ScheduleParams if tracked else BaselineParams
-    if not isinstance(params, expected):
-        raise TypeError(f"{algorithm} expects {expected.__name__}")
-    if horizon is None:
-        horizon = params.horizon if tracked else None
-    if horizon is None or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon}")
-    if tracked and params.derived_from_theorem and horizon != params.horizon:
-        raise ValueError(
-            f"theorem schedule was derived for K={params.horizon}, cannot run K={horizon}"
-        )
-    if problem.n_nodes != mixing.n_nodes:
-        raise ValueError(
-            f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
-        )
 
-    x0 = np.zeros((problem.m, problem.n))
-    state = initial_state(algorithm, mixing.n_nodes, x0, orthogonalizer)
-    bound = pot_weights = None
-    if tracked:
-        bound = diagnostics.consensus_bound(params.eta, mixing.mixing_rate, mixing.n_nodes)
-        if params.derived_from_theorem:
-            pot_weights = diagnostics.theorem_potential_params(
-                params.horizon, params.alpha, mixing.mixing_rate
-            )
+    algorithm: str
+    params: ScheduleParams | BaselineParams
+    orthogonalizer: str = "svd"
+    sink: Callable[[MetricsRow], object] | None = None
 
-    rows = []
-    violations = 0
-    max_track = 0.0
-    max_ave_resid = 0.0
-    noise_moment_sum = 0.0
-    noise_draws = 0
-    ball_exited = False
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        expected = ScheduleParams if self.algorithm in TRACKER_ALGORITHMS else BaselineParams
+        if not isinstance(self.params, expected):
+            raise TypeError(f"{self.algorithm} expects {expected.__name__}")
 
-    for _ in range(horizon):
+
+class _LaneRun:
+    """A lane's state and running diagnostics inside `run`."""
+
+    def __init__(self, lane: Lane, problem, mixing: MixingSpec):
+        self.lane = lane
+        x0 = np.zeros((problem.m, problem.n))
+        self.state = initial_state(lane.algorithm, mixing.n_nodes, x0, lane.orthogonalizer)
+        self.tracked = lane.algorithm in TRACKER_ALGORITHMS
+        self.bound = self.pot_weights = None
+        if self.tracked:
+            params = lane.params
+            self.bound = diagnostics.consensus_bound(params.eta, mixing.mixing_rate, mixing.n_nodes)
+            if params.derived_from_theorem:
+                self.pot_weights = diagnostics.theorem_potential_params(
+                    params.horizon, params.alpha, mixing.mixing_rate
+                )
+        self.rows = []
+        self.violations = 0
+        self.max_track = 0.0
+        self.max_ave_resid = 0.0
+        self.ball_exit = None  # the warning of the first round that left the ball
+        self._row = None  # the round's row fields, waiting for its mean-gradient norm
+        self._elapsed = 0.0
+
+    def advance(self, problem, mixing: MixingSpec, noise_model: NoiseModel):
+        """Step one round and take its diagnostics; return (mean gradient, noise stack)."""
         t0 = time.perf_counter()
-        x_prev = state.x
+        x_prev = self.state.x
         x_mean_prev = x_prev.mean(axis=0)
-        state, info = step(state, problem, mixing, noise_model, params)
+        self.state, info = step(self.state, problem, mixing, noise_model, self.lane.params)
+        state = self.state
         k = state.iter - 1
 
         # A round just short of divergence can overflow its diagnostics; the row
@@ -353,66 +351,150 @@ def run(
             avg_grad = grads.mean(axis=0)
             objective = problems.objective_at(problem, x_mean_prev)
             cons_x = diagnostics.consensus_error(x_prev)
-            if bound is not None and cons_x > bound + 1e-9:
-                violations += 1
+            if self.bound is not None and cons_x > self.bound + 1e-9:
+                self.violations += 1
 
             tracking = cons_v = pot = None
-            if tracked:
+            if self.tracked:
                 tracking = float(np.linalg.norm(state.v.mean(axis=0) - state.m.mean(axis=0)))
                 cons_v = diagnostics.consensus_error_nuclear(state.v)
-                max_track = max(max_track, tracking)
-                if pot_weights is not None:
-                    pot = diagnostics.potential(objective, grads, state.m, cons_v, pot_weights)
+                self.max_track = max(self.max_track, tracking)
+                if self.pot_weights is not None:
+                    pot = diagnostics.potential(objective, grads, state.m, cons_v, self.pot_weights)
             applied = info["eta"] * info["directions"].mean(axis=0)
             resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
-            max_ave_resid = max(max_ave_resid, resid)
+            self.max_ave_resid = max(self.max_ave_resid, resid)
 
-            # One stacked SVD gives the mean gradient's nuclear norm and every noise draw's.
-            nuclear = nuclear_norm(np.concatenate((avg_grad[None], info["noise"])))
-            noise_moment_sum += float(np.sum(nuclear[1:] ** noise_model.alpha))
-            noise_draws += state.n_nodes
-
-        if not ball_exited and problem.ball_radius != float("inf"):
+        if self.ball_exit is None and problem.ball_radius != float("inf"):
             if _outside_ball(state.x, problem.ball_radius):
-                ball_exited = True
-                warnings.warn(
+                self.ball_exit = (
                     f"iterates left the certified ball (radius {problem.ball_radius}) "
-                    f"at iteration {k}; the smoothness constant no longer applies",
-                    RuntimeWarning,
-                    stacklevel=2,
+                    f"at iteration {k}; the smoothness constant no longer applies"
                 )
 
-        row = MetricsRow(
+        self._row = dict(
             iter=k,
             consensus_error_x=cons_x,
-            consensus_bound=bound,
-            avg_grad_nuclear=float(nuclear[0]),
+            consensus_bound=self.bound,
             tracking_residual=tracking,
             consensus_error_v=cons_v,
             potential=pot,
             objective_at_mean=objective,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
         )
-        rows.append(row)
-        if sink is not None:
-            sink(row)
+        self._elapsed = time.perf_counter() - t0
+        return avg_grad, info["noise"]
 
+    def record(self, avg_grad_nuclear: float, shared_s: float):
+        """Finish the round's row with its mean-gradient norm and its share of the shared time."""
+        row = MetricsRow(
+            **self._row,
+            avg_grad_nuclear=float(avg_grad_nuclear),
+            wall_time_ms=(self._elapsed + shared_s) * 1e3,
+        )
+        self.rows.append(row)
+        if self.lane.sink is not None:
+            self.lane.sink(row)
+
+    def result(self, horizon: int, seed: int, mixing_rate: float, iota: int, moment: float) -> RunResult:
+        grad_norms = [row.avg_grad_nuclear for row in self.rows]
+        return RunResult(
+            algorithm=self.lane.algorithm,
+            horizon=horizon,
+            seed=seed,
+            mixing_rate=mixing_rate,
+            rows=self.rows,
+            iota=iota,
+            grad_nuclear_at_iota=grad_norms[iota],
+            avg_grad_nuclear_mean=float(np.mean(grad_norms)),
+            consensus_violations=self.violations,
+            max_tracking_residual=self.max_track,
+            max_avg_iterate_residual=self.max_ave_resid,
+            noise_alpha_moment=moment,
+            ball_exited=self.ball_exit is not None,
+        )
+
+
+def run(
+    lanes,
+    problem,
+    mixing: MixingSpec,
+    noise_model: NoiseModel,
+    horizon: int | None = None,
+    seed: int = 0,
+) -> list[RunResult]:
+    """Execute K synchronous rounds of every lane from X = 0 and report per-iteration diagnostics.
+
+    The lanes share the problem, mixing, noise model, horizon and seed, and
+    advance in lockstep: each round steps every lane in order (its noise is
+    drawn once, see `sample_noise`), then one stacked nuclear norm gives
+    every lane's mean-gradient norm and the norms of the round's noise
+    draws. Returns one RunResult per lane, each equal field for field to a
+    one-lane run of that lane. `horizon` defaults to the lanes' common
+    schedule horizon.
+
+    A tracked lane on a `theoretical_schedule` also reports each round's
+    potential, weighted by `diagnostics.theorem_potential_params`. The
+    reported iteration index is drawn uniformly from {0, ..., K-1} once,
+    after the loop, from a substream of `seed`, so the trajectory does not
+    depend on the draw.
+
+    Divergence has the outcome of running the lanes one after another: the
+    lanes before the first diverging lane run to the horizon, the lanes
+    after it are dropped, and its Diverged is raised with `finished`
+    holding the results of the lanes before it. The ball-exit
+    RuntimeWarnings of the kept lanes are emitted, in lane order, when the
+    pass ends.
+    """
+    lanes = list(lanes)
+    if not lanes:
+        raise ValueError("run needs at least one lane")
+    if horizon is None:
+        defaults = {lane.params.horizon if lane.algorithm in TRACKER_ALGORITHMS else None for lane in lanes}
+        horizon = defaults.pop() if len(defaults) == 1 else None
+    if horizon is None or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon}")
+    for lane in lanes:
+        params = lane.params
+        if lane.algorithm in TRACKER_ALGORITHMS and params.derived_from_theorem and horizon != params.horizon:
+            raise ValueError(
+                f"theorem schedule was derived for K={params.horizon}, cannot run K={horizon}"
+            )
+    if problem.n_nodes != mixing.n_nodes:
+        raise ValueError(
+            f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
+        )
+
+    runs = [_LaneRun(lane, problem, mixing) for lane in lanes]
+    live = runs  # the lanes before the first diverging one
+    failure = None
+    noise_moment_sum = 0.0
+    for _ in range(horizon):
+        stepped = []
+        for i, lane_run in enumerate(live):
+            try:
+                stepped.append(lane_run.advance(problem, mixing, noise_model))
+            except Diverged as exc:
+                failure, live = exc, live[:i]
+                break
+        if not live:
+            break
+        t0 = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # One stacked call gives every lane's mean-gradient norm and every noise draw's.
+            nuclear = nuclear_norm(np.concatenate([avg[None] for avg, _ in stepped] + [stepped[0][1]]))
+            noise_moment_sum += float(np.sum(nuclear[len(live):] ** noise_model.alpha))
+        shared_s = (time.perf_counter() - t0) / len(live)
+        for lane_run, value in zip(live, nuclear):
+            lane_run.record(value, shared_s)
+
+    for lane_run in runs[: len(live) + (failure is not None)]:
+        if lane_run.ball_exit is not None:
+            warnings.warn(lane_run.ball_exit, RuntimeWarning, stacklevel=2)
     report_rng = np.random.default_rng((seed, _REPORT_STREAM))
     iota = int(report_rng.integers(horizon))
-    grad_norms = [row.avg_grad_nuclear for row in rows]
-    moment = (noise_moment_sum / noise_draws) ** (1.0 / noise_model.alpha) if noise_draws else 0.0
-    return RunResult(
-        algorithm=algorithm,
-        horizon=horizon,
-        seed=seed,
-        mixing_rate=mixing.mixing_rate,
-        rows=rows,
-        iota=iota,
-        grad_nuclear_at_iota=grad_norms[iota],
-        avg_grad_nuclear_mean=float(np.mean(grad_norms)),
-        consensus_violations=violations,
-        max_tracking_residual=max_track,
-        max_avg_iterate_residual=max_ave_resid,
-        noise_alpha_moment=moment,
-        ball_exited=ball_exited,
-    )
+    moment = (noise_moment_sum / (horizon * mixing.n_nodes)) ** (1.0 / noise_model.alpha)
+    results = [lane_run.result(horizon, seed, mixing.mixing_rate, iota, moment) for lane_run in live]
+    if failure is not None:
+        failure.finished = results
+        raise failure
+    return results

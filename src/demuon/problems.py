@@ -231,45 +231,49 @@ def make_nonconvex_gram(
 
 
 def _parse_block(lines, start: int, rows: int, cols: int, label: str) -> tuple[np.ndarray, int]:
+    """Parse `rows` of the (line number, text) pairs from `start` into a rows x cols block."""
     out = []
-    for idx in range(start, start + rows):
-        parts = lines[idx].split(",")
+    for lineno, text in lines[start : start + rows]:
+        parts = text.split(",")
         if len(parts) != cols:
             raise ProblemFormatError(
-                f"line {idx + 1}: {label} expects {cols} values per row, got {len(parts)}"
+                f"line {lineno}: {label} expects {cols} values per row, got {len(parts)}"
             )
         try:
             out.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ProblemFormatError(f"line {idx + 1}: {label}: {exc}") from exc
+            raise ProblemFormatError(f"line {lineno}: {label}: {exc}") from exc
     return np.array(out), start + rows
 
 
 def load_problem(path) -> ProblemSet:
-    """Parse a problem file (header + per-node dense CSV blocks)."""
+    """Parse a problem file (header + per-node dense CSV blocks).
+
+    Blank lines are skipped; error messages give physical line numbers.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
     if not lines:
         raise ProblemFormatError(f"{path}: empty problem file")
-    header = lines[0].split()
+    head, header = lines[0][0], lines[0][1].split()
     if not header or header[0] not in KINDS:
-        raise ProblemFormatError(f"{path}: line 1: header must start with one of {KINDS}")
+        raise ProblemFormatError(f"{path}: line {head}: header must start with one of {KINDS}")
     kind = header[0]
     want = 5 if kind == QUADRATIC else 4
     if len(header) != want:
         raise ProblemFormatError(
-            f"{path}: line 1: {kind} header needs {want} fields (kind N m n"
+            f"{path}: line {head}: {kind} header needs {want} fields (kind N m n"
             + (" p)" if kind == QUADRATIC else ")")
         )
     try:
         dims = [int(tok) for tok in header[1:]]
     except ValueError as exc:
-        raise ProblemFormatError(f"{path}: line 1: {exc}") from exc
+        raise ProblemFormatError(f"{path}: line {head}: {exc}") from exc
     if any(d < 1 for d in dims):
-        raise ProblemFormatError(f"{path}: line 1: dimensions must be positive, got {dims}")
+        raise ProblemFormatError(f"{path}: line {head}: dimensions must be positive, got {dims}")
     n_nodes, m, n = dims[0], dims[1], dims[2]
     blocks = (("A", dims[3], m), ("B", dims[3], n)) if kind == QUADRATIC else (("C", m, m),)
     # Checked before any block is read, so a header cannot make the parser
@@ -277,7 +281,7 @@ def load_problem(path) -> ProblemSet:
     rows = n_nodes * sum(block_rows for _, block_rows, _ in blocks)
     if rows != len(lines) - 1:
         raise ProblemFormatError(
-            f"{path}: line 1: header needs {rows} data rows, the file has {len(lines) - 1}"
+            f"{path}: line {head}: header needs {rows} data rows, the file has {len(lines) - 1}"
         )
     data = {label: [] for label, _, _ in blocks}
     pos = 1

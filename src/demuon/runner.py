@@ -65,12 +65,47 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
     finished and a summary with "status": "diverged" naming the iteration,
     node and quantity; the error is then re-raised.
     """
-    config_mod.validate_config(cfg)
-    mixing = config_mod.build_mixing(cfg)
-    problem = config_mod.build_problem(cfg)
-    noise_model = config_mod.build_noise(cfg)
-    params = config_mod.build_params(cfg)
+    return _execute_lanes([cfg], record_timing)[0]
 
+
+def _execute_lanes(cfgs, record_timing: bool = False) -> list:
+    """Run configs that share problem, topology, noise, seed and horizon as lanes of one engine pass.
+
+    Every config is validated first. Problem, mixing and noise are built
+    once, from the first config. Artifacts are written in config order and
+    are those of `execute` on each config in turn: when a lane diverges, the
+    lanes before it write full artifacts, it writes its finished rows and a
+    diverged summary, the lanes after it write nothing, and the Diverged is
+    re-raised.
+    """
+    for cfg in cfgs:
+        config_mod.validate_config(cfg)
+    base = cfgs[0]
+    mixing = config_mod.build_mixing(base)
+    problem = config_mod.build_problem(base)
+    noise_model = config_mod.build_noise(base)
+    rows = [[] for _ in cfgs]
+    lanes = [
+        optimizers.Lane(cfg.algorithm, config_mod.build_params(cfg), cfg.orthogonalizer, sink=lane_rows.append)
+        for cfg, lane_rows in zip(cfgs, rows)
+    ]
+    version = version_hash()
+    try:
+        results = optimizers.run(lanes, problem, mixing, noise_model, horizon=base.horizon, seed=base.seed)
+    except optimizers.Diverged as exc:
+        for cfg, lane_rows, result in zip(cfgs, rows, exc.finished):
+            _write_artifacts(cfg, lane_rows, result, version, record_timing)
+        failed = len(exc.finished)
+        _write_artifacts(cfgs[failed], rows[failed], exc, version, record_timing)
+        raise
+    return [
+        _write_artifacts(cfg, lane_rows, result, version, record_timing)
+        for cfg, lane_rows, result in zip(cfgs, rows, results)
+    ]
+
+
+def _write_artifacts(cfg, rows, result, version: str, record_timing: bool) -> ExecuteOutcome | None:
+    """Write a run's metrics CSV and summary JSON; `result` is its RunResult, or the Diverged it raised."""
     rid = run_id(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, f"metrics_{rid}.csv")
@@ -82,28 +117,13 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
         "seed": cfg.seed,
         "orthogonalizer": cfg.orthogonalizer,
         "config": cfg.as_dict(),
-        "version": version_hash(),
+        "version": version,
     }
-    rows = []
-    try:
-        result = optimizers.run(
-            cfg.algorithm,
-            problem,
-            mixing,
-            noise_model,
-            params,
-            horizon=cfg.horizon,
-            seed=cfg.seed,
-            orthogonalizer=cfg.orthogonalizer,
-            sink=rows.append,
-        )
-    except optimizers.Diverged as exc:
-        _write_metrics_csv(metrics_path, rows, record_timing)
-        summary.update(status="diverged", iteration=exc.iteration, node=exc.node, quantity=exc.quantity)
-        _write_json(summary_path, summary)
-        raise
     _write_metrics_csv(metrics_path, rows, record_timing)
-
+    if isinstance(result, optimizers.Diverged):
+        summary.update(status="diverged", iteration=result.iteration, node=result.node, quantity=result.quantity)
+        _write_json(summary_path, summary)
+        return None
     summary.update(
         mixing_rate=result.mixing_rate,
         iota=result.iota,
@@ -174,7 +194,12 @@ _SHARED_KEYS = (
 
 
 def compare(cfgs, out_dir: str | None = None) -> str:
-    """Run >= 2 configs sharing problem/topology/seed; write aligned per-iteration CSV."""
+    """Run >= 2 configs sharing problem/topology/seed; write aligned per-iteration CSV.
+
+    The configs run as lanes of one engine pass, so each round's noise is
+    drawn and measured once; their artifacts are those of `execute` on each
+    config in turn. A Diverged is re-raised and no compare CSV is written.
+    """
     cfgs = list(cfgs)
     if len(cfgs) < 2:
         raise config_mod.ConfigError("compare needs at least 2 configs")
@@ -193,7 +218,7 @@ def compare(cfgs, out_dir: str | None = None) -> str:
             label = f"{label}_{i}"
         labels.append(label)
 
-    outcomes = [execute(c) for c in cfgs]
+    outcomes = _execute_lanes(cfgs)
     out_dir = out_dir or base.out_dir
     os.makedirs(out_dir, exist_ok=True)
     tag = hashlib.sha256("|".join(run_id(c) for c in cfgs).encode()).hexdigest()[:12]

@@ -22,6 +22,7 @@ from demuon.linalg import (
 from demuon.noise import NoiseModel
 from demuon.optimizers import (
     BaselineParams,
+    Lane,
     ScheduleParams,
     initial_state,
     run,
@@ -86,7 +87,7 @@ def test_criterion_03_consensus_bound():
         for seed in SEEDS:
             noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
             start = time.perf_counter()
-            res = run("demuon", problem, mixing, noise, sched, horizon=500, seed=seed)
+            res = run([Lane("demuon", sched)], problem, mixing, noise, horizon=500, seed=seed)[0]
             elapsed = time.perf_counter() - start
             assert elapsed < 30.0
             assert res.consensus_violations == 0
@@ -143,7 +144,7 @@ def test_criterion_06_rate_trend():
         vals = []
         for seed in range(5):
             noise = NoiseModel("gaussian", 2.0, 0.25, base_seed=seed)
-            res = run("demuon", problem, mixing, noise, sched, horizon=horizon, seed=seed)
+            res = run([Lane("demuon", sched)], problem, mixing, noise, horizon=horizon, seed=seed)[0]
             vals.append(res.avg_grad_nuclear_mean)
         means.append(float(np.mean(vals)))
     assert all(means[i + 1] < means[i] for i in range(len(means) - 1))

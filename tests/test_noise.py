@@ -130,3 +130,34 @@ def test_heavy_tail_alpha_moment_converges_variance_diverges():
     assert rel_change < 0.05
     second_running = np.cumsum(nucs**2) / counts
     assert second_running[-1] / second_running[n_draws // 10 - 1] > 1.2
+
+
+# Few keys, so that calls repeat the latest one and also move off it; the
+# -0.0 and 0.0 models compare equal but scale their zeros to other signs.
+MEMO_MODELS = st.sampled_from([
+    NoiseModel("gaussian", 2.0, 1.0, base_seed=0),
+    NoiseModel("gaussian", 2.0, 1.0, base_seed=1),
+    NoiseModel("gaussian", 2.0, 2.0, base_seed=0),
+    NoiseModel("student_t", 1.5, 0.0, 2.0, base_seed=0),
+    NoiseModel("student_t", 1.5, -0.0, 2.0, base_seed=0),
+])
+MEMO_KEYS = st.tuples(MEMO_MODELS, st.sampled_from([(1, 1), (2, 3), (3, 2)]), st.integers(1, 3), st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(MEMO_KEYS, min_size=1, max_size=8))
+def test_the_kept_draw_is_read_only_and_never_stale(keys):
+    for model, shape, n_nodes, iteration in keys:
+        stack = sample_noise(model, *shape, n_nodes, iteration)
+        assert not stack.flags.writeable
+        fresh = np.stack([oracle_draw(model, *shape, i, iteration) for i in range(n_nodes)])
+        assert stack.shape == fresh.shape and stack.tobytes() == fresh.tobytes()
+
+
+def test_a_repeated_call_gets_the_kept_draw():
+    model = NoiseModel("gaussian", 2.0, 1.0, base_seed=3)
+    stack = sample_noise(model, 2, 2, 3, 5)
+    assert sample_noise(model, 2, 2, 3, 5) is stack
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    assert sample_noise(model, 2, 2, 3, 6) is not stack

@@ -1,7 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demuon.diagnostics import (
     consensus_bound,
@@ -14,6 +17,7 @@ from demuon.noise import NoiseModel
 from demuon.optimizers import (
     TRACKER_ALGORITHMS,
     BaselineParams,
+    Lane,
     ScheduleParams,
     clip_to_frobenius,
     initial_state,
@@ -241,7 +245,7 @@ def test_demuon_directions_have_unit_spectral_norm(m, n, p):
 
 def test_run_emits_one_row_per_iteration():
     prob = make_quadratic(2, 2, 2, 3, seed=1)
-    res = run("dsgd", prob, build_complete(2), NOISELESS, BaselineParams(), horizon=1, seed=0)
+    res = run([Lane("dsgd", BaselineParams())], prob, build_complete(2), NOISELESS, horizon=1, seed=0)[0]
     assert len(res.rows) == 1
     assert res.rows[0].iter == 0
     assert 0 <= res.iota < 1
@@ -251,8 +255,8 @@ def test_run_is_deterministic():
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.3, seed=4)
     noise = NoiseModel("student_t", 1.6, 0.4, dof=2.0, base_seed=21)
     kw = dict(horizon=40, seed=21)
-    r1 = run("demuon", prob, build_ring(3), noise, ScheduleParams(0.1, 0.2), **kw)
-    r2 = run("demuon", prob, build_ring(3), noise, ScheduleParams(0.1, 0.2), **kw)
+    r1 = run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, build_ring(3), noise, **kw)[0]
+    r2 = run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, build_ring(3), noise, **kw)[0]
     for a, b in zip(r1.rows, r2.rows):
         assert a.consensus_error_x == b.consensus_error_x
         assert a.avg_grad_nuclear == b.avg_grad_nuclear
@@ -262,8 +266,8 @@ def test_run_is_deterministic():
 
 def test_run_single_node_convergence():
     prob = make_quadratic(1, 4, 3, 6, heterogeneity=0.0, seed=3)
-    res = run("demuon", prob, build_complete(1), NOISELESS, ScheduleParams(0.05, 0.5),
-              horizon=80, seed=1)
+    res = run([Lane("demuon", ScheduleParams(0.05, 0.5))], prob, build_complete(1), NOISELESS,
+              horizon=80, seed=1)[0]
     assert res.rows[-1].avg_grad_nuclear < res.rows[0].avg_grad_nuclear
 
 
@@ -281,7 +285,7 @@ def test_run_tracking_and_average_iterate_identities(algorithm, params):
     # On a doubly stochastic W, mean X+ = mean X - eta * mean(D) for every algorithm.
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=6)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=9)
-    res = run(algorithm, prob, build_ring(4), noise, params, horizon=60, seed=9)
+    res = run([Lane(algorithm, params)], prob, build_ring(4), noise, horizon=60, seed=9)[0]
     assert res.max_avg_iterate_residual <= 1e-9
     if algorithm in TRACKER_ALGORITHMS:
         assert res.max_tracking_residual <= 1e-9
@@ -293,7 +297,7 @@ def test_run_checks_mean_iterate_recursion_for_every_algorithm(algorithm, params
     # mean X+ = mean X - eta * mean(D) fails for every algorithm.
     prob = make_quadratic(2, 3, 2, 4, heterogeneity=0.5, seed=6)
     mixing = MixingSpec(2, np.array([[0.5, 0.5], [0.0, 1.0]]), 0.5, "custom")
-    res = run(algorithm, prob, mixing, NOISELESS, params, horizon=5, seed=0)
+    res = run([Lane(algorithm, params)], prob, mixing, NOISELESS, horizon=5, seed=0)[0]
     assert res.max_avg_iterate_residual > 1e-3
 
 
@@ -301,7 +305,7 @@ def test_run_consensus_bound_holds():
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=10)
     noise = NoiseModel("gaussian", 2.0, 0.4, base_seed=2)
     mixing = build_ring(4)
-    res = run("demuon", prob, mixing, noise, ScheduleParams(0.1, 0.2), horizon=100, seed=2)
+    res = run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, mixing, noise, horizon=100, seed=2)[0]
     assert res.consensus_violations == 0
     bound = consensus_bound(0.1, mixing.mixing_rate, 4)
     assert all(row.consensus_error_x <= bound + 1e-9 for row in res.rows)
@@ -310,11 +314,11 @@ def test_run_consensus_bound_holds():
 def test_run_rejects_mismatched_params():
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     with pytest.raises(TypeError):
-        run("demuon", prob, build_complete(2), NOISELESS, BaselineParams(), horizon=5)
+        run([Lane("demuon", BaselineParams())], prob, build_complete(2), NOISELESS, horizon=5)
     with pytest.raises(TypeError):
-        run("dsgd", prob, build_complete(2), NOISELESS, ScheduleParams(0.1, 0.2), horizon=5)
+        run([Lane("dsgd", ScheduleParams(0.1, 0.2))], prob, build_complete(2), NOISELESS, horizon=5)
     with pytest.raises(ValueError):
-        run("demuon", prob, build_complete(3), NOISELESS, ScheduleParams(0.1, 0.2), horizon=5)
+        run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, build_complete(3), NOISELESS, horizon=5)
 
 
 @pytest.mark.parametrize("algorithm", ["demuon", "gt_nsgdm"])
@@ -322,16 +326,16 @@ def test_run_theorem_schedule_horizon_locked(algorithm):
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     sched = theoretical_schedule(16, 2.0)
     with pytest.raises(ValueError):
-        run(algorithm, prob, build_complete(2), NOISELESS, sched, horizon=8)
-    res = run(algorithm, prob, build_complete(2), NOISELESS, sched)  # horizon from schedule
+        run([Lane(algorithm, sched)], prob, build_complete(2), NOISELESS, horizon=8)
+    res = run([Lane(algorithm, sched)], prob, build_complete(2), NOISELESS)[0]  # horizon from schedule
     assert res.horizon == 16
 
 
 def test_run_iota_uniform_and_seeded():
     prob = make_quadratic(1, 2, 2, 3, seed=0)
     iotas = {
-        run("dsgd", prob, build_complete(1), NOISELESS, BaselineParams(),
-            horizon=50, seed=s).iota
+        run([Lane("dsgd", BaselineParams())], prob, build_complete(1), NOISELESS,
+            horizon=50, seed=s)[0].iota
         for s in range(30)
     }
     assert all(0 <= i < 50 for i in iotas)
@@ -341,8 +345,8 @@ def test_run_iota_uniform_and_seeded():
 def test_run_newton_schulz_orthogonalizer():
     prob = make_quadratic(2, 3, 3, 4, heterogeneity=0.2, seed=12)
     noise = NoiseModel("gaussian", 2.0, 0.1, base_seed=3)
-    res = run("demuon", prob, build_complete(2), noise, ScheduleParams(0.1, 0.2),
-              horizon=30, seed=3, orthogonalizer="ns:15")
+    res = run([Lane("demuon", ScheduleParams(0.1, 0.2), orthogonalizer="ns:15")], prob, build_complete(2), noise,
+              horizon=30, seed=3)[0]
     assert res.consensus_violations == 0
     assert res.max_tracking_residual <= 1e-9
     assert res.max_avg_iterate_residual <= 1e-9
@@ -351,8 +355,8 @@ def test_run_newton_schulz_orthogonalizer():
 def test_run_metrics_sink_receives_rows():
     prob = make_quadratic(2, 2, 2, 3, seed=1)
     seen = []
-    run("dsgd", prob, build_complete(2), NOISELESS, BaselineParams(),
-        horizon=7, seed=0, sink=seen.append)
+    run([Lane("dsgd", BaselineParams(), sink=seen.append)], prob, build_complete(2), NOISELESS,
+        horizon=7, seed=0)
     assert [r.iter for r in seen] == list(range(7))
 
 
@@ -401,7 +405,7 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    res = run("demuon", prob, mixing, NOISELESS, sched, seed=0)
+    res = run([Lane("demuon", sched)], prob, mixing, NOISELESS, seed=0)[0]
     assert calls == {"exact_gradient": 200, "objective_at": 200, "consensus_error_nuclear": 200}
     monkeypatch.undo()
     st0 = initial_state("demuon", 4, np.zeros((3, 2)))
@@ -427,8 +431,8 @@ def test_run_warns_when_ball_exited():
     prob = make_nonconvex_gram(2, 3, 2, heterogeneity=0.0, seed=5, ball_radius=1e-3)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     with pytest.warns(RuntimeWarning, match="certified ball"):
-        res = run("demuon", prob, build_complete(2), noise, ScheduleParams(0.3, 0.5),
-                  horizon=10, seed=1)
+        res = run([Lane("demuon", ScheduleParams(0.3, 0.5))], prob, build_complete(2), noise,
+                  horizon=10, seed=1)[0]
     assert res.ball_exited
 
 
@@ -460,7 +464,7 @@ def test_ball_exit_warns_at_the_per_node_reference_iteration(algorithm, params, 
     assert expected is not None and expected > 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = run(algorithm, prob, mixing, noise, params, horizon=40, seed=1)
+        res = run([Lane(algorithm, params)], prob, mixing, noise, horizon=40, seed=1)[0]
     exits = [str(w.message) for w in caught if "certified ball" in str(w.message)]
     assert res.ball_exited
     assert len(exits) == 1
@@ -476,7 +480,7 @@ def test_ball_check_decomposes_no_iterate_inside_the_ball(monkeypatch):
     prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     for algorithm, params in (("demuon", ScheduleParams(0.05, 0.5)), ("dsgd", BaselineParams(dsgd_eta=0.05))):
-        res = run(algorithm, prob, build_ring(3), noise, params, horizon=60, seed=1)
+        res = run([Lane(algorithm, params)], prob, build_ring(3), noise, horizon=60, seed=1)[0]
         assert not res.ball_exited
     assert decomposed == []
 
@@ -505,6 +509,87 @@ def test_dsgd_divergence_stops_at_the_round_with_context():
     assert 0 <= exc.node < 4
     # The run leaves the certified ball before it diverges; that is its only warning.
     with pytest.raises(Diverged) as from_run, pytest.warns(RuntimeWarning, match="certified ball"):
-        run("dsgd", prob, mixing, noise, params, horizon=50, seed=0)
+        run([Lane("dsgd", params)], prob, mixing, noise, horizon=50, seed=0)
     assert (from_run.value.iteration, from_run.value.node) == (exc.iteration, exc.node)
     assert f"iteration {exc.iteration}" in str(from_run.value)
+
+
+def _untimed(result):
+    """The result as text, rows without their wall time: repr is exact for every float."""
+    return repr(replace(result, rows=[replace(row, wall_time_ms=None) for row in result.rows]))
+
+
+def _lanes(horizon):
+    baseline = st.builds(BaselineParams, dsgd_eta=st.sampled_from([3.0, 1.0, 0.01]))
+    schedule = st.one_of(
+        st.builds(ScheduleParams, st.sampled_from([1.0, 0.05]), st.sampled_from([1.0, 0.2])),
+        st.builds(theoretical_schedule, st.just(horizon), st.sampled_from([1.5, 2.0])),
+    )
+    kernel = st.one_of(st.just("svd"), st.integers(1, 8).map(lambda k: f"ns:{k}"))
+    return st.one_of(
+        st.builds(Lane, st.sampled_from(["dsgd", "dsgd_clip"]), baseline),
+        st.builds(Lane, st.just("gt_nsgdm"), schedule),
+        st.builds(Lane, st.just("demuon"), schedule, kernel),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lockstep_lanes_equal_one_lane_runs(data):
+    # Random lanes, divergence and ball exits included: one lockstep run gives
+    # what running the lanes one after another gives, float for float.
+    from demuon.optimizers import Diverged
+    from demuon.problems import make_nonconvex_gram
+
+    n_nodes = data.draw(st.integers(1, 4), label="n_nodes")
+    m, n = data.draw(st.sampled_from([(3, 2), (2, 3), (1, 1), (3, 3), (13, 12)]), label="shape")
+    horizon = data.draw(st.integers(4, 24), label="horizon")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    if data.draw(st.sampled_from([True, False]), label="gram"):
+        prob = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=seed)
+    else:
+        prob = make_quadratic(n_nodes, m, n, 3, heterogeneity=0.5, seed=seed)
+    families = [build_complete] + [build_ring] * (n_nodes >= 3) + [build_directed_exponential] * (n_nodes in (2, 4))
+    mixing = data.draw(st.sampled_from(families), label="mixing")(n_nodes)
+    noise = data.draw(st.sampled_from([
+        NoiseModel("student_t", 1.2, 0.5, dof=1.3, base_seed=seed),
+        NoiseModel("gaussian", 2.0, 0.3, base_seed=seed),
+    ]), label="noise")
+    lanes = data.draw(st.lists(_lanes(horizon), min_size=1, max_size=4), label="lanes")
+
+    def outcome(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                results, failure = call(), None
+            except Diverged as exc:
+                results, failure = exc.finished, exc
+        failure = failure and (failure.algorithm, failure.iteration, failure.node, failure.quantity)
+        return [_untimed(r) for r in results], failure, [str(w.message) for w in caught]
+
+    def one_by_one():
+        results = []
+        for lane in lanes:
+            try:
+                results += run([lane], prob, mixing, noise, horizon=horizon, seed=seed)
+            except Diverged as exc:
+                exc.finished = results
+                raise
+        return results
+
+    results, failure, caught = outcome(lambda: run(lanes, prob, mixing, noise, horizon=horizon, seed=seed))
+    assert (results, failure, caught) == outcome(one_by_one)
+    assert failure is not None or len(results) == len(lanes)
+
+
+def test_run_needs_lanes_that_agree_on_the_horizon():
+    prob = make_quadratic(2, 2, 2, 3, seed=0)
+    args = (prob, build_complete(2), NOISELESS)
+    with pytest.raises(ValueError, match="at least one lane"):
+        run([], *args)
+    with pytest.raises(ValueError, match="horizon"):
+        run([Lane("demuon", theoretical_schedule(16)), Lane("demuon", theoretical_schedule(32))], *args)
+    results = run([Lane("demuon", theoretical_schedule(16)), Lane("gt_nsgdm", theoretical_schedule(16))], *args)
+    assert [r.horizon for r in results] == [16, 16]
+    with pytest.raises(ValueError, match="algorithm"):
+        Lane("sgd", BaselineParams())

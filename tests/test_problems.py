@@ -219,6 +219,17 @@ def test_problem_file_errors(tmp_path):
         load_problem(truncated)
 
 
+def test_problem_file_errors_name_physical_lines(tmp_path):
+    # Blank lines are skipped but still counted: the bad value sits on line 4.
+    path = tmp_path / "blank.txt"
+    path.write_text("quadratic 1 2 1 1\n\n\n1.0,x\n0.5\n")
+    with pytest.raises(ProblemFormatError, match="node 0: line 4: A_0"):
+        load_problem(path)
+    path.write_text("\nquadratic 1 2 1\n")
+    with pytest.raises(ProblemFormatError, match="line 2: quadratic header needs 5 fields"):
+        load_problem(path)
+
+
 def test_problem_file_rejects_non_finite_entries(tmp_path):
     path = tmp_path / "nan.txt"
     path.write_text("quadratic 1 2 1 1\n1.0,nan\n0.0\n")

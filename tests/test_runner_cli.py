@@ -148,6 +148,16 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "theta" in payload["message"]
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep", "compare", "validate"])
+def test_cli_missing_config_names_the_path(tmp_path, capsys, verb):
+    missing = str(tmp_path / "no_such.ini")
+    args = [verb, missing] + ([missing] if verb == "compare" else [])
+    assert main(args) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "FileNotFoundError"
+    assert missing in payload["message"]
+
+
 @pytest.mark.parametrize("spec", ["ns: 5", "ns:+5", "ns:1_0", "ns:05", "ns:\u0665"])
 def test_cli_rejects_noncanonical_orthogonalizer(tmp_path, capsys, spec):
     path = tmp_path / "exp.ini"
@@ -306,3 +316,54 @@ def test_sweep_worker_divergence_reaches_the_cli_as_diverged(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "Diverged"
     assert (err["algorithm"], err["quantity"]) == ("dsgd", "iterate")
+
+
+# Compared configs around the diverging dsgd (eta 1, diverges at round 6); dsgd
+# at eta 0.2 diverges later, at round 26, and the demuon, gt_nsgdm and
+# dsgd_clip runs finish.
+COMPARE_DIVERGENCE_CASES = {
+    "first": [("dsgd", 1.0), ("demuon", 1.0), ("gt_nsgdm", 1.0)],
+    "middle": [("demuon", 1.0), ("dsgd", 1.0), ("gt_nsgdm", 1.0)],
+    "last": [("demuon", 1.0), ("gt_nsgdm", 1.0), ("dsgd", 1.0)],
+    "later_lane_diverges_first": [("dsgd_clip", 1.0), ("dsgd", 0.2), ("dsgd", 1.0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPARE_DIVERGENCE_CASES))
+def test_compare_divergence_writes_what_sequential_execute_writes(tmp_path, case):
+    import shutil
+    import warnings
+
+    from demuon.optimizers import Diverged
+
+    out = tmp_path / "out"
+    cfgs = [
+        parse_config(
+            diverging_config_text(out)
+            .replace("algorithm = dsgd", f"algorithm = {algorithm}")
+            .replace("dsgd_eta = 1.0", f"dsgd_eta = {eta}")
+        )
+        for algorithm, eta in COMPARE_DIVERGENCE_CASES[case]
+    ]
+
+    def outcome(call):
+        """(artifact bytes by name, the Diverged's fields and message, warning texts)."""
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(Diverged) as raised:
+            warnings.simplefilter("always")
+            call()
+        exc = raised.value
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        fields = (exc.algorithm, exc.iteration, exc.node, exc.quantity, str(exc))
+        return files, fields, [str(w.message) for w in caught]
+
+    def one_by_one():
+        for cfg in cfgs:
+            execute(cfg)
+
+    sequential = outcome(one_by_one)
+    assert outcome(lambda: compare(cfgs)) == sequential
+    files = sequential[0]
+    kept = 1 + [algorithm for algorithm, _ in COMPARE_DIVERGENCE_CASES[case]].index("dsgd")
+    assert len(files) == 2 * kept
+    assert not any(name.startswith("compare_") for name in files)

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demuon.linalg import spectral_norm
 from demuon.topology import (
@@ -130,6 +132,29 @@ def test_mix_blocks_preserves_block_average(rng):
         blocks = rng.standard_normal((spec.n_nodes, 3, 2))
         mixed = mix_blocks(spec.weights, blocks)
         np.testing.assert_allclose(mixed.mean(axis=0), blocks.mean(axis=0), atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from(["ring", "directed_exponential", "custom"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mix_blocks_equals_tensordot_exactly(n_nodes, m, n, weights, seed):
+    rng = np.random.default_rng(seed)
+    if weights == "ring" and n_nodes >= 3:
+        w = build_ring(n_nodes).weights
+    elif weights == "directed_exponential" and n_nodes in (2, 4, 8):
+        w = build_directed_exponential(n_nodes).weights
+    else:
+        w = rng.random((n_nodes, n_nodes))
+        w /= w.sum(axis=1, keepdims=True)
+    blocks = rng.standard_normal((n_nodes, m, n))
+    mixed = mix_blocks(w, blocks)
+    expected = np.tensordot(w, blocks, axes=(1, 0))
+    assert mixed.shape == expected.shape and mixed.tobytes() == expected.tobytes()
 
 
 def test_build_family_dispatch():
