@@ -47,7 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="execute the config's horizon sweep")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel runs in the sweep")
+    p_sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility, no effect: the horizons run as lanes of one pass",
+    )
     _add_common(p_sweep)
 
     p_cmp = sub.add_parser("compare", help="run several configs on a shared problem")

@@ -23,6 +23,13 @@ CUSTOM_FILE = "custom_file"
 PROBLEM_KINDS = problems.KINDS + (CUSTOM_FILE,)
 
 
+# Largest array, in float64 entries, that a config may ask for: the N x N
+# mixing matrix, the (N, m, n) stacks of a run and the problem's node data
+# each stay within it (2**25 entries are 256 MiB). Far above every config the
+# lab runs, far below one that cannot be allocated.
+MAX_ENTRIES = 2**25
+
+
 class ConfigError(ValueError):
     """A config failed validation; the message names the offending key."""
 
@@ -151,7 +158,11 @@ def _checked(section: str, check, *args):
 
 
 def validate_config(cfg: ExperimentConfig):
-    """Field validation; raises ConfigError naming the bad key. Builds no matrix."""
+    """Field validation; raises ConfigError naming the bad key. Builds no matrix.
+
+    Beside the field ranges, no array the config asks for (mixing matrix,
+    node stacks, problem data) may exceed MAX_ENTRIES entries.
+    """
     if cfg.algorithm not in optimizers.ALGORITHMS:
         raise ConfigError(f"run.algorithm must be one of {optimizers.ALGORITHMS}, got {cfg.algorithm!r}")
     if cfg.horizon < 1:
@@ -178,6 +189,7 @@ def validate_config(cfg: ExperimentConfig):
         )
     if cfg.problem_seed < 0:
         raise ConfigError(f"problem.seed must be nonnegative, got {cfg.problem_seed}")
+    _check_sizes(cfg)
 
     _checked("noise", build_noise, cfg)
 
@@ -193,6 +205,24 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"schedule.theta: theta must lie in (0,1), got {cfg.theta}")
     _checked("schedule", optimizers.ScheduleParams, cfg.eta, cfg.theta)
     _checked("schedule", optimizers.BaselineParams, cfg.dsgd_eta, cfg.clip_eta, cfg.clip_tau)
+
+
+def _check_sizes(cfg: ExperimentConfig):
+    """Raise ConfigError naming the key of the first array the config would make above MAX_ENTRIES."""
+    n_nodes, m, n, p = cfg.n_nodes, cfg.m, cfg.n, cfg.p
+    arrays = [("topology.n_nodes", n_nodes, "an N x N mixing matrix", n_nodes * n_nodes)]
+    if cfg.problem_kind != CUSTOM_FILE:  # a problem file sets its own sizes
+        key, value = ("problem.m", m) if m >= n else ("problem.n", n)
+        arrays.append((key, value, "an (N, m, n) node stack", n_nodes * m * n))
+        if cfg.problem_kind == problems.QUADRATIC:
+            arrays.append(("problem.p", p, "(N, p, m) and (N, p, n) node data", n_nodes * p * max(m, n)))
+        else:
+            arrays.append(("problem.m", m, "(N, m, m) node data", n_nodes * m * m))
+    for key, value, what, entries in arrays:
+        if entries > MAX_ENTRIES:
+            raise ConfigError(
+                f"{key} = {value} gives {what} of {entries} entries, above the limit of {MAX_ENTRIES}"
+            )
 
 
 def build_mixing(cfg: ExperimentConfig) -> topology.MixingSpec:

@@ -66,22 +66,35 @@ def stack_blocks(blocks) -> np.ndarray:
     return arr.reshape(n_blocks * m, n)
 
 
+def node_mean(stack: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Mean over the node axis of an (..., N, m, n) stack.
+
+    Bit for bit `stack.mean(axis=-3)`, the same sum divided by N, without
+    the Python overhead of `ndarray.mean`, which every round pays several times.
+    """
+    return np.add.reduce(stack, axis=-3, keepdims=keepdims) / stack.shape[-3]
+
+
 def _deviations(xs) -> np.ndarray:
-    """The (N m) x n vertical stack of deviations X_i - mean(X) of N same-shape matrices."""
+    """The (N m) x n vertical stack of deviations X_i - mean(X) of N same-shape matrices.
+
+    An (L, N, m, n) stack of L such sets gives the (L, N m, n) stack of their deviation stacks.
+    """
     arr = np.asarray(xs, dtype=float)
     # Checked before the mean, which warns on an empty stack.
-    if arr.ndim != 3 or arr.shape[0] < 1:
-        raise ValueError(f"consensus error expects a nonempty (N, m, n) stack, got shape {arr.shape}")
-    return stack_blocks(arr - arr.mean(axis=0))
+    if arr.ndim not in (3, 4) or 0 in arr.shape[:-2]:
+        raise ValueError(f"consensus error expects a nonempty (N, m, n) or (L, N, m, n) stack, got {arr.shape}")
+    *lead, n_blocks, m, n = arr.shape
+    return (arr - node_mean(arr, keepdims=True)).reshape(*lead, n_blocks * m, n)
 
 
-def consensus_error(xs) -> float:
-    """Spectral norm of the vertical stack of deviations X_i - mean(X)."""
+def consensus_error(xs):
+    """Spectral norm of the vertical stack of deviations X_i - mean(X); one per set of an (L, N, m, n) stack."""
     return spectral_norm(_deviations(xs))
 
 
-def consensus_error_nuclear(xs) -> float:
-    """Nuclear norm of the vertical stack of deviations X_i - mean(X)."""
+def consensus_error_nuclear(xs):
+    """Nuclear norm of the vertical stack of deviations X_i - mean(X); one per set of an (L, N, m, n) stack."""
     return nuclear_norm(_deviations(xs))
 
 

@@ -64,16 +64,8 @@ def sample_noise(model: NoiseModel, m: int, n: int, n_nodes: int, iteration: int
     """Draw one zero-mean m x n noise matrix per node: the (n_nodes, m, n) stack of one round.
 
     Row i comes from the stream of `(base_seed, i, iteration)`, so it does
-    not depend on `n_nodes`. Both keys must be below 2**32. The stack is
-    read-only: the latest one is kept and handed out again to a call with
-    the same arguments, which is how the lanes of one engine round share a
-    draw. Only that one stack is kept.
+    not depend on `n_nodes`. Both keys must be below 2**32.
     """
-    global _latest
-    # -0.0 == 0.0, but a Student-t draw scaled by -0.0 has zeros of the other sign.
-    key = (model, math.copysign(1.0, model.scale), m, n, n_nodes, iteration)
-    if _latest[0] == key:
-        return _latest[1]
     if not 1 <= n_nodes < _KEY_LIMIT:
         raise ValueError(f"n_nodes must lie in [1, 2**32), got {n_nodes}")
     if not 0 <= iteration < _KEY_LIMIT:
@@ -87,13 +79,7 @@ def sample_noise(model: NoiseModel, m: int, n: int, n_nodes: int, iteration: int
             out[i] = rng.normal(0.0, model.scale, size=(m, n))
         else:
             out[i] = model.scale * rng.standard_t(model.dof, size=(m, n))
-    out.flags.writeable = False
-    _latest = (key, out)
     return out
-
-
-# (arguments, stack) of the latest `sample_noise` draw.
-_latest = (None, None)
 
 
 class _SeedWords(ISeedSequence):

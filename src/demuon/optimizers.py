@@ -4,13 +4,16 @@ Each round is bulk-synchronous: the momentum stage runs for every node,
 then the tracker stage (which reads every node's new momentum), then the
 iterate stage (which reads every node's new tracker). Stages operate on
 immutable snapshots, so per-node work within a stage is order-independent
-and results do not depend on how it is parallelized. `run` advances one or
-more lanes (algorithms on the same problem, mixing, noise, horizon and
-seed) in lockstep, so each round's noise is drawn and measured once.
+and results do not depend on how it is parallelized. `run` holds one or
+more lanes (algorithms on the same problem, mixing, noise and seed, each
+with its own horizon) as one (L, N, m, n) stack and makes one `step` call
+per round for all of them: one noise draw, one gradient call, one mix per
+stage and one direction call per group of lanes that share a kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -20,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics, linalg, problems
-from .diagnostics import MetricsRow
+from .diagnostics import MetricsRow, node_mean
 # frobenius_norm is not called here but stays importable from this module:
 # bench/tracing.py wraps the norm functions where this module looks them up.
 from .linalg import frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm  # noqa: F401
@@ -60,7 +63,7 @@ class Diverged(ValueError):
         self.finished = []
 
     def __reduce__(self):
-        # Rebuilt from its fields, `finished` included, so it survives the trip back from a sweep worker.
+        # Rebuilt from its fields, `finished` included, so it survives pickling (say, from a worker process).
         return type(self), (self.algorithm, self.iteration, self.node, self.quantity), self.__dict__
 
 
@@ -120,23 +123,26 @@ class BaselineParams:
 
 @dataclass(frozen=True)
 class RunState:
-    """Per-node (X, M, V) stacks entering round `iter`.
+    """Per-node (X, M, V) stacks entering round `iter`, of one lane or of a lane stack.
 
     x holds the iterates X^k; m and v hold the previous round's momenta and
-    trackers (M^{k-1}, V^{k-1}), both zero before the first round.
-    `orthogonalizer` is the parsed (kind, iters) of `parse_orthogonalizer`.
+    trackers (M^{k-1}, V^{k-1}), both zero before the first round. One
+    lane's stacks are (N, m, n), `algorithm` is its name and `orthogonalizer`
+    the parsed (kind, iters) of `parse_orthogonalizer`. A lane stack's are
+    (L, N, m, n), and `algorithm` and `orthogonalizer` are tuples with one
+    entry per lane; an untracked lane keeps zero momenta and trackers.
     """
 
     iter: int
     x: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    algorithm: str
+    algorithm: str | tuple
     orthogonalizer: tuple = ("svd", 0)
 
     @property
     def n_nodes(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-3]
 
 
 def parse_orthogonalizer(spec: str) -> tuple[str, int]:
@@ -168,12 +174,20 @@ def initial_state(algorithm: str, n_nodes: int, x0: np.ndarray, orthogonalizer: 
     return RunState(0, x, zeros, zeros.copy(), algorithm, polar)
 
 
-def _check_finite(state: RunState, **stacks):
-    """Raise Diverged naming the first non-finite quantity and node of this round."""
-    for quantity, stack in stacks.items():
+def _first_failure(k: int, algorithms: tuple, **stacks) -> tuple[int, Diverged | None]:
+    """(lanes before the first lane holding a non-finite value, that lane's Diverged or None).
+
+    The stacks are (L, N, m, n); a lane's quantities are checked in the order given.
+    """
+    for stack in stacks.values():
         if not np.isfinite(stack).all():
-            node = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-            raise Diverged(state.algorithm, state.iter, node, quantity)
+            break
+    else:
+        return len(algorithms), None
+    finite = {quantity: np.isfinite(stack).all(axis=(-2, -1)) for quantity, stack in stacks.items()}
+    lane = int(np.argmin(np.logical_and.reduce([nodes.all(axis=1) for nodes in finite.values()])))
+    quantity, nodes = next((q, nodes[lane]) for q, nodes in finite.items() if not nodes[lane].all())
+    return lane, Diverged(algorithms[lane], k, int(np.argmin(nodes)), quantity)
 
 
 def _polar_directions(v: np.ndarray, orthogonalizer: tuple) -> np.ndarray:
@@ -182,7 +196,7 @@ def _polar_directions(v: np.ndarray, orthogonalizer: tuple) -> np.ndarray:
     if kind == "svd":
         return msgn_exact(v)
     dirs = np.zeros_like(v)
-    live = v.any(axis=(1, 2))
+    live = v.any(axis=(-2, -1))
     if live.any():
         dirs[live] = msgn_newton_schulz(v[live], iters)
     return dirs
@@ -190,15 +204,17 @@ def _polar_directions(v: np.ndarray, orthogonalizer: tuple) -> np.ndarray:
 
 def _normalized_directions(v: np.ndarray) -> np.ndarray:
     """V_i/||V_i||_F for every node, zero where V_i = 0."""
-    norms = np.linalg.norm(v, axis=(1, 2), keepdims=True)
+    norms = np.linalg.norm(v, axis=(-2, -1), keepdims=True)
     return np.divide(v, norms, out=np.zeros_like(v), where=norms > 0.0)
 
 
-def clip_to_frobenius(g: np.ndarray, tau: float) -> np.ndarray:
+def clip_to_frobenius(g: np.ndarray, tau) -> np.ndarray:
     """Scale g onto the Frobenius ball of radius tau when it lands outside.
 
     `g` may be a stack of matrices; each one is clipped on its own, and g
-    itself is returned when every matrix already lies inside.
+    itself is returned when every matrix already lies inside. `tau` may be
+    an array that broadcasts against the stack (one radius per lane); a
+    matrix inside its ball is then scaled by exactly 1.
     """
     norms = np.linalg.norm(g, axis=(-2, -1), keepdims=True)
     if (norms <= tau).all():
@@ -219,55 +235,148 @@ def _round_schedule(algorithm: str, params, k: int) -> tuple[float, float | None
     return params.eta, None
 
 
-def _directions(state: RunState, g: np.ndarray, tau: float | None) -> np.ndarray:
-    """Map the round's tracker (tracked algorithms) or stochastic gradient to the step direction."""
-    if state.algorithm == DEMUON:
-        return _polar_directions(g, state.orthogonalizer)
-    if state.algorithm == GT_NSGDM:
-        return _normalized_directions(g)
-    if state.algorithm == DSGD_CLIP:
-        return clip_to_frobenius(g, tau)
-    return g
+def _lanes(idx):
+    """Index of the ascending lane positions `idx`: a slice (so a view) when they are consecutive, else a list."""
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else list(idx)
+
+
+def _per_lane(values):
+    """One scalar per lane, shaped (L, 1, 1, 1) to broadcast against a lane stack; a float when all are equal."""
+    if len(set(values)) == 1:
+        return values[0]
+    return np.array(values, dtype=float).reshape(-1, 1, 1, 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(algorithms: tuple, orthogonalizers: tuple) -> tuple:
+    """(tracked lane positions, kernel groups) of a lane stack, worked out once per composition.
+
+    Lanes with the same algorithm and orthogonalizer form a group that
+    shares one direction call; a group is (algorithm, orthogonalizer, its
+    lane positions, their index).
+    """
+    tracked = tuple(i for i, algorithm in enumerate(algorithms) if algorithm in TRACKER_ALGORITHMS)
+    groups = {}
+    for i, key in enumerate(zip(algorithms, orthogonalizers)):
+        groups.setdefault(key, []).append(i)
+    return tracked, tuple((algorithm, polar, idx, _lanes(idx)) for (algorithm, polar), idx in groups.items())
+
+
+def _directions(groups, v, grads, noise, schedules) -> np.ndarray:
+    """Each lane's step direction: its tracker (tracked lanes) or stochastic gradient, mapped by its kernel."""
+    dirs = None
+    for algorithm, polar, idx, lanes in groups:
+        if algorithm == DEMUON:
+            out = _polar_directions(v[lanes], polar)
+        elif algorithm == GT_NSGDM:
+            out = _normalized_directions(v[lanes])
+        elif algorithm == DSGD_CLIP:
+            out = clip_to_frobenius(grads[lanes] + noise, _per_lane([schedules[i][1] for i in idx]))
+        else:
+            out = grads[lanes] + noise
+        if len(groups) == 1:
+            return out
+        if dirs is None:
+            dirs = np.empty((len(schedules),) + v.shape[1:])
+        dirs[lanes] = out
+    return dirs
 
 
 def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params):
-    """One synchronous round of the state's algorithm.
+    """One synchronous round of one lane, or of every lane of a lane stack.
 
-    `params` is a ScheduleParams for the tracked algorithms (demuon,
-    gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. Returns the next
-    state and the round record `exact_grads`, `noise`, `directions`, `eta`
-    and `tau`; raises Diverged when the round produces a non-finite iterate,
-    momentum or tracker.
+    One lane: `params` is a ScheduleParams for the tracked algorithms
+    (demuon, gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. Returns
+    the next state and the round record `exact_grads`, `noise`,
+    `directions`, `eta` and `tau`; raises Diverged when the round produces a
+    non-finite iterate, momentum or tracker.
+
+    A lane stack: `params` holds one parameter set per lane. The round draws
+    the noise once, takes every lane's gradients in one call, mixes the
+    trackers and the iterates in one call each, and makes one direction call
+    per group of lanes that share a kernel. Returns the next state of the
+    lanes before the first lane whose round is non-finite, and the round
+    record `exact_grads` (every lane), `noise`, `directions` and `eta` (a
+    list, one step size per kept lane) and `failure`, that lane's Diverged
+    or None.
     """
-    k = state.iter
+    if isinstance(state.algorithm, str):
+        lanes = RunState(
+            state.iter, state.x[None], state.m[None], state.v[None], (state.algorithm,), (state.orthogonalizer,)
+        )
+        nxt, info = _step_lanes(lanes, problem, mixing, noise_model, (params,))
+        if info["failure"] is not None:
+            raise info["failure"]
+        eta, tau = _round_schedule(state.algorithm, params, state.iter)
+        record = {"exact_grads": info["exact_grads"][0], "noise": info["noise"],
+                  "directions": info["directions"][0], "eta": eta, "tau": tau}
+        return replace(state, iter=nxt.iter, x=nxt.x[0], m=nxt.m[0], v=nxt.v[0]), record
+    return _step_lanes(state, problem, mixing, noise_model, params)
+
+
+def _step_lanes(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params):
+    """`step` on a lane stack."""
+    k, algorithms, polars = state.iter, state.algorithm, state.orthogonalizer
     noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k)
-    eta, tau = _round_schedule(state.algorithm, params, k)
+    schedules = [_round_schedule(algorithm, p, k) for algorithm, p in zip(algorithms, params)]
+    tracked, groups = _layout(algorithms, polars)
     m, v = state.m, state.v
-    # A diverging round overflows on its way to inf/nan; _check_finite names it instead.
+    # A diverging round overflows on its way to inf/nan; _first_failure names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
         grads = problems.exact_gradient(problem, None, state.x)
-        if state.algorithm in TRACKER_ALGORITHMS:
-            m = (1.0 - params.theta) * state.m + params.theta * (grads + noise)
-            v = mix_blocks(mixing.weights, state.v + m - state.m)
-            _check_finite(state, momentum=m, tracker=v)
-            dirs = _directions(state, v, tau)
+        if len(tracked) == len(algorithms):
+            m, v = _track(state.m, state.v, grads + noise, _per_lane([p.theta for p in params]), mixing)
+        elif tracked:
+            lanes = _lanes(tracked)
+            m, v = m.copy(), v.copy()
+            theta = _per_lane([params[i].theta for i in tracked])
+            m[lanes], v[lanes] = _track(state.m[lanes], state.v[lanes], grads[lanes] + noise, theta, mixing)
+        # Only the lanes before the first failing one go on (a lane stack is a prefix).
+        kept, failure = _first_failure(k, algorithms, momentum=m, tracker=v)
+        x = state.x
+        if kept < len(algorithms):
+            algorithms, polars, schedules, x, m, v = (a[:kept] for a in (algorithms, polars, schedules, x, m, v))
+            groups = _layout(algorithms, polars)[1]
+        etas = [eta for eta, _ in schedules]
+        if kept:
+            dirs = _directions(groups, v, grads, noise, schedules)
+            stepped = _per_lane(etas) * dirs
+            x = mix_blocks(mixing.weights, np.subtract(x, stepped, out=stepped))
         else:
-            dirs = _directions(state, grads + noise, tau)
-        x_new = mix_blocks(mixing.weights, state.x - eta * dirs)
-    _check_finite(state, iterate=x_new)
-    info = {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": eta, "tau": tau}
-    return replace(state, iter=k + 1, x=x_new, m=m, v=v), info
+            dirs = v
+    stopped, failure_x = _first_failure(k, algorithms, iterate=x)
+    if failure_x is not None:
+        kept, failure = stopped, failure_x
+        algorithms, polars, etas, x, m, v, dirs = (a[:kept] for a in (algorithms, polars, etas, x, m, v, dirs))
+    nxt = RunState(k + 1, x, m, v, algorithms, polars)
+    return nxt, {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": etas, "failure": failure}
 
 
-def _outside_ball(xs: np.ndarray, radius: float) -> bool:
-    """Whether some node's iterate has spectral norm above `radius`.
+def _track(m: np.ndarray, v: np.ndarray, stochastic_grads: np.ndarray, theta, mixing: MixingSpec):
+    """The momentum and tracker stages of tracked lanes: (M^k, V^k) from (M^{k-1}, V^{k-1}).
+
+    M^k = (1 - theta) M^{k-1} + theta G and V^k = W (V^{k-1} + M^k - M^{k-1}),
+    formed in place where that gives the same floats: on a lane stack every
+    extra temporary costs allocator work.
+    """
+    m_new = (1.0 - theta) * m
+    m_new += theta * stochastic_grads
+    v_new = v + m_new
+    v_new -= m
+    return m_new, mix_blocks(mixing.weights, v_new)
+
+
+def _outside_ball(xs: np.ndarray, radius: float) -> np.ndarray:
+    """For each lane of an (L, N, m, n) stack, whether some node's iterate has spectral norm above `radius`.
 
     ||X||_2 <= ||X||_F, so only nodes whose Frobenius norm exceeds the
     radius (less a rounding slack) can be outside; only those are decomposed.
     """
-    fro = np.linalg.norm(xs, axis=(1, 2))
-    near = fro > radius * (1.0 - _BALL_SCREEN_SLACK)
-    return bool(near.any()) and float(np.max(spectral_norm(xs[near]))) > radius
+    near = np.linalg.norm(xs, axis=(-2, -1)) > radius * (1.0 - _BALL_SCREEN_SLACK)
+    outside = np.zeros(near.shape, dtype=bool)
+    if near.any():
+        outside[near] = spectral_norm(xs[near]) > radius
+    return outside.any(axis=1)
 
 
 @dataclass
@@ -291,17 +400,20 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Lane:
-    """One algorithm of a `run`: its parameters, polar kernel and row sink.
+    """One algorithm of a `run`: its parameters, polar kernel, row sink and horizon.
 
     `params` is a ScheduleParams for the tracked algorithms (demuon,
     gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. `sink`, when
     given, receives each of the lane's MetricsRows as it is produced.
+    `horizon` is the number of rounds the lane runs; None takes the
+    `horizon` of `run`, or else a tracked lane's schedule horizon.
     """
 
     algorithm: str
     params: ScheduleParams | BaselineParams
     orthogonalizer: str = "svd"
     sink: Callable[[MetricsRow], object] | None = None
+    horizon: int | None = None
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -311,13 +423,23 @@ class Lane:
             raise TypeError(f"{self.algorithm} expects {expected.__name__}")
 
 
-class _LaneRun:
-    """A lane's state and running diagnostics inside `run`."""
+def _lane_horizon(lane: Lane, horizon: int | None) -> int:
+    """The rounds `lane` runs: its own horizon, else `run`'s, else its schedule's (tracked lanes)."""
+    tracked = lane.algorithm in TRACKER_ALGORITHMS
+    default = lane.params.horizon if tracked else None
+    k = next((h for h in (lane.horizon, horizon) if h is not None), default)
+    if k is None or k < 1:
+        raise ValueError(f"horizon must be a positive integer, got {k}")
+    if tracked and lane.params.derived_from_theorem and k != lane.params.horizon:
+        raise ValueError(f"theorem schedule was derived for K={lane.params.horizon}, cannot run K={k}")
+    return k
 
-    def __init__(self, lane: Lane, problem, mixing: MixingSpec):
-        self.lane = lane
-        x0 = np.zeros((problem.m, problem.n))
-        self.state = initial_state(lane.algorithm, mixing.n_nodes, x0, lane.orthogonalizer)
+
+class _LaneRun:
+    """A lane's horizon and running diagnostics inside `run`."""
+
+    def __init__(self, lane: Lane, horizon: int, mixing: MixingSpec):
+        self.lane, self.horizon = lane, horizon
         self.tracked = lane.algorithm in TRACKER_ALGORITHMS
         self.bound = self.pot_weights = None
         if self.tracked:
@@ -332,76 +454,22 @@ class _LaneRun:
         self.max_track = 0.0
         self.max_ave_resid = 0.0
         self.ball_exit = None  # the warning of the first round that left the ball
-        self._row = None  # the round's row fields, waiting for its mean-gradient norm
-        self._elapsed = 0.0
+        self.moment_sum = None  # the running noise-moment sum when the lane retired
 
-    def advance(self, problem, mixing: MixingSpec, noise_model: NoiseModel):
-        """Step one round and take its diagnostics; return (mean gradient, noise stack)."""
-        t0 = time.perf_counter()
-        x_prev = self.state.x
-        x_mean_prev = x_prev.mean(axis=0)
-        self.state, info = step(self.state, problem, mixing, noise_model, self.lane.params)
-        state = self.state
-        k = state.iter - 1
-
-        # A round just short of divergence can overflow its diagnostics; the row
-        # then reads inf, and the next round, if any, raises Diverged.
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads = info["exact_grads"]
-            avg_grad = grads.mean(axis=0)
-            objective = problems.objective_at(problem, x_mean_prev)
-            cons_x = diagnostics.consensus_error(x_prev)
-            if self.bound is not None and cons_x > self.bound + 1e-9:
-                self.violations += 1
-
-            tracking = cons_v = pot = None
-            if self.tracked:
-                tracking = float(np.linalg.norm(state.v.mean(axis=0) - state.m.mean(axis=0)))
-                cons_v = diagnostics.consensus_error_nuclear(state.v)
-                self.max_track = max(self.max_track, tracking)
-                if self.pot_weights is not None:
-                    pot = diagnostics.potential(objective, grads, state.m, cons_v, self.pot_weights)
-            applied = info["eta"] * info["directions"].mean(axis=0)
-            resid = float(np.linalg.norm(state.x.mean(axis=0) - (x_mean_prev - applied)))
-            self.max_ave_resid = max(self.max_ave_resid, resid)
-
-        if self.ball_exit is None and problem.ball_radius != float("inf"):
-            if _outside_ball(state.x, problem.ball_radius):
-                self.ball_exit = (
-                    f"iterates left the certified ball (radius {problem.ball_radius}) "
-                    f"at iteration {k}; the smoothness constant no longer applies"
-                )
-
-        self._row = dict(
-            iter=k,
-            consensus_error_x=cons_x,
-            consensus_bound=self.bound,
-            tracking_residual=tracking,
-            consensus_error_v=cons_v,
-            potential=pot,
-            objective_at_mean=objective,
-        )
-        self._elapsed = time.perf_counter() - t0
-        return avg_grad, info["noise"]
-
-    def record(self, avg_grad_nuclear: float, shared_s: float):
-        """Finish the round's row with its mean-gradient norm and its share of the shared time."""
-        row = MetricsRow(
-            **self._row,
-            avg_grad_nuclear=float(avg_grad_nuclear),
-            wall_time_ms=(self._elapsed + shared_s) * 1e3,
-        )
+    def record(self, row: MetricsRow):
         self.rows.append(row)
         if self.lane.sink is not None:
             self.lane.sink(row)
 
-    def result(self, horizon: int, seed: int, mixing_rate: float, iota: int, moment: float) -> RunResult:
+    def result(self, seed: int, mixing: MixingSpec, alpha: float) -> RunResult:
+        # Each lane draws its report index as a one-lane run of its horizon would.
+        iota = int(np.random.default_rng((seed, _REPORT_STREAM)).integers(self.horizon))
         grad_norms = [row.avg_grad_nuclear for row in self.rows]
         return RunResult(
             algorithm=self.lane.algorithm,
-            horizon=horizon,
+            horizon=self.horizon,
             seed=seed,
-            mixing_rate=mixing_rate,
+            mixing_rate=mixing.mixing_rate,
             rows=self.rows,
             iota=iota,
             grad_nuclear_at_iota=grad_norms[iota],
@@ -409,9 +477,63 @@ class _LaneRun:
             consensus_violations=self.violations,
             max_tracking_residual=self.max_track,
             max_avg_iterate_residual=self.max_ave_resid,
-            noise_alpha_moment=moment,
+            noise_alpha_moment=(self.moment_sum / (self.horizon * mixing.n_nodes)) ** (1.0 / alpha),
             ball_exited=self.ball_exit is not None,
         )
+
+
+def _round_rows(live, problem, x_prev, state, info, t0):
+    """Every live lane's row of the round that turned `x_prev` into `state`; returns the noise norms.
+
+    Each diagnostic that is a norm of a stack (consensus errors, mean-gradient
+    and noise nuclear norms, ball check) is one call for all lanes, and each
+    lane's row holds its slice of it.
+    """
+    kept, k = len(live), state.iter - 1
+    tracked = [j for j, lane_run in enumerate(live) if lane_run.tracked]
+    # A round just short of divergence can overflow its diagnostics; the row
+    # then reads inf, and the next round, if any, raises Diverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_mean_prev = node_mean(x_prev, keepdims=True)
+        grads = info["exact_grads"][:kept]
+        cons_x = diagnostics.consensus_error(x_prev).tolist()
+        applied = _per_lane(info["eta"]) * node_mean(info["directions"], keepdims=True)
+        resid = node_mean(state.x, keepdims=True) - (x_mean_prev - applied)
+        # One stacked call gives every lane's mean-gradient norm and every noise draw's.
+        nuclear = nuclear_norm(np.concatenate([node_mean(grads), info["noise"]]))
+        if tracked:
+            lanes = _lanes(tracked)
+            gaps = node_mean(state.v[lanes]) - node_mean(state.m[lanes])
+            per_tracked = iter(zip(gaps, diagnostics.consensus_error_nuclear(state.v[lanes]).tolist()))
+        outside = [False] * kept
+        if problem.ball_radius != float("inf"):
+            watched = [j for j, lane_run in enumerate(live) if lane_run.ball_exit is None]
+            if watched:
+                for j, out in zip(watched, _outside_ball(state.x[_lanes(watched)], problem.ball_radius)):
+                    outside[j] = out
+        rows = []
+        for j, lane_run in enumerate(live):
+            objective = problems.objective_at(problem, x_mean_prev[j, 0])
+            if lane_run.bound is not None and cons_x[j] > lane_run.bound + 1e-9:
+                lane_run.violations += 1
+            tracking = consensus_v = pot = None
+            if lane_run.tracked:
+                gap, consensus_v = next(per_tracked)
+                tracking = float(np.linalg.norm(gap))
+                lane_run.max_track = max(lane_run.max_track, tracking)
+                if lane_run.pot_weights is not None:
+                    pot = diagnostics.potential(objective, grads[j], state.m[j], consensus_v, lane_run.pot_weights)
+            lane_run.max_ave_resid = max(lane_run.max_ave_resid, float(np.linalg.norm(resid[j, 0])))
+            if outside[j]:
+                lane_run.ball_exit = (
+                    f"iterates left the certified ball (radius {problem.ball_radius}) "
+                    f"at iteration {k}; the smoothness constant no longer applies"
+                )
+            rows.append((k, cons_x[j], lane_run.bound, float(nuclear[j]), tracking, consensus_v, pot, objective))
+    wall_ms = (time.perf_counter() - t0) * 1e3 / kept
+    for lane_run, row in zip(live, rows):
+        lane_run.record(MetricsRow(*row, wall_time_ms=wall_ms))
+    return nuclear[kept:]
 
 
 def run(
@@ -422,24 +544,26 @@ def run(
     horizon: int | None = None,
     seed: int = 0,
 ) -> list[RunResult]:
-    """Execute K synchronous rounds of every lane from X = 0 and report per-iteration diagnostics.
+    """Run every lane from X = 0 for its horizon and report per-iteration diagnostics.
 
-    The lanes share the problem, mixing, noise model, horizon and seed, and
-    advance in lockstep: each round steps every lane in order (its noise is
-    drawn once, see `sample_noise`), then one stacked nuclear norm gives
-    every lane's mean-gradient norm and the norms of the round's noise
-    draws. Returns one RunResult per lane, each equal field for field to a
-    one-lane run of that lane. `horizon` defaults to the lanes' common
-    schedule horizon.
+    The lanes share the problem, mixing, noise model and seed. Each lane
+    runs its own horizon (see `Lane`; `horizon` is the default for lanes
+    that set none) and retires when it is reached. The live lanes form one
+    (L, N, m, n) stack: each round is one `step` call for all of them (one
+    noise draw, see `step`), and every per-round diagnostic that is a norm
+    of a stack is one call, each lane taking its slice. Returns one
+    RunResult per lane, in lane order, each equal field for field to a
+    one-lane run of that lane.
 
     A tracked lane on a `theoretical_schedule` also reports each round's
-    potential, weighted by `diagnostics.theorem_potential_params`. The
-    reported iteration index is drawn uniformly from {0, ..., K-1} once,
-    after the loop, from a substream of `seed`, so the trajectory does not
-    depend on the draw.
+    potential, weighted by `diagnostics.theorem_potential_params`. A lane's
+    reported iteration index is drawn uniformly from {0, ..., K-1}, K its
+    horizon, once, after the loop, from a substream of `seed`, so the
+    trajectory does not depend on the draw. Its noise moment covers the
+    draws of its own K rounds.
 
     Divergence has the outcome of running the lanes one after another: the
-    lanes before the first diverging lane run to the horizon, the lanes
+    lanes before the first diverging lane run to their horizons, the lanes
     after it are dropped, and its Diverged is raised with `finished`
     holding the results of the lanes before it. The ball-exit
     RuntimeWarnings of the kept lanes are emitted, in lane order, when the
@@ -448,52 +572,50 @@ def run(
     lanes = list(lanes)
     if not lanes:
         raise ValueError("run needs at least one lane")
-    if horizon is None:
-        defaults = {lane.params.horizon if lane.algorithm in TRACKER_ALGORITHMS else None for lane in lanes}
-        horizon = defaults.pop() if len(defaults) == 1 else None
-    if horizon is None or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon}")
-    for lane in lanes:
-        params = lane.params
-        if lane.algorithm in TRACKER_ALGORITHMS and params.derived_from_theorem and horizon != params.horizon:
-            raise ValueError(
-                f"theorem schedule was derived for K={params.horizon}, cannot run K={horizon}"
-            )
+    runs = [_LaneRun(lane, _lane_horizon(lane, horizon), mixing) for lane in lanes]
     if problem.n_nodes != mixing.n_nodes:
         raise ValueError(
             f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
         )
-
-    runs = [_LaneRun(lane, problem, mixing) for lane in lanes]
-    live = runs  # the lanes before the first diverging one
-    failure = None
-    noise_moment_sum = 0.0
-    for _ in range(horizon):
-        stepped = []
-        for i, lane_run in enumerate(live):
-            try:
-                stepped.append(lane_run.advance(problem, mixing, noise_model))
-            except Diverged as exc:
-                failure, live = exc, live[:i]
-                break
-        if not live:
-            break
+    shape = (len(lanes), mixing.n_nodes, problem.m, problem.n)
+    state = RunState(
+        0, np.zeros(shape), np.zeros(shape), np.zeros(shape),
+        tuple(lane.algorithm for lane in lanes),
+        tuple(parse_orthogonalizer(lane.orthogonalizer) for lane in lanes),
+    )
+    params = tuple(lane.params for lane in lanes)
+    live = runs
+    failure = failed = None
+    moment_sum = 0.0
+    while live:
         t0 = time.perf_counter()
-        with np.errstate(over="ignore", invalid="ignore"):
-            # One stacked call gives every lane's mean-gradient norm and every noise draw's.
-            nuclear = nuclear_norm(np.concatenate([avg[None] for avg, _ in stepped] + [stepped[0][1]]))
-            noise_moment_sum += float(np.sum(nuclear[len(live):] ** noise_model.alpha))
-        shared_s = (time.perf_counter() - t0) / len(live)
-        for lane_run, value in zip(live, nuclear):
-            lane_run.record(value, shared_s)
+        x_prev = state.x
+        state, info = step(state, problem, mixing, noise_model, params)
+        kept = len(state.algorithm)
+        if info["failure"] is not None:
+            failure, failed = info["failure"], live[kept]
+            live, params = live[:kept], params[:kept]
+            if not live:
+                break
+        noise_norms = _round_rows(live, problem, x_prev[:kept], state, info, t0)
+        del x_prev, info  # the round's stacks, dropped before the next step allocates its own
+        moment_sum += float(np.sum(noise_norms**noise_model.alpha))
+        keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
+        if len(keep) < kept:
+            for lane_run in live:
+                if lane_run.horizon == state.iter:
+                    lane_run.moment_sum = moment_sum
+            state = RunState(
+                state.iter, state.x[keep], state.m[keep], state.v[keep],
+                tuple(state.algorithm[j] for j in keep), tuple(state.orthogonalizer[j] for j in keep),
+            )
+            live, params = [live[j] for j in keep], tuple(params[j] for j in keep)
 
-    for lane_run in runs[: len(live) + (failure is not None)]:
+    kept_runs = runs[: runs.index(failed)] if failure is not None else runs
+    for lane_run in runs[: len(kept_runs) + (failure is not None)]:
         if lane_run.ball_exit is not None:
             warnings.warn(lane_run.ball_exit, RuntimeWarning, stacklevel=2)
-    report_rng = np.random.default_rng((seed, _REPORT_STREAM))
-    iota = int(report_rng.integers(horizon))
-    moment = (noise_moment_sum / (horizon * mixing.n_nodes)) ** (1.0 / noise_model.alpha)
-    results = [lane_run.result(horizon, seed, mixing.mixing_rate, iota, moment) for lane_run in live]
+    results = [lane_run.result(seed, mixing, noise_model.alpha) for lane_run in kept_runs]
     if failure is not None:
         failure.finished = results
         raise failure

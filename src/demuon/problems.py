@@ -87,13 +87,12 @@ class ProblemSet:
 
 
 def _iterate(problem: ProblemSet, x, stacked: bool = False) -> np.ndarray:
-    """Validate one m x n iterate or, when `stacked`, also the (N, m, n) per-node stack."""
+    """Validate one m x n iterate or, when `stacked`, also an (..., N, m, n) stack of per-node stacks."""
     x = as_matrix(x, stack=stacked)
-    shapes = [(problem.m, problem.n)]
-    if stacked:
-        shapes.append((problem.n_nodes, problem.m, problem.n))
-    if x.shape not in shapes:
-        raise ValueError(f"iterate shape {x.shape} does not match problem {' or '.join(map(str, shapes))}")
+    shape = (problem.m, problem.n)
+    if x.shape != shape and not (stacked and x.shape[-3:] == (problem.n_nodes, *shape)):
+        want = f"{shape} or (..., {problem.n_nodes}, {shape[0]}, {shape[1]})" if stacked else str(shape)
+        raise ValueError(f"iterate shape {x.shape} does not match problem {want}")
     return x
 
 
@@ -127,13 +126,27 @@ def exact_gradient(problem: ProblemSet, i: int | None, x) -> np.ndarray:
     With i None, the gradients of every node in one batched product: x is
     then the (N, m, n) stack of per-node iterates (or one m x n iterate
     shared by all nodes) and the result is the (N, m, n) gradient stack.
+    Leading axes in front of N (the lanes of a run) are broadcast over, and
+    each (N, m, n) slice gives exactly what it gives alone.
     """
     nodes = _nodes(problem, i)
     x = _iterate(problem, x, stacked=i is None)
     if problem.kind == QUADRATIC:
         a = problem.a[nodes]
-        return np.swapaxes(a, -2, -1) @ (a @ x - problem.b[nodes])
-    return (x @ np.swapaxes(x, -2, -1) - problem.c[nodes]) @ x
+        return np.swapaxes(a, -2, -1) @ _minus(a @ x, problem.b[nodes])
+    return _minus(x @ np.swapaxes(x, -2, -1), problem.c[nodes]) @ x
+
+
+def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b, formed in `a` when `a` has the result's shape.
+
+    On a lane stack a second temporary of the stack's size costs more, in
+    allocation, than the subtraction itself; the values are the same.
+    """
+    if a.ndim < b.ndim:
+        return a - b
+    a -= b
+    return a
 
 
 def objective_at(problem: ProblemSet, x) -> float:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import config as config_mod
 from . import diagnostics, optimizers
@@ -69,14 +68,14 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
 
 
 def _execute_lanes(cfgs, record_timing: bool = False) -> list:
-    """Run configs that share problem, topology, noise, seed and horizon as lanes of one engine pass.
+    """Run configs that share problem, topology, noise and seed as lanes of one engine pass.
 
-    Every config is validated first. Problem, mixing and noise are built
-    once, from the first config. Artifacts are written in config order and
-    are those of `execute` on each config in turn: when a lane diverges, the
-    lanes before it write full artifacts, it writes its finished rows and a
-    diverged summary, the lanes after it write nothing, and the Diverged is
-    re-raised.
+    Each lane runs its config's horizon. Every config is validated first.
+    Problem, mixing and noise are built once, from the first config.
+    Artifacts are written in config order and are those of `execute` on each
+    config in turn: when a lane diverges, the lanes before it write full
+    artifacts, it writes its finished rows and a diverged summary, the lanes
+    after it write nothing, and the Diverged is re-raised.
     """
     for cfg in cfgs:
         config_mod.validate_config(cfg)
@@ -86,12 +85,15 @@ def _execute_lanes(cfgs, record_timing: bool = False) -> list:
     noise_model = config_mod.build_noise(base)
     rows = [[] for _ in cfgs]
     lanes = [
-        optimizers.Lane(cfg.algorithm, config_mod.build_params(cfg), cfg.orthogonalizer, sink=lane_rows.append)
+        optimizers.Lane(
+            cfg.algorithm, config_mod.build_params(cfg), cfg.orthogonalizer, sink=lane_rows.append,
+            horizon=cfg.horizon,
+        )
         for cfg, lane_rows in zip(cfgs, rows)
     ]
     version = version_hash()
     try:
-        results = optimizers.run(lanes, problem, mixing, noise_model, horizon=base.horizon, seed=base.seed)
+        results = optimizers.run(lanes, problem, mixing, noise_model, seed=base.seed)
     except optimizers.Diverged as exc:
         for cfg, lane_rows, result in zip(cfgs, rows, exc.finished):
             _write_artifacts(cfg, lane_rows, result, version, record_timing)
@@ -143,25 +145,20 @@ def _write_artifacts(cfg, rows, result, version: str, record_timing: bool) -> Ex
     return ExecuteOutcome(rid, metrics_path, summary_path, result)
 
 
-def _execute_for_horizon(args):
-    cfg, horizon, record_timing = args
-    sub = config_mod.with_overrides(cfg, horizon=horizon, sweep=())
-    return horizon, execute(sub, record_timing)
-
-
 def sweep(cfg: config_mod.ExperimentConfig, record_timing: bool = False, workers: int = 1):
     """Run the config once per sweep horizon; returns outcomes plus a sweep summary path.
 
-    Each run writes its own artifacts; results are assembled in horizon
-    order, so the sweep summary does not depend on the worker count.
+    The horizons run as lanes of one engine pass (see `_execute_lanes`), each
+    retiring at its own K, and each writes its own artifacts, those of
+    `execute` at that horizon. A Diverged has the outcome of running the
+    horizons one after another in `cfg.sweep` order, and no sweep summary is
+    written. Outcomes and the sweep summary are in ascending horizon order.
+    `workers` is accepted for compatibility and has no effect.
     """
     horizons = cfg.sweep or (cfg.horizon,)
-    jobs = [(cfg, k, record_timing) for k in horizons]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(_execute_for_horizon, jobs))
-    else:
-        outcomes = dict(map(_execute_for_horizon, jobs))
+    distinct = list(dict.fromkeys(horizons))
+    cfgs = [config_mod.with_overrides(cfg, horizon=k, sweep=()) for k in distinct]
+    outcomes = dict(zip(distinct, _execute_lanes(cfgs, record_timing)))
 
     per_k = []
     for k in sorted(horizons):

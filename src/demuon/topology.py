@@ -183,7 +183,9 @@ def build_family(family: str, n: int) -> MixingSpec:
 def mix_blocks(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Apply (W kron I_m) blockwise: out[i] = sum_j w[i, j] * blocks[j].
 
-    One matrix product over the flattened blocks; it gives exactly what
-    `np.tensordot(w, blocks, axes=(1, 0))` gives, with less overhead.
+    `blocks` is an (N, m, n) stack, or an (L, N, m, n) stack of L of them,
+    each mixed on its own. One matrix product per (N, m, n) stack over its
+    flattened blocks; it gives exactly what `np.tensordot(w, blocks,
+    axes=(1, 0))` gives on that stack, with less overhead.
     """
-    return (w @ blocks.reshape(blocks.shape[0], -1)).reshape(blocks.shape)
+    return (w @ blocks.reshape(*blocks.shape[:-3], w.shape[0], -1)).reshape(blocks.shape)

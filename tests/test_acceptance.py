@@ -138,15 +138,13 @@ def test_criterion_06_rate_trend():
     problem = make_quadratic(4, 6, 5, 8, heterogeneity=0.0, seed=42)
     mixing = build_ring(4)
     horizons = (64, 256, 1024, 4096)
-    means = []
-    for horizon in horizons:
-        sched = theoretical_schedule(horizon, 2.0)
-        vals = []
-        for seed in range(5):
-            noise = NoiseModel("gaussian", 2.0, 0.25, base_seed=seed)
-            res = run([Lane("demuon", sched)], problem, mixing, noise, horizon=horizon, seed=seed)[0]
-            vals.append(res.avg_grad_nuclear_mean)
-        means.append(float(np.mean(vals)))
+    # One pass per seed: its four horizons are lanes that retire at their own K.
+    vals = []
+    for seed in range(5):
+        noise = NoiseModel("gaussian", 2.0, 0.25, base_seed=seed)
+        lanes = [Lane("demuon", theoretical_schedule(horizon, 2.0)) for horizon in horizons]
+        vals.append([res.avg_grad_nuclear_mean for res in run(lanes, problem, mixing, noise, seed=seed)])
+    means = [float(np.mean(per_horizon)) for per_horizon in zip(*vals)]
     assert all(means[i + 1] < means[i] for i in range(len(means) - 1))
     slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])
     assert -0.45 <= slope <= -0.10

@@ -582,14 +582,146 @@ def test_lockstep_lanes_equal_one_lane_runs(data):
     assert failure is not None or len(results) == len(lanes)
 
 
-def test_run_needs_lanes_that_agree_on_the_horizon():
+def test_run_takes_each_lanes_horizon():
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     args = (prob, build_complete(2), NOISELESS)
     with pytest.raises(ValueError, match="at least one lane"):
         run([], *args)
     with pytest.raises(ValueError, match="horizon"):
-        run([Lane("demuon", theoretical_schedule(16)), Lane("demuon", theoretical_schedule(32))], *args)
-    results = run([Lane("demuon", theoretical_schedule(16)), Lane("gt_nsgdm", theoretical_schedule(16))], *args)
-    assert [r.horizon for r in results] == [16, 16]
+        run([Lane("dsgd", BaselineParams())], *args)  # a baseline has no schedule horizon
+    with pytest.raises(ValueError, match="horizon"):
+        run([Lane("demuon", theoretical_schedule(16), horizon=0)], *args)
+    with pytest.raises(ValueError, match="K=16"):
+        run([Lane("demuon", theoretical_schedule(16)), Lane("dsgd", BaselineParams())], *args, horizon=8)
+    lanes = [
+        Lane("demuon", theoretical_schedule(16)),
+        Lane("gt_nsgdm", theoretical_schedule(32)),
+        Lane("dsgd", BaselineParams(), horizon=5),
+        Lane("demuon", ScheduleParams(0.1, 0.2, horizon=7)),
+        Lane("dsgd_clip", BaselineParams(), horizon=11),
+    ]
+    results = run(lanes, *args)
+    assert [r.horizon for r in results] == [16, 32, 5, 7, 11]
+    assert [len(r.rows) for r in results] == [16, 32, 5, 7, 11]
+    # `horizon` is the default of the lanes that name none, over an explicit schedule's.
+    results = run([Lane("dsgd_clip", BaselineParams()), Lane("demuon", ScheduleParams(0.1, 0.2, horizon=7))],
+                  *args, horizon=11)
+    assert [r.horizon for r in results] == [11, 11]
     with pytest.raises(ValueError, match="algorithm"):
         Lane("sgd", BaselineParams())
+
+
+def _own_horizon_lanes():
+    baseline = st.builds(
+        BaselineParams,
+        dsgd_eta=st.sampled_from([3.0, 1.0, 0.01]),
+        clip_eta=st.sampled_from([10.0, 1.0]),
+        clip_tau=st.sampled_from([0.1, 0.5]),
+    )
+    kernel = st.one_of(st.just("svd"), st.integers(1, 8).map(lambda k: f"ns:{k}"))
+    horizons = st.integers(1, 14)
+    # eta = 1e200 makes a tracked lane on a Gram problem diverge at its momentum.
+    explicit = st.builds(ScheduleParams, st.sampled_from([1.0, 0.05, 1e200]), st.sampled_from([1.0, 0.2]), horizons)
+    theorem = st.builds(theoretical_schedule, st.integers(4, 14), st.sampled_from([1.5, 2.0]))
+    tracked = st.one_of(explicit, theorem)
+    # A tracked lane runs its schedule's horizon unless the lane names its own
+    # (explicit schedules only: a theorem schedule is horizon-locked).
+    own = st.one_of(st.none(), horizons)
+    return st.one_of(
+        st.builds(Lane, st.sampled_from(["dsgd", "dsgd_clip"]), baseline, horizon=horizons),
+        st.builds(Lane, st.just("gt_nsgdm"), tracked),
+        st.builds(Lane, st.just("demuon"), tracked, kernel),
+        st.builds(Lane, st.sampled_from(["demuon", "gt_nsgdm"]), explicit, horizon=own),
+    )
+
+
+def _outcome(call):
+    """(results as exact text, the Diverged's fields or None, warning texts) of a run call."""
+    from demuon.optimizers import Diverged
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            results, failure = call(), None
+        except Diverged as exc:
+            results, failure = exc.finished, exc
+    failure = failure and (failure.algorithm, failure.iteration, failure.node, failure.quantity, str(failure))
+    return [_untimed(r) for r in results], failure, [str(w.message) for w in caught]
+
+
+def _one_by_one(lanes, *args, **kwargs):
+    """The lanes run one after another, stopping at the first Diverged as a sequential caller would."""
+    from demuon.optimizers import Diverged
+
+    results = []
+    for lane in lanes:
+        try:
+            results += run([lane], *args, **kwargs)
+        except Diverged as exc:
+            exc.finished = results
+            raise
+    return results
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lanes_with_their_own_horizons_equal_one_lane_runs(data):
+    # Lanes of every kernel group and their own horizons, retiring mid-pass,
+    # diverging anywhere in the lane order: one stacked pass gives what running
+    # the lanes one after another gives, float for float.
+    from demuon.problems import make_nonconvex_gram
+
+    m, n = data.draw(st.sampled_from([(8, 6), (6, 5), (32, 16), (16, 32), (1, 1), (2, 3)]), label="shape")
+    n_nodes = data.draw(st.integers(1, 4), label="n_nodes")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    if data.draw(st.booleans(), label="gram"):
+        prob = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=seed)
+    else:
+        prob = make_quadratic(n_nodes, m, n, 3, heterogeneity=0.5, seed=seed)
+    families = [build_complete] + [build_ring] * (n_nodes >= 3) + [build_directed_exponential] * (n_nodes in (2, 4))
+    mixing = data.draw(st.sampled_from(families), label="mixing")(n_nodes)
+    noise = data.draw(st.sampled_from([
+        NoiseModel("student_t", 1.2, 0.5, dof=1.3, base_seed=seed),
+        NoiseModel("gaussian", 2.0, 0.3, base_seed=seed),
+    ]), label="noise")
+    lanes = data.draw(st.lists(_own_horizon_lanes(), min_size=1, max_size=5), label="lanes")
+    args = (prob, mixing, noise)
+
+    stacked = _outcome(lambda: run(lanes, *args, seed=seed))
+    assert stacked == _outcome(lambda: _one_by_one(lanes, *args, seed=seed))
+    results, failure, _ = stacked
+    assert failure is not None or len(results) == len(lanes)
+
+
+# dsgd at eta = 1 diverges at iteration 6 with a non-finite iterate; demuon
+# at eta = 1e200 at iteration 1, with a non-finite momentum.
+DIVERGING_LANES = {
+    "dsgd-iterate": Lane("dsgd", BaselineParams(dsgd_eta=1.0), horizon=40),
+    "demuon-momentum": Lane("demuon", ScheduleParams(1e200, 0.5, horizon=40)),
+}
+
+
+@pytest.mark.parametrize("diverging", sorted(DIVERGING_LANES))
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_a_diverging_lane_keeps_the_sequential_outcome(position, diverging):
+    # All four kernel groups, lanes that retire before, at and after the
+    # divergence, and one lane that diverges.
+    from demuon.optimizers import Diverged
+
+    prob, mixing, noise, _ = dsgd_divergence_setup()
+    lanes = [
+        Lane("demuon", theoretical_schedule(12)),
+        Lane("gt_nsgdm", ScheduleParams(0.1, 0.2, horizon=3)),
+        Lane("dsgd_clip", BaselineParams(), horizon=30),
+        Lane("demuon", ScheduleParams(0.05, 0.5, horizon=4), orthogonalizer="ns:5"),
+    ]
+    lanes.insert(position, DIVERGING_LANES[diverging])
+    stacked = _outcome(lambda: run(lanes, prob, mixing, noise, seed=0))
+    assert stacked == _outcome(lambda: _one_by_one(lanes, prob, mixing, noise, seed=0))
+    results, failure, _ = stacked
+    assert f"{failure[0]}-{failure[3]}" == diverging and len(results) == position
+    with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
+        warnings.simplefilter("ignore")
+        run(lanes, prob, mixing, noise, seed=0)
+    expected = [lane.horizon or lane.params.horizon for lane in lanes[:position]]
+    assert [r.horizon for r in caught.value.finished] == expected

@@ -189,6 +189,33 @@ def test_cli_validate_rejects_what_run_cannot_build(tmp_path, capsys, edit, key,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "edits, key",
+    [
+        ((("family = ring\nn_nodes = 4", "family = complete\nn_nodes = 1000000"),), "topology.n_nodes"),
+        ((("m = 3", "m = 5000000"),), "problem.m"),
+        ((("n = 2", "n = 5000000"),), "problem.n"),
+        ((("p = 4", "p = 10000000"),), "problem.p"),
+        ((("kind = quadratic", "kind = nonconvex_gram"), ("m = 3", "m = 3000")), "problem.m"),
+    ],
+    ids=["complete-1e6-nodes", "m", "n", "p", "gram-m"],
+)
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_rejects_configs_too_large_to_allocate(tmp_path, capsys, edits, key, verb):
+    # Each of these configs passes every field range, and `run` on it used to
+    # end in a MemoryError (7.28 TiB for the complete graph on 10^6 nodes).
+    text = config_text(tmp_path / "out")
+    for edit in edits:
+        text = text.replace(*edit, 1)
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    assert main([verb, str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"{key} = ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_compare(tmp_path, capsys):
     p1 = tmp_path / "a.ini"
     p2 = tmp_path / "b.ini"
@@ -367,3 +394,37 @@ def test_compare_divergence_writes_what_sequential_execute_writes(tmp_path, case
     kept = 1 + [algorithm for algorithm, _ in COMPARE_DIVERGENCE_CASES[case]].index("dsgd")
     assert len(files) == 2 * kept
     assert not any(name.startswith("compare_") for name in files)
+
+
+# dsgd at eta 1 diverges at round 6: a horizon of 4 or 3 finishes first.
+@pytest.mark.parametrize("horizons", [(4, 50, 3, 20), (50, 4), (3, 4, 50)], ids=["middle", "first", "last"])
+def test_sweep_divergence_writes_what_sequential_execute_writes(tmp_path, horizons):
+    # The horizons run as lanes of one pass; the outcome is that of executing
+    # them one after another in `run.sweep` order, so a horizon after the
+    # diverging one writes nothing even when it finished first.
+    import shutil
+    import warnings
+
+    from demuon.optimizers import Diverged
+
+    out = tmp_path / "out"
+    sweep_list = ", ".join(map(str, horizons))
+    cfg = parse_config(diverging_config_text(out).replace("horizon = 50", f"horizon = 50\nsweep = {sweep_list}"))
+
+    def outcome(call):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(Diverged) as raised:
+            warnings.simplefilter("always")
+            call()
+        exc = raised.value
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return files, (exc.algorithm, exc.iteration, exc.node, exc.quantity, str(exc)), [str(w.message) for w in caught]
+
+    def one_by_one():
+        for k in horizons:
+            execute(with_overrides(cfg, horizon=k, sweep=()))
+
+    sequential = outcome(one_by_one)
+    assert outcome(lambda: sweep(cfg)) == sequential
+    assert len(sequential[0]) == 2 * (1 + horizons.index(50))
+    assert not any(name.startswith("sweep_") for name in sequential[0])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demuon.diagnostics import consensus_error, consensus_error_nuclear, node_mean
 from demuon.linalg import as_matrix, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm
 from demuon.problems import (
     exact_gradient,
@@ -18,6 +19,7 @@ from demuon.problems import (
     objective_at,
     value,
 )
+from demuon.topology import mix_blocks
 
 from linalg_oracles import polar_oracle
 
@@ -150,3 +152,37 @@ def test_stacked_gradient_validates_the_stack():
     bad[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         exact_gradient(problem, None, bad)
+
+
+lane_problems = st.builds(
+    build_problem,
+    st.sampled_from(("quadratic", "nonconvex_gram")),
+    st.integers(1, 5),
+    dims | gram_dims,
+    dims | gram_dims,
+    dims,
+    seeds,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lane_problems, st.integers(1, 4), seeds, st.sampled_from((1.0, 1e150, 1e-150)))
+def test_lane_stacks_match_per_lane_calls(problem, n_lanes, seed, scale):
+    # The engine holds L lanes as one (L, N, m, n) stack; every stacked call it
+    # makes gives each lane exactly what that lane's own call gives.
+    rng = np.random.default_rng(seed)
+    xs = scale * rng.standard_normal((n_lanes, problem.n_nodes, problem.m, problem.n))
+    w = rng.random((problem.n_nodes, problem.n_nodes))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        grads = exact_gradient(problem, None, xs)
+    mixed = mix_blocks(w, xs)
+    means = node_mean(xs)
+    spectral, nuclear = consensus_error(xs), consensus_error_nuclear(xs)
+    assert spectral.shape == nuclear.shape == (n_lanes,)
+    for lane in range(n_lanes):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            assert grads[lane].tobytes() == exact_gradient(problem, None, xs[lane]).tobytes()
+        assert mixed[lane].tobytes() == mix_blocks(w, xs[lane]).tobytes()
+        assert means[lane].tobytes() == xs[lane].mean(axis=0).tobytes()
+        assert spectral[lane] == consensus_error(xs[lane])
+        assert nuclear[lane] == consensus_error_nuclear(xs[lane])
