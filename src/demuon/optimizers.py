@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -61,10 +62,6 @@ class Diverged(ValueError):
         self.node = node
         self.quantity = quantity
         self.finished = []
-
-    def __reduce__(self):
-        # Rebuilt from its fields, `finished` included, so it survives pickling (say, from a worker process).
-        return type(self), (self.algorithm, self.iteration, self.node, self.quantity), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -123,26 +120,28 @@ class BaselineParams:
 
 @dataclass(frozen=True)
 class RunState:
-    """Per-node (X, M, V) stacks entering round `iter`, of one lane or of a lane stack.
+    """The per-node (X, M, V) of a lane stack entering round `iter`: (L, N, m, n) stacks.
 
     x holds the iterates X^k; m and v hold the previous round's momenta and
-    trackers (M^{k-1}, V^{k-1}), both zero before the first round. One
-    lane's stacks are (N, m, n), `algorithm` is its name and `orthogonalizer`
-    the parsed (kind, iters) of `parse_orthogonalizer`. A lane stack's are
-    (L, N, m, n), and `algorithm` and `orthogonalizer` are tuples with one
-    entry per lane; an untracked lane keeps zero momenta and trackers.
+    trackers (M^{k-1}, V^{k-1}), both zero before the first round; an
+    untracked lane keeps zero momenta and trackers. `lanes` holds the `Lane`
+    of each stack entry, in stack order.
     """
 
     iter: int
     x: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    algorithm: str | tuple
-    orthogonalizer: tuple = ("svd", 0)
+    lanes: tuple
 
     @property
     def n_nodes(self) -> int:
         return self.x.shape[-3]
+
+    def take(self, idx) -> RunState:
+        """The state of the lanes at the ascending positions `idx`; the stacks are views where those are consecutive."""
+        index = _lanes(idx)
+        return RunState(self.iter, self.x[index], self.m[index], self.v[index], tuple(self.lanes[j] for j in idx))
 
 
 def parse_orthogonalizer(spec: str) -> tuple[str, int]:
@@ -160,21 +159,18 @@ def parse_orthogonalizer(spec: str) -> tuple[str, int]:
     raise ValueError(f"orthogonalizer must be 'svd' or 'ns:<iters>', got {spec!r}")
 
 
-def initial_state(algorithm: str, n_nodes: int, x0: np.ndarray, orthogonalizer: str = "svd") -> RunState:
-    """Replicate a common starting point and zero the momentum/tracker buffers."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    polar = parse_orthogonalizer(orthogonalizer)
+def initial_state(lanes, n_nodes: int, x0: np.ndarray) -> RunState:
+    """Every lane's state at a common starting point: each node at `x0`, momenta and trackers zero."""
+    lanes = tuple(lanes)
     try:
         x0 = linalg.as_matrix(x0)
     except ValueError as exc:
         raise ValueError(f"starting point must be one finite m x n matrix: {exc}") from exc
-    x = np.broadcast_to(x0, (n_nodes,) + x0.shape).copy()
-    zeros = np.zeros_like(x)
-    return RunState(0, x, zeros, zeros.copy(), algorithm, polar)
+    shape = (len(lanes), n_nodes) + x0.shape
+    return RunState(0, np.broadcast_to(x0, shape).copy(), np.zeros(shape), np.zeros(shape), lanes)
 
 
-def _first_failure(k: int, algorithms: tuple, **stacks) -> tuple[int, Diverged | None]:
+def _first_failure(k: int, lanes: tuple, **stacks) -> tuple[int, Diverged | None]:
     """(lanes before the first lane holding a non-finite value, that lane's Diverged or None).
 
     The stacks are (L, N, m, n); a lane's quantities are checked in the order given.
@@ -183,11 +179,11 @@ def _first_failure(k: int, algorithms: tuple, **stacks) -> tuple[int, Diverged |
         if not np.isfinite(stack).all():
             break
     else:
-        return len(algorithms), None
+        return len(lanes), None
     finite = {quantity: np.isfinite(stack).all(axis=(-2, -1)) for quantity, stack in stacks.items()}
     lane = int(np.argmin(np.logical_and.reduce([nodes.all(axis=1) for nodes in finite.values()])))
     quantity, nodes = next((q, nodes[lane]) for q, nodes in finite.items() if not nodes[lane].all())
-    return lane, Diverged(algorithms[lane], k, int(np.argmin(nodes)), quantity)
+    return lane, Diverged(lanes[lane].algorithm, k, int(np.argmin(nodes)), quantity)
 
 
 def _polar_directions(v: np.ndarray, orthogonalizer: tuple) -> np.ndarray:
@@ -222,21 +218,24 @@ def clip_to_frobenius(g: np.ndarray, tau) -> np.ndarray:
     return g * (tau / np.maximum(norms, tau))
 
 
-def _round_schedule(algorithm: str, params, k: int) -> tuple[float, float | None]:
-    """(eta_k, tau_k) of round k; tau_k is the clipping radius, None when nothing is clipped.
+def _round_schedule(lane: Lane, k: int) -> tuple[float, float | None]:
+    """(eta_k, tau_k) of the lane's round k; tau_k is the clipping radius, None when nothing is clipped.
 
     dsgd_clip decays eta_k = eta/(k+1) and grows tau_k = tau*(k+1)^(2/5);
     every other algorithm keeps a constant step.
     """
-    if algorithm == DSGD_CLIP:
+    params = lane.params
+    if lane.algorithm == DSGD_CLIP:
         return params.clip_eta / (k + 1), params.clip_tau * (k + 1) ** 0.4
-    if algorithm == DSGD:
+    if lane.algorithm == DSGD:
         return params.dsgd_eta, None
     return params.eta, None
 
 
 def _lanes(idx):
     """Index of the ascending lane positions `idx`: a slice (so a view) when they are consecutive, else a list."""
+    if not idx:
+        return slice(0)
     return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else list(idx)
 
 
@@ -248,18 +247,21 @@ def _per_lane(values):
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(algorithms: tuple, orthogonalizers: tuple) -> tuple:
+def _layout(kinds: tuple) -> tuple:
     """(tracked lane positions, kernel groups) of a lane stack, worked out once per composition.
 
-    Lanes with the same algorithm and orthogonalizer form a group that
-    shares one direction call; a group is (algorithm, orthogonalizer, its
-    lane positions, their index).
+    `kinds` holds each lane's (algorithm, orthogonalizer) pair: the cache
+    keeps these, not the lanes, whose row sinks hold finished runs' rows.
+    Lanes of one kind form a group that shares one direction call; a group
+    is (algorithm, parsed orthogonalizer, its lane positions, their index).
     """
-    tracked = tuple(i for i, algorithm in enumerate(algorithms) if algorithm in TRACKER_ALGORITHMS)
+    tracked = tuple(i for i, (algorithm, _) in enumerate(kinds) if algorithm in TRACKER_ALGORITHMS)
     groups = {}
-    for i, key in enumerate(zip(algorithms, orthogonalizers)):
-        groups.setdefault(key, []).append(i)
-    return tracked, tuple((algorithm, polar, idx, _lanes(idx)) for (algorithm, polar), idx in groups.items())
+    for i, kind in enumerate(kinds):
+        groups.setdefault(kind, []).append(i)
+    return tracked, tuple(
+        (algorithm, parse_orthogonalizer(spec), idx, _lanes(idx)) for (algorithm, spec), idx in groups.items()
+    )
 
 
 def _directions(groups, v, grads, noise, schedules) -> np.ndarray:
@@ -282,74 +284,52 @@ def _directions(groups, v, grads, noise, schedules) -> np.ndarray:
     return dirs
 
 
-def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params):
-    """One synchronous round of one lane, or of every lane of a lane stack.
+def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel):
+    """One synchronous round of every lane of a lane stack.
 
-    One lane: `params` is a ScheduleParams for the tracked algorithms
-    (demuon, gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. Returns
-    the next state and the round record `exact_grads`, `noise`,
-    `directions`, `eta` and `tau`; raises Diverged when the round produces a
-    non-finite iterate, momentum or tracker.
-
-    A lane stack: `params` holds one parameter set per lane. The round draws
-    the noise once, takes every lane's gradients in one call, mixes the
-    trackers and the iterates in one call each, and makes one direction call
-    per group of lanes that share a kernel. Returns the next state of the
-    lanes before the first lane whose round is non-finite, and the round
-    record `exact_grads` (every lane), `noise`, `directions` and `eta` (a
-    list, one step size per kept lane) and `failure`, that lane's Diverged
-    or None.
+    Each lane's algorithm, orthogonalizer and parameters come from
+    `state.lanes`. The round draws the noise once, takes every lane's
+    gradients in one call, mixes the trackers and the iterates in one call
+    each, and makes one direction call per group of lanes that share a
+    kernel. Returns the next state of the lanes before the first lane whose
+    round is non-finite, and the round record: `exact_grads` (every lane),
+    `noise`, the kept lanes' `directions`, `eta` and `tau` (lists, one per
+    kept lane; tau is None where nothing is clipped), and `failure`, that
+    first non-finite lane's Diverged or None. It never raises Diverged.
     """
-    if isinstance(state.algorithm, str):
-        lanes = RunState(
-            state.iter, state.x[None], state.m[None], state.v[None], (state.algorithm,), (state.orthogonalizer,)
-        )
-        nxt, info = _step_lanes(lanes, problem, mixing, noise_model, (params,))
-        if info["failure"] is not None:
-            raise info["failure"]
-        eta, tau = _round_schedule(state.algorithm, params, state.iter)
-        record = {"exact_grads": info["exact_grads"][0], "noise": info["noise"],
-                  "directions": info["directions"][0], "eta": eta, "tau": tau}
-        return replace(state, iter=nxt.iter, x=nxt.x[0], m=nxt.m[0], v=nxt.v[0]), record
-    return _step_lanes(state, problem, mixing, noise_model, params)
-
-
-def _step_lanes(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, params):
-    """`step` on a lane stack."""
-    k, algorithms, polars = state.iter, state.algorithm, state.orthogonalizer
+    k, lanes = state.iter, state.lanes
     noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k)
-    schedules = [_round_schedule(algorithm, p, k) for algorithm, p in zip(algorithms, params)]
-    tracked, groups = _layout(algorithms, polars)
+    schedules = [_round_schedule(lane, k) for lane in lanes]
+    kinds = tuple((lane.algorithm, lane.orthogonalizer) for lane in lanes)
+    tracked, groups = _layout(kinds)
     m, v = state.m, state.v
     # A diverging round overflows on its way to inf/nan; _first_failure names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
         grads = problems.exact_gradient(problem, None, state.x)
-        if len(tracked) == len(algorithms):
-            m, v = _track(state.m, state.v, grads + noise, _per_lane([p.theta for p in params]), mixing)
+        if len(tracked) == len(lanes):
+            m, v = _track(m, v, grads + noise, _per_lane([lane.params.theta for lane in lanes]), mixing)
         elif tracked:
-            lanes = _lanes(tracked)
+            idx = _lanes(tracked)
             m, v = m.copy(), v.copy()
-            theta = _per_lane([params[i].theta for i in tracked])
-            m[lanes], v[lanes] = _track(state.m[lanes], state.v[lanes], grads[lanes] + noise, theta, mixing)
+            theta = _per_lane([lanes[i].params.theta for i in tracked])
+            m[idx], v[idx] = _track(state.m[idx], state.v[idx], grads[idx] + noise, theta, mixing)
         # Only the lanes before the first failing one go on (a lane stack is a prefix).
-        kept, failure = _first_failure(k, algorithms, momentum=m, tracker=v)
-        x = state.x
-        if kept < len(algorithms):
-            algorithms, polars, schedules, x, m, v = (a[:kept] for a in (algorithms, polars, schedules, x, m, v))
-            groups = _layout(algorithms, polars)[1]
-        etas = [eta for eta, _ in schedules]
+        nxt = RunState(k + 1, state.x, m, v, lanes)
+        kept, failure = _first_failure(k, lanes, momentum=m, tracker=v)
+        if failure is not None:
+            nxt, schedules, groups = nxt.take(range(kept)), schedules[:kept], _layout(kinds[:kept])[1]
         if kept:
-            dirs = _directions(groups, v, grads, noise, schedules)
-            stepped = _per_lane(etas) * dirs
-            x = mix_blocks(mixing.weights, np.subtract(x, stepped, out=stepped))
+            dirs = _directions(groups, nxt.v, grads, noise, schedules)
+            stepped = _per_lane([eta for eta, _ in schedules]) * dirs
+            nxt = replace(nxt, x=mix_blocks(mixing.weights, np.subtract(nxt.x, stepped, out=stepped)))
         else:
-            dirs = v
-    stopped, failure_x = _first_failure(k, algorithms, iterate=x)
+            dirs = nxt.v
+    kept, failure_x = _first_failure(k, nxt.lanes, iterate=nxt.x)
     if failure_x is not None:
-        kept, failure = stopped, failure_x
-        algorithms, polars, etas, x, m, v, dirs = (a[:kept] for a in (algorithms, polars, etas, x, m, v, dirs))
-    nxt = RunState(k + 1, x, m, v, algorithms, polars)
-    return nxt, {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": etas, "failure": failure}
+        failure = failure_x
+        nxt, schedules, dirs = nxt.take(range(kept)), schedules[:kept], dirs[:kept]
+    etas, taus = [eta for eta, _ in schedules], [tau for _, tau in schedules]
+    return nxt, {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": etas, "tau": taus, "failure": failure}
 
 
 def _track(m: np.ndarray, v: np.ndarray, stochastic_grads: np.ndarray, theta, mixing: MixingSpec):
@@ -421,6 +401,7 @@ class Lane:
         expected = ScheduleParams if self.algorithm in TRACKER_ALGORITHMS else BaselineParams
         if not isinstance(self.params, expected):
             raise TypeError(f"{self.algorithm} expects {expected.__name__}")
+        parse_orthogonalizer(self.orthogonalizer)
 
 
 def _lane_horizon(lane: Lane, horizon: int | None) -> int:
@@ -428,7 +409,7 @@ def _lane_horizon(lane: Lane, horizon: int | None) -> int:
     tracked = lane.algorithm in TRACKER_ALGORITHMS
     default = lane.params.horizon if tracked else None
     k = next((h for h in (lane.horizon, horizon) if h is not None), default)
-    if k is None or k < 1:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"horizon must be a positive integer, got {k}")
     if tracked and lane.params.derived_from_theorem and k != lane.params.horizon:
         raise ValueError(f"theorem schedule was derived for K={lane.params.horizon}, cannot run K={k}")
@@ -577,24 +558,18 @@ def run(
         raise ValueError(
             f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
         )
-    shape = (len(lanes), mixing.n_nodes, problem.m, problem.n)
-    state = RunState(
-        0, np.zeros(shape), np.zeros(shape), np.zeros(shape),
-        tuple(lane.algorithm for lane in lanes),
-        tuple(parse_orthogonalizer(lane.orthogonalizer) for lane in lanes),
-    )
-    params = tuple(lane.params for lane in lanes)
+    state = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n)))
     live = runs
     failure = failed = None
     moment_sum = 0.0
     while live:
         t0 = time.perf_counter()
         x_prev = state.x
-        state, info = step(state, problem, mixing, noise_model, params)
-        kept = len(state.algorithm)
+        state, info = step(state, problem, mixing, noise_model)
+        kept = len(state.lanes)
         if info["failure"] is not None:
             failure, failed = info["failure"], live[kept]
-            live, params = live[:kept], params[:kept]
+            live = live[:kept]
             if not live:
                 break
         noise_norms = _round_rows(live, problem, x_prev[:kept], state, info, t0)
@@ -605,11 +580,7 @@ def run(
             for lane_run in live:
                 if lane_run.horizon == state.iter:
                     lane_run.moment_sum = moment_sum
-            state = RunState(
-                state.iter, state.x[keep], state.m[keep], state.v[keep],
-                tuple(state.algorithm[j] for j in keep), tuple(state.orthogonalizer[j] for j in keep),
-            )
-            live, params = [live[j] for j in keep], tuple(params[j] for j in keep)
+            state, live = state.take(keep), [live[j] for j in keep]
 
     kept_runs = runs[: runs.index(failed)] if failure is not None else runs
     for lane_run in runs[: len(kept_runs) + (failure is not None)]:

@@ -6,6 +6,7 @@ matrix circulant and therefore doubly stochastic by construction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,17 +87,19 @@ def validate_mixing(w) -> MixingReport:
     n = w.shape[0]
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got {w.shape}")
-    nonnegative = bool(np.all(w >= 0))
-    row = bool(np.all(np.abs(w.sum(axis=1) - 1.0) <= STOCHASTIC_TOL))
-    col = bool(np.all(np.abs(w.sum(axis=0) - 1.0) <= STOCHASTIC_TOL))
-    primitive = False
-    power = np.eye(n)
-    for _ in range(n):
-        power = power @ w
-        if np.all(power > 0):
-            primitive = True
-            break
-    rate = _deviation_norm(w)
+    # Entries too large for the sums and powers overflow to inf, which fails the checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nonnegative = bool(np.all(w >= 0))
+        row = bool(np.all(np.abs(w.sum(axis=1) - 1.0) <= STOCHASTIC_TOL))
+        col = bool(np.all(np.abs(w.sum(axis=0) - 1.0) <= STOCHASTIC_TOL))
+        primitive = False
+        power = np.eye(n)
+        for _ in range(n):
+            power = power @ w
+            if np.all(power > 0):
+                primitive = True
+                break
+        rate = _deviation_norm(w)
     return MixingReport(nonnegative, row, col, primitive, rate < 1.0, rate)
 
 
@@ -154,9 +157,14 @@ def build_directed_exponential(n: int) -> MixingSpec:
 def load_mixing_csv(path) -> MixingSpec:
     """Load a custom N x N mixing matrix from dense CSV; abort if invalid."""
     try:
-        w = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on a file without data rows; that is reported below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            w = np.loadtxt(path, delimiter=",", ndmin=2)
     except Exception as exc:
         raise InvalidMixingError(f"could not parse mixing CSV {path}: {exc}") from exc
+    if w.shape[0] == 0:
+        raise InvalidMixingError(f"mixing CSV {path} holds no rows")
     if w.shape[0] != w.shape[1]:
         raise InvalidMixingError(
             f"mixing CSV {path} must be square, got {w.shape[0]}x{w.shape[1]}"

@@ -102,18 +102,18 @@ def _identity_sweep(algorithm):
     for mixing in (build_complete(8), build_ring(8), build_directed_exponential(8)):
         for seed in SEEDS:
             noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
-            state = initial_state(algorithm, 8, np.zeros((6, 5)))
             params, eta = ScheduleParams(0.1, 0.2), 0.1
+            state = initial_state([Lane(algorithm, params)], 8, np.zeros((6, 5)))
             for _ in range(500):
-                x_mean = state.x.mean(axis=0)
-                state, info = step(state, problem, mixing, noise, params)
-                m_mean = state.m.mean(axis=0)
-                v_mean = state.v.mean(axis=0)
+                x_mean = state.x[0].mean(axis=0)
+                state, info = step(state, problem, mixing, noise)
+                m_mean = state.m[0].mean(axis=0)
+                v_mean = state.v[0].mean(axis=0)
                 track = frobenius_norm(v_mean - m_mean) / (1.0 + frobenius_norm(m_mean))
                 worst_track = max(worst_track, track)
                 if algorithm == "demuon":
-                    expected = x_mean - eta * info["directions"].mean(axis=0)
-                    ave = frobenius_norm(state.x.mean(axis=0) - expected) / (1.0 + frobenius_norm(x_mean))
+                    expected = x_mean - eta * info["directions"][0].mean(axis=0)
+                    ave = frobenius_norm(state.x[0].mean(axis=0) - expected) / (1.0 + frobenius_norm(x_mean))
                     worst_ave = max(worst_ave, ave)
     return worst_track, worst_ave
 
@@ -156,22 +156,19 @@ def test_criterion_06_rate_trend():
 def test_criterion_07_hand_simulation_oracles():
     noiseless = NoiseModel("gaussian", 2.0, 0.0)
 
-    state = initial_state("demuon", 1, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([2.0]), build_complete(1),
-                    noiseless, ScheduleParams(0.5, 1.0))
-    assert abs(state.x[0, 0, 0] - 0.5) <= 1e-12
+    state = initial_state([Lane("demuon", ScheduleParams(0.5, 1.0))], 1, np.zeros((1, 1)))
+    state, _ = step(state, scalar_quadratic([2.0]), build_complete(1), noiseless)
+    assert abs(state.x[0, 0, 0, 0] - 0.5) <= 1e-12
 
-    state = initial_state("demuon", 2, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_complete(2),
-                    noiseless, ScheduleParams(0.5, 1.0))
-    assert abs(state.x[0, 0, 0] - 0.5) <= 1e-12
-    assert abs(state.x[1, 0, 0] - 0.5) <= 1e-12
+    state = initial_state([Lane("demuon", ScheduleParams(0.5, 1.0))], 2, np.zeros((1, 1)))
+    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_complete(2), noiseless)
+    assert abs(state.x[0, 0, 0, 0] - 0.5) <= 1e-12
+    assert abs(state.x[0, 1, 0, 0] - 0.5) <= 1e-12
 
-    state = initial_state("dsgd", 2, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_complete(2),
-                    noiseless, BaselineParams(dsgd_eta=0.1))
-    assert abs(state.x[0, 0, 0] - 0.1) <= 1e-12
-    assert abs(state.x[1, 0, 0] - 0.1) <= 1e-12
+    state = initial_state([Lane("dsgd", BaselineParams(dsgd_eta=0.1))], 2, np.zeros((1, 1)))
+    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_complete(2), noiseless)
+    assert abs(state.x[0, 0, 0, 0] - 0.1) <= 1e-12
+    assert abs(state.x[0, 1, 0, 0] - 0.1) <= 1e-12
     _report(7, "single-step hand simulations reproduce to 1e-12")
 
 
@@ -181,18 +178,18 @@ def test_criterion_08_baseline_contracts():
     params = BaselineParams(clip_eta=10.0, clip_tau=0.1)
     noise = NoiseModel("student_t", 1.6, 0.5, dof=2.0, base_seed=5)
 
-    state = initial_state("dsgd_clip", 4, np.zeros((4, 3)))
+    state = initial_state([Lane("dsgd_clip", params)], 4, np.zeros((4, 3)))
     for k in range(200):
-        state, info = step(state, problem, mixing, noise, params)
+        state, info = step(state, problem, mixing, noise)
         tau_k = 0.1 * (k + 1) ** 0.4
-        assert info["tau"] == pytest.approx(tau_k, rel=1e-12)
-        assert all(norm <= tau_k + 1e-12 for norm in np.linalg.norm(info["directions"], axis=(1, 2)))
+        assert info["tau"][0] == pytest.approx(tau_k, rel=1e-12)
+        assert all(norm <= tau_k + 1e-12 for norm in np.linalg.norm(info["directions"][0], axis=(1, 2)))
 
-    state = initial_state("gt_nsgdm", 4, np.zeros((4, 3)))
+    state = initial_state([Lane("gt_nsgdm", ScheduleParams(0.1, 0.2))], 4, np.zeros((4, 3)))
     for _ in range(200):
-        state, info = step(state, problem, mixing, noise, ScheduleParams(0.1, 0.2))
+        state, info = step(state, problem, mixing, noise)
         for i in range(4):
-            norm = frobenius_norm(info["directions"][i])
+            norm = frobenius_norm(info["directions"][0][i])
             assert abs(norm - 1.0) <= 1e-12 or norm == 0.0
 
     rng = np.random.default_rng(88)
@@ -205,14 +202,14 @@ def test_criterion_08_baseline_contracts():
         scalar = scalar_quadratic([target])
         scalar_noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
         mix1 = build_complete(1)
-        st_d = initial_state("demuon", 1, np.zeros((1, 1)))
-        st_g = initial_state("gt_nsgdm", 1, np.zeros((1, 1)))
         sched = ScheduleParams(eta, theta)
         base = ScheduleParams(eta, theta)
+        st_d = initial_state([Lane("demuon", sched)], 1, np.zeros((1, 1)))
+        st_g = initial_state([Lane("gt_nsgdm", base)], 1, np.zeros((1, 1)))
         for _ in range(15):
-            st_d, _ = step(st_d, scalar, mix1, scalar_noise, sched)
-            st_g, _ = step(st_g, scalar, mix1, scalar_noise, base)
-            diff = abs(st_d.x[0, 0, 0] - st_g.x[0, 0, 0])
+            st_d, _ = step(st_d, scalar, mix1, scalar_noise)
+            st_g, _ = step(st_g, scalar, mix1, scalar_noise)
+            diff = abs(st_d.x[0, 0, 0, 0] - st_g.x[0, 0, 0, 0])
             worst = max(worst, diff)
             assert diff <= 1e-10
     _report(8, f"clip norms <= tau_k, unit/zero normalized directions, "

@@ -39,6 +39,11 @@ def scalar_quadratic(targets):
     return ProblemSet(QUADRATIC, n, 1, 1, a=tuple(np.eye(1) for _ in range(n)), b=tuple(targets))
 
 
+def lane_state(algorithm, params, n_nodes, x0):
+    """The state of a one-lane stack entering round 0."""
+    return initial_state([Lane(algorithm, params)], n_nodes, x0)
+
+
 def test_theoretical_schedule_values():
     s = theoretical_schedule(16, 2.0)
     assert (s.eta, s.theta) == (0.125, 0.25)
@@ -84,68 +89,87 @@ def test_parse_orthogonalizer():
 
 
 def test_initial_state_replicates_start():
-    st = initial_state("demuon", 3, np.ones((2, 2)))
+    lanes = (
+        Lane("demuon", ScheduleParams(0.1, 0.2)),
+        Lane("dsgd", BaselineParams()),
+        Lane("dsgd_clip", BaselineParams()),
+    )
+    st = initial_state(lanes, 3, np.ones((2, 2)))
     assert st.iter == 0
-    assert st.x.shape == (3, 2, 2)
+    assert st.x.shape == (3, 3, 2, 2)
     assert np.all(st.x == 1.0)
     assert not st.m.any() and not st.v.any()
-    with pytest.raises(ValueError):
-        initial_state("adam", 3, np.ones((2, 2)))
+    assert st.lanes == lanes and st.n_nodes == 3
+    with pytest.raises(ValueError, match="starting point"):
+        initial_state(lanes, 3, np.ones(2))
+
+
+def test_take_cuts_the_stacks_and_the_lanes_together():
+    lanes = tuple(Lane("dsgd", BaselineParams(dsgd_eta=eta)) for eta in (0.1, 0.2, 0.3))
+    st = initial_state(lanes, 2, np.zeros((1, 1)))
+    st = replace(st, x=np.arange(6.0).reshape(3, 2, 1, 1))
+    for idx in ([1, 2], [0, 2], [], range(1)):
+        taken = st.take(idx)
+        assert taken.lanes == tuple(lanes[j] for j in idx)
+        for name in ("x", "m", "v"):
+            np.testing.assert_array_equal(getattr(taken, name), getattr(st, name)[list(idx)])
+    # Consecutive lanes are views of the stacks.
+    assert np.shares_memory(st.take([1, 2]).x, st.x)
 
 
 def test_single_node_hand_simulation():
     # f(x) = 0.5 (x - 2)^2, x0 = 0, theta = 1, eta = 0.5 -> x1 = 0.5
     prob = scalar_quadratic([2.0])
-    st = initial_state("demuon", 1, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(1), NOISELESS, ScheduleParams(0.5, 1.0))
-    assert st.m[0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
-    assert st.v[0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
-    assert st.x[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+    st = lane_state("demuon", ScheduleParams(0.5, 1.0), 1, np.zeros((1, 1)))
+    st, _ = step(st, prob, build_complete(1), NOISELESS)
+    assert st.m[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
+    assert st.v[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
+    assert st.x[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_two_node_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
-    st = initial_state("demuon", 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(2), NOISELESS, ScheduleParams(0.5, 1.0))
-    np.testing.assert_allclose(st.m[:, 0, 0], [0.0, -2.0], atol=1e-12)
-    np.testing.assert_allclose(st.v[:, 0, 0], [-1.0, -1.0], atol=1e-12)
-    np.testing.assert_allclose(st.x[:, 0, 0], [0.5, 0.5], atol=1e-12)
+    st = lane_state("demuon", ScheduleParams(0.5, 1.0), 2, np.zeros((1, 1)))
+    st, _ = step(st, prob, build_complete(2), NOISELESS)
+    np.testing.assert_allclose(st.m[0, :, 0, 0], [0.0, -2.0], atol=1e-12)
+    np.testing.assert_allclose(st.v[0, :, 0, 0], [-1.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(st.x[0, :, 0, 0], [0.5, 0.5], atol=1e-12)
 
 
 def test_dsgd_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
-    st = initial_state("dsgd", 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(2), NOISELESS, BaselineParams(dsgd_eta=0.1))
-    np.testing.assert_allclose(st.x[:, 0, 0], [0.1, 0.1], atol=1e-12)
+    st = lane_state("dsgd", BaselineParams(dsgd_eta=0.1), 2, np.zeros((1, 1)))
+    st, _ = step(st, prob, build_complete(2), NOISELESS)
+    np.testing.assert_allclose(st.x[0, :, 0, 0], [0.1, 0.1], atol=1e-12)
 
 
 def test_dsgd_reduces_to_gradient_descent():
     prob = scalar_quadratic([2.0])
-    st = initial_state("dsgd", 1, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(1), NOISELESS, BaselineParams(dsgd_eta=0.25))
-    assert st.x[0, 0, 0] == pytest.approx(0.25 * 2.0, abs=1e-15)
+    st = lane_state("dsgd", BaselineParams(dsgd_eta=0.25), 1, np.zeros((1, 1)))
+    st, _ = step(st, prob, build_complete(1), NOISELESS)
+    assert st.x[0, 0, 0, 0] == pytest.approx(0.25 * 2.0, abs=1e-15)
 
 
 def test_dsgd_zero_gradient_fixed_point():
     prob = scalar_quadratic([0.0, 0.0])
-    st = initial_state("dsgd", 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(2), NOISELESS, BaselineParams())
+    st = lane_state("dsgd", BaselineParams(), 2, np.zeros((1, 1)))
+    st, _ = step(st, prob, build_complete(2), NOISELESS)
     assert not st.x.any()
 
 
 def test_clip_schedule_and_norms():
     prob = scalar_quadratic([5.0, -5.0])
     params = BaselineParams(clip_eta=10.0, clip_tau=0.1)
-    st = initial_state("dsgd_clip", 2, np.zeros((1, 1)))
-    st, info = step(st, prob, build_complete(2), NOISELESS, params)
-    assert info["eta"] == 10.0
-    assert info["tau"] == pytest.approx(0.1)
-    assert all(n <= info["tau"] + 1e-15 for n in np.linalg.norm(info["directions"], axis=(1, 2)))
+    st = lane_state("dsgd_clip", params, 2, np.zeros((1, 1)))
+    st, info = step(st, prob, build_complete(2), NOISELESS)
+    assert info["eta"] == [10.0]
+    assert info["tau"][0] == pytest.approx(0.1)
+    assert all(n <= info["tau"][0] + 1e-15 for n in np.linalg.norm(info["directions"][0], axis=(1, 2)))
     # k = 31: eta_31 = 10/32, tau_31 = 0.1 * 32^(2/5) = 0.4
-    st31 = replace(initial_state("dsgd_clip", 2, np.zeros((1, 1))), iter=31)
-    _, info31 = step(st31, prob, build_complete(2), NOISELESS, params)
-    assert info31["eta"] == pytest.approx(0.3125, abs=1e-15)
-    assert info31["tau"] == pytest.approx(0.4, abs=1e-12)
+    st31 = replace(lane_state("dsgd_clip", params, 2, np.zeros((1, 1))), iter=31)
+    _, info31 = step(st31, prob, build_complete(2), NOISELESS)
+    assert info31["eta"][0] == pytest.approx(0.3125, abs=1e-15)
+    assert info31["tau"][0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_clip_to_frobenius():
@@ -161,19 +185,19 @@ def test_clip_to_frobenius():
 def test_gt_directions_are_unit_or_zero(rng):
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.4, seed=5)
     noise = NoiseModel("gaussian", 2.0, 0.2, base_seed=7)
-    st = initial_state("gt_nsgdm", 3, np.zeros((3, 2)))
+    st = lane_state("gt_nsgdm", ScheduleParams(0.1, 0.2), 3, np.zeros((3, 2)))
     mixing = build_ring(3)
     for _ in range(25):
-        st, info = step(st, prob, mixing, noise, ScheduleParams(0.1, 0.2))
+        st, info = step(st, prob, mixing, noise)
         for i in range(3):
-            norm = frobenius_norm(info["directions"][i])
+            norm = frobenius_norm(info["directions"][0][i])
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
 
 
 def test_gt_zero_tracker_gives_zero_direction():
     prob = scalar_quadratic([0.0])
-    st = initial_state("gt_nsgdm", 1, np.zeros((1, 1)))
-    st, info = step(st, prob, build_complete(1), NOISELESS, ScheduleParams(0.1, 0.2))
+    st = lane_state("gt_nsgdm", ScheduleParams(0.1, 0.2), 1, np.zeros((1, 1)))
+    st, info = step(st, prob, build_complete(1), NOISELESS)
     assert not info["directions"].any()
     assert not st.x.any()
 
@@ -182,11 +206,10 @@ def test_gt_single_node_normalized_step():
     # f(x) = 0.5 ||x - T||_F^2, theta = 1: x1 = x0 - eta (x0 - T)/||x0 - T||_F
     t = np.array([[3.0, 0.0], [0.0, 4.0]])
     prob = ProblemSet(QUADRATIC, 1, 2, 2, a=(np.eye(2),), b=(t,))
-    st = initial_state("gt_nsgdm", 1, np.zeros((2, 2)))
-    params = ScheduleParams(0.5, 1.0)
-    st, _ = step(st, prob, build_complete(1), NOISELESS, params)
+    st = lane_state("gt_nsgdm", ScheduleParams(0.5, 1.0), 1, np.zeros((2, 2)))
+    st, _ = step(st, prob, build_complete(1), NOISELESS)
     expected = 0.5 * t / frobenius_norm(t)
-    np.testing.assert_allclose(st.x[0], expected, atol=1e-12)
+    np.testing.assert_allclose(st.x[0, 0], expected, atol=1e-12)
 
 
 def test_scalar_demuon_equals_gt_nsgdm(rng):
@@ -199,14 +222,12 @@ def test_scalar_demuon_equals_gt_nsgdm(rng):
         prob = scalar_quadratic([target])
         noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
         mix = build_complete(1)
-        st_d = initial_state("demuon", 1, np.zeros((1, 1)))
-        st_g = initial_state("gt_nsgdm", 1, np.zeros((1, 1)))
-        sched = ScheduleParams(eta, theta)
-        params = ScheduleParams(eta, theta)
+        st_d = lane_state("demuon", ScheduleParams(eta, theta), 1, np.zeros((1, 1)))
+        st_g = lane_state("gt_nsgdm", ScheduleParams(eta, theta), 1, np.zeros((1, 1)))
         for _ in range(12):
-            st_d, _ = step(st_d, prob, mix, noise, sched)
-            st_g, _ = step(st_g, prob, mix, noise, params)
-        assert abs(st_d.x[0, 0, 0] - st_g.x[0, 0, 0]) <= 1e-10
+            st_d, _ = step(st_d, prob, mix, noise)
+            st_g, _ = step(st_g, prob, mix, noise)
+        assert abs(st_d.x[0, 0, 0, 0] - st_g.x[0, 0, 0, 0]) <= 1e-10
 
 
 def test_complete_graph_keeps_nodes_identical():
@@ -221,11 +242,11 @@ def test_complete_graph_keeps_nodes_identical():
         ("demuon", sched), ("dsgd", base), ("dsgd_clip", base),
         ("gt_nsgdm", ScheduleParams(0.1, 0.2)),
     ):
-        st = initial_state(algorithm, 4, np.zeros((2, 1)))
+        st = lane_state(algorithm, params, 4, np.zeros((2, 1)))
         for _ in range(20):
-            st, _ = step(st, prob, mix, NOISELESS, params)
+            st, _ = step(st, prob, mix, NOISELESS)
             for i in range(1, 4):
-                np.testing.assert_array_equal(st.x[i], st.x[0])
+                np.testing.assert_array_equal(st.x[0, i], st.x[0, 0])
 
 
 # 32x16 and 16x32 take the Gram-eigh polar factor; p = 40 rows keep the
@@ -234,13 +255,12 @@ def test_complete_graph_keeps_nodes_identical():
 def test_demuon_directions_have_unit_spectral_norm(m, n, p):
     prob = make_quadratic(4, m, n, p, heterogeneity=0.6, seed=8)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=11)
-    st = initial_state("demuon", 4, np.zeros((m, n)))
+    st = lane_state("demuon", ScheduleParams(0.1, 0.2), 4, np.zeros((m, n)))
     mixing = build_ring(4)
-    sched = ScheduleParams(0.1, 0.2)
     for _ in range(20):
-        st, info = step(st, prob, mixing, noise, sched)
+        st, info = step(st, prob, mixing, noise)
         for i in range(4):
-            assert spectral_norm(info["directions"][i]) <= 1.0 + 1e-10
+            assert spectral_norm(info["directions"][0][i]) <= 1.0 + 1e-10
 
 
 def test_run_emits_one_row_per_iteration():
@@ -370,18 +390,19 @@ def test_two_route_consensus_norms_sandwich_each_iteration():
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=13)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=4)
     mixing = build_ring(4)
-    st = initial_state("demuon", 4, np.zeros((3, 2)))
-    sched = ScheduleParams(0.1, 0.2)
+    st = lane_state("demuon", ScheduleParams(0.1, 0.2), 4, np.zeros((3, 2)))
     for _ in range(60):
-        x_dev = st.x - st.x.mean(axis=0)
+        x = st.x[0]
+        x_dev = x - x.mean(axis=0)
         per_sp = [spectral_norm(d) for d in x_dev]
-        stacked_sp = consensus_error(st.x)
+        stacked_sp = consensus_error(x)
         assert stacked_sp >= np.mean(per_sp) - 1e-12
         assert stacked_sp <= math.sqrt(sum(v**2 for v in per_sp)) + 1e-12
-        st, _ = step(st, prob, mixing, noise, sched)
-        v_dev = st.v - st.v.mean(axis=0)
+        st, _ = step(st, prob, mixing, noise)
+        v = st.v[0]
+        v_dev = v - v.mean(axis=0)
         per_nu = [nuclear_norm(d) for d in v_dev]
-        stacked_nu = consensus_error_nuclear(st.v)
+        stacked_nu = consensus_error_nuclear(v)
         assert stacked_nu >= np.mean(per_nu) - 1e-12
         assert stacked_nu <= sum(per_nu) + 1e-12
 
@@ -408,13 +429,13 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
     res = run([Lane("demuon", sched)], prob, mixing, NOISELESS, seed=0)[0]
     assert calls == {"exact_gradient": 200, "objective_at": 200, "consensus_error_nuclear": 200}
     monkeypatch.undo()
-    st0 = initial_state("demuon", 4, np.zeros((3, 2)))
-    st1, info = step(st0, prob, mixing, NOISELESS, sched)
+    st0 = lane_state("demuon", sched, 4, np.zeros((3, 2)))
+    st1, info = step(st0, prob, mixing, NOISELESS)
     by_hand = potential(
-        problems.objective_at(prob, st0.x.mean(axis=0)),
-        info["exact_grads"],
-        st1.m,
-        consensus_error_nuclear(st1.v),
+        problems.objective_at(prob, st0.x[0].mean(axis=0)),
+        info["exact_grads"][0],
+        st1.m[0],
+        consensus_error_nuclear(st1.v[0]),
         theorem_potential_params(200, 2.0, mixing.mixing_rate),
     )
     assert res.rows[0].potential == by_hand
@@ -454,11 +475,11 @@ def test_ball_exit_warns_at_the_per_node_reference_iteration(algorithm, params, 
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     mixing = build_ring(3)
     # Reference: every node's spectral norm after every round.
-    st = initial_state(algorithm, 3, np.zeros((4, 3)))
+    st = lane_state(algorithm, params, 3, np.zeros((4, 3)))
     expected = None
     for k in range(40):
-        st, _ = step(st, prob, mixing, noise, params)
-        if max(spectral_norm(st.x[i]) for i in range(3)) > radius:
+        st, _ = step(st, prob, mixing, noise)
+        if max(spectral_norm(st.x[0, i]) for i in range(3)) > radius:
             expected = k
             break
     assert expected is not None and expected > 0
@@ -498,14 +519,18 @@ def test_dsgd_divergence_stops_at_the_round_with_context():
     from demuon.optimizers import Diverged
 
     prob, mixing, noise, params = dsgd_divergence_setup()
-    st = initial_state("dsgd", 4, np.zeros((4, 3)))
-    with pytest.raises(Diverged) as caught:
-        for _ in range(50):
-            assert np.isfinite(st.x).all()
-            st, _ = step(st, prob, mixing, noise, params)
-    exc = caught.value
-    assert isinstance(exc, ValueError)
-    assert (exc.algorithm, exc.iteration, exc.quantity) == ("dsgd", st.iter, "iterate")
+    st = lane_state("dsgd", params, 4, np.zeros((4, 3)))
+    # step returns the failure instead of raising it, and drops the failing lane.
+    for _ in range(50):
+        assert np.isfinite(st.x).all()
+        st, info = step(st, prob, mixing, noise)
+        if info["failure"] is not None:
+            break
+    exc = info["failure"]
+    assert isinstance(exc, Diverged) and isinstance(exc, ValueError)
+    assert st.lanes == () and st.x.shape == (0, 4, 4, 3)
+    assert info["eta"] == info["tau"] == [] and len(info["directions"]) == 0
+    assert (exc.algorithm, exc.iteration, exc.quantity) == ("dsgd", st.iter - 1, "iterate")
     assert 0 <= exc.node < 4
     # The run leaves the certified ball before it diverges; that is its only warning.
     with pytest.raises(Diverged) as from_run, pytest.warns(RuntimeWarning, match="certified ball"):
@@ -609,6 +634,26 @@ def test_run_takes_each_lanes_horizon():
     assert [r.horizon for r in results] == [11, 11]
     with pytest.raises(ValueError, match="algorithm"):
         Lane("sgd", BaselineParams())
+
+
+def test_lane_rejects_an_unknown_orthogonalizer_where_it_is_built():
+    with pytest.raises(ValueError, match="orthogonalizer must be"):
+        Lane("demuon", ScheduleParams(0.1, 0.2), orthogonalizer="qr")
+    with pytest.raises(ValueError, match="orthogonalizer must be"):
+        Lane("dsgd", BaselineParams(), orthogonalizer="ns:0")
+    assert Lane("demuon", ScheduleParams(0.1, 0.2), orthogonalizer="ns:5").orthogonalizer == "ns:5"
+
+
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)], ids=["float", "bool", "numpy-float"])
+def test_run_rejects_a_horizon_that_is_not_an_integer(bad):
+    args = (make_quadratic(2, 2, 2, 3, seed=0), build_complete(2), NOISELESS)
+    with pytest.raises(ValueError, match="horizon must be a positive integer"):
+        run([Lane("dsgd", BaselineParams(), horizon=bad)], *args)
+    with pytest.raises(ValueError, match="horizon must be a positive integer"):
+        run([Lane("dsgd", BaselineParams())], *args, horizon=bad)
+    # numpy integers are integers.
+    [result] = run([Lane("dsgd", BaselineParams(), horizon=np.int64(3))], *args)
+    assert result.horizon == 3 and len(result.rows) == 3
 
 
 def _own_horizon_lanes():

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -428,3 +429,19 @@ def test_sweep_divergence_writes_what_sequential_execute_writes(tmp_path, horizo
     assert outcome(lambda: sweep(cfg)) == sequential
     assert len(sequential[0]) == 2 * (1 + horizons.index(50))
     assert not any(name.startswith("sweep_") for name in sequential[0])
+
+
+@pytest.mark.parametrize("contents", ["", "\n\n", "# no rows\n"])
+def test_cli_run_rejects_a_weights_csv_without_rows(tmp_path, capsys, contents):
+    weights = tmp_path / "w.csv"
+    weights.write_text(contents)
+    path = tmp_path / "exp.ini"
+    path.write_text(config_text(tmp_path / "out").replace("family = ring", f"family = custom\nweights_csv = {weights}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path)]) == 1
+    assert [str(w.message) for w in caught] == []
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidMixingError"
+    assert payload["message"] == f"mixing CSV {weights} holds no rows"
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -188,3 +189,64 @@ def test_load_mixing_csv_rejects_invalid(tmp_path):
         path3.write_text(f"0.5,0.5\n0.5,{entry}\n")
         with pytest.raises(InvalidMixingError, match=f"{name}.*finite"):
             load_mixing_csv(path3)
+
+
+def _doubly_stochastic(n, c, perm):
+    """c J/n + (1 - c) P: positive, doubly stochastic and contractive for c in (0, 1]."""
+    return c / n + (1.0 - c) * np.eye(n)[list(perm)]
+
+
+@st.composite
+def mixing_csv_bytes(draw):
+    """(file bytes, the valid matrix they hold or None): valid matrices, mutations of them, and noise."""
+    n = draw(st.integers(1, 5), label="n")
+    w = _doubly_stochastic(n, draw(st.floats(0.05, 1.0), label="c"), draw(st.permutations(range(n)), label="perm"))
+    rows = [[repr(float(v)) for v in row] for row in w]
+    sep = draw(st.sampled_from([",", ", ", " ,"]), label="sep")
+    extras = draw(st.lists(st.sampled_from(["", "# comment"]), max_size=3), label="extras")
+    mutation = draw(st.sampled_from([
+        "none", "ragged", "stray", "entry", "utf8", "blank", "comments", "noise", "bytes",
+    ]), label="mutation")
+    i = draw(st.integers(0, n - 1), label="row")
+    if mutation == "ragged":
+        rows[i] = rows[i][:-1] if n > 1 else rows[i] + ["0.5"]
+    elif mutation == "stray":
+        at = draw(st.sampled_from([0, 1, n]), label="stray_at")  # leading, doubled or trailing delimiter
+        rows[i] = rows[i][:at] + [""] + rows[i][at:]
+    elif mutation == "entry":
+        rows[i][0] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "1e300", "-1e300", "1.7e308", "abc", "", "0x1"]),
+                          label="entry")
+    lines = [sep.join(row) for row in rows]
+    data = "\n".join(extras + lines + extras).encode()
+    if mutation == "utf8":
+        data = data[: draw(st.integers(0, len(data)))] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]))
+    elif mutation == "blank":
+        data = draw(st.sampled_from([b"", b"\n", b"\n\n  \n", b"\r\n"]))
+    elif mutation == "comments":
+        data = draw(st.sampled_from([b"# only a comment\n", b"#\n#,\n", b"  # x\n\n"]))
+    elif mutation == "noise":
+        data = draw(st.text(alphabet="0123456789.,-+eE \n#naifNAIF", max_size=40)).encode()
+    elif mutation == "bytes":
+        data = draw(st.binary(max_size=40))
+    return data, w if mutation == "none" else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=mixing_csv_bytes())
+def test_load_mixing_csv_loads_a_valid_spec_or_raises_invalid_mixing(tmp_path_factory, case):
+    data, valid = case
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            spec = load_mixing_csv(path)
+        except InvalidMixingError:
+            spec = None
+    assert [str(w.message) for w in caught] == []
+    if valid is not None:
+        np.testing.assert_array_equal(spec.weights, valid)
+    if spec is not None:
+        assert spec.family == "custom" and spec.weights.shape == (spec.n_nodes, spec.n_nodes)
+        report = validate_mixing(spec.weights)
+        assert report.ok and report.mixing_rate == spec.mixing_rate
