@@ -158,7 +158,10 @@ def _checked(section: str, check, *args):
 
 
 def validate_config(cfg: ExperimentConfig):
-    """Field validation; raises ConfigError naming the bad key. Builds no matrix.
+    """Field validation; raises ConfigError naming the bad key.
+
+    It builds no matrix, except that it loads a custom family's weights file
+    as `build_mixing` does, so a file `build_mixing` would reject fails here.
 
     Beside the field ranges, no array the config asks for (mixing matrix,
     node stacks, problem data) may exceed MAX_ENTRIES entries.
@@ -172,8 +175,8 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"run.sweep entries must be positive integers, got {list(cfg.sweep)}")
 
     _checked("topology", topology.check_node_count, cfg.topology_family, cfg.n_nodes)
-    if cfg.topology_family == topology.CUSTOM and not cfg.weights_csv:
-        raise ConfigError("topology.weights_csv is required for the custom family")
+    if cfg.topology_family == topology.CUSTOM:
+        _custom_mixing(cfg)
 
     if cfg.problem_kind not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {cfg.problem_kind!r}")
@@ -225,14 +228,24 @@ def _check_sizes(cfg: ExperimentConfig):
             )
 
 
+def _custom_mixing(cfg: ExperimentConfig) -> topology.MixingSpec:
+    """The custom family's weights; ConfigError naming topology.weights_csv unless they load for N nodes."""
+    if not cfg.weights_csv:
+        raise ConfigError("topology.weights_csv is required for the custom family")
+    try:
+        spec = topology.load_mixing_csv(cfg.weights_csv)
+    except topology.InvalidMixingError as exc:
+        raise ConfigError(f"topology.weights_csv: {exc}") from exc
+    if spec.n_nodes != cfg.n_nodes:
+        raise ConfigError(
+            f"topology.weights_csv: {cfg.weights_csv} has {spec.n_nodes} nodes but topology.n_nodes={cfg.n_nodes}"
+        )
+    return spec
+
+
 def build_mixing(cfg: ExperimentConfig) -> topology.MixingSpec:
     if cfg.topology_family == topology.CUSTOM:
-        spec = topology.load_mixing_csv(cfg.weights_csv)
-        if spec.n_nodes != cfg.n_nodes:
-            raise ConfigError(
-                f"topology.n_nodes={cfg.n_nodes} but {cfg.weights_csv} has {spec.n_nodes} nodes"
-            )
-        return spec
+        return _custom_mixing(cfg)
     return topology.build_family(cfg.topology_family, cfg.n_nodes)
 
 

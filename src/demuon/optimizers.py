@@ -8,7 +8,8 @@ and results do not depend on how it is parallelized. `run` holds one or
 more lanes (algorithms on the same problem, mixing, noise and seed, each
 with its own horizon) as one (L, N, m, n) stack and makes one `step` call
 per round for all of them: one noise draw, one gradient call, one mix per
-stage and one direction call per group of lanes that share a kernel.
+stage and one direction call per group of lanes that share a kernel. The
+per-round diagnostics are computed a window of rounds at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,10 @@ TRACKER_ALGORITHMS = (DEMUON, GT_NSGDM)
 _REPORT_STREAM = 0x696F7461
 # Relative rounding slack of the Frobenius screen in the ball check.
 _BALL_SCREEN_SLACK = 1e-12
+# `run` computes its per-round diagnostics a window of rounds at a time: the
+# most rounds, at most _WINDOW_ROUNDS, whose held arrays fit _WINDOW_BYTES.
+_WINDOW_ROUNDS = 64
+_WINDOW_BYTES = 128 * 1024
 
 
 class Diverged(ValueError):
@@ -384,7 +389,9 @@ class Lane:
 
     `params` is a ScheduleParams for the tracked algorithms (demuon,
     gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. `sink`, when
-    given, receives each of the lane's MetricsRows as it is produced.
+    given, receives each of the lane's MetricsRows in round order; `run`
+    builds rows a window of rounds at a time, so a row arrives up to one
+    window after its round.
     `horizon` is the number of rounds the lane runs; None takes the
     `horizon` of `run`, or else a tracked lane's schedule horizon.
     """
@@ -463,58 +470,106 @@ class _LaneRun:
         )
 
 
-def _round_rows(live, problem, x_prev, state, info, t0):
-    """Every live lane's row of the round that turned `x_prev` into `state`; returns the noise norms.
+class _Pending(NamedTuple):
+    """A round whose rows `run` has yet to build: its entering iterates, the state and record of its step."""
 
-    Each diagnostic that is a norm of a stack (consensus errors, mean-gradient
-    and noise nuclear norms, ball check) is one call for all lanes, and each
-    lane's row holds its slice of it.
+    x_prev: np.ndarray
+    state: RunState
+    info: dict
+    step_s: float
+
+
+def _stacked(arrays) -> np.ndarray:
+    """The arrays stacked on a new leading axis; a lone array as a view with that axis, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _window_rounds(state: RunState, info: dict) -> int:
+    """The rounds a window holds: the most, up to `_WINDOW_ROUNDS`, whose arrays fit `_WINDOW_BYTES`."""
+    arrays = (state.x, state.m, state.v, info["exact_grads"], info["noise"], info["directions"])
+    return max(1, min(_WINDOW_ROUNDS, _WINDOW_BYTES // sum(a.nbytes for a in arrays)))
+
+
+def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> float:
+    """Record every live lane's rows of the pending rounds in `window`; returns the updated noise-moment sum.
+
+    Every round of a window has the same live lanes. Each diagnostic that is
+    a norm of a stack (consensus errors, mean-gradient and noise nuclear
+    norms, ball check) and the objective at the mean are one call for all
+    rounds and lanes, and each row holds its slice. The Frobenius norms
+    (tracking and iterate residuals, potential) stay one call per lane and
+    round: their stacked forms round differently.
     """
-    kept, k = len(live), state.iter - 1
+    if not window:
+        return moment_sum
+    t0 = time.perf_counter()
+    n_rounds, kept = len(window), len(live)
+    iters = [r.state.iter - 1 for r in window]
     tracked = [j for j, lane_run in enumerate(live) if lane_run.tracked]
     # A round just short of divergence can overflow its diagnostics; the row
     # then reads inf, and the next round, if any, raises Diverged.
     with np.errstate(over="ignore", invalid="ignore"):
+        x_prev = _stacked([r.x_prev for r in window])
+        x = _stacked([r.state.x for r in window])
+        nodes = x.shape[-3:]
         x_mean_prev = node_mean(x_prev, keepdims=True)
-        grads = info["exact_grads"][:kept]
-        cons_x = diagnostics.consensus_error(x_prev).tolist()
-        applied = _per_lane(info["eta"]) * node_mean(info["directions"], keepdims=True)
-        resid = node_mean(state.x, keepdims=True) - (x_mean_prev - applied)
+        cons_x = diagnostics.consensus_error(x_prev.reshape(-1, *nodes)).reshape(n_rounds, kept).tolist()
+        eta = np.array([r.info["eta"] for r in window]).reshape(n_rounds, kept, 1, 1, 1)
+        applied = eta * node_mean(_stacked([r.info["directions"] for r in window]), keepdims=True)
+        resid = node_mean(x, keepdims=True) - (x_mean_prev - applied)
         # One stacked call gives every lane's mean-gradient norm and every noise draw's.
-        nuclear = nuclear_norm(np.concatenate([node_mean(grads), info["noise"]]))
+        grads = _stacked([r.info["exact_grads"][:kept] for r in window])
+        noise = _stacked([r.info["noise"] for r in window])
+        nuclear = nuclear_norm(np.concatenate([node_mean(grads), noise], axis=1).reshape(-1, *nodes[1:]))
+        nuclear = nuclear.reshape(n_rounds, -1)
         if tracked:
             lanes = _lanes(tracked)
-            gaps = node_mean(state.v[lanes]) - node_mean(state.m[lanes])
-            per_tracked = iter(zip(gaps, diagnostics.consensus_error_nuclear(state.v[lanes]).tolist()))
-        outside = [False] * kept
+            v = _stacked([r.state.v[lanes] for r in window])
+            m = _stacked([r.state.m[lanes] for r in window])
+            gaps = node_mean(v) - node_mean(m)
+            cons_v = diagnostics.consensus_error_nuclear(v.reshape(-1, *nodes)).reshape(n_rounds, -1).tolist()
         if problem.ball_radius != float("inf"):
             watched = [j for j, lane_run in enumerate(live) if lane_run.ball_exit is None]
             if watched:
-                for j, out in zip(watched, _outside_ball(state.x[_lanes(watched)], problem.ball_radius)):
-                    outside[j] = out
+                xw = x[:, _lanes(watched)]
+                outside = _outside_ball(xw.reshape(-1, *nodes), problem.ball_radius).reshape(n_rounds, -1)
+                for j, exits in zip(watched, outside.T):
+                    if exits.any():
+                        live[j].ball_exit = (
+                            f"iterates left the certified ball (radius {problem.ball_radius}) "
+                            f"at iteration {iters[int(np.argmax(exits))]}; the smoothness constant no longer applies"
+                        )
+        objective = problems.objective_at(problem, x_mean_prev[:, :, 0]).tolist()
+        slot = {j: t for t, j in enumerate(tracked)}  # a tracked lane's position among the tracked lanes
         rows = []
-        for j, lane_run in enumerate(live):
-            objective = problems.objective_at(problem, x_mean_prev[j, 0])
-            if lane_run.bound is not None and cons_x[j] > lane_run.bound + 1e-9:
-                lane_run.violations += 1
-            tracking = consensus_v = pot = None
-            if lane_run.tracked:
-                gap, consensus_v = next(per_tracked)
-                tracking = float(np.linalg.norm(gap))
-                lane_run.max_track = max(lane_run.max_track, tracking)
-                if lane_run.pot_weights is not None:
-                    pot = diagnostics.potential(objective, grads[j], state.m[j], consensus_v, lane_run.pot_weights)
-            lane_run.max_ave_resid = max(lane_run.max_ave_resid, float(np.linalg.norm(resid[j, 0])))
-            if outside[j]:
-                lane_run.ball_exit = (
-                    f"iterates left the certified ball (radius {problem.ball_radius}) "
-                    f"at iteration {k}; the smoothness constant no longer applies"
-                )
-            rows.append((k, cons_x[j], lane_run.bound, float(nuclear[j]), tracking, consensus_v, pot, objective))
-    wall_ms = (time.perf_counter() - t0) * 1e3 / kept
-    for lane_run, row in zip(live, rows):
-        lane_run.record(MetricsRow(*row, wall_time_ms=wall_ms))
-    return nuclear[kept:]
+        for w, k in enumerate(iters):
+            for j, lane_run in enumerate(live):
+                if lane_run.bound is not None and cons_x[w][j] > lane_run.bound + 1e-9:
+                    lane_run.violations += 1
+                tracking = consensus_v = pot = None
+                if lane_run.tracked:
+                    t = slot[j]
+                    consensus_v = cons_v[w][t]
+                    tracking = float(np.linalg.norm(gaps[w, t]))
+                    lane_run.max_track = max(lane_run.max_track, tracking)
+                    if lane_run.pot_weights is not None:
+                        pot = diagnostics.potential(
+                            objective[w][j], grads[w, j], m[w, t], consensus_v, lane_run.pot_weights
+                        )
+                lane_run.max_ave_resid = max(lane_run.max_ave_resid, float(np.linalg.norm(resid[w, j, 0])))
+                rows.append((k, cons_x[w][j], lane_run.bound, float(nuclear[w, j]), tracking, consensus_v, pot,
+                             objective[w][j]))
+        noise_powers = nuclear[:, kept:] ** alpha
+    diagnostics_s = (time.perf_counter() - t0) / n_rounds
+    rows = iter(rows)
+    for w, pending in enumerate(window):
+        wall_ms = (pending.step_s + diagnostics_s) * 1e3 / kept
+        for lane_run in live:
+            lane_run.record(MetricsRow(*next(rows), wall_time_ms=wall_ms))
+        # One round at a time, as the rounds ran: one sum over the window would round differently.
+        moment_sum += float(np.add.reduce(noise_powers[w]))
+    window.clear()
+    return moment_sum
 
 
 def run(
@@ -531,10 +586,13 @@ def run(
     runs its own horizon (see `Lane`; `horizon` is the default for lanes
     that set none) and retires when it is reached. The live lanes form one
     (L, N, m, n) stack: each round is one `step` call for all of them (one
-    noise draw, see `step`), and every per-round diagnostic that is a norm
-    of a stack is one call, each lane taking its slice. Returns one
-    RunResult per lane, in lane order, each equal field for field to a
-    one-lane run of that lane.
+    noise draw, see `step`). The rows are built a window of rounds at a
+    time (see `_window_rows`): every diagnostic that is a norm of a stack,
+    and the objective at the mean, is one call for the window's rounds and
+    lanes. A window is the most rounds, at most `_WINDOW_ROUNDS`, whose
+    arrays fit `_WINDOW_BYTES`; it also ends when a lane retires or fails.
+    The rows do not depend on the window. Returns one RunResult per lane, in
+    lane order, each equal field for field to a one-lane run of that lane.
 
     A tracked lane on a `theoretical_schedule` also reports each round's
     potential, weighted by `diagnostics.theorem_potential_params`. A lane's
@@ -546,7 +604,8 @@ def run(
     Divergence has the outcome of running the lanes one after another: the
     lanes before the first diverging lane run to their horizons, the lanes
     after it are dropped, and its Diverged is raised with `finished`
-    holding the results of the lanes before it. The ball-exit
+    holding the results of the lanes before it; every sink has then had
+    the rows of every round that finished. The ball-exit
     RuntimeWarnings of the kept lanes are emitted, in lane order, when the
     pass ends.
     """
@@ -562,24 +621,30 @@ def run(
     live = runs
     failure = failed = None
     moment_sum = 0.0
+    window = []
     while live:
         t0 = time.perf_counter()
         x_prev = state.x
         state, info = step(state, problem, mixing, noise_model)
         kept = len(state.lanes)
         if info["failure"] is not None:
+            moment_sum = _window_rows(live, problem, window, noise_model.alpha, moment_sum)
             failure, failed = info["failure"], live[kept]
             live = live[:kept]
             if not live:
                 break
-        noise_norms = _round_rows(live, problem, x_prev[:kept], state, info, t0)
-        del x_prev, info  # the round's stacks, dropped before the next step allocates its own
-        moment_sum += float(np.sum(noise_norms**noise_model.alpha))
-        keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
-        if len(keep) < kept:
+        if not window:
+            rounds = _window_rounds(state, info)
+        window.append(_Pending(x_prev[:kept], state, info, time.perf_counter() - t0))
+        del x_prev, info  # held by the window only, so a flush frees them
+        retiring = any(lane_run.horizon == state.iter for lane_run in live)
+        if retiring or len(window) == rounds:
+            moment_sum = _window_rows(live, problem, window, noise_model.alpha, moment_sum)
+        if retiring:
             for lane_run in live:
                 if lane_run.horizon == state.iter:
                     lane_run.moment_sum = moment_sum
+            keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
             state, live = state.take(keep), [live[j] for j in keep]
 
     kept_runs = runs[: runs.index(failed)] if failure is not None else runs

@@ -106,12 +106,16 @@ def _nodes(problem: ProblemSet, i: int | None):
 
 
 def _values(problem: ProblemSet, nodes, x: np.ndarray):
-    """f_i(x) for the selected nodes, one value per node."""
+    """f_i(x) for the selected nodes, one value per node; leading axes of `x` are broadcast over.
+
+    The residuals are squared in place: on a stack of iterates a second
+    temporary of their size costs more, in allocator work, than the product.
+    """
     if problem.kind == QUADRATIC:
         r = problem.a[nodes] @ x - problem.b[nodes]
-        return 0.5 * np.sum(r * r, axis=(-2, -1))
-    g = x @ x.T - problem.c[nodes]
-    return 0.25 * np.sum(g * g, axis=(-2, -1))
+        return 0.5 * np.sum(np.multiply(r, r, out=r), axis=(-2, -1))
+    g = x @ np.swapaxes(x, -2, -1) - problem.c[nodes]
+    return 0.25 * np.sum(np.multiply(g, g, out=g), axis=(-2, -1))
 
 
 def value(problem: ProblemSet, i: int, x) -> float:
@@ -149,9 +153,17 @@ def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
-def objective_at(problem: ProblemSet, x) -> float:
-    """Global objective f(x) = (1/N) sum_i f_i(x) at a common iterate."""
-    return float(np.mean(_values(problem, slice(None), _iterate(problem, x))))
+def objective_at(problem: ProblemSet, x):
+    """Global objective f(x) = (1/N) sum_i f_i(x) at a common iterate.
+
+    `x` may be an (..., m, n) stack of iterates; the result is then one value
+    per iterate, each exactly what that iterate gives alone.
+    """
+    x = as_matrix(x, stack=True)
+    if x.shape[-2:] != (problem.m, problem.n):
+        raise ValueError(f"iterate shape {x.shape} does not match problem (..., {problem.m}, {problem.n})")
+    means = np.mean(_values(problem, slice(None), x[..., None, :, :]), axis=-1)
+    return float(means) if means.ndim == 0 else means
 
 
 def _conditioned_random(rng: np.random.Generator, rows: int, cols: int, cond: float) -> np.ndarray:

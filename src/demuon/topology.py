@@ -155,12 +155,18 @@ def build_directed_exponential(n: int) -> MixingSpec:
 
 
 def load_mixing_csv(path) -> MixingSpec:
-    """Load a custom N x N mixing matrix from dense CSV; abort if invalid."""
+    """Load a custom N x N mixing matrix from dense CSV; abort if invalid.
+
+    Each row is one line of comma-separated numbers. A line that holds only
+    whitespace, or whitespace and a `#` comment, is skipped.
+    """
     try:
+        with open(path, encoding="utf-8") as fh:
+            lines = ["" if not line.partition("#")[0].strip() else line for line in fh]
         with warnings.catch_warnings():
             # numpy warns on a file without data rows; that is reported below.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            w = np.loadtxt(path, delimiter=",", ndmin=2)
+            w = np.loadtxt(lines, delimiter=",", ndmin=2)
     except Exception as exc:
         raise InvalidMixingError(f"could not parse mixing CSV {path}: {exc}") from exc
     if w.shape[0] == 0:

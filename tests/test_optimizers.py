@@ -409,13 +409,15 @@ def test_two_route_consensus_norms_sandwich_each_iteration():
 
 def test_potential_trend_on_noiseless_run(monkeypatch):
     import demuon.diagnostics as diagnostics
+    import demuon.optimizers as optimizers
     import demuon.problems as problems
 
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.3, seed=17)
     mixing = build_ring(4)
     sched = theoretical_schedule(200, 2.0)
     # The theorem schedule alone fills the potential, and the potential reuses
-    # the round's exact gradients, objective at the mean and tracker consensus.
+    # the round's exact gradients, and its window's objective at the mean and
+    # tracker consensus: one call each per window of rounds, none per potential.
     calls = {"exact_gradient": 0, "objective_at": 0, "consensus_error_nuclear": 0}
     for module, name in (
         (problems, "exact_gradient"),
@@ -426,8 +428,15 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    res = run([Lane("demuon", sched)], prob, mixing, NOISELESS, seed=0)[0]
-    assert calls == {"exact_gradient": 200, "objective_at": 200, "consensus_error_nuclear": 200}
+    rows = []
+    for window in (1, 7, 64):  # 200, 29 and 4 windows of the 200 rounds
+        monkeypatch.setattr(optimizers, "_WINDOW_ROUNDS", window)
+        calls.update(dict.fromkeys(calls, 0))
+        res = run([Lane("demuon", sched)], prob, mixing, NOISELESS, seed=0)[0]
+        windows = -(-200 // window)
+        assert calls == {"exact_gradient": 200, "objective_at": windows, "consensus_error_nuclear": windows}
+        rows.append([replace(row, wall_time_ms=None) for row in res.rows])
+    assert rows[0] == rows[1] == rows[2]
     monkeypatch.undo()
     st0 = lane_state("demuon", sched, 4, np.zeros((3, 2)))
     st1, info = step(st0, prob, mixing, NOISELESS)
@@ -770,3 +779,74 @@ def test_a_diverging_lane_keeps_the_sequential_outcome(position, diverging):
         run(lanes, prob, mixing, noise, seed=0)
     expected = [lane.horizon or lane.params.horizon for lane in lanes[:position]]
     assert [r.horizon for r in caught.value.finished] == expected
+
+
+def _recorded_run(lanes, *args, **kwargs):
+    """(results as exact text, the Diverged's fields or None, warnings, every sink call in order) of a run."""
+    calls = []
+    lanes = [
+        replace(lane, sink=lambda row, i=i: calls.append((i, repr(replace(row, wall_time_ms=None)))))
+        for i, lane in enumerate(lanes)
+    ]
+    results, failure, caught = _outcome(lambda: run(lanes, *args, **kwargs))
+    return results, failure, caught, calls
+
+
+def _window_invariant(monkeypatch, lanes, *args, **kwargs):
+    """The recorded run at the default window, checked equal at one-round and at full 64-round windows."""
+    import demuon.optimizers as optimizers
+
+    windowed = _recorded_run(lanes, *args, **kwargs)
+    for name, value in (("_WINDOW_ROUNDS", 1), ("_WINDOW_BYTES", 2**62)):
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizers, name, value)
+            assert _recorded_run(lanes, *args, **kwargs) == windowed
+    return windowed
+
+
+def test_rows_do_not_depend_on_the_window_when_lanes_retire_mid_window(monkeypatch):
+    prob = make_quadratic(4, 6, 5, 3, heterogeneity=0.5, seed=2)
+    noise = NoiseModel("student_t", 1.5, 0.3, dof=2.0, base_seed=4)
+    lanes = [
+        Lane("demuon", theoretical_schedule(64, 1.5)),
+        Lane("gt_nsgdm", ScheduleParams(0.05, 0.2), horizon=37),
+        Lane("dsgd_clip", BaselineParams(), horizon=5),
+        Lane("demuon", ScheduleParams(0.05, 0.5), orthogonalizer="ns:5", horizon=37),
+    ]
+    results, failure, caught, calls = _window_invariant(monkeypatch, lanes, prob, build_ring(4), noise, seed=3)
+    assert failure is None and caught == [] and len(results) == len(lanes)
+    assert [sum(i == lane for i, _ in calls) for lane in range(4)] == [64, 37, 5, 37]
+    # Sinks are called round by round, the live lanes in lane order within a round.
+    assert [i for i, _ in calls[:8]] == [0, 1, 2, 3] * 2
+    assert [i for i, _ in calls[-27:]] == [0] * 27
+
+
+def test_rows_do_not_depend_on_the_window_when_the_ball_is_left_mid_window(monkeypatch):
+    import re
+
+    from demuon.problems import make_nonconvex_gram
+
+    prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5, ball_radius=0.5)
+    noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
+    lanes = [Lane(algorithm, params, horizon=40) for algorithm, params, _ in BALL_CASES]
+    results, failure, caught, _ = _window_invariant(monkeypatch, lanes, prob, build_ring(3), noise, seed=1)
+    exits = [int(re.search(r"at iteration (\d+)", text).group(1)) for text in caught]
+    # Each lane leaves the ball at its own round, all inside one window when a window may hold 64 rounds.
+    assert failure is None and len(set(exits)) == len(lanes)
+    assert all(0 < k < 39 for k in exits)
+
+
+def test_rows_do_not_depend_on_the_window_when_a_lane_diverges_mid_window(monkeypatch):
+    prob, mixing, noise, params = dsgd_divergence_setup()
+    lanes = [
+        Lane("demuon", theoretical_schedule(12)),
+        Lane("dsgd", params, horizon=40),
+        Lane("gt_nsgdm", ScheduleParams(0.1, 0.2), horizon=30),
+    ]
+    results, failure, _, calls = _window_invariant(monkeypatch, lanes, prob, mixing, noise, seed=0)
+    algorithm, iteration, _, quantity, _ = failure
+    assert (algorithm, quantity) == ("dsgd", "iterate") and 0 < iteration < 12
+    # The lane before the diverging one finishes; every lane's sink had the
+    # rows of every round before the diverging one when the Diverged was raised.
+    assert len(results) == 1
+    assert [sum(i == lane for i, _ in calls) for lane in range(3)] == [12, iteration, iteration]

@@ -175,6 +175,29 @@ def test_node_and_shape_errors():
         exact_gradient(prob, 0, np.zeros((4, 2)))
 
 
+# (N, m, n, p) of the quickstart, large_n64, rate_sweep and baselines_gram
+# workloads, then odd shapes: 1x1, m < n, and a Gram-route short side.
+STACK_SHAPES = [(8, 8, 6, 10), (64, 64, 32, 10), (4, 6, 5, 8), (16, 32, 16, 4), (1, 1, 1, 1), (3, 2, 5, 3), (5, 13, 12, 2)]
+
+
+@pytest.mark.parametrize("kind", [QUADRATIC, NONCONVEX_GRAM])
+@pytest.mark.parametrize("n_nodes, m, n, p", STACK_SHAPES)
+def test_stacked_objective_equals_per_matrix_calls(kind, n_nodes, m, n, p):
+    if kind == QUADRATIC:
+        prob = make_quadratic(n_nodes, m, n, p, heterogeneity=0.5, seed=1)
+    else:
+        prob = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=1)
+    xs = np.random.default_rng(n_nodes * m).standard_normal((5, 3, m, n))
+    stacked = objective_at(prob, xs)
+    assert stacked.shape == (5, 3)
+    per_matrix = [[objective_at(prob, x) for x in lane] for lane in xs]
+    assert all(isinstance(v, float) for row in per_matrix for v in row)
+    np.testing.assert_array_equal(stacked, per_matrix)
+    np.testing.assert_array_equal(objective_at(prob, xs[:1, :1]), [[per_matrix[0][0]]])
+    with pytest.raises(ValueError, match="iterate shape"):
+        objective_at(prob, np.zeros((2, m + 1, n)))
+
+
 def test_problem_file_roundtrip(tmp_path):
     for problem in (
         make_quadratic(4, 3, 2, 4, heterogeneity=0.6, seed=19),

@@ -442,6 +442,47 @@ def test_cli_run_rejects_a_weights_csv_without_rows(tmp_path, capsys, contents):
         assert main(["run", str(path)]) == 1
     assert [str(w.message) for w in caught] == []
     payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "InvalidMixingError"
-    assert payload["message"] == f"mixing CSV {weights} holds no rows"
+    # Validation loads the weights, so the file is rejected before any run.
+    assert payload["error"] == "ConfigError"
+    assert payload["message"] == f"topology.weights_csv: mixing CSV {weights} holds no rows"
     assert not (tmp_path / "out").exists()
+
+
+WEIGHTS_FILES = {
+    "missing": None,
+    "empty": "",
+    "not-a-number": "0.5,x\n0.5,0.5\n",
+    "not-stochastic": "1.0,1.0\n1.0,1.0\n",
+    "three-nodes": "".join(",".join(["0.3333333333333333"] * 3) + "\n" for _ in range(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTS_FILES))
+def test_cli_validate_rejects_the_weights_csv_that_run_rejects(tmp_path, capsys, case):
+    # A custom family's weights file is loaded at validation: `validate` and
+    # `run` reject the same files, with the same ConfigError naming the key.
+    weights = tmp_path / "w.csv"
+    if WEIGHTS_FILES[case] is not None:
+        weights.write_text(WEIGHTS_FILES[case])
+    path = tmp_path / "exp.ini"
+    path.write_text(config_text(tmp_path / "out").replace("family = ring", f"family = custom\nweights_csv = {weights}"))
+    payloads = []
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 1
+        payloads.append(json.loads(capsys.readouterr().err))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["error"] == "ConfigError"
+    assert payloads[0]["message"].startswith("topology.weights_csv: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_and_run_accept_a_valid_weights_csv(tmp_path, capsys):
+    from demuon.topology import build_ring
+
+    weights = tmp_path / "w.csv"
+    np.savetxt(weights, build_ring(4).weights, delimiter=",")
+    path = tmp_path / "exp.ini"
+    path.write_text(config_text(tmp_path / "out").replace("family = ring", f"family = custom\nweights_csv = {weights}"))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["weights_csv"] == str(weights)
+    assert main(["run", str(path)]) == 0

@@ -191,6 +191,14 @@ def test_load_mixing_csv_rejects_invalid(tmp_path):
             load_mixing_csv(path3)
 
 
+@pytest.mark.parametrize("text", ["   \n1.0\n", "\t\n1.0\n \n", "  # weights\n1.0\n", "\n1.0\n"])
+def test_load_mixing_csv_skips_blank_and_comment_lines(tmp_path, text):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    spec = load_mixing_csv(path)
+    assert spec.n_nodes == 1 and spec.weights.tolist() == [[1.0]]
+
+
 def _doubly_stochastic(n, c, perm):
     """c J/n + (1 - c) P: positive, doubly stochastic and contractive for c in (0, 1]."""
     return c / n + (1.0 - c) * np.eye(n)[list(perm)]
