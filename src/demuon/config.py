@@ -5,8 +5,9 @@ key; `ExperimentConfig` holds every default, and README "Config format"
 lists the keys with their ranges. `validate_config` checks a rule that a
 cheap component owns by building that component (the noise model, the
 schedule, the baseline constants, the topology's node-count rule), so
-validation and the run apply the same rule. It reads none of the files a
-config names.
+validation and the run apply the same rule. For the same reason it loads
+the files a config names, a custom family's weights and a custom_file
+problem, as the build functions do.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def validate_config(cfg: ExperimentConfig):
     """Field validation; raises ConfigError naming the bad key.
 
     It builds no matrix, except that it loads a custom family's weights file
-    as `build_mixing` does, so a file `build_mixing` would reject fails here.
+    and a custom_file problem as `build_mixing` and `build_problem` do, so a
+    file that they would reject fails here.
 
     Beside the field ranges, no array the config asks for (mixing matrix,
     node stacks, problem data) may exceed MAX_ENTRIES entries.
@@ -180,8 +182,8 @@ def validate_config(cfg: ExperimentConfig):
 
     if cfg.problem_kind not in PROBLEM_KINDS:
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {cfg.problem_kind!r}")
-    if cfg.problem_kind == CUSTOM_FILE and not cfg.problem_path:
-        raise ConfigError("problem.path is required for kind custom_file")
+    if cfg.problem_kind == CUSTOM_FILE:
+        _custom_problem(cfg)
     # Building the problem would check these too, but builds its matrices.
     for key in ("m", "n", "p"):
         if getattr(cfg, key) < 1:
@@ -243,6 +245,21 @@ def _custom_mixing(cfg: ExperimentConfig) -> topology.MixingSpec:
     return spec
 
 
+def _custom_problem(cfg: ExperimentConfig) -> problems.ProblemSet:
+    """The custom_file problem; ConfigError naming problem.path if it does not load, topology.n_nodes if N differs."""
+    if not cfg.problem_path:
+        raise ConfigError("problem.path is required for kind custom_file")
+    try:
+        problem = problems.load_problem(cfg.problem_path)
+    except (OSError, problems.ProblemFormatError) as exc:
+        raise ConfigError(f"problem.path: {exc}") from exc
+    if problem.n_nodes != cfg.n_nodes:
+        raise ConfigError(
+            f"topology.n_nodes = {cfg.n_nodes}, but problem.path {cfg.problem_path} has {problem.n_nodes} nodes"
+        )
+    return problem
+
+
 def build_mixing(cfg: ExperimentConfig) -> topology.MixingSpec:
     if cfg.topology_family == topology.CUSTOM:
         return _custom_mixing(cfg)
@@ -251,20 +268,10 @@ def build_mixing(cfg: ExperimentConfig) -> topology.MixingSpec:
 
 def build_problem(cfg: ExperimentConfig) -> problems.ProblemSet:
     if cfg.problem_kind == CUSTOM_FILE:
-        problem = problems.load_problem(cfg.problem_path)
-    elif cfg.problem_kind == problems.QUADRATIC:
-        problem = problems.make_quadratic(
-            cfg.n_nodes, cfg.m, cfg.n, cfg.p, cfg.heterogeneity, cfg.problem_seed
-        )
-    else:
-        problem = problems.make_nonconvex_gram(
-            cfg.n_nodes, cfg.m, cfg.n, cfg.heterogeneity, cfg.problem_seed
-        )
-    if problem.n_nodes != cfg.n_nodes:
-        raise ConfigError(
-            f"problem has {problem.n_nodes} nodes but topology.n_nodes={cfg.n_nodes}"
-        )
-    return problem
+        return _custom_problem(cfg)
+    if cfg.problem_kind == problems.QUADRATIC:
+        return problems.make_quadratic(cfg.n_nodes, cfg.m, cfg.n, cfg.p, cfg.heterogeneity, cfg.problem_seed)
+    return problems.make_nonconvex_gram(cfg.n_nodes, cfg.m, cfg.n, cfg.heterogeneity, cfg.problem_seed)
 
 
 def build_noise(cfg: ExperimentConfig) -> noise_mod.NoiseModel:
@@ -276,7 +283,7 @@ def build_params(cfg: ExperimentConfig):
     if cfg.algorithm in optimizers.TRACKER_ALGORITHMS:
         if cfg.schedule_mode == "theorem":
             return optimizers.theoretical_schedule(cfg.horizon, cfg.alpha)
-        return optimizers.ScheduleParams(cfg.eta, cfg.theta, cfg.horizon, cfg.alpha)
+        return optimizers.ScheduleParams(cfg.eta, cfg.theta)
     return optimizers.BaselineParams(cfg.dsgd_eta, cfg.clip_eta, cfg.clip_tau)
 
 

@@ -5,7 +5,7 @@ then the tracker stage (which reads every node's new momentum), then the
 iterate stage (which reads every node's new tracker). Stages operate on
 immutable snapshots, so per-node work within a stage is order-independent
 and results do not depend on how it is parallelized. `run` holds one or
-more lanes (algorithms on the same problem, mixing, noise and seed, each
+more lanes (algorithms on the same problem, mixing and noise model, each
 with its own horizon) as one (L, N, m, n) stack and makes one `step` call
 per round for all of them: one noise draw, one gradient call, one mix per
 stage and one direction call per group of lanes that share a kernel. The
@@ -20,7 +20,7 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +55,8 @@ class Diverged(ValueError):
 
     Carries the algorithm, the iteration (round) that produced the value,
     the first node holding one, and the quantity. Raised by `run`, it also
-    carries `finished`, the results of the lanes before the diverging one.
+    carries `finished`, the results of the lanes before the diverging one,
+    and `rows`, the diverging lane's rows of the rounds it finished.
     """
 
     def __init__(self, algorithm: str, iteration: int, node: int, quantity: str):
@@ -67,21 +68,22 @@ class Diverged(ValueError):
         self.node = node
         self.quantity = quantity
         self.finished = []
+        self.rows = []
 
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Step size and momentum weighting, optionally derived from the horizon.
+    """Step size and momentum weighting; one with a horizon is the theorem schedule for it.
 
-    In theorem mode eta = K^(-(2 alpha - 1)/(3 alpha - 2)) and
-    theta = K^(-alpha/(3 alpha - 2)) exactly, and K >= 4 is required.
+    An explicit schedule has no horizon. The theorem schedule of a horizon
+    K >= 4 (see `theoretical_schedule`) has eta = K^(-(2 alpha - 1)/(3 alpha - 2))
+    and theta = K^(-alpha/(3 alpha - 2)) exactly, and its lane runs K rounds.
     """
 
     eta: float
     theta: float
-    horizon: int = 1
+    horizon: int | None = None
     alpha: float = 2.0
-    derived_from_theorem: bool = False
 
     def __post_init__(self):
         # Each message starts with the offending field's name.
@@ -91,12 +93,12 @@ class ScheduleParams:
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if self.derived_from_theorem:
+        if self.horizon is not None:
             if self.horizon < 4:
                 raise ValueError(f"theorem schedule needs horizon >= 4, got {self.horizon}")
             eta, theta, _ = diagnostics._theorem_powers(self.horizon, self.alpha)
             if self.eta != eta or self.theta != theta:
-                raise ValueError("derived_from_theorem schedule does not match the power law")
+                raise ValueError(f"horizon {self.horizon} is set, but eta and theta are not its power law")
 
 
 def theoretical_schedule(horizon: int, alpha: float = 2.0) -> ScheduleParams:
@@ -106,7 +108,7 @@ def theoretical_schedule(horizon: int, alpha: float = 2.0) -> ScheduleParams:
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     eta, theta, _ = diagnostics._theorem_powers(horizon, alpha)
-    return ScheduleParams(eta, theta, horizon, alpha, derived_from_theorem=True)
+    return ScheduleParams(eta, theta, horizon, alpha)
 
 
 @dataclass(frozen=True)
@@ -255,10 +257,11 @@ def _per_lane(values):
 def _layout(kinds: tuple) -> tuple:
     """(tracked lane positions, kernel groups) of a lane stack, worked out once per composition.
 
-    `kinds` holds each lane's (algorithm, orthogonalizer) pair: the cache
-    keeps these, not the lanes, whose row sinks hold finished runs' rows.
-    Lanes of one kind form a group that shares one direction call; a group
-    is (algorithm, parsed orthogonalizer, its lane positions, their index).
+    `kinds` holds each lane's (algorithm, orthogonalizer) pair, all that the
+    layout depends on, so lanes that differ only in parameters or horizon
+    share one cache entry. Lanes of one kind form a group that shares one
+    direction call; a group is (algorithm, parsed orthogonalizer, its lane
+    positions, their index).
     """
     tracked = tuple(i for i, (algorithm, _) in enumerate(kinds) if algorithm in TRACKER_ALGORITHMS)
     groups = {}
@@ -385,21 +388,16 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Lane:
-    """One algorithm of a `run`: its parameters, polar kernel, row sink and horizon.
+    """One algorithm of a `run`: its parameters, polar kernel and horizon.
 
     `params` is a ScheduleParams for the tracked algorithms (demuon,
-    gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. `sink`, when
-    given, receives each of the lane's MetricsRows in round order; `run`
-    builds rows a window of rounds at a time, so a row arrives up to one
-    window after its round.
-    `horizon` is the number of rounds the lane runs; None takes the
-    `horizon` of `run`, or else a tracked lane's schedule horizon.
+    gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. `horizon` is the
+    number of rounds the lane runs; None takes a theorem schedule's horizon.
     """
 
     algorithm: str
     params: ScheduleParams | BaselineParams
     orthogonalizer: str = "svd"
-    sink: Callable[[MetricsRow], object] | None = None
     horizon: int | None = None
 
     def __post_init__(self):
@@ -411,15 +409,14 @@ class Lane:
         parse_orthogonalizer(self.orthogonalizer)
 
 
-def _lane_horizon(lane: Lane, horizon: int | None) -> int:
-    """The rounds `lane` runs: its own horizon, else `run`'s, else its schedule's (tracked lanes)."""
-    tracked = lane.algorithm in TRACKER_ALGORITHMS
-    default = lane.params.horizon if tracked else None
-    k = next((h for h in (lane.horizon, horizon) if h is not None), default)
+def _lane_horizon(lane: Lane) -> int:
+    """The rounds `lane` runs: its own horizon, else its theorem schedule's."""
+    derived = lane.params.horizon if lane.algorithm in TRACKER_ALGORITHMS else None
+    k = derived if lane.horizon is None else lane.horizon
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"horizon must be a positive integer, got {k}")
-    if tracked and lane.params.derived_from_theorem and k != lane.params.horizon:
-        raise ValueError(f"theorem schedule was derived for K={lane.params.horizon}, cannot run K={k}")
+    if derived is not None and k != derived:
+        raise ValueError(f"theorem schedule was derived for K={derived}, cannot run K={k}")
     return k
 
 
@@ -433,7 +430,7 @@ class _LaneRun:
         if self.tracked:
             params = lane.params
             self.bound = diagnostics.consensus_bound(params.eta, mixing.mixing_rate, mixing.n_nodes)
-            if params.derived_from_theorem:
+            if params.horizon is not None:
                 self.pot_weights = diagnostics.theorem_potential_params(
                     params.horizon, params.alpha, mixing.mixing_rate
                 )
@@ -444,13 +441,9 @@ class _LaneRun:
         self.ball_exit = None  # the warning of the first round that left the ball
         self.moment_sum = None  # the running noise-moment sum when the lane retired
 
-    def record(self, row: MetricsRow):
-        self.rows.append(row)
-        if self.lane.sink is not None:
-            self.lane.sink(row)
-
-    def result(self, seed: int, mixing: MixingSpec, alpha: float) -> RunResult:
+    def result(self, mixing: MixingSpec, noise_model: NoiseModel) -> RunResult:
         # Each lane draws its report index as a one-lane run of its horizon would.
+        seed = noise_model.base_seed
         iota = int(np.random.default_rng((seed, _REPORT_STREAM)).integers(self.horizon))
         grad_norms = [row.avg_grad_nuclear for row in self.rows]
         return RunResult(
@@ -465,7 +458,7 @@ class _LaneRun:
             consensus_violations=self.violations,
             max_tracking_residual=self.max_track,
             max_avg_iterate_residual=self.max_ave_resid,
-            noise_alpha_moment=(self.moment_sum / (self.horizon * mixing.n_nodes)) ** (1.0 / alpha),
+            noise_alpha_moment=(self.moment_sum / (self.horizon * mixing.n_nodes)) ** (1.0 / noise_model.alpha),
             ball_exited=self.ball_exit is not None,
         )
 
@@ -565,31 +558,23 @@ def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> floa
     for w, pending in enumerate(window):
         wall_ms = (pending.step_s + diagnostics_s) * 1e3 / kept
         for lane_run in live:
-            lane_run.record(MetricsRow(*next(rows), wall_time_ms=wall_ms))
+            lane_run.rows.append(MetricsRow(*next(rows), wall_time_ms=wall_ms))
         # One round at a time, as the rounds ran: one sum over the window would round differently.
         moment_sum += float(np.add.reduce(noise_powers[w]))
     window.clear()
     return moment_sum
 
 
-def run(
-    lanes,
-    problem,
-    mixing: MixingSpec,
-    noise_model: NoiseModel,
-    horizon: int | None = None,
-    seed: int = 0,
-) -> list[RunResult]:
+def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[RunResult]:
     """Run every lane from X = 0 for its horizon and report per-iteration diagnostics.
 
-    The lanes share the problem, mixing, noise model and seed. Each lane
-    runs its own horizon (see `Lane`; `horizon` is the default for lanes
-    that set none) and retires when it is reached. The live lanes form one
-    (L, N, m, n) stack: each round is one `step` call for all of them (one
-    noise draw, see `step`). The rows are built a window of rounds at a
-    time (see `_window_rows`): every diagnostic that is a norm of a stack,
-    and the objective at the mean, is one call for the window's rounds and
-    lanes. A window is the most rounds, at most `_WINDOW_ROUNDS`, whose
+    The lanes share the problem, mixing and noise model. Each lane runs its
+    own horizon (see `Lane`) and retires when it is reached. The live lanes
+    form one (L, N, m, n) stack: each round is one `step` call for all of
+    them (one noise draw, see `step`). The rows are built a window of rounds
+    at a time (see `_window_rows`): every diagnostic that is a norm of a
+    stack, and the objective at the mean, is one call for the window's rounds
+    and lanes. A window is the most rounds, at most `_WINDOW_ROUNDS`, whose
     arrays fit `_WINDOW_BYTES`; it also ends when a lane retires or fails.
     The rows do not depend on the window. Returns one RunResult per lane, in
     lane order, each equal field for field to a one-lane run of that lane.
@@ -597,22 +582,22 @@ def run(
     A tracked lane on a `theoretical_schedule` also reports each round's
     potential, weighted by `diagnostics.theorem_potential_params`. A lane's
     reported iteration index is drawn uniformly from {0, ..., K-1}, K its
-    horizon, once, after the loop, from a substream of `seed`, so the
-    trajectory does not depend on the draw. Its noise moment covers the
-    draws of its own K rounds.
+    horizon, once, after the loop, from a substream of the noise model's
+    `base_seed`, which is also the result's `seed`, so the trajectory does
+    not depend on the draw. Its noise moment covers the draws of its own K
+    rounds.
 
     Divergence has the outcome of running the lanes one after another: the
     lanes before the first diverging lane run to their horizons, the lanes
     after it are dropped, and its Diverged is raised with `finished`
-    holding the results of the lanes before it; every sink has then had
-    the rows of every round that finished. The ball-exit
-    RuntimeWarnings of the kept lanes are emitted, in lane order, when the
-    pass ends.
+    holding the results of the lanes before it and `rows` its own rows of
+    the rounds it finished. The ball-exit RuntimeWarnings of the kept lanes
+    are emitted, in lane order, when the pass ends.
     """
     lanes = list(lanes)
     if not lanes:
         raise ValueError("run needs at least one lane")
-    runs = [_LaneRun(lane, _lane_horizon(lane, horizon), mixing) for lane in lanes]
+    runs = [_LaneRun(lane, _lane_horizon(lane), mixing) for lane in lanes]
     if problem.n_nodes != mixing.n_nodes:
         raise ValueError(
             f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
@@ -651,8 +636,8 @@ def run(
     for lane_run in runs[: len(kept_runs) + (failure is not None)]:
         if lane_run.ball_exit is not None:
             warnings.warn(lane_run.ball_exit, RuntimeWarning, stacklevel=2)
-    results = [lane_run.result(seed, mixing, noise_model.alpha) for lane_run in kept_runs]
+    results = [lane_run.result(mixing, noise_model) for lane_run in kept_runs]
     if failure is not None:
-        failure.finished = results
+        failure.finished, failure.rows = results, failed.rows
         raise failure
     return results

@@ -83,31 +83,25 @@ def _execute_lanes(cfgs, record_timing: bool = False) -> list:
     mixing = config_mod.build_mixing(base)
     problem = config_mod.build_problem(base)
     noise_model = config_mod.build_noise(base)
-    rows = [[] for _ in cfgs]
     lanes = [
-        optimizers.Lane(
-            cfg.algorithm, config_mod.build_params(cfg), cfg.orthogonalizer, sink=lane_rows.append,
-            horizon=cfg.horizon,
-        )
-        for cfg, lane_rows in zip(cfgs, rows)
+        optimizers.Lane(cfg.algorithm, config_mod.build_params(cfg), cfg.orthogonalizer, horizon=cfg.horizon)
+        for cfg in cfgs
     ]
     version = version_hash()
     try:
-        results = optimizers.run(lanes, problem, mixing, noise_model, seed=base.seed)
+        results = optimizers.run(lanes, problem, mixing, noise_model)
     except optimizers.Diverged as exc:
-        for cfg, lane_rows, result in zip(cfgs, rows, exc.finished):
-            _write_artifacts(cfg, lane_rows, result, version, record_timing)
-        failed = len(exc.finished)
-        _write_artifacts(cfgs[failed], rows[failed], exc, version, record_timing)
+        for cfg, result in zip(cfgs, exc.finished + [exc]):
+            _write_artifacts(cfg, result, version, record_timing)
         raise
-    return [
-        _write_artifacts(cfg, lane_rows, result, version, record_timing)
-        for cfg, lane_rows, result in zip(cfgs, rows, results)
-    ]
+    return [_write_artifacts(cfg, result, version, record_timing) for cfg, result in zip(cfgs, results)]
 
 
-def _write_artifacts(cfg, rows, result, version: str, record_timing: bool) -> ExecuteOutcome | None:
-    """Write a run's metrics CSV and summary JSON; `result` is its RunResult, or the Diverged it raised."""
+def _write_artifacts(cfg, result, version: str, record_timing: bool) -> ExecuteOutcome | None:
+    """Write a run's metrics CSV and summary JSON; `result` is its RunResult, or the Diverged it raised.
+
+    Either one holds the run's rows in `rows`.
+    """
     rid = run_id(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, f"metrics_{rid}.csv")
@@ -121,7 +115,7 @@ def _write_artifacts(cfg, rows, result, version: str, record_timing: bool) -> Ex
         "config": cfg.as_dict(),
         "version": version,
     }
-    _write_metrics_csv(metrics_path, rows, record_timing)
+    _write_metrics_csv(metrics_path, result.rows, record_timing)
     if isinstance(result, optimizers.Diverged):
         summary.update(status="diverged", iteration=result.iteration, node=result.node, quantity=result.quantity)
         _write_json(summary_path, summary)

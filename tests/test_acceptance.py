@@ -87,7 +87,7 @@ def test_criterion_03_consensus_bound():
         for seed in SEEDS:
             noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
             start = time.perf_counter()
-            res = run([Lane("demuon", sched)], problem, mixing, noise, horizon=500, seed=seed)[0]
+            res = run([Lane("demuon", sched, horizon=500)], problem, mixing, noise)[0]
             elapsed = time.perf_counter() - start
             assert elapsed < 30.0
             assert res.consensus_violations == 0
@@ -143,7 +143,7 @@ def test_criterion_06_rate_trend():
     for seed in range(5):
         noise = NoiseModel("gaussian", 2.0, 0.25, base_seed=seed)
         lanes = [Lane("demuon", theoretical_schedule(horizon, 2.0)) for horizon in horizons]
-        vals.append([res.avg_grad_nuclear_mean for res in run(lanes, problem, mixing, noise, seed=seed)])
+        vals.append([res.avg_grad_nuclear_mean for res in run(lanes, problem, mixing, noise)])
     means = [float(np.mean(per_horizon)) for per_horizon in zip(*vals)]
     assert all(means[i + 1] < means[i] for i in range(len(means) - 1))
     slope = float(np.polyfit(np.log(horizons), np.log(means), 1)[0])

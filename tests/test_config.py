@@ -81,7 +81,7 @@ def test_theorem_mode_restrictions():
     cfg = parse_config(theorem)
     params = build_params(cfg)
     assert isinstance(params, ScheduleParams)
-    assert params.derived_from_theorem
+    assert params == theoretical_schedule(cfg.horizon, cfg.alpha)
     with pytest.raises(ConfigError, match="theorem"):
         parse_config(theorem.replace("algorithm = demuon", "algorithm = dsgd"))
     with pytest.raises(ConfigError, match="K >= 4"):
@@ -92,7 +92,7 @@ def test_build_params_baselines():
     cfg = parse_config(MINIMAL.replace("algorithm = demuon", "algorithm = gt_nsgdm"))
     params = build_params(cfg)
     assert isinstance(params, ScheduleParams)
-    assert params.eta == 0.1 and params.theta == 0.2
+    assert (params.eta, params.theta, params.horizon) == (0.1, 0.2, None)
     theorem = MINIMAL.replace("algorithm = demuon", "algorithm = gt_nsgdm") + "\n[schedule]\nmode = theorem\n"
     assert build_params(parse_config(theorem)) == theoretical_schedule(10, 2.0)
     cfg_clip = parse_config(MINIMAL.replace("algorithm = demuon", "algorithm = dsgd_clip"))

@@ -151,5 +151,5 @@ def test_the_engine_draws_the_noise_once_per_round(monkeypatch):
         + [Lane("gt_nsgdm", ScheduleParams(0.1, 0.2), horizon=2)],
     ):
         calls.clear()
-        results = run(lanes, prob, build_ring(3), noise, seed=5)
+        results = run(lanes, prob, build_ring(3), noise)
         assert calls == list(range(max(r.horizon for r in results)))

@@ -27,7 +27,8 @@ from demuon.optimizers import (
     theoretical_schedule,
 )
 from demuon.problems import ProblemSet, QUADRATIC, make_quadratic
-from demuon.topology import MixingSpec, build_complete, build_directed_exponential, build_ring
+from demuon.topology import MixingSpec, build_complete, build_directed_exponential, build_ring, validate_mixing
+from test_topology import _doubly_stochastic
 
 NOISELESS = NoiseModel("gaussian", 2.0, 0.0)
 
@@ -46,8 +47,8 @@ def lane_state(algorithm, params, n_nodes, x0):
 
 def test_theoretical_schedule_values():
     s = theoretical_schedule(16, 2.0)
-    assert (s.eta, s.theta) == (0.125, 0.25)
-    assert s.derived_from_theorem
+    assert (s.eta, s.theta, s.horizon) == (0.125, 0.25, 16)
+    assert ScheduleParams(0.125, 0.25, 16) == s  # the theorem schedule, spelled out
     s2 = theoretical_schedule(256, 1.5)
     assert s2.eta == pytest.approx(256.0 ** (-0.8))
     assert s2.theta == pytest.approx(256.0 ** (-0.6))
@@ -63,7 +64,11 @@ def test_schedule_params_validation():
     with pytest.raises(ValueError):
         ScheduleParams(eta=0.1, theta=1.5)
     with pytest.raises(ValueError):
-        ScheduleParams(eta=0.5, theta=0.5, horizon=16, derived_from_theorem=True)
+        ScheduleParams(eta=0.5, theta=0.5, horizon=16)
+    # A horizon marks a theorem schedule: an explicit one names none.
+    assert ScheduleParams(0.1, 0.2).horizon is None
+    with pytest.raises(ValueError, match="not its power law"):
+        ScheduleParams(0.1, 0.2, horizon=7)
     with pytest.raises(ValueError):
         BaselineParams(clip_tau=-1.0)
 
@@ -265,7 +270,7 @@ def test_demuon_directions_have_unit_spectral_norm(m, n, p):
 
 def test_run_emits_one_row_per_iteration():
     prob = make_quadratic(2, 2, 2, 3, seed=1)
-    res = run([Lane("dsgd", BaselineParams())], prob, build_complete(2), NOISELESS, horizon=1, seed=0)[0]
+    res = run([Lane("dsgd", BaselineParams(), horizon=1)], prob, build_complete(2), NOISELESS)[0]
     assert len(res.rows) == 1
     assert res.rows[0].iter == 0
     assert 0 <= res.iota < 1
@@ -274,9 +279,8 @@ def test_run_emits_one_row_per_iteration():
 def test_run_is_deterministic():
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.3, seed=4)
     noise = NoiseModel("student_t", 1.6, 0.4, dof=2.0, base_seed=21)
-    kw = dict(horizon=40, seed=21)
-    r1 = run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, build_ring(3), noise, **kw)[0]
-    r2 = run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, build_ring(3), noise, **kw)[0]
+    r1 = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)], prob, build_ring(3), noise)[0]
+    r2 = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)], prob, build_ring(3), noise)[0]
     for a, b in zip(r1.rows, r2.rows):
         assert a.consensus_error_x == b.consensus_error_x
         assert a.avg_grad_nuclear == b.avg_grad_nuclear
@@ -286,8 +290,7 @@ def test_run_is_deterministic():
 
 def test_run_single_node_convergence():
     prob = make_quadratic(1, 4, 3, 6, heterogeneity=0.0, seed=3)
-    res = run([Lane("demuon", ScheduleParams(0.05, 0.5))], prob, build_complete(1), NOISELESS,
-              horizon=80, seed=1)[0]
+    res = run([Lane("demuon", ScheduleParams(0.05, 0.5), horizon=80)], prob, build_complete(1), NOISELESS)[0]
     assert res.rows[-1].avg_grad_nuclear < res.rows[0].avg_grad_nuclear
 
 
@@ -305,10 +308,50 @@ def test_run_tracking_and_average_iterate_identities(algorithm, params):
     # On a doubly stochastic W, mean X+ = mean X - eta * mean(D) for every algorithm.
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=6)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=9)
-    res = run([Lane(algorithm, params)], prob, build_ring(4), noise, horizon=60, seed=9)[0]
+    res = run([Lane(algorithm, params, horizon=60)], prob, build_ring(4), noise)[0]
     assert res.max_avg_iterate_residual <= 1e-9
     if algorithm in TRACKER_ALGORITHMS:
         assert res.max_tracking_residual <= 1e-9
+
+
+def _circulant(weights):
+    """The circulant matrix whose row i is `weights` shifted right by i: doubly stochastic when they sum to 1."""
+    n = len(weights)
+    return np.array([[weights[(j - i) % n] for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def doubly_stochastic_mixings(draw):
+    """A MixingSpec on a random positive doubly stochastic W, with the rate `validate_mixing` gives."""
+    n = draw(st.integers(1, 6), label="n")
+    if draw(st.booleans(), label="circulant"):
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n), label="weights"))
+        w = _circulant(weights / weights.sum())
+    else:
+        w = _doubly_stochastic(n, draw(st.floats(0.05, 1.0), label="c"), draw(st.permutations(range(n)), label="perm"))
+    report = validate_mixing(w)
+    assert report.ok, report.failures()
+    return MixingSpec(n, w, report.mixing_rate, "custom")
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixing=doubly_stochastic_mixings(), data=st.data())
+def test_identities_hold_on_random_doubly_stochastic_mixing(mixing, data):
+    # Not only on the built families: on any doubly stochastic W every
+    # algorithm keeps the mean-iterate recursion, the tracked ones the
+    # tracking identity, and demuon the consensus envelope.
+    m, n = data.draw(st.sampled_from([(1, 1), (2, 3), (1, 4), (3, 2), (3, 3)]), label="shape")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    horizon = data.draw(st.integers(1, 30), label="horizon")
+    prob = make_quadratic(mixing.n_nodes, m, n, 3, heterogeneity=0.5, seed=seed)
+    noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
+    lanes = [Lane(algorithm, params, horizon=horizon) for algorithm, params in ALGORITHM_PARAMS]
+    for res in run(lanes, prob, mixing, noise):
+        assert res.max_avg_iterate_residual <= 1e-9
+        if res.algorithm in TRACKER_ALGORITHMS:
+            assert res.max_tracking_residual <= 1e-9
+        if res.algorithm == "demuon":
+            assert res.consensus_violations == 0
 
 
 @pytest.mark.parametrize("algorithm, params", ALGORITHM_PARAMS)
@@ -317,7 +360,7 @@ def test_run_checks_mean_iterate_recursion_for_every_algorithm(algorithm, params
     # mean X+ = mean X - eta * mean(D) fails for every algorithm.
     prob = make_quadratic(2, 3, 2, 4, heterogeneity=0.5, seed=6)
     mixing = MixingSpec(2, np.array([[0.5, 0.5], [0.0, 1.0]]), 0.5, "custom")
-    res = run([Lane(algorithm, params)], prob, mixing, NOISELESS, horizon=5, seed=0)[0]
+    res = run([Lane(algorithm, params, horizon=5)], prob, mixing, NOISELESS)[0]
     assert res.max_avg_iterate_residual > 1e-3
 
 
@@ -325,7 +368,7 @@ def test_run_consensus_bound_holds():
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=10)
     noise = NoiseModel("gaussian", 2.0, 0.4, base_seed=2)
     mixing = build_ring(4)
-    res = run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, mixing, noise, horizon=100, seed=2)[0]
+    res = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=100)], prob, mixing, noise)[0]
     assert res.consensus_violations == 0
     bound = consensus_bound(0.1, mixing.mixing_rate, 4)
     assert all(row.consensus_error_x <= bound + 1e-9 for row in res.rows)
@@ -334,11 +377,11 @@ def test_run_consensus_bound_holds():
 def test_run_rejects_mismatched_params():
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     with pytest.raises(TypeError):
-        run([Lane("demuon", BaselineParams())], prob, build_complete(2), NOISELESS, horizon=5)
+        run([Lane("demuon", BaselineParams(), horizon=5)], prob, build_complete(2), NOISELESS)
     with pytest.raises(TypeError):
-        run([Lane("dsgd", ScheduleParams(0.1, 0.2))], prob, build_complete(2), NOISELESS, horizon=5)
+        run([Lane("dsgd", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_complete(2), NOISELESS)
     with pytest.raises(ValueError):
-        run([Lane("demuon", ScheduleParams(0.1, 0.2))], prob, build_complete(3), NOISELESS, horizon=5)
+        run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_complete(3), NOISELESS)
 
 
 @pytest.mark.parametrize("algorithm", ["demuon", "gt_nsgdm"])
@@ -346,18 +389,19 @@ def test_run_theorem_schedule_horizon_locked(algorithm):
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     sched = theoretical_schedule(16, 2.0)
     with pytest.raises(ValueError):
-        run([Lane(algorithm, sched)], prob, build_complete(2), NOISELESS, horizon=8)
+        run([Lane(algorithm, sched, horizon=8)], prob, build_complete(2), NOISELESS)
     res = run([Lane(algorithm, sched)], prob, build_complete(2), NOISELESS)[0]  # horizon from schedule
     assert res.horizon == 16
 
 
 def test_run_iota_uniform_and_seeded():
     prob = make_quadratic(1, 2, 2, 3, seed=0)
-    iotas = {
-        run([Lane("dsgd", BaselineParams())], prob, build_complete(1), NOISELESS,
-            horizon=50, seed=s)[0].iota
+    results = [
+        run([Lane("dsgd", BaselineParams(), horizon=50)], prob, build_complete(1), replace(NOISELESS, base_seed=s))[0]
         for s in range(30)
-    }
+    ]
+    assert [r.seed for r in results] == list(range(30))  # the report seed is the noise model's
+    iotas = {r.iota for r in results}
     assert all(0 <= i < 50 for i in iotas)
     assert len(iotas) > 5  # the draw varies with the seed
 
@@ -365,19 +409,17 @@ def test_run_iota_uniform_and_seeded():
 def test_run_newton_schulz_orthogonalizer():
     prob = make_quadratic(2, 3, 3, 4, heterogeneity=0.2, seed=12)
     noise = NoiseModel("gaussian", 2.0, 0.1, base_seed=3)
-    res = run([Lane("demuon", ScheduleParams(0.1, 0.2), orthogonalizer="ns:15")], prob, build_complete(2), noise,
-              horizon=30, seed=3)[0]
+    res = run([Lane("demuon", ScheduleParams(0.1, 0.2), orthogonalizer="ns:15", horizon=30)], prob,
+              build_complete(2), noise)[0]
     assert res.consensus_violations == 0
     assert res.max_tracking_residual <= 1e-9
     assert res.max_avg_iterate_residual <= 1e-9
 
 
-def test_run_metrics_sink_receives_rows():
+def test_run_results_hold_every_round_row_in_order():
     prob = make_quadratic(2, 2, 2, 3, seed=1)
-    seen = []
-    run([Lane("dsgd", BaselineParams(), sink=seen.append)], prob, build_complete(2), NOISELESS,
-        horizon=7, seed=0)
-    assert [r.iter for r in seen] == list(range(7))
+    [res] = run([Lane("dsgd", BaselineParams(), horizon=7)], prob, build_complete(2), NOISELESS)
+    assert [r.iter for r in res.rows] == list(range(7))
 
 
 def test_two_route_consensus_norms_sandwich_each_iteration():
@@ -432,7 +474,7 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
     for window in (1, 7, 64):  # 200, 29 and 4 windows of the 200 rounds
         monkeypatch.setattr(optimizers, "_WINDOW_ROUNDS", window)
         calls.update(dict.fromkeys(calls, 0))
-        res = run([Lane("demuon", sched)], prob, mixing, NOISELESS, seed=0)[0]
+        res = run([Lane("demuon", sched)], prob, mixing, NOISELESS)[0]
         windows = -(-200 // window)
         assert calls == {"exact_gradient": 200, "objective_at": windows, "consensus_error_nuclear": windows}
         rows.append([replace(row, wall_time_ms=None) for row in res.rows])
@@ -461,8 +503,7 @@ def test_run_warns_when_ball_exited():
     prob = make_nonconvex_gram(2, 3, 2, heterogeneity=0.0, seed=5, ball_radius=1e-3)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     with pytest.warns(RuntimeWarning, match="certified ball"):
-        res = run([Lane("demuon", ScheduleParams(0.3, 0.5))], prob, build_complete(2), noise,
-                  horizon=10, seed=1)[0]
+        res = run([Lane("demuon", ScheduleParams(0.3, 0.5), horizon=10)], prob, build_complete(2), noise)[0]
     assert res.ball_exited
 
 
@@ -494,7 +535,7 @@ def test_ball_exit_warns_at_the_per_node_reference_iteration(algorithm, params, 
     assert expected is not None and expected > 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = run([Lane(algorithm, params)], prob, mixing, noise, horizon=40, seed=1)[0]
+        res = run([Lane(algorithm, params, horizon=40)], prob, mixing, noise)[0]
     exits = [str(w.message) for w in caught if "certified ball" in str(w.message)]
     assert res.ball_exited
     assert len(exits) == 1
@@ -510,7 +551,7 @@ def test_ball_check_decomposes_no_iterate_inside_the_ball(monkeypatch):
     prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     for algorithm, params in (("demuon", ScheduleParams(0.05, 0.5)), ("dsgd", BaselineParams(dsgd_eta=0.05))):
-        res = run([Lane(algorithm, params)], prob, build_ring(3), noise, horizon=60, seed=1)[0]
+        res = run([Lane(algorithm, params, horizon=60)], prob, build_ring(3), noise)[0]
         assert not res.ball_exited
     assert decomposed == []
 
@@ -543,14 +584,20 @@ def test_dsgd_divergence_stops_at_the_round_with_context():
     assert 0 <= exc.node < 4
     # The run leaves the certified ball before it diverges; that is its only warning.
     with pytest.raises(Diverged) as from_run, pytest.warns(RuntimeWarning, match="certified ball"):
-        run([Lane("dsgd", params)], prob, mixing, noise, horizon=50, seed=0)
+        run([Lane("dsgd", params, horizon=50)], prob, mixing, noise)
     assert (from_run.value.iteration, from_run.value.node) == (exc.iteration, exc.node)
+    assert [row.iter for row in from_run.value.rows] == list(range(exc.iteration))
     assert f"iteration {exc.iteration}" in str(from_run.value)
+
+
+def _untimed_rows(rows):
+    """The rows without their wall time."""
+    return [replace(row, wall_time_ms=None) for row in rows]
 
 
 def _untimed(result):
     """The result as text, rows without their wall time: repr is exact for every float."""
-    return repr(replace(result, rows=[replace(row, wall_time_ms=None) for row in result.rows]))
+    return repr(replace(result, rows=_untimed_rows(result.rows)))
 
 
 def _lanes(horizon):
@@ -561,9 +608,9 @@ def _lanes(horizon):
     )
     kernel = st.one_of(st.just("svd"), st.integers(1, 8).map(lambda k: f"ns:{k}"))
     return st.one_of(
-        st.builds(Lane, st.sampled_from(["dsgd", "dsgd_clip"]), baseline),
-        st.builds(Lane, st.just("gt_nsgdm"), schedule),
-        st.builds(Lane, st.just("demuon"), schedule, kernel),
+        st.builds(Lane, st.sampled_from(["dsgd", "dsgd_clip"]), baseline, horizon=st.just(horizon)),
+        st.builds(Lane, st.just("gt_nsgdm"), schedule, horizon=st.just(horizon)),
+        st.builds(Lane, st.just("demuon"), schedule, kernel, horizon=st.just(horizon)),
     )
 
 
@@ -572,7 +619,6 @@ def _lanes(horizon):
 def test_lockstep_lanes_equal_one_lane_runs(data):
     # Random lanes, divergence and ball exits included: one lockstep run gives
     # what running the lanes one after another gives, float for float.
-    from demuon.optimizers import Diverged
     from demuon.problems import make_nonconvex_gram
 
     n_nodes = data.draw(st.integers(1, 4), label="n_nodes")
@@ -591,28 +637,8 @@ def test_lockstep_lanes_equal_one_lane_runs(data):
     ]), label="noise")
     lanes = data.draw(st.lists(_lanes(horizon), min_size=1, max_size=4), label="lanes")
 
-    def outcome(call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                results, failure = call(), None
-            except Diverged as exc:
-                results, failure = exc.finished, exc
-        failure = failure and (failure.algorithm, failure.iteration, failure.node, failure.quantity)
-        return [_untimed(r) for r in results], failure, [str(w.message) for w in caught]
-
-    def one_by_one():
-        results = []
-        for lane in lanes:
-            try:
-                results += run([lane], prob, mixing, noise, horizon=horizon, seed=seed)
-            except Diverged as exc:
-                exc.finished = results
-                raise
-        return results
-
-    results, failure, caught = outcome(lambda: run(lanes, prob, mixing, noise, horizon=horizon, seed=seed))
-    assert (results, failure, caught) == outcome(one_by_one)
+    results, failure, caught = _outcome(lambda: run(lanes, prob, mixing, noise))
+    assert (results, failure, caught) == _outcome(lambda: _one_by_one(lanes, prob, mixing, noise))
     assert failure is not None or len(results) == len(lanes)
 
 
@@ -626,23 +652,30 @@ def test_run_takes_each_lanes_horizon():
     with pytest.raises(ValueError, match="horizon"):
         run([Lane("demuon", theoretical_schedule(16), horizon=0)], *args)
     with pytest.raises(ValueError, match="K=16"):
-        run([Lane("demuon", theoretical_schedule(16)), Lane("dsgd", BaselineParams())], *args, horizon=8)
+        run([Lane("demuon", theoretical_schedule(16), horizon=8), Lane("dsgd", BaselineParams(), horizon=8)], *args)
     lanes = [
         Lane("demuon", theoretical_schedule(16)),
-        Lane("gt_nsgdm", theoretical_schedule(32)),
+        Lane("gt_nsgdm", theoretical_schedule(32), horizon=32),
         Lane("dsgd", BaselineParams(), horizon=5),
-        Lane("demuon", ScheduleParams(0.1, 0.2, horizon=7)),
+        Lane("demuon", ScheduleParams(0.1, 0.2), horizon=7),
         Lane("dsgd_clip", BaselineParams(), horizon=11),
     ]
     results = run(lanes, *args)
     assert [r.horizon for r in results] == [16, 32, 5, 7, 11]
     assert [len(r.rows) for r in results] == [16, 32, 5, 7, 11]
-    # `horizon` is the default of the lanes that name none, over an explicit schedule's.
-    results = run([Lane("dsgd_clip", BaselineParams()), Lane("demuon", ScheduleParams(0.1, 0.2, horizon=7))],
-                  *args, horizon=11)
-    assert [r.horizon for r in results] == [11, 11]
     with pytest.raises(ValueError, match="algorithm"):
         Lane("sgd", BaselineParams())
+
+
+@pytest.mark.parametrize("algorithm", ["demuon", "gt_nsgdm"])
+def test_a_lane_on_an_explicit_schedule_names_its_own_horizon(algorithm):
+    # An explicit schedule has no horizon: a lane on one that names none is
+    # rejected instead of running a default number of rounds.
+    args = (make_quadratic(2, 2, 2, 3, seed=0), build_complete(2), NOISELESS)
+    with pytest.raises(ValueError, match="horizon must be a positive integer, got None"):
+        run([Lane(algorithm, ScheduleParams(0.1, 0.2))], *args)
+    [result] = run([Lane(algorithm, ScheduleParams(0.1, 0.2), horizon=3)], *args)
+    assert result.horizon == 3 and len(result.rows) == 3
 
 
 def test_lane_rejects_an_unknown_orthogonalizer_where_it_is_built():
@@ -659,7 +692,7 @@ def test_run_rejects_a_horizon_that_is_not_an_integer(bad):
     with pytest.raises(ValueError, match="horizon must be a positive integer"):
         run([Lane("dsgd", BaselineParams(), horizon=bad)], *args)
     with pytest.raises(ValueError, match="horizon must be a positive integer"):
-        run([Lane("dsgd", BaselineParams())], *args, horizon=bad)
+        run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=bad)], *args)
     # numpy integers are integers.
     [result] = run([Lane("dsgd", BaselineParams(), horizon=np.int64(3))], *args)
     assert result.horizon == 3 and len(result.rows) == 3
@@ -675,17 +708,18 @@ def _own_horizon_lanes():
     kernel = st.one_of(st.just("svd"), st.integers(1, 8).map(lambda k: f"ns:{k}"))
     horizons = st.integers(1, 14)
     # eta = 1e200 makes a tracked lane on a Gram problem diverge at its momentum.
-    explicit = st.builds(ScheduleParams, st.sampled_from([1.0, 0.05, 1e200]), st.sampled_from([1.0, 0.2]), horizons)
+    explicit = st.builds(ScheduleParams, st.sampled_from([1.0, 0.05, 1e200]), st.sampled_from([1.0, 0.2]))
     theorem = st.builds(theoretical_schedule, st.integers(4, 14), st.sampled_from([1.5, 2.0]))
-    tracked = st.one_of(explicit, theorem)
-    # A tracked lane runs its schedule's horizon unless the lane names its own
-    # (explicit schedules only: a theorem schedule is horizon-locked).
-    own = st.one_of(st.none(), horizons)
+    # (schedule, lane horizon): a lane on an explicit schedule names its
+    # horizon; one on a theorem schedule runs the schedule's, or names it.
+    tracked = st.one_of(
+        st.tuples(explicit, horizons),
+        theorem.flatmap(lambda s: st.tuples(st.just(s), st.sampled_from([None, s.horizon]))),
+    )
     return st.one_of(
         st.builds(Lane, st.sampled_from(["dsgd", "dsgd_clip"]), baseline, horizon=horizons),
-        st.builds(Lane, st.just("gt_nsgdm"), tracked),
-        st.builds(Lane, st.just("demuon"), tracked, kernel),
-        st.builds(Lane, st.sampled_from(["demuon", "gt_nsgdm"]), explicit, horizon=own),
+        tracked.map(lambda t: Lane("gt_nsgdm", t[0], horizon=t[1])),
+        st.tuples(tracked, kernel).map(lambda t: Lane("demuon", t[0][0], t[1], horizon=t[0][1])),
     )
 
 
@@ -699,7 +733,10 @@ def _outcome(call):
             results, failure = call(), None
         except Diverged as exc:
             results, failure = exc.finished, exc
-    failure = failure and (failure.algorithm, failure.iteration, failure.node, failure.quantity, str(failure))
+    failure = failure and (
+        failure.algorithm, failure.iteration, failure.node, failure.quantity, str(failure),
+        repr(_untimed_rows(failure.rows)),
+    )
     return [_untimed(r) for r in results], failure, [str(w.message) for w in caught]
 
 
@@ -741,8 +778,8 @@ def test_lanes_with_their_own_horizons_equal_one_lane_runs(data):
     lanes = data.draw(st.lists(_own_horizon_lanes(), min_size=1, max_size=5), label="lanes")
     args = (prob, mixing, noise)
 
-    stacked = _outcome(lambda: run(lanes, *args, seed=seed))
-    assert stacked == _outcome(lambda: _one_by_one(lanes, *args, seed=seed))
+    stacked = _outcome(lambda: run(lanes, *args))
+    assert stacked == _outcome(lambda: _one_by_one(lanes, *args))
     results, failure, _ = stacked
     assert failure is not None or len(results) == len(lanes)
 
@@ -751,7 +788,7 @@ def test_lanes_with_their_own_horizons_equal_one_lane_runs(data):
 # at eta = 1e200 at iteration 1, with a non-finite momentum.
 DIVERGING_LANES = {
     "dsgd-iterate": Lane("dsgd", BaselineParams(dsgd_eta=1.0), horizon=40),
-    "demuon-momentum": Lane("demuon", ScheduleParams(1e200, 0.5, horizon=40)),
+    "demuon-momentum": Lane("demuon", ScheduleParams(1e200, 0.5), horizon=40),
 }
 
 
@@ -765,42 +802,31 @@ def test_a_diverging_lane_keeps_the_sequential_outcome(position, diverging):
     prob, mixing, noise, _ = dsgd_divergence_setup()
     lanes = [
         Lane("demuon", theoretical_schedule(12)),
-        Lane("gt_nsgdm", ScheduleParams(0.1, 0.2, horizon=3)),
+        Lane("gt_nsgdm", ScheduleParams(0.1, 0.2), horizon=3),
         Lane("dsgd_clip", BaselineParams(), horizon=30),
-        Lane("demuon", ScheduleParams(0.05, 0.5, horizon=4), orthogonalizer="ns:5"),
+        Lane("demuon", ScheduleParams(0.05, 0.5), orthogonalizer="ns:5", horizon=4),
     ]
     lanes.insert(position, DIVERGING_LANES[diverging])
-    stacked = _outcome(lambda: run(lanes, prob, mixing, noise, seed=0))
-    assert stacked == _outcome(lambda: _one_by_one(lanes, prob, mixing, noise, seed=0))
+    stacked = _outcome(lambda: run(lanes, prob, mixing, noise))
+    assert stacked == _outcome(lambda: _one_by_one(lanes, prob, mixing, noise))
     results, failure, _ = stacked
     assert f"{failure[0]}-{failure[3]}" == diverging and len(results) == position
     with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
         warnings.simplefilter("ignore")
-        run(lanes, prob, mixing, noise, seed=0)
+        run(lanes, prob, mixing, noise)
     expected = [lane.horizon or lane.params.horizon for lane in lanes[:position]]
     assert [r.horizon for r in caught.value.finished] == expected
 
 
-def _recorded_run(lanes, *args, **kwargs):
-    """(results as exact text, the Diverged's fields or None, warnings, every sink call in order) of a run."""
-    calls = []
-    lanes = [
-        replace(lane, sink=lambda row, i=i: calls.append((i, repr(replace(row, wall_time_ms=None)))))
-        for i, lane in enumerate(lanes)
-    ]
-    results, failure, caught = _outcome(lambda: run(lanes, *args, **kwargs))
-    return results, failure, caught, calls
-
-
-def _window_invariant(monkeypatch, lanes, *args, **kwargs):
-    """The recorded run at the default window, checked equal at one-round and at full 64-round windows."""
+def _window_invariant(monkeypatch, lanes, *args):
+    """The run's outcome at the default window, checked equal at one-round and at full 64-round windows."""
     import demuon.optimizers as optimizers
 
-    windowed = _recorded_run(lanes, *args, **kwargs)
+    windowed = _outcome(lambda: run(lanes, *args))
     for name, value in (("_WINDOW_ROUNDS", 1), ("_WINDOW_BYTES", 2**62)):
         with monkeypatch.context() as patch:
             patch.setattr(optimizers, name, value)
-            assert _recorded_run(lanes, *args, **kwargs) == windowed
+            assert _outcome(lambda: run(lanes, *args)) == windowed
     return windowed
 
 
@@ -813,12 +839,11 @@ def test_rows_do_not_depend_on_the_window_when_lanes_retire_mid_window(monkeypat
         Lane("dsgd_clip", BaselineParams(), horizon=5),
         Lane("demuon", ScheduleParams(0.05, 0.5), orthogonalizer="ns:5", horizon=37),
     ]
-    results, failure, caught, calls = _window_invariant(monkeypatch, lanes, prob, build_ring(4), noise, seed=3)
+    results, failure, caught = _window_invariant(monkeypatch, lanes, prob, build_ring(4), noise)
     assert failure is None and caught == [] and len(results) == len(lanes)
-    assert [sum(i == lane for i, _ in calls) for lane in range(4)] == [64, 37, 5, 37]
-    # Sinks are called round by round, the live lanes in lane order within a round.
-    assert [i for i, _ in calls[:8]] == [0, 1, 2, 3] * 2
-    assert [i for i, _ in calls[-27:]] == [0] * 27
+    assert [[row.iter for row in r.rows] for r in run(lanes, prob, build_ring(4), noise)] == [
+        list(range(k)) for k in (64, 37, 5, 37)
+    ]
 
 
 def test_rows_do_not_depend_on_the_window_when_the_ball_is_left_mid_window(monkeypatch):
@@ -829,7 +854,7 @@ def test_rows_do_not_depend_on_the_window_when_the_ball_is_left_mid_window(monke
     prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5, ball_radius=0.5)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     lanes = [Lane(algorithm, params, horizon=40) for algorithm, params, _ in BALL_CASES]
-    results, failure, caught, _ = _window_invariant(monkeypatch, lanes, prob, build_ring(3), noise, seed=1)
+    results, failure, caught = _window_invariant(monkeypatch, lanes, prob, build_ring(3), noise)
     exits = [int(re.search(r"at iteration (\d+)", text).group(1)) for text in caught]
     # Each lane leaves the ball at its own round, all inside one window when a window may hold 64 rounds.
     assert failure is None and len(set(exits)) == len(lanes)
@@ -837,16 +862,26 @@ def test_rows_do_not_depend_on_the_window_when_the_ball_is_left_mid_window(monke
 
 
 def test_rows_do_not_depend_on_the_window_when_a_lane_diverges_mid_window(monkeypatch):
+    from demuon.optimizers import Diverged
+
     prob, mixing, noise, params = dsgd_divergence_setup()
     lanes = [
         Lane("demuon", theoretical_schedule(12)),
         Lane("dsgd", params, horizon=40),
         Lane("gt_nsgdm", ScheduleParams(0.1, 0.2), horizon=30),
     ]
-    results, failure, _, calls = _window_invariant(monkeypatch, lanes, prob, mixing, noise, seed=0)
-    algorithm, iteration, _, quantity, _ = failure
+    stacked = _window_invariant(monkeypatch, lanes, prob, mixing, noise)
+    results, failure, _ = stacked
+    algorithm, iteration, _, quantity, _, _ = failure
     assert (algorithm, quantity) == ("dsgd", "iterate") and 0 < iteration < 12
-    # The lane before the diverging one finishes; every lane's sink had the
-    # rows of every round before the diverging one when the Diverged was raised.
+    # The lane before the diverging one finishes, the Diverged holds the
+    # diverging lane's rows of every round before its failing one, the
+    # rows its one-lane run gives, and the lane after it is dropped.
     assert len(results) == 1
-    assert [sum(i == lane for i, _ in calls) for lane in range(3)] == [12, iteration, iteration]
+    assert stacked == _outcome(lambda: _one_by_one(lanes, prob, mixing, noise))
+    with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
+        warnings.simplefilter("ignore")
+        run(lanes, prob, mixing, noise)
+    exc = caught.value
+    assert len(exc.rows) == exc.iteration and [row.iter for row in exc.rows] == list(range(iteration))
+    assert [len(r.rows) for r in exc.finished] == [12]

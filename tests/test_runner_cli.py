@@ -486,3 +486,54 @@ def test_cli_validate_and_run_accept_a_valid_weights_csv(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["weights_csv"] == str(weights)
     assert main(["run", str(path)]) == 0
+
+
+def _problem_file(tmp_path, case):
+    """The path of a problem file for `case`: missing, a directory, malformed, or a valid file for N nodes."""
+    from demuon.problems import dump_problem, make_quadratic
+
+    path = tmp_path / "prob.txt"
+    if case == "directory":
+        path.mkdir()
+    elif case in ("empty", "bad-header"):
+        path.write_text("" if case == "empty" else "quadratic 4 3 2\n")
+    elif case != "missing":
+        dump_problem(make_quadratic(int(case[0]), 3, 2, 4, heterogeneity=0.4, seed=11), path)
+    return path
+
+
+# Each rejected problem file, and the key its ConfigError names first.
+PROBLEM_FILE_KEYS = {
+    "missing": "problem.path: ",
+    "directory": "problem.path: ",
+    "empty": "problem.path: ",
+    "bad-header": "problem.path: ",
+    "3-nodes": "topology.n_nodes ",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBLEM_FILE_KEYS))
+def test_cli_validate_rejects_the_problem_file_that_run_rejects(tmp_path, capsys, case):
+    # A custom_file problem is loaded at validation: `validate` and `run`
+    # reject the same files, with the same ConfigError naming the key.
+    key = PROBLEM_FILE_KEYS[case]
+    problem = _problem_file(tmp_path, case)
+    path = tmp_path / "exp.ini"
+    path.write_text(config_text(tmp_path / "out").replace("kind = quadratic", f"kind = custom_file\npath = {problem}"))
+    payloads = []
+    for verb in ("validate", "run"):
+        assert main([verb, str(path)]) == 1
+        payloads.append(json.loads(capsys.readouterr().err))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["error"] == "ConfigError"
+    assert payloads[0]["message"].startswith(key)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_and_run_accept_a_valid_problem_file(tmp_path, capsys):
+    problem = _problem_file(tmp_path, "4-nodes")
+    path = tmp_path / "exp.ini"
+    path.write_text(config_text(tmp_path / "out").replace("kind = quadratic", f"kind = custom_file\npath = {problem}"))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["problem_path"] == str(problem)
+    assert main(["run", str(path)]) == 0
