@@ -57,15 +57,6 @@ def csv_header() -> str:
     return ",".join(CSV_COLUMNS)
 
 
-def stack_blocks(blocks) -> np.ndarray:
-    """Vertically stack N m x n blocks into one (N m) x n matrix."""
-    arr = np.asarray(blocks, dtype=float)
-    if arr.ndim != 3:
-        raise ValueError(f"expected N stacked matrices, got ndim={arr.ndim}")
-    n_blocks, m, n = arr.shape
-    return arr.reshape(n_blocks * m, n)
-
-
 def node_mean(stack: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Mean over the node axis of an (..., N, m, n) stack.
 
@@ -145,7 +136,7 @@ def theorem_potential_params(horizon: int, alpha: float, lam: float) -> Potentia
     return PotentialParams(p, 2.0 * eta / (1.0 - lam), alpha)
 
 
-def potential(objective_at_mean: float, grads, ms, consensus_v: float, params: PotentialParams) -> float:
+def potential(objective_at_mean, grads, ms, consensus_v, params):
     """Objective at the mean plus weighted momentum-error and tracker-consensus terms.
 
     P = f(mean X) + p * ||grad F stack - M stack||_F^alpha
@@ -154,11 +145,27 @@ def potential(objective_at_mean: float, grads, ms, consensus_v: float, params: P
     `objective_at_mean` is f(mean X), `grads` the (N, m, n) stack of exact
     local gradients at the same iterates X and `consensus_v` the tracker
     consensus `consensus_error_nuclear(V)`, as the run already computes them.
+
+    Many lanes and rounds go in one call: `grads` and `ms` of shape
+    (..., L, N, m, n), `objective_at_mean` and `consensus_v` of shape
+    (..., L), and `params` a sequence of L PotentialParams, one per lane. The
+    Frobenius norms are then one stacked call, and the result is the (..., L)
+    array of what each set's own call gives, bit for bit: the rest is Python
+    float arithmetic per set, since `np.power` can round differently from `**`.
     """
-    grads = np.asarray(grads, dtype=float)
-    ms = np.asarray(ms, dtype=float)
-    term_m = params.p * frobenius_norm(stack_blocks(grads - ms)) ** params.alpha
-    return objective_at_mean + term_m + params.q * consensus_v
+    gaps = np.asarray(grads, dtype=float) - np.asarray(ms, dtype=float)
+    if gaps.ndim < 3:
+        raise ValueError(f"expected N stacked matrices, got ndim={gaps.ndim}")
+    fro = frobenius_norm(gaps.reshape(*gaps.shape[:-3], -1, gaps.shape[-1]))
+    if gaps.ndim == 3:
+        return objective_at_mean + params.p * fro**params.alpha + params.q * consensus_v
+    lanes = len(params)
+    cells = (np.reshape(values, (-1, lanes)).tolist() for values in (objective_at_mean, fro, consensus_v))
+    out = [
+        [f_mean + w.p * norm**w.alpha + w.q * cons for f_mean, norm, cons, w in zip(*row, params)]
+        for row in zip(*cells)
+    ]
+    return np.reshape(out, gaps.shape[:-3])
 
 
 def u_dm_constant(

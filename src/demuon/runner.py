@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import config as config_mod
 from . import diagnostics, optimizers
@@ -64,21 +64,20 @@ def execute(cfg: config_mod.ExperimentConfig, record_timing: bool = False) -> Ex
     finished and a summary with "status": "diverged" naming the iteration,
     node and quantity; the error is then re-raised.
     """
+    config_mod.validate_config(cfg)
     return _execute_lanes([cfg], record_timing)[0]
 
 
 def _execute_lanes(cfgs, record_timing: bool = False) -> list:
     """Run configs that share problem, topology, noise and seed as lanes of one engine pass.
 
-    Each lane runs its config's horizon. Every config is validated first.
+    The callers validate the configs. Each lane runs its config's horizon.
     Problem, mixing and noise are built once, from the first config.
     Artifacts are written in config order and are those of `execute` on each
     config in turn: when a lane diverges, the lanes before it write full
     artifacts, it writes its finished rows and a diverged summary, the lanes
     after it write nothing, and the Diverged is re-raised.
     """
-    for cfg in cfgs:
-        config_mod.validate_config(cfg)
     base = cfgs[0]
     mixing = config_mod.build_mixing(base)
     problem = config_mod.build_problem(base)
@@ -149,9 +148,12 @@ def sweep(cfg: config_mod.ExperimentConfig, record_timing: bool = False, workers
     written. Outcomes and the sweep summary are in ascending horizon order.
     `workers` is accepted for compatibility and has no effect.
     """
+    # The sweep's rules cover every horizon, and the per-horizon configs
+    # differ from `cfg` only there, so one validation covers them all.
+    config_mod.validate_config(cfg)
     horizons = cfg.sweep or (cfg.horizon,)
     distinct = list(dict.fromkeys(horizons))
-    cfgs = [config_mod.with_overrides(cfg, horizon=k, sweep=()) for k in distinct]
+    cfgs = [replace(cfg, horizon=k, sweep=()) for k in distinct]
     outcomes = dict(zip(distinct, _execute_lanes(cfgs, record_timing)))
 
     per_k = []
@@ -208,6 +210,8 @@ def compare(cfgs, out_dir: str | None = None) -> str:
         if label in labels:
             label = f"{label}_{i}"
         labels.append(label)
+    for cfg in cfgs:
+        config_mod.validate_config(cfg)
 
     outcomes = _execute_lanes(cfgs)
     out_dir = out_dir or base.out_dir

@@ -885,3 +885,125 @@ def test_rows_do_not_depend_on_the_window_when_a_lane_diverges_mid_window(monkey
     exc = caught.value
     assert len(exc.rows) == exc.iteration and [row.iter for row in exc.rows] == list(range(iteration))
     assert [len(r.rows) for r in exc.finished] == [12]
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_window_norms_equal_per_row_norms_bit_for_bit(alpha):
+    # A window takes every row's tracking residual, potential and mean-iterate
+    # residual from one stacked Frobenius call each. Replaying the rounds with
+    # `step`, each must equal its own `np.linalg.norm` and Python float
+    # arithmetic, bit for bit, across lanes that retire mid-window.
+    from demuon.diagnostics import node_mean
+
+    prob = make_quadratic(4, 6, 5, 3, heterogeneity=0.5, seed=2)
+    mixing = build_ring(4)
+    noise = NoiseModel("student_t", alpha, 0.3, dof=alpha + 0.5, base_seed=4)
+    lanes = [
+        Lane("demuon", theoretical_schedule(48, alpha)),
+        Lane("dsgd", BaselineParams(), horizon=48),
+        Lane("gt_nsgdm", theoretical_schedule(20, alpha)),
+        Lane("demuon", ScheduleParams(0.05, 0.2), orthogonalizer="ns:5", horizon=33),
+    ]
+    results = run(lanes, prob, mixing, noise)
+    weights = [
+        theorem_potential_params(lane.params.horizon, alpha, mixing.mixing_rate)
+        if lane.algorithm != "dsgd" and lane.params.horizon is not None else None
+        for lane in lanes
+    ]
+    state, live = initial_state(lanes, 4, np.zeros((6, 5))), [0, 1, 2, 3]
+    max_resid = [0.0] * len(lanes)
+    for k in range(48):
+        nxt, info = step(state, prob, mixing, noise)
+        for pos, j in enumerate(live):
+            row = results[j].rows[k]
+            applied = info["eta"][pos] * node_mean(info["directions"][pos])
+            resid = float(np.linalg.norm(node_mean(nxt.x[pos]) - (node_mean(state.x[pos]) - applied)))
+            max_resid[j] = max(max_resid[j], resid)
+            if lanes[j].algorithm == "dsgd":
+                assert row.tracking_residual is None and row.potential is None
+                continue
+            assert row.tracking_residual == float(np.linalg.norm(node_mean(nxt.v[pos]) - node_mean(nxt.m[pos])))
+            w = weights[j]
+            if w is None:
+                assert row.potential is None
+                continue
+            gap = float(np.linalg.norm(info["exact_grads"][pos] - nxt.m[pos]))
+            assert row.potential == row.objective_at_mean + w.p * gap**w.alpha + w.q * row.consensus_error_v
+        keep = [pos for pos, j in enumerate(live) if results[j].horizon > k + 1]
+        state, live = nxt.take(keep), [live[pos] for pos in keep]
+    assert [r.max_avg_iterate_residual for r in results] == max_resid
+
+
+@st.composite
+def zero_and_deficient_tracker_rounds(draw):
+    """(lanes, problem, mixing, state) of a round whose new trackers are exactly W V^{k-1}, per node zero, rank deficient or full.
+
+    The problem is nonconvex_gram at X = 0, where every exact gradient is
+    exactly 0, and the noise is off, so the momenta stay 0 and the mix of the
+    previous trackers is the round's trackers. W mixes one or two
+    permutations, so a node whose in-neighbours all hold zero trackers gets an
+    exactly zero one, and one whose in-neighbours hold multiples of one
+    rank-r matrix a rank-r one. Each lane's previous trackers sum to zero
+    over the nodes, so the tracking identity holds entering the round.
+    """
+    from demuon.optimizers import RunState
+    from demuon.problems import make_nonconvex_gram
+
+    n_nodes = draw(st.integers(1, 6), label="n_nodes")
+    m, n = draw(st.sampled_from([(1, 1), (3, 1), (1, 4), (4, 3), (3, 5), (4, 4), (13, 12)]), label="shape")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    perms = draw(st.lists(st.permutations(range(n_nodes)), min_size=1, max_size=2), label="perms")
+    share = draw(st.floats(0.05, 1.0), label="share") if len(perms) == 2 else 1.0
+    w = share * np.eye(n_nodes)[perms[0]] + (1.0 - share) * np.eye(n_nodes)[perms[-1]]
+    kinds = [("demuon", "svd"), ("demuon", "ns:6"), ("gt_nsgdm", "svd")]
+    lanes = [
+        Lane(algorithm, ScheduleParams(0.1, 0.2), spec)
+        for algorithm, spec in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3), label="lanes")
+    ]
+    v = np.zeros((len(lanes), n_nodes, m, n))
+    for lane_v in v:
+        nodes = draw(st.lists(st.sampled_from(["zero", "deficient", "full"]), min_size=n_nodes, max_size=n_nodes))
+        rank = draw(st.integers(0, min(m, n) - 1), label="rank")
+        low = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        deficient = [i for i, kind in enumerate(nodes) if kind == "deficient"]
+        full = [i for i, kind in enumerate(nodes) if kind == "full"]
+        if deficient:
+            coeffs = rng.standard_normal(len(deficient))
+            for i, c in zip(deficient, coeffs - coeffs.mean()):
+                lane_v[i] = c * low
+        if full:
+            draws = rng.standard_normal((len(full), m, n))
+            lane_v[full] = draws - draws.mean(axis=0)
+    prob = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=0)
+    zeros = np.zeros_like(v)
+    state = RunState(0, zeros, zeros, v, tuple(lanes))
+    return lanes, prob, MixingSpec(n_nodes, w, 0.5, "custom"), state
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_and_deficient_tracker_rounds())
+def test_step_maps_zero_trackers_to_zero_and_deficient_ones_to_partial_isometries(case):
+    # msgn(0) = 0 inside a round: a zero tracker gives a zero direction under
+    # every kernel, and demuon's exact polar factor of a rank-deficient
+    # tracker keeps only its nonzero singular values, each mapped to 1.
+    from demuon.diagnostics import node_mean
+    from demuon.topology import mix_blocks
+
+    lanes, prob, mixing, state = case
+    nxt, info = step(state, prob, mixing, NOISELESS)
+    assert info["failure"] is None and not nxt.m.any()
+    assert np.array_equal(nxt.v, mix_blocks(mixing.weights, state.v))
+    for pos, lane in enumerate(lanes):
+        for tracker, direction in zip(nxt.v[pos], info["directions"][pos]):
+            if not tracker.any():
+                assert not direction.any()
+            elif lane.orthogonalizer == "svd" and lane.algorithm == "demuon":
+                s = np.linalg.svd(tracker, compute_uv=False)
+                rank = int((s > 1e-12 * s[0]).sum())
+                unit = np.linalg.svd(direction, compute_uv=False)
+                np.testing.assert_allclose(unit[:rank], 1.0, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(unit[rank:], 0.0, rtol=0, atol=1e-9)
+        # The tracking identity and the mean-iterate recursion.
+        assert np.abs(node_mean(nxt.v[pos]) - node_mean(nxt.m[pos])).max() <= 1e-9
+        expected = node_mean(state.x[pos]) - info["eta"][pos] * node_mean(info["directions"][pos])
+        assert np.abs(node_mean(nxt.x[pos]) - expected).max() <= 1e-9

@@ -537,3 +537,52 @@ def test_cli_validate_and_run_accept_a_valid_problem_file(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["problem_path"] == str(problem)
     assert main(["run", str(path)]) == 0
+
+
+def test_cli_sweep_loads_each_custom_file_four_times(tmp_path, capsys, monkeypatch):
+    # A 3-horizon sweep on a custom weights CSV and a custom_file problem
+    # loads each file at parsing, at the CLI's overrides, at the sweep's one
+    # validation (its horizons differ from the config only in `horizon`) and
+    # at the build.
+    import demuon.problems
+    import demuon.topology
+    from demuon.topology import build_ring
+
+    calls = {"load_problem": 0, "load_mixing_csv": 0}
+    for module, name in ((demuon.problems, "load_problem"), (demuon.topology, "load_mixing_csv")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    weights = tmp_path / "w.csv"
+    np.savetxt(weights, build_ring(4).weights, delimiter=",")
+    problem = _problem_file(tmp_path, "4-nodes")
+    path = tmp_path / "exp.ini"
+    text = config_text(tmp_path / "out", extra="[schedule]\nmode = theorem\n")
+    text = text.replace("horizon = 8", "horizon = 8\nsweep = 4, 6, 8").replace("family = ring", f"family = custom\nweights_csv = {weights}")
+    path.write_text(text.replace("kind = quadratic", f"kind = custom_file\npath = {problem}"))
+    assert main(["sweep", str(path), "--seed", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4  # three metrics CSVs and the sweep summary
+    assert calls == {"load_problem": 4, "load_mixing_csv": 4}
+
+
+def test_hand_built_configs_are_validated_by_every_entry_point(tmp_path):
+    # Configs that never went through `parse_config` are still validated in
+    # full: a bad horizon, a bad sweep entry and a missing weights file.
+    from dataclasses import replace
+
+    from demuon.config import ConfigError
+
+    cfg = parse_config(config_text(tmp_path / "out"))
+    missing = replace(cfg, topology_family="custom", weights_csv=str(tmp_path / "missing.csv"))
+    with pytest.raises(ConfigError, match="run.horizon"):
+        execute(replace(cfg, horizon=0))
+    with pytest.raises(ConfigError, match="topology.weights_csv"):
+        execute(missing)
+    with pytest.raises(ConfigError, match="run.sweep"):
+        sweep(replace(cfg, sweep=(4, 0, 8)))
+    with pytest.raises(ConfigError, match="topology.weights_csv"):
+        sweep(replace(missing, sweep=(4, 8)))
+    with pytest.raises(ConfigError, match="topology.weights_csv"):
+        compare([missing, replace(missing, algorithm="dsgd")])
+    assert not (tmp_path / "out").exists()

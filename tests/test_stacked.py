@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demuon.diagnostics import consensus_error, consensus_error_nuclear, node_mean
-from demuon.linalg import as_matrix, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm
+from demuon.linalg import as_matrix, frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm
 from demuon.problems import (
     exact_gradient,
     make_nonconvex_gram,
@@ -25,7 +25,9 @@ from linalg_oracles import polar_oracle
 
 SLICE_KINDS = ("full", "deficient", "zero")
 dims = st.integers(1, 7)
-# Sizes on both sides of the Gram-route threshold (`linalg._GRAM_MIN_SIDE`).
+# Sizes on both sides of the polar factor's Gram-route threshold
+# (`linalg._POLAR_GRAM_MIN_SIDE`); the norms take the Gram route at every
+# non-square shape.
 gram_dims = st.integers(8, 40)
 seeds = st.integers(0, 2**32 - 1)
 
@@ -97,6 +99,49 @@ def test_stacked_norms_match_per_matrix(stack):
         assert sp == spectral_norm(a)
         if not a.any():
             assert nu == sp == 0.0
+
+
+# Views of a stack that the engine's windows and lanes produce, and others:
+# the whole stack, the lanes at a non-consecutive list of positions (a fancy
+# index, so a copy), strided views (one whose matrices flatten to a strided
+# vector without a copy), a transposed view and a reversed view.
+FROBENIUS_VIEWS = {
+    "whole": lambda big, lanes: _contiguous(big),
+    "lanes": lambda big, lanes: _contiguous(big)[lanes],
+    "strided": lambda big, lanes: big[:, ::2, 1::2, ::3],
+    "every_third_column": lambda big, lanes: big[:, :2, : big.shape[-2] // 2, ::3],
+    "transposed": lambda big, lanes: np.swapaxes(_contiguous(big), -2, -1),
+    "reversed": lambda big, lanes: _contiguous(big)[::-1, :, ::-1],
+}
+
+
+def _contiguous(big):
+    """The (6, 2, m, n) C-ordered stack cut from a (6, 4, 2 m, 3 n) one."""
+    m, n = big.shape[-2] // 2, big.shape[-1] // 3
+    return np.ascontiguousarray(big[:, :2, :m, :n])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds,
+    st.tuples(dims | gram_dims, dims | gram_dims) | st.just((1, 1)),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True).map(sorted),
+    st.sampled_from(sorted(FROBENIUS_VIEWS)),
+    st.sampled_from((1.0, 1e200, 1e-170)),
+)
+def test_stacked_frobenius_equals_numpy_norm_per_matrix(seed, shape, lanes, view, scale):
+    # The window's residuals and the potential take one stacked Frobenius
+    # call; each matrix's value must be bit for bit `np.linalg.norm` of it.
+    # 1e200 overflows the sum of squares to inf (both warn), 1e-170 underflows it.
+    m, n = shape
+    big = scale * np.random.default_rng(seed).standard_normal((6, 4, 2 * m, 3 * n))
+    stack = FROBENIUS_VIEWS[view](big, lanes)
+    with np.errstate(over="ignore"):
+        out = frobenius_norm(stack)
+        assert out.shape == stack.shape[:-2]
+        for idx in np.ndindex(*stack.shape[:-2]):
+            assert out[idx] == np.linalg.norm(stack[idx])
+            assert frobenius_norm(stack[idx]) == out[idx]
 
 
 def test_stack_validation_rejects_any_bad_slice():
