@@ -260,6 +260,19 @@ def test_problem_file_rejects_non_finite_entries(tmp_path):
         load_problem(path)
 
 
+@pytest.mark.parametrize("entry, loads", [("1e155", False), ("3e153", True)])
+def test_problem_file_rejects_an_overflowing_certificate(tmp_path, entry, loads):
+    # Finite entries whose squares overflow: the certificate max_i ||A_i||_F^2 is then not finite.
+    path = tmp_path / "big.txt"
+    path.write_text(f"quadratic 1 2 1 2\n{entry},{entry}\n{entry},{entry}\n1.0\n2.0\n")
+    if loads:
+        prob = load_problem(path)
+        assert prob.lipschitz_star == pytest.approx(4.0 * float(entry) ** 2, rel=1e-12)
+    else:
+        with pytest.raises(ProblemFormatError, match="overflow|finite"):
+            load_problem(path)
+
+
 def test_problem_set_stacks_node_data_once():
     a = (np.eye(2), 2.0 * np.eye(2))
     b = (np.ones((2, 1)), np.zeros((2, 1)))
