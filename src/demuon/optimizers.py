@@ -485,6 +485,14 @@ def _window_rounds(state: RunState, info: dict) -> int:
     return max(1, min(_WINDOW_ROUNDS, _WINDOW_BYTES // sum(a.nbytes for a in arrays)))
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent by Python's `**` for a nonnegative base; inf where that overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> float:
     """Record every live lane's rows of the pending rounds in `window`; returns the updated noise-moment sum.
 
@@ -548,8 +556,10 @@ def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> floa
                             f"iterates left the certified ball (radius {problem.ball_radius}) "
                             f"at iteration {iters[int(np.argmax(exits))]}; the smoothness constant no longer applies"
                         )
-        noise_powers = nuclear[:, kept:] ** alpha
         nuclear, objective = nuclear.tolist(), objective.tolist()
+    # Python's `**` (libm's pow), as in `diagnostics.potential`: numpy's power
+    # loop takes a SIMD path on some CPUs, so its last bits depend on the host.
+    noise_powers = [[_power(norm, alpha) for norm in row[kept:]] for row in nuclear]
     diagnostics_s = (time.perf_counter() - t0) / n_rounds
     for w, pending in enumerate(window):
         wall_ms = (pending.step_s + diagnostics_s) * 1e3 / kept

@@ -166,24 +166,30 @@ def objective_at(problem: ProblemSet, x):
     return float(means) if means.ndim == 0 else means
 
 
-def _conditioned_random(rng: np.random.Generator, rows: int, cols: int, cond: float) -> np.ndarray:
-    """Random matrix with singular values spread linearly over [1/cond, 1]."""
-    g = rng.standard_normal((rows, cols))
+def _conditioned_random(rng: np.random.Generator, count: int, rows: int, cols: int, cond: float) -> np.ndarray:
+    """(count, rows, cols) stack of random matrices, each with singular values spread linearly over [1/cond, 1].
+
+    One draw and one stacked SVD; each matrix is bit for bit what its own
+    draw of rows x cols, in stack order, and its own SVD give.
+    """
+    g = rng.standard_normal((count, rows, cols))
     u, _, vt = np.linalg.svd(g, full_matrices=False)
-    r = min(rows, cols)
-    s = np.linspace(1.0, 1.0 / cond, r)
+    s = np.linspace(1.0, 1.0 / cond, min(rows, cols))
     return (u * s) @ vt
 
 
 def _certified_quadratic(a: np.ndarray, b: np.ndarray, f_low: float | None = None) -> ProblemSet:
     """Quadratic ProblemSet with its Lipschitz certificate max_i ||A_i^T A_i||_*.
 
-    Without `f_low`, the lower bound is the objective at the least-squares
-    minimizer of the stacked system.
+    A_i^T A_i is positive semidefinite, so its nuclear norm is its trace,
+    ||A_i||_F^2. The squares and their sums honour `np.errstate`, so under
+    `over="raise"` an overflowing certificate raises. Without `f_low`, the
+    lower bound is the objective at the least-squares minimizer of the
+    stacked system.
     """
     n_nodes, _, m = a.shape
     n = b.shape[-1]
-    l_star = float(np.max(nuclear_norm(np.swapaxes(a, -2, -1) @ a)))
+    l_star = float(np.max(np.sum(np.square(a), axis=(-2, -1))))
     problem = ProblemSet(QUADRATIC, n_nodes, m, n, a=a, b=b, lipschitz_star=l_star, f_low=f_low)
     if f_low is None:
         x_opt = np.linalg.lstsq(problem.a.reshape(-1, m), problem.b.reshape(-1, n), rcond=None)[0]
@@ -199,6 +205,11 @@ def _certified_gram(c: np.ndarray, n: int, ball_radius: float) -> ProblemSet:
         NONCONVEX_GRAM, n_nodes, m, n, c=c,
         lipschitz_star=l_star, f_low=0.0, ball_radius=ball_radius,
     )
+
+
+def _zero_sum(offsets: np.ndarray) -> np.ndarray:
+    """The N - 1 node offsets followed by minus their sum, so that the N offsets sum to zero."""
+    return np.concatenate([offsets, -np.sum(offsets, axis=0, keepdims=True)])
 
 
 def make_quadratic(
@@ -218,11 +229,9 @@ def make_quadratic(
     if not 0.0 <= heterogeneity < inf:
         raise ValueError(f"heterogeneity must be nonnegative and finite, got {heterogeneity}")
     rng = np.random.default_rng(seed)
-    a = np.stack([_conditioned_random(rng, p, m, _COND) for _ in range(n_nodes)])
+    a = _conditioned_random(rng, n_nodes, p, m, _COND)
     x_star = 0.5 * rng.standard_normal((m, n))
-    deltas = [rng.standard_normal((p, n)) for _ in range(n_nodes - 1)]
-    deltas.append(-np.sum(deltas, axis=0) if deltas else np.zeros((p, n)))
-    b = a @ x_star + heterogeneity * np.stack(deltas)
+    b = a @ x_star + heterogeneity * _zero_sum(rng.standard_normal((n_nodes - 1, p, n)))
     return _certified_quadratic(a, b, f_low=0.0 if heterogeneity == 0 else None)
 
 
@@ -244,12 +253,8 @@ def make_nonconvex_gram(
         raise ValueError(f"heterogeneity must be nonnegative and finite, got {heterogeneity}")
     rng = np.random.default_rng(seed)
     x_star = 0.5 * rng.standard_normal((m, n))
-    sym = []
-    for _ in range(n_nodes - 1):
-        g = rng.standard_normal((m, m))
-        sym.append(0.5 * (g + g.T))
-    sym.append(-np.sum(sym, axis=0) if sym else np.zeros((m, m)))
-    c = x_star @ x_star.T + heterogeneity * np.stack(sym)
+    g = rng.standard_normal((n_nodes - 1, m, m))
+    c = x_star @ x_star.T + heterogeneity * _zero_sum(0.5 * (g + np.swapaxes(g, -2, -1)))
     if ball_radius is None:
         ball_radius = 2.0 * (1.0 + spectral_norm(x_star))
     return _certified_gram(c, n, ball_radius)

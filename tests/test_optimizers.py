@@ -934,6 +934,42 @@ def test_window_norms_equal_per_row_norms_bit_for_bit(alpha):
     assert [r.max_avg_iterate_residual for r in results] == max_resid
 
 
+@pytest.mark.parametrize(
+    "alpha, family, dof, seed", [(1.6, "student_t", 2.0, 3), (1.3, "student_t", 1.5, 0), (2.0, "gaussian", 2.0, 2)]
+)
+def test_noise_moment_is_the_python_power_mean_of_the_draws(alpha, family, dof, seed):
+    # Each round adds np.add.reduce of its nodes' ||noise||_*^alpha, each
+    # power taken by Python's `**`, so the moment does not depend on numpy's
+    # power loop. Lanes that retire after a few rounds keep the sums short,
+    # so a power that differs in its last bit shows in the moment.
+    from demuon.linalg import nuclear_norm
+    from demuon.noise import sample_noise
+
+    prob = make_quadratic(5, 6, 4, 3, heterogeneity=0.5, seed=2)
+    noise = NoiseModel(family, alpha, 0.3, dof=dof, base_seed=seed)
+    horizons = [1, 2, 3, 5, 8, 13, 40]
+    lanes = [Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)]
+    lanes += [Lane("dsgd", BaselineParams(), horizon=h) for h in horizons]
+    results = run(lanes, prob, build_ring(5), noise)
+    moment_sum, checked = 0.0, 0
+    for k in range(40):
+        draws = sample_noise(noise, 6, 4, 5, k)
+        moment_sum += float(np.add.reduce([nuclear_norm(d) ** alpha for d in draws]))
+        for result in results:
+            if result.horizon == k + 1:
+                assert result.noise_alpha_moment == (moment_sum / (5 * result.horizon)) ** (1.0 / alpha)
+                checked += 1
+    assert checked == len(lanes)
+
+
+def test_an_overflowing_noise_moment_reads_inf():
+    # Norms of about 1e250 overflow their power: the moment is inf, and the run ends normally.
+    prob = make_quadratic(4, 6, 5, 8, seed=1)
+    noise = NoiseModel("student_t", 1.6, 1e250, dof=2.0, base_seed=3)
+    [result] = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_ring(4), noise)
+    assert result.noise_alpha_moment == float("inf") and np.isfinite(result.avg_grad_nuclear_mean)
+
+
 @st.composite
 def zero_and_deficient_tracker_rounds(draw):
     """(lanes, problem, mixing, state) of a round whose new trackers are exactly W V^{k-1}, per node zero, rank deficient or full.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demuon.linalg import nuclear_norm, spectral_norm
@@ -150,6 +150,66 @@ def test_gram_certificate_inside_ball(rng):
         y *= min(1.0, 0.9 * r / max(spectral_norm(y), 1e-12))
         lhs = nuclear_norm(exact_gradient(prob, i, x) - exact_gradient(prob, i, y))
         assert lhs <= prob.lipschitz_star * spectral_norm(x - y) * (1.0 + 1e-12)
+
+
+def per_node_quadratic(n_nodes, m, n, p, heterogeneity, seed):
+    """make_quadratic's (A, B) built one node at a time, each A_i from its own draw and SVD."""
+    rng = np.random.default_rng(seed)
+    a = []
+    for _ in range(n_nodes):
+        u, _, vt = np.linalg.svd(rng.standard_normal((p, m)), full_matrices=False)
+        a.append((u * np.linspace(1.0, 1.0 / 3.0, min(p, m))) @ vt)
+    x_star = 0.5 * rng.standard_normal((m, n))
+    deltas = [rng.standard_normal((p, n)) for _ in range(n_nodes - 1)]
+    deltas.append(-np.sum(deltas, axis=0) if deltas else np.zeros((p, n)))
+    return a, [a_i @ x_star + heterogeneity * d for a_i, d in zip(a, deltas)]
+
+
+def per_node_gram(n_nodes, m, n, heterogeneity, seed):
+    """make_nonconvex_gram's C built one node at a time, each symmetric offset from its own draw."""
+    rng = np.random.default_rng(seed)
+    x_star = 0.5 * rng.standard_normal((m, n))
+    sym = []
+    for _ in range(n_nodes - 1):
+        g = rng.standard_normal((m, m))
+        sym.append(0.5 * (g + g.T))
+    sym.append(-np.sum(sym, axis=0) if sym else np.zeros((m, m)))
+    return [x_star @ x_star.T + heterogeneity * s for s in sym]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nodes=st.integers(1, 5),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    p=st.integers(1, 8),
+    heterogeneity=st.sampled_from([0.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_nodes=1, m=1, n=1, p=1, heterogeneity=0.0, seed=0)  # 1x1
+@example(n_nodes=4, m=5, n=2, p=3, heterogeneity=0.5, seed=1)  # p < m
+@example(n_nodes=3, m=2, n=4, p=7, heterogeneity=0.0, seed=2)  # p > m
+def test_generated_problems_equal_the_per_node_construction(n_nodes, m, n, p, heterogeneity, seed):
+    # One stacked draw per kind of node data takes the same numbers from the
+    # stream as one draw per node, so the node data are bit for bit the same.
+    quad = make_quadratic(n_nodes, m, n, p, heterogeneity=heterogeneity, seed=seed)
+    a, b = per_node_quadratic(n_nodes, m, n, p, heterogeneity, seed)
+    assert np.array_equal(quad.a, a) and np.array_equal(quad.b, b)
+    gram = make_nonconvex_gram(n_nodes, m, n, heterogeneity=heterogeneity, seed=seed)
+    assert np.array_equal(gram.c, per_node_gram(n_nodes, m, n, heterogeneity, seed))
+    # ||A_i^T A_i||_* is the trace ||A_i||_F^2 of a positive semidefinite matrix.
+    l_star = max(nuclear_norm(a_i.T @ a_i) for a_i in a)
+    assert quad.lipschitz_star == pytest.approx(l_star, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, m", [(1, 1), (2, 5), (6, 3), (4, 4)])
+def test_loaded_quadratic_certificate_is_the_largest_nuclear_norm(tmp_path, rng, p, m):
+    # Unconditioned, rank-deficient (p < m) and square node matrices, through the file loader.
+    a = rng.standard_normal((3, p, m)) * np.array([1.0, 10.0, 0.1])[:, None, None]
+    path = tmp_path / "quad.txt"
+    dump_problem(ProblemSet(QUADRATIC, 3, m, 2, a=a, b=rng.standard_normal((3, p, 2))), path)
+    l_star = max(nuclear_norm(a_i.T @ a_i) for a_i in load_problem(path).a)
+    assert load_problem(path).lipschitz_star == pytest.approx(l_star, rel=1e-12)
 
 
 def test_heterogeneity_deltas_cancel():
