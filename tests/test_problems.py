@@ -208,8 +208,9 @@ def test_loaded_quadratic_certificate_is_the_largest_nuclear_norm(tmp_path, rng,
     a = rng.standard_normal((3, p, m)) * np.array([1.0, 10.0, 0.1])[:, None, None]
     path = tmp_path / "quad.txt"
     dump_problem(ProblemSet(QUADRATIC, 3, m, 2, a=a, b=rng.standard_normal((3, p, 2))), path)
-    l_star = max(nuclear_norm(a_i.T @ a_i) for a_i in load_problem(path).a)
-    assert load_problem(path).lipschitz_star == pytest.approx(l_star, rel=1e-12)
+    loaded = load_problem(path)
+    l_star = max(nuclear_norm(a_i.T @ a_i) for a_i in loaded.a)
+    assert loaded.lipschitz_star == pytest.approx(l_star, rel=1e-12)
 
 
 def test_heterogeneity_deltas_cancel():

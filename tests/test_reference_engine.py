@@ -23,7 +23,7 @@ from demuon.optimizers import (
     step,
     theoretical_schedule,
 )
-from demuon.problems import make_nonconvex_gram, make_quadratic
+from demuon.problems import ProblemSet, make_nonconvex_gram, make_quadratic
 from demuon.topology import MixingSpec, build_complete, build_directed_exponential, build_ring, validate_mixing
 from reference_engine import reference_round, reference_run
 from test_topology import _doubly_stochastic
@@ -147,8 +147,6 @@ def test_engine_matches_the_per_node_reference_loop(case):
 def test_reference_loop_reproduces_a_hand_computed_round():
     # The loop itself on N = 2 scalars f_i(x) = 0.5 (x - t_i)^2, noiseless,
     # complete mixing: one demuon round from zero moves both nodes by -eta sign(mean V).
-    from demuon.problems import ProblemSet
-
     problem = ProblemSet("quadratic", 2, 1, 1, a=(np.eye(1), np.eye(1)), b=(np.full((1, 1), 3.0), np.full((1, 1), -1.0)))
     lane = Lane("demuon", ScheduleParams(0.25, 0.5), horizon=1)
     zero = [np.zeros((1, 1))] * 2
