@@ -9,6 +9,9 @@ the nodes:
     D_i   = msgn(V_i) | V_i / ||V_i||_F | clip(G_i, tau_k) | G_i
     X_i   = sum_j w_ij (X_j - eta_k D_j)
 
+A round stops at the first non-finite quantity, in the order momentum,
+tracker, iterate, and names the first node holding it.
+
 The polar factor is `np.linalg.svd`'s, the gradients and objectives are the
 problem formulas written out, and the row diagnostics are the README's
 definitions; nothing here calls the engine's kernels, so a mistake in the
@@ -82,12 +85,23 @@ def direction(algorithm, v, g, tau, polar):
     return g
 
 
+def first_non_finite(**quantities):
+    """(quantity, first node) of the first quantity, in the order given, that some node holds non-finite; else None."""
+    for quantity, blocks in quantities.items():
+        for i, block in enumerate(blocks):
+            if not np.isfinite(block).all():
+                return quantity, i
+    return None
+
+
 def reference_round(lane, problem, w, model, k, xs, ms, vs, polar=polar_oracle):
     """One round of one lane from the per-node lists X^k, M^{k-1}, V^{k-1}.
 
     Returns a dict: `x`, `m`, `v` (X^{k+1}, M^k, V^k; an untracked lane keeps
     its M and V), `directions`, `noise`, `exact` (the noiseless gradients
-    at X^k) and `eta`.
+    at X^k), `eta` and `failure`, the round's `first_non_finite` or None. A
+    non-finite momentum or tracker ends the round before any direction is
+    taken, so that dict has no `x` or `directions`.
     """
     n_nodes = len(xs)
     noise = [noise_draw(model, problem.m, problem.n, i, k) for i in range(n_nodes)]
@@ -100,9 +114,14 @@ def reference_round(lane, problem, w, model, k, xs, ms, vs, polar=polar_oracle):
         vs_new = mix(w, [vs[i] + ms_new[i] - ms[i] for i in range(n_nodes)])
     else:
         ms_new, vs_new = ms, vs
-    dirs = [direction(lane.algorithm, vs_new[i], grads[i], tau, polar) for i in range(n_nodes)]
-    xs_new = mix(w, [xs[i] - eta * dirs[i] for i in range(n_nodes)])
-    return {"x": xs_new, "m": ms_new, "v": vs_new, "directions": dirs, "noise": noise, "exact": exact, "eta": eta}
+    out = {"m": ms_new, "v": vs_new, "noise": noise, "exact": exact, "eta": eta}
+    out["failure"] = first_non_finite(momentum=ms_new, tracker=vs_new)
+    if out["failure"] is not None:
+        return out
+    out["directions"] = [direction(lane.algorithm, vs_new[i], grads[i], tau, polar) for i in range(n_nodes)]
+    out["x"] = mix(w, [xs[i] - eta * out["directions"][i] for i in range(n_nodes)])
+    out["failure"] = first_non_finite(iterate=out["x"])
+    return out
 
 
 def _svdvals(a):
@@ -110,10 +129,14 @@ def _svdvals(a):
 
 
 def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
-    """One lane run alone for `horizon` rounds from X = 0: (rows, summary).
+    """One lane run alone for `horizon` rounds from X = 0: (rows, summary, failure).
 
     Each row is a dict of the metrics CSV columns but `wall_time_ms`; the
-    summary holds the `RunResult` fields the rows do not.
+    summary holds the `RunResult` fields the rows do not. A run that reaches
+    a non-finite round stops there: `failure` is then (iteration, node,
+    quantity) of that round's `first_non_finite`, `rows` those of the rounds
+    before it and `summary` None; otherwise `failure` is None. Overflow on
+    the way is silent, as in the engine; a row may then read inf.
     """
     n_nodes, w, lam = mixing.n_nodes, mixing.weights, mixing.mixing_rate
     zero = np.zeros((problem.m, problem.n))
@@ -128,37 +151,41 @@ def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
     rows = []
     moment = max_track = max_resid = 0.0
     violations, ball_exited = 0, False
-    for k in range(horizon):
-        out = reference_round(lane, problem, w, model, k, xs, ms, vs, polar)
-        x_mean = mean(xs)
-        objective = sum(local_value(problem, i, x_mean) for i in range(n_nodes)) / n_nodes
-        row = {
-            "iter": k,
-            "consensus_error_x": _svdvals(np.vstack([x - x_mean for x in xs]))[0],
-            "consensus_bound": bound,
-            "avg_grad_nuclear": _svdvals(mean(out["exact"])).sum(),
-            "tracking_residual": None,
-            "consensus_error_v": None,
-            "potential": None,
-            "objective_at_mean": objective,
-        }
-        if tracked:
-            v_mean = mean(out["v"])
-            row["tracking_residual"] = np.linalg.norm(v_mean - mean(out["m"]))
-            row["consensus_error_v"] = _svdvals(np.vstack([v - v_mean for v in out["v"]])).sum()
-            max_track = max(max_track, row["tracking_residual"])
-            if theorem:
-                gap = math.sqrt(sum(np.linalg.norm(out["exact"][i] - out["m"][i]) ** 2 for i in range(n_nodes)))
-                row["potential"] = objective + p_weight * gap**a + q_weight * row["consensus_error_v"]
-        if row["consensus_bound"] is not None and row["consensus_error_x"] > bound + 1e-9:
-            violations += 1
-        applied = out["eta"] * mean(out["directions"])
-        max_resid = max(max_resid, np.linalg.norm(mean(out["x"]) - (x_mean - applied)))
-        moment += sum(_svdvals(xi).sum() ** model.alpha for xi in out["noise"])
-        if problem.ball_radius != math.inf:
-            ball_exited |= any(_svdvals(x)[0] > problem.ball_radius for x in out["x"])
-        rows.append(row)
-        xs, ms, vs = out["x"], out["m"], out["v"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(horizon):
+            out = reference_round(lane, problem, w, model, k, xs, ms, vs, polar)
+            if out["failure"] is not None:
+                quantity, node = out["failure"]
+                return rows, None, (k, node, quantity)
+            x_mean = mean(xs)
+            objective = sum(local_value(problem, i, x_mean) for i in range(n_nodes)) / n_nodes
+            row = {
+                "iter": k,
+                "consensus_error_x": _svdvals(np.vstack([x - x_mean for x in xs]))[0],
+                "consensus_bound": bound,
+                "avg_grad_nuclear": _svdvals(mean(out["exact"])).sum(),
+                "tracking_residual": None,
+                "consensus_error_v": None,
+                "potential": None,
+                "objective_at_mean": objective,
+            }
+            if tracked:
+                v_mean = mean(out["v"])
+                row["tracking_residual"] = np.linalg.norm(v_mean - mean(out["m"]))
+                row["consensus_error_v"] = _svdvals(np.vstack([v - v_mean for v in out["v"]])).sum()
+                max_track = max(max_track, row["tracking_residual"])
+                if theorem:
+                    gap = math.sqrt(sum(np.linalg.norm(out["exact"][i] - out["m"][i]) ** 2 for i in range(n_nodes)))
+                    row["potential"] = objective + p_weight * gap**a + q_weight * row["consensus_error_v"]
+            if row["consensus_bound"] is not None and row["consensus_error_x"] > bound + 1e-9:
+                violations += 1
+            applied = out["eta"] * mean(out["directions"])
+            max_resid = max(max_resid, np.linalg.norm(mean(out["x"]) - (x_mean - applied)))
+            moment += sum(_svdvals(xi).sum() ** model.alpha for xi in out["noise"])
+            if problem.ball_radius != math.inf:
+                ball_exited |= any(_svdvals(x)[0] > problem.ball_radius for x in out["x"])
+            rows.append(row)
+            xs, ms, vs = out["x"], out["m"], out["v"]
     iota = int(np.random.default_rng((model.base_seed, REPORT_STREAM)).integers(horizon))
     grad_norms = [row["avg_grad_nuclear"] for row in rows]
     summary = {
@@ -171,4 +198,4 @@ def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
         "noise_alpha_moment": (moment / (horizon * n_nodes)) ** (1.0 / model.alpha),
         "ball_exited": ball_exited,
     }
-    return rows, summary
+    return rows, summary, None

@@ -2,12 +2,16 @@
 
 Two comparisons, since heavy tails can amplify round-off: single rounds
 started from the engine's own state (replayed with `step`), and whole
-trajectories of up to 30 rounds (`run` against the loop run alone, on
-every metrics column and summary field).
+trajectories of up to 30 rounds (`run` against the loop running the lanes
+one after another, on every metrics column and summary field, and on the
+first diverging lane's `Diverged`).
 """
 
+import math
+import warnings
+
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demuon.noise import NoiseModel
@@ -35,10 +39,18 @@ TRAJECTORY_RTOL = 1e-7
 
 
 def close(engine, oracle, rtol, scale=1.0):
-    """Whether the engine's values match the oracle's to `rtol` of their size (at least `scale`)."""
+    """Whether the engine's values match the oracle's to `rtol` of their finite size (at least `scale`).
+
+    A value the oracle reads as inf or nan must read the same in the engine.
+    """
     engine, oracle = np.asarray(engine, dtype=float), np.asarray(oracle, dtype=float)
-    size = max(scale, float(np.max(np.abs(oracle), initial=0.0)))
-    return engine.shape == oracle.shape and bool(np.all(np.abs(engine - oracle) <= rtol * size))
+    if engine.shape != oracle.shape:
+        return False
+    finite = np.isfinite(oracle)
+    if not np.array_equal(engine[~finite], oracle[~finite], equal_nan=True):
+        return False
+    size = max(scale, float(np.max(np.abs(oracle[finite]), initial=0.0)))
+    return bool(np.all(np.abs(engine[finite] - oracle[finite]) <= rtol * size))
 
 
 @st.composite
@@ -84,12 +96,25 @@ def oracle_cases(draw):
             eta = draw(st.sampled_from([0.02, 0.1, 0.3]), label="eta")
             theta = draw(st.sampled_from([0.1, 0.5, 1.0]), label="theta")
             lanes.append(Lane(algorithm, ScheduleParams(eta, theta), horizon=horizon))
+    # A lane that diverges: at iteration 1 with a non-finite iterate (dsgd at
+    # eta = 1e200) or momentum (demuon at eta = 1e200 on the Gram problem), or
+    # at a round the noise decides (dsgd at eta = 1 on the Gram problem).
+    diverging = [Lane("dsgd", BaselineParams(dsgd_eta=1e200), horizon=30)]
+    if problem.kind == "nonconvex_gram":
+        diverging += [Lane("demuon", ScheduleParams(1e200, 0.5), horizon=30),
+                      Lane("dsgd", BaselineParams(dsgd_eta=1.0), horizon=30)]
+    if draw(st.booleans(), label="diverging"):
+        lane = draw(st.sampled_from(diverging), label="diverging lane")
+        lanes.insert(draw(st.integers(0, len(lanes)), label="diverging position"), lane)
     horizons = [lane.horizon or lane.params.horizon for lane in lanes]
     return lanes, horizons, problem, mixing, noise
 
 
 def assert_rounds_match(lanes, horizons, problem, mixing, noise):
-    """Every round of every lane, replayed with `step`, against one reference round from the engine's state."""
+    """Every round of every lane, replayed with `step`, against one reference round from the engine's state.
+
+    The lanes must all run to their horizons.
+    """
     state = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n)))
     for k in range(max(horizons)):
         nxt, info = step(state, problem, mixing, noise)
@@ -106,42 +131,65 @@ def assert_rounds_match(lanes, horizons, problem, mixing, noise):
         state = nxt
 
 
-def assert_runs_match(lanes, horizons, problem, mixing, noise):
-    """`run`'s rows and summary of every lane against the reference loop run alone."""
-    results = run(lanes, problem, mixing, noise)
-    for j, (lane, result) in enumerate(zip(lanes, results)):
-        rows, summary = reference_run(lane, horizons[j], problem, mixing, noise)
+def assert_rows_match(engine_rows, rows, where):
+    """The engine's rows against the reference loop's, on every metrics column but the wall time."""
+    assert len(engine_rows) == len(rows), where
+    scale = max([1.0] + [abs(row["objective_at_mean"]) for row in rows if math.isfinite(row["objective_at_mean"])])
+    for engine, ref in zip(engine_rows, rows):
+        for name, value in ref.items():
+            got, at = getattr(engine, name), f"{where}, iteration {ref['iter']}: {name}"
+            if value is None or name == "iter":
+                assert got == value, at
+            else:
+                assert close(got, value, TRAJECTORY_RTOL, scale), f"{at} {got} != {value}"
+
+
+def assert_runs_match(lanes, horizons, problem, mixing, noise) -> int:
+    """`run`'s outcome against the reference loop running the lanes one after another.
+
+    Every lane before the first diverging one must match on its rows and
+    summary; that lane must be the `Diverged` `run` raises, with its rows.
+    Returns the number of lanes that ran to their horizons.
+    """
+    with warnings.catch_warnings():
+        # Whether a lane left the ball is its `ball_exited`, compared below.
+        warnings.filterwarnings("ignore", "iterates left the certified ball", RuntimeWarning)
+        try:
+            results, failure = run(lanes, problem, mixing, noise), None
+        except Diverged as exc:
+            results, failure = exc.finished, exc
+    for j, lane in enumerate(lanes):
+        rows, summary, stop = reference_run(lane, horizons[j], problem, mixing, noise)
+        where = f"lane {j} ({lane.algorithm})"
+        if stop is not None:
+            assert failure is not None and len(results) == j, f"{where} diverges: {stop}"
+            assert (failure.algorithm, failure.iteration, failure.node, failure.quantity) == (lane.algorithm, *stop)
+            assert_rows_match(failure.rows, rows, where)
+            return j
+        assert j < len(results), f"{where} runs to its horizon in the reference loop: {failure}"
+        result = results[j]
         assert (result.algorithm, result.horizon, result.seed) == (lane.algorithm, horizons[j], noise.base_seed)
-        assert len(result.rows) == len(rows)
-        scale = max(1.0, max(abs(row["objective_at_mean"]) for row in rows))
-        for engine, ref in zip(result.rows, rows):
-            where = f"lane {j} ({lane.algorithm}), iteration {ref['iter']}"
-            for name, value in ref.items():
-                got = getattr(engine, name)
-                if value is None or name == "iter":
-                    assert got == value, f"{where}: {name}"
-                else:
-                    assert close(got, value, TRAJECTORY_RTOL, scale), f"{where}: {name} {got} != {value}"
+        assert_rows_match(result.rows, rows, where)
         for name in ("iota", "consensus_violations", "ball_exited"):
-            assert getattr(result, name) == summary[name], f"lane {j}: {name}"
+            assert getattr(result, name) == summary[name], f"{where}: {name}"
         for name in ("grad_nuclear_at_iota", "avg_grad_nuclear_mean", "noise_alpha_moment"):
-            assert close(getattr(result, name), summary[name], TRAJECTORY_RTOL), f"lane {j}: {name}"
-        # Round-off only, on both sides: the identities hold exactly in exact arithmetic.
+            assert close(getattr(result, name), summary[name], TRAJECTORY_RTOL), f"{where}: {name}"
+        # Round-off only, on both sides: the identities hold exactly in exact
+        # arithmetic. An objective that overflowed leaves no size to check it against.
+        scale = max(1.0, max(abs(row["objective_at_mean"]) for row in rows))
         for name in ("max_tracking_residual", "max_avg_iterate_residual"):
-            assert max(getattr(result, name), summary[name]) <= 1e-9 * scale, f"lane {j}: {name}"
+            assert max(getattr(result, name), summary[name]) <= 1e-9 * scale, f"{where}: {name}"
+    assert failure is None, failure
+    return len(lanes)
 
 
 @settings(max_examples=25, deadline=None)
 @given(oracle_cases())
 def test_engine_matches_the_per_node_reference_loop(case):
     lanes, horizons, problem, mixing, noise = case
-    try:
-        assert_runs_match(lanes, horizons, problem, mixing, noise)
-    except Diverged:
-        # A heavy-tail draw can make dsgd diverge on the Gram problem; the
-        # reference loop has no divergence handling to compare with.
-        assume(False)
-    assert_rounds_match(lanes, horizons, problem, mixing, noise)
+    finished = assert_runs_match(lanes, horizons, problem, mixing, noise)
+    if finished:
+        assert_rounds_match(lanes[:finished], horizons[:finished], problem, mixing, noise)
 
 
 def test_reference_loop_reproduces_a_hand_computed_round():
