@@ -47,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="execute the config's horizon sweep")
     p_sweep.add_argument("config")
-    p_sweep.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility, no effect: the horizons run as lanes of one pass",
-    )
     _add_common(p_sweep)
 
     p_cmp = sub.add_parser("compare", help="run several configs on a shared problem")
@@ -89,11 +83,7 @@ def main(argv=None) -> int:
             print(outcome.metrics_path)
             print(outcome.summary_path)
         elif args.verb == "sweep":
-            outcomes, sweep_path = runner.sweep(
-                _load(args.config, args),
-                record_timing=args.record_timing,
-                workers=args.workers,
-            )
+            outcomes, sweep_path = runner.sweep(_load(args.config, args), record_timing=args.record_timing)
             for outcome in outcomes:
                 print(outcome.metrics_path)
             print(sweep_path)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-12
-NEWTON_SCHULZ_COEFFS = (1.5, -0.5)
 # Short side from which the Gram-eigh polar factor beats the SVD polar; on a
 # 2-vCPU host the crossover fell between 8 and 12. The norms take the Gram
 # route at every short side: on stacks of 189 to 36,864 8x6 matrices it took
@@ -211,13 +210,12 @@ def msgn_exact(a) -> np.ndarray:
     return out
 
 
-def msgn_newton_schulz(a, iters: int, coeffs=NEWTON_SCHULZ_COEFFS) -> np.ndarray:
+def msgn_newton_schulz(a, iters: int) -> np.ndarray:
     """Approximate polar factor via the cubic Newton-Schulz iteration.
 
-    Pre-scales by 1/||a||_F, then iterates y <- c1*y + c2 * y y^T y. After
-    scaling every singular value lies in (0, 1], where the default cubic
-    (1.5, -0.5) converges monotonically to 1, so iterates keep spectral
-    norm <= 1 at every step. `a` may be a stack of matrices, each scaled by
+    Pre-scales by 1/||a||_F, then iterates y <- 1.5 y - 0.5 y y^T y. After
+    scaling every singular value lies in (0, 1], where this cubic converges
+    monotonically to 1, so iterates keep spectral norm <= 1 at every step. `a` may be a stack of matrices, each scaled by
     its own norm; every matrix must be nonzero.
     """
     a = as_matrix(a, stack=True)
@@ -226,13 +224,12 @@ def msgn_newton_schulz(a, iters: int, coeffs=NEWTON_SCHULZ_COEFFS) -> np.ndarray
     fro = np.linalg.norm(a, axis=(-2, -1), keepdims=True)
     if not fro.all():
         raise ValueError("Newton-Schulz polar factor is undefined for the zero matrix")
-    c1, c2 = coeffs
     y = a / fro
     tall = y.shape[-2] >= y.shape[-1]
     for _ in range(iters):
         yt = np.swapaxes(y, -2, -1)
         if tall:
-            y = c1 * y + c2 * (y @ (yt @ y))
+            y = 1.5 * y - 0.5 * (y @ (yt @ y))
         else:
-            y = c1 * y + c2 * ((y @ yt) @ y)
+            y = 1.5 * y - 0.5 * ((y @ yt) @ y)
     return y

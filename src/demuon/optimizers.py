@@ -9,7 +9,9 @@ more lanes (algorithms on the same problem, mixing and noise model, each
 with its own horizon) as one (L, N, m, n) stack and makes one `step` call
 per round for all of them: one noise draw, one gradient call, one mix per
 stage and one direction call per group of lanes that share a kernel. The
-per-round diagnostics are computed a window of rounds at a time.
+per-round diagnostics are computed a window of rounds at a time. `step`
+raises the Diverged of a non-finite round; `run` alone decides which lanes
+leave the stack.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,12 +58,14 @@ class Diverged(ValueError):
     """A round produced a non-finite iterate, momentum or tracker.
 
     Carries the algorithm, the iteration (round) that produced the value,
-    the first node holding one, and the quantity. Raised by `run`, it also
-    carries `finished`, the results of the lanes before the diverging one,
-    and `rows`, the diverging lane's rows of the rounds it finished.
+    the first node holding one, the quantity, and `lane`, the lane's
+    position in the stack (`step`) or in the lanes passed (`run`). Raised by
+    `run`, it also carries `finished`, the results of the lanes before the
+    diverging one, and `rows`, the diverging lane's rows of the rounds it
+    finished.
     """
 
-    def __init__(self, algorithm: str, iteration: int, node: int, quantity: str):
+    def __init__(self, algorithm: str, iteration: int, node: int, quantity: str, lane: int):
         super().__init__(
             f"{algorithm} diverged at iteration {iteration}: node {node} has a non-finite {quantity}"
         )
@@ -69,6 +73,7 @@ class Diverged(ValueError):
         self.iteration = iteration
         self.node = node
         self.quantity = quantity
+        self.lane = lane
         self.finished = []
         self.rows = []
 
@@ -171,6 +176,8 @@ def parse_orthogonalizer(spec: str) -> tuple[str, int]:
 def initial_state(lanes, n_nodes: int, x0: np.ndarray) -> RunState:
     """Every lane's state at a common starting point: each node at `x0`, momenta and trackers zero."""
     lanes = tuple(lanes)
+    if not lanes:
+        raise ValueError("initial_state needs at least one lane")
     try:
         x0 = linalg.as_matrix(x0)
     except ValueError as exc:
@@ -179,20 +186,17 @@ def initial_state(lanes, n_nodes: int, x0: np.ndarray) -> RunState:
     return RunState(0, np.broadcast_to(x0, shape).copy(), np.zeros(shape), np.zeros(shape), lanes)
 
 
-def _first_failure(k: int, lanes: tuple, **stacks) -> tuple[int, Diverged | None]:
-    """(lanes before the first lane holding a non-finite value, that lane's Diverged or None).
+def _raise_first_failure(k: int, lanes: tuple, **stacks) -> None:
+    """Raise the Diverged of the first lane holding a non-finite value, if any.
 
     The stacks are (L, N, m, n); a lane's quantities are checked in the order given.
     """
-    for stack in stacks.values():
-        if not np.isfinite(stack).all():
-            break
-    else:
-        return len(lanes), None
+    if all(np.isfinite(stack).all() for stack in stacks.values()):
+        return
     finite = {quantity: np.isfinite(stack).all(axis=(-2, -1)) for quantity, stack in stacks.items()}
     lane = int(np.argmin(np.logical_and.reduce([nodes.all(axis=1) for nodes in finite.values()])))
     quantity, nodes = next((q, nodes[lane]) for q, nodes in finite.items() if not nodes[lane].all())
-    return lane, Diverged(lanes[lane].algorithm, k, int(np.argmin(nodes)), quantity)
+    raise Diverged(lanes[lane].algorithm, k, int(np.argmin(nodes)), quantity, lane)
 
 
 def _polar_directions(v: np.ndarray, orthogonalizer: tuple) -> np.ndarray:
@@ -301,19 +305,20 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel):
     `state.lanes`. The round draws the noise once, takes every lane's
     gradients in one call, mixes the trackers and the iterates in one call
     each, and makes one direction call per group of lanes that share a
-    kernel. Returns the next state of the lanes before the first lane whose
-    round is non-finite, and the round record: `exact_grads` (every lane),
-    `noise`, the kept lanes' `directions`, `eta` and `tau` (lists, one per
-    kept lane; tau is None where nothing is clipped), and `failure`, that
-    first non-finite lane's Diverged or None. It never raises Diverged.
+    kernel. Returns the next state and the round record: `exact_grads`,
+    `noise`, `directions`, and `eta` and `tau` (lists, one per lane; tau is
+    None where nothing is clipped).
+
+    A non-finite round raises the Diverged of its first non-finite lane
+    (`Diverged.lane` is its stack position): the momenta and trackers of
+    every lane are checked before any direction is taken, then the iterates.
     """
     k, lanes = state.iter, state.lanes
     noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k)
     schedules = [_round_schedule(lane, k) for lane in lanes]
-    kinds = tuple((lane.algorithm, lane.orthogonalizer) for lane in lanes)
-    tracked, groups = _layout(kinds)
+    tracked, groups = _layout(tuple((lane.algorithm, lane.orthogonalizer) for lane in lanes))
     m, v = state.m, state.v
-    # A diverging round overflows on its way to inf/nan; _first_failure names it instead.
+    # A diverging round overflows on its way to inf/nan; _raise_first_failure names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
         grads = problems.exact_gradient(problem, None, state.x)
         if len(tracked) == len(lanes):
@@ -323,23 +328,14 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel):
             m, v = m.copy(), v.copy()
             theta = _per_lane([lanes[i].params.theta for i in tracked])
             m[idx], v[idx] = _track(state.m[idx], state.v[idx], grads[idx] + noise, theta, mixing)
-        # Only the lanes before the first failing one go on (a lane stack is a prefix).
-        nxt = RunState(k + 1, state.x, m, v, lanes)
-        kept, failure = _first_failure(k, lanes, momentum=m, tracker=v)
-        if failure is not None:
-            nxt, schedules, groups = nxt.take(range(kept)), schedules[:kept], _layout(kinds[:kept])[1]
-        if kept:
-            dirs = _directions(groups, nxt.v, grads, noise, schedules)
-            stepped = _per_lane([eta for eta, _ in schedules]) * dirs
-            nxt = replace(nxt, x=mix_blocks(mixing.weights, np.subtract(nxt.x, stepped, out=stepped)))
-        else:
-            dirs = nxt.v
-    kept, failure_x = _first_failure(k, nxt.lanes, iterate=nxt.x)
-    if failure_x is not None:
-        failure = failure_x
-        nxt, schedules, dirs = nxt.take(range(kept)), schedules[:kept], dirs[:kept]
+        _raise_first_failure(k, lanes, momentum=m, tracker=v)
+        dirs = _directions(groups, v, grads, noise, schedules)
+        stepped = _per_lane([eta for eta, _ in schedules]) * dirs
+        x = mix_blocks(mixing.weights, np.subtract(state.x, stepped, out=stepped))
+    _raise_first_failure(k, lanes, iterate=x)
     etas, taus = [eta for eta, _ in schedules], [tau for _, tau in schedules]
-    return nxt, {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": etas, "tau": taus, "failure": failure}
+    record = {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": etas, "tau": taus}
+    return RunState(k + 1, x, m, v, lanes), record
 
 
 def _track(m: np.ndarray, v: np.ndarray, stochastic_grads: np.ndarray, theta, mixing: MixingSpec):
@@ -441,7 +437,7 @@ class _LaneRun:
         self.max_track = 0.0
         self.max_ave_resid = 0.0
         self.ball_exit = None  # the warning of the first round that left the ball
-        self.moment_sum = None  # the running noise-moment sum when the lane retired
+        self.moment_sum = 0.0  # the sum of its rounds' noise powers, one round at a time
 
     def result(self, mixing: MixingSpec, noise_model: NoiseModel) -> RunResult:
         # Each lane draws its report index as a one-lane run of its horizon would.
@@ -493,8 +489,8 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> float:
-    """Record every live lane's rows of the pending rounds in `window`; returns the updated noise-moment sum.
+def _window_rows(live, problem, window, alpha: float) -> None:
+    """Record every live lane's rows and noise-moment sums of the pending rounds in `window`, then empty it.
 
     Every round of a window has the same live lanes. Each diagnostic is one
     call for all rounds and lanes: the consensus errors, the mean-gradient and
@@ -503,9 +499,9 @@ def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> floa
     per-matrix norms) and the potential. Each row holds its slice.
     """
     if not window:
-        return moment_sum
+        return
     t0 = time.perf_counter()
-    n_rounds, kept = len(window), len(live)
+    n_rounds, n_lanes = len(window), len(live)
     iters = [r.state.iter - 1 for r in window]
     tracked = [j for j, lane_run in enumerate(live) if lane_run.tracked]
     # A tracked lane's position among the tracked lanes, and a theorem lane's among the theorem lanes.
@@ -519,13 +515,13 @@ def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> floa
         x = _stacked([r.state.x for r in window])
         nodes = x.shape[-3:]
         x_mean_prev = node_mean(x_prev, keepdims=True)
-        cons_x = diagnostics.consensus_error(x_prev.reshape(-1, *nodes)).reshape(n_rounds, kept).tolist()
-        eta = np.array([r.info["eta"] for r in window]).reshape(n_rounds, kept, 1, 1, 1)
+        cons_x = diagnostics.consensus_error(x_prev.reshape(-1, *nodes)).reshape(n_rounds, n_lanes).tolist()
+        eta = np.array([r.info["eta"] for r in window]).reshape(n_rounds, n_lanes, 1, 1, 1)
         applied = eta * node_mean(_stacked([r.info["directions"] for r in window]), keepdims=True)
         resid = node_mean(x, keepdims=True) - (x_mean_prev - applied)
         resid = linalg._frobenius(resid[:, :, 0]).tolist()
         # One stacked call gives every lane's mean-gradient norm and every noise draw's.
-        grads = _stacked([r.info["exact_grads"][:kept] for r in window])
+        grads = _stacked([r.info["exact_grads"] for r in window])
         noise = _stacked([r.info["noise"] for r in window])
         nuclear = nuclear_norm(np.concatenate([node_mean(grads), noise], axis=1).reshape(-1, *nodes[1:]))
         nuclear = nuclear.reshape(n_rounds, -1)
@@ -559,10 +555,12 @@ def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> floa
         nuclear, objective = nuclear.tolist(), objective.tolist()
     # Python's `**` (libm's pow), as in `diagnostics.potential`: numpy's power
     # loop takes a SIMD path on some CPUs, so its last bits depend on the host.
-    noise_powers = [[_power(norm, alpha) for norm in row[kept:]] for row in nuclear]
+    noise_powers = [[_power(norm, alpha) for norm in row[n_lanes:]] for row in nuclear]
     diagnostics_s = (time.perf_counter() - t0) / n_rounds
     for w, pending in enumerate(window):
-        wall_ms = (pending.step_s + diagnostics_s) * 1e3 / kept
+        wall_ms = (pending.step_s + diagnostics_s) * 1e3 / n_lanes
+        # One round at a time, as the rounds ran: one sum over the window would round differently.
+        moment = float(np.add.reduce(noise_powers[w]))
         for j, lane_run in enumerate(live):
             if lane_run.bound is not None and cons_x[w][j] > lane_run.bound + 1e-9:
                 lane_run.violations += 1
@@ -573,14 +571,12 @@ def _window_rows(live, problem, window, alpha: float, moment_sum: float) -> floa
                 if j in pot_slot:
                     pot = pots[w][pot_slot[j]]
             lane_run.max_ave_resid = max(lane_run.max_ave_resid, resid[w][j])
+            lane_run.moment_sum += moment
             lane_run.rows.append(
                 MetricsRow(iters[w], cons_x[w][j], lane_run.bound, nuclear[w][j], track, consensus_v, pot,
                            objective[w][j], wall_time_ms=wall_ms)
             )
-        # One round at a time, as the rounds ran: one sum over the window would round differently.
-        moment_sum += float(np.add.reduce(noise_powers[w]))
     window.clear()
-    return moment_sum
 
 
 def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[RunResult]:
@@ -605,12 +601,16 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     not depend on the draw. Its noise moment covers the draws of its own K
     rounds.
 
-    Divergence has the outcome of running the lanes one after another: the
-    lanes before the first diverging lane run to their horizons, the lanes
-    after it are dropped, and its Diverged is raised with `finished`
-    holding the results of the lanes before it and `rows` its own rows of
-    the rounds it finished. The ball-exit RuntimeWarnings of the kept lanes
-    are emitted, in lane order, when the pass ends.
+    Divergence has the outcome of running the lanes one after another. When
+    `step` raises a lane's Diverged, that lane and every lane after it leave
+    the stack and the lanes before it run the same round again, which gives
+    them the same bits (the noise is keyed by the round, and every kernel
+    gives each lane what it gives that lane alone). So the lanes before the
+    first diverging lane run to their horizons, and its Diverged is raised
+    with `lane` its position in `lanes`, `finished` holding the results of
+    the lanes before it and `rows` its own rows of the rounds it finished.
+    The ball-exit RuntimeWarnings of the kept lanes are emitted, in lane
+    order, when the pass ends.
     """
     lanes = list(lanes)
     if not lanes:
@@ -623,39 +623,34 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     state = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n)))
     live = runs
     failure = failed = None
-    moment_sum = 0.0
     window = []
     while live:
         t0 = time.perf_counter()
         x_prev = state.x
-        state, info = step(state, problem, mixing, noise_model)
-        kept = len(state.lanes)
-        if info["failure"] is not None:
-            moment_sum = _window_rows(live, problem, window, noise_model.alpha, moment_sum)
-            failure, failed = info["failure"], live[kept]
-            live = live[:kept]
-            if not live:
-                break
+        try:
+            state, info = step(state, problem, mixing, noise_model)
+        except Diverged as exc:
+            _window_rows(live, problem, window, noise_model.alpha)
+            failure, failed = exc, live[exc.lane]
+            state, live = state.take(range(exc.lane)), live[: exc.lane]
+            continue
         if not window:
             rounds = _window_rounds(state, info)
-        window.append(_Pending(x_prev[:kept], state, info, time.perf_counter() - t0))
+        window.append(_Pending(x_prev, state, info, time.perf_counter() - t0))
         del x_prev, info  # held by the window only, so a flush frees them
         retiring = any(lane_run.horizon == state.iter for lane_run in live)
         if retiring or len(window) == rounds:
-            moment_sum = _window_rows(live, problem, window, noise_model.alpha, moment_sum)
+            _window_rows(live, problem, window, noise_model.alpha)
         if retiring:
-            for lane_run in live:
-                if lane_run.horizon == state.iter:
-                    lane_run.moment_sum = moment_sum
             keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
             state, live = state.take(keep), [live[j] for j in keep]
 
-    kept_runs = runs[: runs.index(failed)] if failure is not None else runs
-    for lane_run in runs[: len(kept_runs) + (failure is not None)]:
+    kept = runs.index(failed) if failure is not None else len(runs)
+    for lane_run in runs[: kept + 1]:
         if lane_run.ball_exit is not None:
             warnings.warn(lane_run.ball_exit, RuntimeWarning, stacklevel=2)
-    results = [lane_run.result(mixing, noise_model) for lane_run in kept_runs]
+    results = [lane_run.result(mixing, noise_model) for lane_run in runs[:kept]]
     if failure is not None:
-        failure.finished, failure.rows = results, failed.rows
+        failure.lane, failure.finished, failure.rows = kept, results, failed.rows
         raise failure
     return results

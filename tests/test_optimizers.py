@@ -109,6 +109,12 @@ def test_initial_state_replicates_start():
         initial_state(lanes, 3, np.ones(2))
 
 
+def test_initial_state_rejects_an_empty_lane_list():
+    # An empty stack would only fail later, inside the next step's gradient call.
+    with pytest.raises(ValueError, match="at least one lane"):
+        initial_state([], 3, np.ones((2, 2)))
+
+
 def test_take_cuts_the_stacks_and_the_lanes_together():
     lanes = tuple(Lane("dsgd", BaselineParams(dsgd_eta=eta)) for eta in (0.1, 0.2, 0.3))
     st = initial_state(lanes, 2, np.zeros((1, 1)))
@@ -570,17 +576,15 @@ def test_dsgd_divergence_stops_at_the_round_with_context():
 
     prob, mixing, noise, params = dsgd_divergence_setup()
     st = lane_state("dsgd", params, 4, np.zeros((4, 3)))
-    # step returns the failure instead of raising it, and drops the failing lane.
-    for _ in range(50):
-        assert np.isfinite(st.x).all()
-        st, info = step(st, prob, mixing, noise)
-        if info["failure"] is not None:
-            break
-    exc = info["failure"]
-    assert isinstance(exc, Diverged) and isinstance(exc, ValueError)
-    assert st.lanes == () and st.x.shape == (0, 4, 4, 3)
-    assert info["eta"] == info["tau"] == [] and len(info["directions"]) == 0
-    assert (exc.algorithm, exc.iteration, exc.quantity) == ("dsgd", st.iter - 1, "iterate")
+    # step raises the failing lane's Diverged; the state entering the round is left whole.
+    with pytest.raises(Diverged) as caught:
+        for _ in range(50):
+            assert np.isfinite(st.x).all()
+            st = step(st, prob, mixing, noise)[0]
+    exc = caught.value
+    assert isinstance(exc, ValueError)
+    assert len(st.lanes) == 1 and st.x.shape == (1, 4, 4, 3) and np.isfinite(st.x).all()
+    assert (exc.algorithm, exc.iteration, exc.quantity, exc.lane) == ("dsgd", st.iter, "iterate", 0)
     assert 0 <= exc.node < 4
     # The run leaves the certified ball before it diverges; that is its only warning.
     with pytest.raises(Diverged) as from_run, pytest.warns(RuntimeWarning, match="certified ball"):
@@ -588,6 +592,41 @@ def test_dsgd_divergence_stops_at_the_round_with_context():
     assert (from_run.value.iteration, from_run.value.node) == (exc.iteration, exc.node)
     assert [row.iter for row in from_run.value.rows] == list(range(exc.iteration))
     assert f"iteration {exc.iteration}" in str(from_run.value)
+
+
+def test_step_raises_the_first_failing_lane_and_a_prefix_reruns_the_round():
+    # Lane 1's iterate and lane 2's momentum overflow in the same round. The
+    # momenta are checked first, so lane 2's Diverged is raised; the lanes
+    # before it then rerun the round, which surfaces lane 1's iterate, and
+    # lane 0 alone steps as a one-lane stack does.
+    from demuon.optimizers import Diverged, RunState
+    from demuon.problems import make_nonconvex_gram
+
+    prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=0)
+    mixing, noise = build_ring(3), NoiseModel("gaussian", 2.0, 0.3, base_seed=1)
+    lanes = (
+        Lane("demuon", ScheduleParams(0.05, 0.5)),
+        Lane("dsgd", BaselineParams(dsgd_eta=1e10)),  # a finite gradient near 1e300, a step past overflow
+        Lane("gt_nsgdm", ScheduleParams(0.1, 0.5)),  # a gradient past overflow
+    )
+    x = np.broadcast_to(np.array([0.0, 1e100, 1e200]).reshape(3, 1, 1, 1), (3, 3, 4, 3)).copy()
+    state = RunState(5, x, np.zeros_like(x), np.zeros_like(x), lanes)
+    for kept, quantity in ((3, "momentum"), (2, "iterate")):
+        with pytest.raises(Diverged) as caught:
+            step(state.take(range(kept)), prob, mixing, noise)
+        exc = caught.value
+        assert (exc.lane, exc.algorithm, exc.iteration, exc.quantity, exc.node) == (
+            kept - 1, lanes[kept - 1].algorithm, 5, quantity, 0
+        )
+    nxt, info = step(state.take(range(1)), prob, mixing, noise)
+    one = RunState(5, x[:1].copy(), np.zeros((1, 3, 4, 3)), np.zeros((1, 3, 4, 3)), lanes[:1])
+    alone, alone_info = step(one, prob, mixing, noise)
+    for name in ("x", "m", "v"):
+        np.testing.assert_array_equal(getattr(nxt, name), getattr(alone, name))
+    assert nxt.iter == alone.iter == 6 and nxt.lanes == alone.lanes
+    for name in ("exact_grads", "noise", "directions"):
+        np.testing.assert_array_equal(info[name], alone_info[name])
+    assert (info["eta"], info["tau"]) == (alone_info["eta"], alone_info["tau"])
 
 
 def _untimed_rows(rows):
@@ -815,7 +854,7 @@ def test_a_diverging_lane_keeps_the_sequential_outcome(position, diverging):
         warnings.simplefilter("ignore")
         run(lanes, prob, mixing, noise)
     expected = [lane.horizon or lane.params.horizon for lane in lanes[:position]]
-    assert [r.horizon for r in caught.value.finished] == expected
+    assert [r.horizon for r in caught.value.finished] == expected and caught.value.lane == position
 
 
 def _window_invariant(monkeypatch, lanes, *args):
@@ -1027,7 +1066,7 @@ def test_step_maps_zero_trackers_to_zero_and_deficient_ones_to_partial_isometrie
 
     lanes, prob, mixing, state = case
     nxt, info = step(state, prob, mixing, NOISELESS)
-    assert info["failure"] is None and not nxt.m.any()
+    assert not nxt.m.any()
     assert np.array_equal(nxt.v, mix_blocks(mixing.weights, state.v))
     for pos, lane in enumerate(lanes):
         for tracker, direction in zip(nxt.v[pos], info["directions"][pos]):

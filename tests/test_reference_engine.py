@@ -118,7 +118,6 @@ def assert_rounds_match(lanes, horizons, problem, mixing, noise):
     state = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n)))
     for k in range(max(horizons)):
         nxt, info = step(state, problem, mixing, noise)
-        assert info["failure"] is None
         for j, lane in enumerate(lanes):
             ref = reference_round(lane, problem, mixing.weights, noise, k, list(state.x[j]), list(state.m[j]),
                                   list(state.v[j]))

