@@ -60,6 +60,12 @@ def test_validation_names_offending_keys():
         parse_config(bad_alg)
     with pytest.raises(ConfigError, match="run.horizon"):
         parse_config(MINIMAL.replace("horizon = 10", "horizon = 0"))
+    with pytest.raises(ConfigError, match=r"^run\.horizon: invalid literal"):
+        parse_config(MINIMAL.replace("horizon = 10", "horizon = ten"))
+    with pytest.raises(ConfigError, match="^problem.kind must be one of"):
+        parse_config(MINIMAL + "\n[problem]\nkind = sparse\n")
+    with pytest.raises(ConfigError, match="^could not parse config: .*section 'run' already exists"):
+        parse_config(MINIMAL + "\n[run]\nseed = 1\n")
     with pytest.raises(ConfigError, match="topology.family"):
         parse_config(MINIMAL.replace("family = ring", "family = mesh"))
     with pytest.raises(ConfigError, match="noise.dof"):

@@ -84,6 +84,8 @@ def test_potential_degenerate_params_is_objective(rng):
     ) == pytest.approx(
         objective_at(prob, xs.mean(axis=0)), rel=1e-14
     )
+    with pytest.raises(ValueError, match="expected N stacked matrices"):
+        potential(0.0, ms[0], ms[0], 0.0, params)
 
 
 def test_potential_vanishing_penalties(rng):
@@ -128,6 +130,8 @@ def test_theorem_potential_params():
     assert params_hetero.p <= 1.0
     with pytest.raises(ValueError):
         theorem_potential_params(3, 2.0, 0.0)
+    with pytest.raises(ValueError, match="^mixing rate must lie in"):
+        theorem_potential_params(16, 2.0, 1.0)
 
 
 def test_theorem_potential_shares_the_schedule_step():

@@ -69,6 +69,10 @@ def test_schedule_params_validation():
     assert ScheduleParams(0.1, 0.2).horizon is None
     with pytest.raises(ValueError, match="not its power law"):
         ScheduleParams(0.1, 0.2, horizon=7)
+    with pytest.raises(ValueError, match="^theorem schedule needs horizon >= 4"):
+        ScheduleParams(0.1, 0.2, horizon=3)
+    with pytest.raises(ValueError, match="^alpha must lie in"):
+        ScheduleParams(0.1, 0.2, alpha=2.5)
     with pytest.raises(ValueError):
         BaselineParams(clip_tau=-1.0)
 

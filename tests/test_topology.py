@@ -183,6 +183,8 @@ def test_load_mixing_csv_rejects_invalid(tmp_path):
     np.savetxt(path2, np.ones((2, 3)) / 3.0, delimiter=",")
     with pytest.raises(InvalidMixingError):
         load_mixing_csv(path2)
+    with pytest.raises(ValueError, match="must be square"):
+        validate_mixing(np.ones((2, 3)) / 3.0)
     # Entries numpy reads as nan or inf are rejected as an invalid file, naming it.
     for name, entry in (("nan.csv", "nan"), ("overflow.csv", "1e400")):
         path3 = tmp_path / name
