@@ -44,11 +44,9 @@ from .problems import (
     load_problem,
     make_nonconvex_gram,
     make_quadratic,
-    value,
 )
 from .topology import (
     InvalidMixingError,
-    MixingReport,
     MixingSpec,
     build_complete,
     build_directed_exponential,

@@ -77,6 +77,11 @@ class Diverged(ValueError):
         self.finished = []
         self.rows = []
 
+    def __reduce__(self):
+        # ValueError pickles only the message: rebuild from the fields, then restore the results.
+        fields = (self.algorithm, self.iteration, self.node, self.quantity, self.lane)
+        return type(self), fields, {"finished": self.finished, "rows": self.rows}
+
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -320,7 +325,7 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel):
     m, v = state.m, state.v
     # A diverging round overflows on its way to inf/nan; _raise_first_failure names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = problems.exact_gradient(problem, None, state.x)
+        grads = problems.exact_gradient(problem, state.x)
         if len(tracked) == len(lanes):
             m, v = _track(m, v, grads + noise, _per_lane([lane.params.theta for lane in lanes]), mixing)
         elif tracked:
@@ -433,8 +438,6 @@ class _LaneRun:
                     params.horizon, params.alpha, mixing.mixing_rate
                 )
         self.rows = []
-        self.violations = 0
-        self.max_track = 0.0
         self.max_ave_resid = 0.0
         self.ball_exit = None  # the warning of the first round that left the ball
         self.moment_sum = 0.0  # the sum of its rounds' noise powers, one round at a time
@@ -444,6 +447,11 @@ class _LaneRun:
         seed = noise_model.base_seed
         iota = int(np.random.default_rng((seed, _REPORT_STREAM)).integers(self.horizon))
         grad_norms = [row.avg_grad_nuclear for row in self.rows]
+        # Starting from 0.0, max() passes over a NaN residual.
+        violations, tracks = 0, [0.0]
+        if self.tracked:
+            violations = sum(row.consensus_error_x > self.bound + 1e-9 for row in self.rows)
+            tracks += [row.tracking_residual for row in self.rows]
         return RunResult(
             algorithm=self.lane.algorithm,
             horizon=self.horizon,
@@ -453,8 +461,8 @@ class _LaneRun:
             iota=iota,
             grad_nuclear_at_iota=grad_norms[iota],
             avg_grad_nuclear_mean=float(np.mean(grad_norms)),
-            consensus_violations=self.violations,
-            max_tracking_residual=self.max_track,
+            consensus_violations=violations,
+            max_tracking_residual=max(tracks),
             max_avg_iterate_residual=self.max_ave_resid,
             noise_alpha_moment=(self.moment_sum / (self.horizon * mixing.n_nodes)) ** (1.0 / noise_model.alpha),
             ball_exited=self.ball_exit is not None,
@@ -562,12 +570,9 @@ def _window_rows(live, problem, window, alpha: float) -> None:
         # One round at a time, as the rounds ran: one sum over the window would round differently.
         moment = float(np.add.reduce(noise_powers[w]))
         for j, lane_run in enumerate(live):
-            if lane_run.bound is not None and cons_x[w][j] > lane_run.bound + 1e-9:
-                lane_run.violations += 1
             track = consensus_v = pot = None
             if lane_run.tracked:
                 track, consensus_v = tracking[w][slot[j]], cons_v[w][slot[j]]
-                lane_run.max_track = max(lane_run.max_track, track)
                 if j in pot_slot:
                     pot = pots[w][pot_slot[j]]
             lane_run.max_ave_resid = max(lane_run.max_ave_resid, resid[w][j])

@@ -1,9 +1,12 @@
-"""Desk-scale decentralized matrix objectives with exact value/gradient oracles.
+"""Desk-scale decentralized matrix objectives with exact gradient and objective oracles.
 
 Two synthetic families plus file ingestion:
 
   quadratic       f_i(X) = 0.5 ||A_i X - B_i||_F^2        (A_i: p x m, B_i: p x n)
   nonconvex_gram  f_i(X) = 0.25 ||X X^T - C_i||_F^2       (C_i: m x m symmetric)
+
+The oracles take whole node stacks, as a run calls them: `exact_gradient`
+gives all N local gradients in one product, `objective_at` f = (1/N) sum_i f_i.
 
 Problem file format (dense CSV blocks, nodes in index order):
 
@@ -86,59 +89,36 @@ class ProblemSet:
                 raise ValueError(f"node {bad[0]}: C must be symmetric, max |C - C^T| = {skew[bad[0]]}")
 
 
-def _iterate(problem: ProblemSet, x, stacked: bool = False) -> np.ndarray:
-    """Validate one m x n iterate or, when `stacked`, also an (..., N, m, n) stack of per-node stacks."""
-    x = as_matrix(x, stack=stacked)
-    shape = (problem.m, problem.n)
-    if x.shape != shape and not (stacked and x.shape[-3:] == (problem.n_nodes, *shape)):
-        want = f"{shape} or (..., {problem.n_nodes}, {shape[0]}, {shape[1]})" if stacked else str(shape)
-        raise ValueError(f"iterate shape {x.shape} does not match problem {want}")
-    return x
-
-
-def _nodes(problem: ProblemSet, i: int | None):
-    """Index into the node data: node i, or every node when i is None."""
-    if i is None:
-        return slice(None)
-    if not 0 <= i < problem.n_nodes:
-        raise IndexError(f"node index {i} out of range for {problem.n_nodes} nodes")
-    return i
-
-
-def _values(problem: ProblemSet, nodes, x: np.ndarray):
-    """f_i(x) for the selected nodes, one value per node; leading axes of `x` are broadcast over.
+def _values(problem: ProblemSet, x: np.ndarray):
+    """f_i(x) for every node, one value per node; leading axes of `x` are broadcast over.
 
     The residuals are squared in place: on a stack of iterates a second
     temporary of their size costs more, in allocator work, than the product.
     """
     if problem.kind == QUADRATIC:
-        r = problem.a[nodes] @ x - problem.b[nodes]
+        r = problem.a @ x - problem.b
         return 0.5 * np.sum(np.multiply(r, r, out=r), axis=(-2, -1))
-    g = x @ np.swapaxes(x, -2, -1) - problem.c[nodes]
+    g = x @ np.swapaxes(x, -2, -1) - problem.c
     return 0.25 * np.sum(np.multiply(g, g, out=g), axis=(-2, -1))
 
 
-def value(problem: ProblemSet, i: int, x) -> float:
-    """Local objective f_i at x."""
-    nodes = _nodes(problem, i)
-    return float(_values(problem, nodes, _iterate(problem, x)))
+def exact_gradient(problem: ProblemSet, x) -> np.ndarray:
+    """Exact gradients of every f_i, in one batched product.
 
-
-def exact_gradient(problem: ProblemSet, i: int | None, x) -> np.ndarray:
-    """Exact gradient of f_i at x.
-
-    With i None, the gradients of every node in one batched product: x is
-    then the (N, m, n) stack of per-node iterates (or one m x n iterate
-    shared by all nodes) and the result is the (N, m, n) gradient stack.
-    Leading axes in front of N (the lanes of a run) are broadcast over, and
-    each (N, m, n) slice gives exactly what it gives alone.
+    `x` is the (N, m, n) stack of per-node iterates, or one m x n iterate
+    shared by all nodes; the result is the (N, m, n) gradient stack, whose
+    row i is grad f_i at node i's iterate. Leading axes in front of N (the
+    lanes of a run) are broadcast over, and each (N, m, n) slice gives
+    exactly what it gives alone.
     """
-    nodes = _nodes(problem, i)
-    x = _iterate(problem, x, stacked=i is None)
+    x = as_matrix(x, stack=True)
+    shape = (problem.m, problem.n)
+    if x.shape != shape and x.shape[-3:] != (problem.n_nodes, *shape):
+        want = f"{shape} or (..., {problem.n_nodes}, {shape[0]}, {shape[1]})"
+        raise ValueError(f"iterate shape {x.shape} does not match problem {want}")
     if problem.kind == QUADRATIC:
-        a = problem.a[nodes]
-        return np.swapaxes(a, -2, -1) @ _minus(a @ x, problem.b[nodes])
-    return _minus(x @ np.swapaxes(x, -2, -1), problem.c[nodes]) @ x
+        return np.swapaxes(problem.a, -2, -1) @ _minus(problem.a @ x, problem.b)
+    return _minus(x @ np.swapaxes(x, -2, -1), problem.c) @ x
 
 
 def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,7 +142,7 @@ def objective_at(problem: ProblemSet, x):
     x = as_matrix(x, stack=True)
     if x.shape[-2:] != (problem.m, problem.n):
         raise ValueError(f"iterate shape {x.shape} does not match problem (..., {problem.m}, {problem.n})")
-    means = np.mean(_values(problem, slice(None), x[..., None, :, :]), axis=-1)
+    means = np.mean(_values(problem, x[..., None, :, :]), axis=-1)
     return float(means) if means.ndim == 0 else means
 
 

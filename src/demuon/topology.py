@@ -1,7 +1,9 @@
 """Mixing matrices for the supported communication graphs, plus their mixing rate.
 
 Every built-in family uses uniform self-inclusive weights, which makes the
-matrix circulant and therefore doubly stochastic by construction.
+matrix circulant and therefore doubly stochastic by construction. A custom
+matrix goes through `validate_mixing`, which returns its mixing rate or raises
+InvalidMixingError naming every check it fails.
 """
 
 from __future__ import annotations
@@ -27,42 +29,6 @@ class InvalidMixingError(ValueError):
 
 
 @dataclass(frozen=True)
-class MixingReport:
-    """Outcome of each mixing-matrix check, with the computed rate."""
-
-    nonnegative: bool
-    row_stochastic: bool
-    column_stochastic: bool
-    primitive: bool
-    contractive: bool
-    mixing_rate: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.nonnegative
-            and self.row_stochastic
-            and self.column_stochastic
-            and self.primitive
-            and self.contractive
-        )
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.nonnegative:
-            out.append("entries must be nonnegative")
-        if not self.row_stochastic:
-            out.append("rows must sum to 1")
-        if not self.column_stochastic:
-            out.append("columns must sum to 1")
-        if not self.primitive:
-            out.append("some power W^j (j <= N) must be entrywise positive")
-        if not self.contractive:
-            out.append(f"mixing rate must be < 1, got {self.mixing_rate}")
-        return out
-
-
-@dataclass(frozen=True)
 class MixingSpec:
     """A validated N x N mixing matrix with its cached mixing rate."""
 
@@ -77,30 +43,39 @@ def _deviation_norm(w: np.ndarray) -> float:
     return spectral_norm(w - np.full((n, n), 1.0 / n))
 
 
-def validate_mixing(w) -> MixingReport:
-    """Check nonnegativity, double stochasticity, primitivity, and rate < 1.
+def validate_mixing(w) -> float:
+    """The mixing rate of W, once it is nonnegative, doubly stochastic, primitive and below 1.
 
     The mixing rate is the spectral norm of W - (1 1^T)/N, so non-symmetric
-    (directed) matrices are handled.
+    (directed) matrices are handled. A matrix that fails any check raises
+    InvalidMixingError, whose message names every failed check, joined by "; ".
     """
     w = as_matrix(w)
     n = w.shape[0]
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"mixing matrix must be square, got {w.shape}")
+    failures = []
     # Entries too large for the sums and powers overflow to inf, which fails the checks.
     with np.errstate(over="ignore", invalid="ignore"):
-        nonnegative = bool(np.all(w >= 0))
-        row = bool(np.all(np.abs(w.sum(axis=1) - 1.0) <= STOCHASTIC_TOL))
-        col = bool(np.all(np.abs(w.sum(axis=0) - 1.0) <= STOCHASTIC_TOL))
-        primitive = False
+        if not np.all(w >= 0):
+            failures.append("entries must be nonnegative")
+        if not np.all(np.abs(w.sum(axis=1) - 1.0) <= STOCHASTIC_TOL):
+            failures.append("rows must sum to 1")
+        if not np.all(np.abs(w.sum(axis=0) - 1.0) <= STOCHASTIC_TOL):
+            failures.append("columns must sum to 1")
         power = np.eye(n)
         for _ in range(n):
             power = power @ w
             if np.all(power > 0):
-                primitive = True
                 break
+        else:
+            failures.append("some power W^j (j <= N) must be entrywise positive")
         rate = _deviation_norm(w)
-    return MixingReport(nonnegative, row, col, primitive, rate < 1.0, rate)
+    if not rate < 1.0:
+        failures.append(f"mixing rate must be < 1, got {rate}")
+    if failures:
+        raise InvalidMixingError("; ".join(failures))
+    return rate
 
 
 def check_node_count(family: str, n_nodes: int):
@@ -176,12 +151,10 @@ def load_mixing_csv(path) -> MixingSpec:
             f"mixing CSV {path} must be square, got {w.shape[0]}x{w.shape[1]}"
         )
     try:
-        report = validate_mixing(w)
-    except ValueError as exc:  # non-finite entries
+        rate = validate_mixing(w)
+    except ValueError as exc:  # non-finite entries or a failed check
         raise InvalidMixingError(f"mixing CSV {path}: {exc}") from exc
-    if not report.ok:
-        raise InvalidMixingError(f"mixing CSV {path}: " + "; ".join(report.failures()))
-    return MixingSpec(w.shape[0], w, report.mixing_rate, CUSTOM)
+    return MixingSpec(w.shape[0], w, rate, CUSTOM)
 
 
 def build_family(family: str, n: int) -> MixingSpec:

@@ -339,9 +339,7 @@ def doubly_stochastic_mixings(draw):
         w = _circulant(weights / weights.sum())
     else:
         w = _doubly_stochastic(n, draw(st.floats(0.05, 1.0), label="c"), draw(st.permutations(range(n)), label="perm"))
-    report = validate_mixing(w)
-    assert report.ok, report.failures()
-    return MixingSpec(n, w, report.mixing_rate, "custom")
+    return MixingSpec(n, w, validate_mixing(w), "custom")
 
 
 @settings(max_examples=60, deadline=None)
@@ -928,6 +926,27 @@ def test_rows_do_not_depend_on_the_window_when_a_lane_diverges_mid_window(monkey
     exc = caught.value
     assert len(exc.rows) == exc.iteration and [row.iter for row in exc.rows] == list(range(iteration))
     assert [len(r.rows) for r in exc.finished] == [12]
+
+
+def test_diverged_survives_pickling():
+    # A process pool hands a worker's exception back pickled.
+    import pickle
+
+    from demuon.optimizers import Diverged
+
+    prob, mixing, noise, params = dsgd_divergence_setup()
+    lanes = [Lane("demuon", theoretical_schedule(12)), Lane("dsgd", params, horizon=40)]
+    with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
+        warnings.simplefilter("ignore")
+        run(lanes, prob, mixing, noise)
+    exc = caught.value
+    assert exc.finished and exc.rows
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is Diverged and str(back) == str(exc)
+    fields = ("algorithm", "iteration", "node", "quantity", "lane")
+    assert [getattr(back, f) for f in fields] == [getattr(exc, f) for f in fields]
+    # repr compares a row that overflowed to nan as text.
+    assert repr(back.finished) == repr(exc.finished) and repr(back.rows) == repr(exc.rows)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])

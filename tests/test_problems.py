@@ -15,13 +15,13 @@ from demuon.problems import (
     make_nonconvex_gram,
     make_quadratic,
     objective_at,
-    value,
 )
+from reference_engine import local_gradient, local_value
 
 
 def fd_directional(problem, i, x, d, h=1e-5):
-    up = value(problem, i, x + h * d)
-    down = value(problem, i, x - h * d)
+    up = local_value(problem, i, x + h * d)
+    down = local_value(problem, i, x - h * d)
     return (up - down) / (2.0 * h)
 
 
@@ -31,20 +31,21 @@ def identity_quadratic(b):
 
 
 def test_quadratic_fixed_values():
+    # One node: the objective is f_0.
     prob = identity_quadratic(np.zeros((2, 2)))
-    assert value(prob, 0, np.zeros((2, 2))) == 0.0
+    assert objective_at(prob, np.zeros((2, 2))) == 0.0
     prob_i = identity_quadratic(np.eye(2))
-    assert value(prob_i, 0, np.zeros((2, 2))) == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(exact_gradient(prob_i, 0, np.zeros((2, 2))), -np.eye(2))
+    assert objective_at(prob_i, np.zeros((2, 2))) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(exact_gradient(prob_i, np.zeros((2, 2)))[0], -np.eye(2))
     x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(exact_gradient(prob, 0, x0), x0)
+    np.testing.assert_allclose(exact_gradient(prob, x0)[0], x0)
 
 
 def test_gram_fixed_values(rng):
     x = rng.standard_normal((3, 2))
     prob = ProblemSet("nonconvex_gram", 1, 3, 2, c=(x @ x.T,), f_low=0.0)
-    assert value(prob, 0, x) == pytest.approx(0.0, abs=1e-14)
-    np.testing.assert_allclose(exact_gradient(prob, 0, x), np.zeros((3, 2)), atol=1e-12)
+    assert objective_at(prob, x) == pytest.approx(0.0, abs=1e-14)
+    np.testing.assert_allclose(exact_gradient(prob, x)[0], np.zeros((3, 2)), atol=1e-12)
 
 
 def test_gradients_match_finite_differences(rng):
@@ -55,7 +56,7 @@ def test_gradients_match_finite_differences(rng):
             i = int(rng.integers(problem.n_nodes))
             x = rng.standard_normal((problem.m, problem.n))
             d = rng.standard_normal((problem.m, problem.n))
-            grad_dot = float(np.sum(exact_gradient(problem, i, x) * d))
+            grad_dot = float(np.sum(exact_gradient(problem, x)[i] * d))
             fd = fd_directional(problem, i, x, d)
             assert abs(grad_dot - fd) <= 1e-5 * max(1.0, abs(fd))
 
@@ -70,7 +71,7 @@ def test_gradient_fd_sweep_100_pairs(rng):
         i = int(rng.integers(problem.n_nodes))
         x = rng.standard_normal((problem.m, problem.n))
         d = rng.standard_normal((problem.m, problem.n))
-        grad_dot = float(np.sum(exact_gradient(problem, i, x) * d))
+        grad_dot = float(np.sum(exact_gradient(problem, x)[i] * d))
         fd = fd_directional(problem, i, x, d)
         assert abs(grad_dot - fd) <= 1e-4 * max(1.0, abs(fd))
 
@@ -81,17 +82,17 @@ def test_average_gradient():
     b = np.array([[0.5, 0.1], [0.2, 0.3]])
     prob = ProblemSet(QUADRATIC, 3, 2, 2, a=(a, a, a), b=(b, b, b))
     xs = [np.ones((2, 2))] * 3
-    np.testing.assert_allclose(exact_gradient(prob, None, xs).mean(axis=0), exact_gradient(prob, 0, xs[0]), atol=1e-14)
+    np.testing.assert_allclose(exact_gradient(prob, xs).mean(axis=0), local_gradient(prob, 0, xs[0]), atol=1e-14)
     # hand case: N=2, A=I, B1=0, B2=2 (1x1), x=0 -> average gradient -1
     two = ProblemSet(
         QUADRATIC, 2, 1, 1,
         a=(np.eye(1), np.eye(1)),
         b=(np.zeros((1, 1)), 2.0 * np.ones((1, 1))),
     )
-    avg = exact_gradient(two, None, [np.zeros((1, 1)), np.zeros((1, 1))]).mean(axis=0)
+    avg = exact_gradient(two, [np.zeros((1, 1)), np.zeros((1, 1))]).mean(axis=0)
     assert avg[0, 0] == pytest.approx(-1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        exact_gradient(two, None, [np.zeros((1, 1))])
+        exact_gradient(two, [np.zeros((1, 1))])
 
 
 def test_make_quadratic_consensus_optimum():
@@ -99,7 +100,7 @@ def test_make_quadratic_consensus_optimum():
     stacked = np.vstack(prob.a)
     target = np.vstack(prob.b)
     x_star = np.linalg.lstsq(stacked, target, rcond=None)[0]
-    np.testing.assert_allclose(exact_gradient(prob, None, [x_star] * 4).mean(axis=0), np.zeros((3, 2)), atol=1e-10)
+    np.testing.assert_allclose(exact_gradient(prob, [x_star] * 4).mean(axis=0), np.zeros((3, 2)), atol=1e-10)
     assert prob.f_low == 0.0
     assert objective_at(prob, x_star) <= 1e-20
 
@@ -108,7 +109,7 @@ def test_make_quadratic_single_node_zero_gap():
     prob = make_quadratic(1, 3, 3, 4, heterogeneity=0.0, seed=4)
     stacked = np.vstack(prob.a)
     x_star = np.linalg.lstsq(stacked, np.vstack(prob.b), rcond=None)[0]
-    assert value(prob, 0, x_star) == pytest.approx(0.0, abs=1e-18)
+    assert objective_at(prob, x_star) == pytest.approx(0.0, abs=1e-18)
     assert prob.f_low == 0.0
 
 
@@ -135,7 +136,7 @@ def test_smoothness_certificate(rng):
         i = int(rng.integers(3))
         x = rng.standard_normal((4, 3))
         y = rng.standard_normal((4, 3))
-        lhs = nuclear_norm(exact_gradient(prob, i, x) - exact_gradient(prob, i, y))
+        lhs = nuclear_norm(exact_gradient(prob, x)[i] - exact_gradient(prob, y)[i])
         assert lhs <= prob.lipschitz_star * spectral_norm(x - y) * (1.0 + 1e-12)
 
 
@@ -148,7 +149,7 @@ def test_gram_certificate_inside_ball(rng):
         y = rng.standard_normal((3, 2))
         x *= min(1.0, 0.9 * r / max(spectral_norm(x), 1e-12))
         y *= min(1.0, 0.9 * r / max(spectral_norm(y), 1e-12))
-        lhs = nuclear_norm(exact_gradient(prob, i, x) - exact_gradient(prob, i, y))
+        lhs = nuclear_norm(exact_gradient(prob, x)[i] - exact_gradient(prob, y)[i])
         assert lhs <= prob.lipschitz_star * spectral_norm(x - y) * (1.0 + 1e-12)
 
 
@@ -228,12 +229,9 @@ def test_heterogeneity_deltas_cancel():
 
 def test_node_and_shape_errors():
     prob = make_quadratic(2, 3, 2, 4, seed=0)
-    with pytest.raises(IndexError):
-        value(prob, 2, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        value(prob, 0, np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        exact_gradient(prob, 0, np.zeros((4, 2)))
+    for bad in (np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((3, 3, 2))):  # transposed, too tall, 3 nodes for 2
+        with pytest.raises(ValueError, match="iterate shape"):
+            exact_gradient(prob, bad)
 
 
 # (N, m, n, p) of the quickstart, large_n64, rate_sweep and baselines_gram
@@ -271,7 +269,7 @@ def test_problem_file_roundtrip(tmp_path):
         assert (loaded.n_nodes, loaded.m, loaded.n) == (problem.n_nodes, problem.m, problem.n)
         x = np.ones((problem.m, problem.n)) * 0.25
         for i in range(problem.n_nodes):
-            assert value(loaded, i, x) == pytest.approx(value(problem, i, x), rel=1e-12)
+            assert local_value(loaded, i, x) == pytest.approx(local_value(problem, i, x), rel=1e-12)
 
 
 def test_problem_file_errors(tmp_path):

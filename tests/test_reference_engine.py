@@ -64,7 +64,7 @@ def mixings(draw):
         return build_directed_exponential(draw(st.sampled_from([2, 4]), label="n"))
     n = draw(st.integers(1, 5), label="n")
     w = _doubly_stochastic(n, draw(st.floats(0.05, 1.0), label="c"), draw(st.permutations(range(n)), label="perm"))
-    return MixingSpec(n, w, validate_mixing(w).mixing_rate, "custom")
+    return MixingSpec(n, w, validate_mixing(w), "custom")
 
 
 @st.composite

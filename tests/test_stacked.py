@@ -17,11 +17,11 @@ from demuon.problems import (
     make_nonconvex_gram,
     make_quadratic,
     objective_at,
-    value,
 )
 from demuon.topology import mix_blocks
 
 from linalg_oracles import polar_oracle
+from reference_engine import local_gradient, local_value
 
 SLICE_KINDS = ("full", "deficient", "zero")
 dims = st.integers(1, 7)
@@ -175,28 +175,26 @@ problems_ = st.builds(
 def test_stacked_gradient_and_objective_match_per_node(problem, seed):
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((problem.n_nodes, problem.m, problem.n))
-    grads = exact_gradient(problem, None, xs)
-    shared = exact_gradient(problem, None, xs[0])
+    grads = exact_gradient(problem, xs)
+    shared = exact_gradient(problem, xs[0])
     for i in range(problem.n_nodes):
-        np.testing.assert_array_equal(grads[i], exact_gradient(problem, i, xs[i]))
-        np.testing.assert_array_equal(shared[i], exact_gradient(problem, i, xs[0]))
+        np.testing.assert_array_equal(grads[i], local_gradient(problem, i, xs[i]))
+        np.testing.assert_array_equal(shared[i], local_gradient(problem, i, xs[0]))
     np.testing.assert_array_equal(
-        grads.mean(axis=0), sum(exact_gradient(problem, i, xs[i]) for i in range(problem.n_nodes)) / problem.n_nodes
+        grads.mean(axis=0), sum(local_gradient(problem, i, xs[i]) for i in range(problem.n_nodes)) / problem.n_nodes
     )
-    loop = sum(value(problem, i, xs[0]) for i in range(problem.n_nodes)) / problem.n_nodes
+    loop = sum(local_value(problem, i, xs[0]) for i in range(problem.n_nodes)) / problem.n_nodes
     assert objective_at(problem, xs[0]) == pytest.approx(loop, rel=1e-12, abs=0.0)
 
 
 def test_stacked_gradient_validates_the_stack():
     problem = make_quadratic(3, 2, 2, 3, seed=0)
     with pytest.raises(ValueError):
-        exact_gradient(problem, None, np.zeros((2, 2, 2)))  # wrong node count
-    with pytest.raises(ValueError):
-        exact_gradient(problem, 0, np.zeros((3, 2, 2)))  # a stack needs i=None
+        exact_gradient(problem, np.zeros((2, 2, 2)))  # wrong node count
     bad = np.zeros((3, 2, 2))
     bad[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        exact_gradient(problem, None, bad)
+        exact_gradient(problem, bad)
 
 
 lane_problems = st.builds(
@@ -219,14 +217,14 @@ def test_lane_stacks_match_per_lane_calls(problem, n_lanes, seed, scale):
     xs = scale * rng.standard_normal((n_lanes, problem.n_nodes, problem.m, problem.n))
     w = rng.random((problem.n_nodes, problem.n_nodes))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        grads = exact_gradient(problem, None, xs)
+        grads = exact_gradient(problem, xs)
     mixed = mix_blocks(w, xs)
     means = node_mean(xs)
     spectral, nuclear = consensus_error(xs), consensus_error_nuclear(xs)
     assert spectral.shape == nuclear.shape == (n_lanes,)
     for lane in range(n_lanes):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            assert grads[lane].tobytes() == exact_gradient(problem, None, xs[lane]).tobytes()
+            assert grads[lane].tobytes() == exact_gradient(problem, xs[lane]).tobytes()
         assert mixed[lane].tobytes() == mix_blocks(w, xs[lane]).tobytes()
         assert means[lane].tobytes() == xs[lane].mean(axis=0).tobytes()
         assert spectral[lane] == consensus_error(xs[lane])

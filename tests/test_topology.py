@@ -65,7 +65,7 @@ def test_directed_exponential():
     # node 0 sends to offsets {0, 1, 2, 4}
     np.testing.assert_allclose(np.nonzero(spec8.weights[:, 0])[0], [0, 1, 2, 4])
     assert spec8.mixing_rate < 1.0
-    assert validate_mixing(spec8.weights).ok
+    assert validate_mixing(spec8.weights) == spec8.mixing_rate
 
 
 def test_directed_exponential_rejects_non_power_of_two():
@@ -99,9 +99,7 @@ def test_all_families_validate():
         build_ring(3), build_ring(8),
         build_directed_exponential(2), build_directed_exponential(16),
     ):
-        report = validate_mixing(spec.weights)
-        assert report.ok, report.failures()
-        assert report.mixing_rate == pytest.approx(spec.mixing_rate, abs=1e-12)
+        assert validate_mixing(spec.weights) == pytest.approx(spec.mixing_rate, abs=1e-12)
 
 
 def test_rate_ordering_at_fixed_size():
@@ -109,23 +107,30 @@ def test_rate_ordering_at_fixed_size():
     assert 0.0 < build_directed_exponential(8).mixing_rate < build_ring(8).mixing_rate
 
 
+def mixing_failures(w):
+    """The failed checks that the InvalidMixingError of `validate_mixing(w)` names."""
+    with pytest.raises(InvalidMixingError) as caught:
+        validate_mixing(w)
+    return str(caught.value).split("; ")
+
+
 def test_validate_reports_identity_failures():
-    report = validate_mixing(np.eye(4))
-    assert report.nonnegative and report.row_stochastic and report.column_stochastic
-    assert not report.primitive
-    assert not report.contractive
-    assert report.mixing_rate == pytest.approx(1.0, abs=1e-12)
+    primitive, contractive = mixing_failures(np.eye(4))
+    assert primitive == "some power W^j (j <= N) must be entrywise positive"
+    head, _, rate = contractive.rpartition(" ")
+    assert head == "mixing rate must be < 1, got"
+    assert float(rate) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_validate_reports_column_failure():
-    report = validate_mixing(np.array([[1.0, 0.0], [0.5, 0.5]]))
-    assert report.row_stochastic
-    assert not report.column_stochastic
+    failures = mixing_failures(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    assert "columns must sum to 1" in failures
+    assert "rows must sum to 1" not in failures
 
 
 def test_mixing_rate_complete_and_ring():
-    assert validate_mixing(build_complete(8).weights).mixing_rate == 0.0
-    assert validate_mixing(build_ring(4).weights).mixing_rate == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert validate_mixing(build_complete(8).weights) == 0.0
+    assert validate_mixing(build_ring(4).weights) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_mix_blocks_preserves_block_average(rng):
@@ -258,5 +263,4 @@ def test_load_mixing_csv_loads_a_valid_spec_or_raises_invalid_mixing(tmp_path_fa
         np.testing.assert_array_equal(spec.weights, valid)
     if spec is not None:
         assert spec.family == "custom" and spec.weights.shape == (spec.n_nodes, spec.n_nodes)
-        report = validate_mixing(spec.weights)
-        assert report.ok and report.mixing_rate == spec.mixing_rate
+        assert validate_mixing(spec.weights) == spec.mixing_rate
