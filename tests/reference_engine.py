@@ -16,7 +16,8 @@ The polar factor is `np.linalg.svd`'s, the gradients and objectives are the
 problem formulas written out, and the row diagnostics are the README's
 definitions; nothing here calls the engine's kernels, so a mistake in the
 engine is not shared by the oracle. `polar` can be swapped for another
-kernel to check it the same way.
+kernel to check it the same way; `newton_schulz(k)` is the `ns:<k>` kernel
+written out one matrix at a time.
 """
 
 import math
@@ -36,6 +37,26 @@ def noise_draw(model, m, n, node, k):
     if model.family == "gaussian":
         return rng.normal(0.0, model.scale, size=(m, n))
     return model.scale * rng.standard_t(model.dof, size=(m, n))
+
+
+def newton_schulz(iters):
+    """The `ns:<iters>` polar kernel on one matrix: scale, then `iters` cubic Newton-Schulz steps.
+
+    The matrix is divided by its largest |entry|, then by its Frobenius norm,
+    and the zero matrix maps to zero; then y <- 1.5 y - 0.5 y y^T y.
+    """
+
+    def polar(a):
+        peak = np.max(np.abs(a))
+        if peak == 0.0:
+            return np.zeros_like(a)
+        y = a / peak
+        y = y / np.linalg.norm(y)
+        for _ in range(iters):
+            y = 1.5 * y - 0.5 * (y @ y.T @ y)
+        return y
+
+    return polar
 
 
 def local_gradient(problem, i, x):
@@ -132,11 +153,13 @@ def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
     """One lane run alone for `horizon` rounds from X = 0: (rows, summary, failure).
 
     Each row is a dict of the metrics CSV columns but `wall_time_ms`; the
-    summary holds the `RunResult` fields the rows do not. A run that reaches
-    a non-finite round stops there: `failure` is then (iteration, node,
-    quantity) of that round's `first_non_finite`, `rows` those of the rounds
-    before it and `summary` None; otherwise `failure` is None. Overflow on
-    the way is silent, as in the engine; a row may then read inf.
+    summary holds the `RunResult` fields the rows do not, and `ball_exit`,
+    the first round whose new iterates leave the certified ball (None if
+    none does). A run that reaches a non-finite round stops there: `failure`
+    is then (iteration, node, quantity) of that round's `first_non_finite`,
+    `rows` those of the rounds before it and `summary` holds `ball_exit`
+    alone; otherwise `failure` is None. Overflow on the way is silent, as in
+    the engine; a row may then read inf.
     """
     n_nodes, w, lam = mixing.n_nodes, mixing.weights, mixing.mixing_rate
     zero = np.zeros((problem.m, problem.n))
@@ -150,13 +173,13 @@ def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
         q_weight = 2.0 * lane.params.eta / (1.0 - lam)
     rows = []
     moment = max_track = max_resid = 0.0
-    violations, ball_exited = 0, False
+    violations, ball_exit = 0, None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
             out = reference_round(lane, problem, w, model, k, xs, ms, vs, polar)
             if out["failure"] is not None:
                 quantity, node = out["failure"]
-                return rows, None, (k, node, quantity)
+                return rows, {"ball_exit": ball_exit}, (k, node, quantity)
             x_mean = mean(xs)
             objective = sum(local_value(problem, i, x_mean) for i in range(n_nodes)) / n_nodes
             row = {
@@ -182,8 +205,9 @@ def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
             applied = out["eta"] * mean(out["directions"])
             max_resid = max(max_resid, np.linalg.norm(mean(out["x"]) - (x_mean - applied)))
             moment += sum(_svdvals(xi).sum() ** model.alpha for xi in out["noise"])
-            if problem.ball_radius != math.inf:
-                ball_exited |= any(_svdvals(x)[0] > problem.ball_radius for x in out["x"])
+            watched = ball_exit is None and problem.ball_radius != math.inf
+            if watched and any(_svdvals(x)[0] > problem.ball_radius for x in out["x"]):
+                ball_exit = k
             rows.append(row)
             xs, ms, vs = out["x"], out["m"], out["v"]
     iota = int(np.random.default_rng((model.base_seed, REPORT_STREAM)).integers(horizon))
@@ -196,6 +220,7 @@ def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
         "max_tracking_residual": max_track,
         "max_avg_iterate_residual": max_resid,
         "noise_alpha_moment": (moment / (horizon * n_nodes)) ** (1.0 / model.alpha),
-        "ball_exited": ball_exited,
+        "ball_exited": ball_exit is not None,
+        "ball_exit": ball_exit,
     }
     return rows, summary, None

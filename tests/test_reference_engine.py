@@ -3,11 +3,14 @@
 Two comparisons, since heavy tails can amplify round-off: single rounds
 started from the engine's own state (replayed with `step`), and whole
 trajectories of up to 30 rounds (`run` against the loop running the lanes
-one after another, on every metrics column and summary field, and on the
-first diverging lane's `Diverged`).
+one after another, on every metrics column and summary field, on the
+iteration of each ball-exit warning, and on the first diverging lane's
+`Diverged`). A demuon lane on `ns:<k>` is checked against the loop with the
+Newton-Schulz kernel written out as its polar factor.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,13 +32,23 @@ from demuon.optimizers import (
 )
 from demuon.problems import ProblemSet, make_nonconvex_gram, make_quadratic
 from demuon.topology import MixingSpec, build_complete, build_directed_exponential, build_ring, validate_mixing
-from reference_engine import reference_round, reference_run
+from linalg_oracles import polar_oracle
+from reference_engine import newton_schulz, reference_round, reference_run
 from test_topology import _doubly_stochastic
 
 # A round repeats the engine's arithmetic up to summation order; a
 # trajectory lets that round-off grow for up to 30 rounds.
 ROUND_RTOL = 1e-10
 TRAJECTORY_RTOL = 1e-7
+# The text of `run`'s ball-exit RuntimeWarning; group 1 is the exit round.
+BALL_EXIT = re.compile(r"iterates left the certified ball \(radius .*\) at iteration (\d+); ")
+
+
+def polar_of(lane):
+    """The reference loop's polar kernel for the lane's orthogonalizer."""
+    if lane.orthogonalizer == "svd":
+        return polar_oracle
+    return newton_schulz(int(lane.orthogonalizer[3:]))
 
 
 def close(engine, oracle, rtol, scale=1.0):
@@ -90,12 +103,16 @@ def oracle_cases(draw):
         horizon = draw(st.integers(4, 30), label="horizon")
         if algorithm not in TRACKER_ALGORITHMS:
             lanes.append(Lane(algorithm, BaselineParams(), horizon=horizon))
-        elif draw(st.booleans(), label="theorem"):
-            lanes.append(Lane(algorithm, theoretical_schedule(horizon, alpha)))
+            continue
+        kernel = "svd"
+        if algorithm == "demuon":
+            kernel = draw(st.one_of(st.just("svd"), st.integers(1, 8).map(lambda k: f"ns:{k}")), label="kernel")
+        if draw(st.booleans(), label="theorem"):
+            lanes.append(Lane(algorithm, theoretical_schedule(horizon, alpha), orthogonalizer=kernel))
         else:
             eta = draw(st.sampled_from([0.02, 0.1, 0.3]), label="eta")
             theta = draw(st.sampled_from([0.1, 0.5, 1.0]), label="theta")
-            lanes.append(Lane(algorithm, ScheduleParams(eta, theta), horizon=horizon))
+            lanes.append(Lane(algorithm, ScheduleParams(eta, theta), orthogonalizer=kernel, horizon=horizon))
     # A lane that diverges: at iteration 1 with a non-finite iterate (dsgd at
     # eta = 1e200) or momentum (demuon at eta = 1e200 on the Gram problem), or
     # at a round the noise decides (dsgd at eta = 1 on the Gram problem).
@@ -120,7 +137,7 @@ def assert_rounds_match(lanes, horizons, problem, mixing, noise):
         nxt, info = step(state, problem, mixing, noise)
         for j, lane in enumerate(lanes):
             ref = reference_round(lane, problem, mixing.weights, noise, k, list(state.x[j]), list(state.m[j]),
-                                  list(state.v[j]))
+                                  list(state.v[j]), polar_of(lane))
             where = f"round {k}, lane {j} ({lane.algorithm})"
             assert info["eta"][j] == ref["eta"], where
             np.testing.assert_array_equal(info["noise"], ref["noise"], err_msg=where)
@@ -148,22 +165,33 @@ def assert_runs_match(lanes, horizons, problem, mixing, noise) -> int:
 
     Every lane before the first diverging one must match on its rows and
     summary; that lane must be the `Diverged` `run` raises, with its rows.
-    Returns the number of lanes that ran to their horizons.
+    The ball-exit warnings, one per lane that left the ball up to the
+    diverging one, in lane order, must name the loop's exit rounds; `run`
+    may emit no other warning. Returns the number of lanes that ran to their
+    horizons.
     """
-    with warnings.catch_warnings():
-        # Whether a lane left the ball is its `ball_exited`, compared below.
-        warnings.filterwarnings("ignore", "iterates left the certified ball", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             results, failure = run(lanes, problem, mixing, noise), None
         except Diverged as exc:
             results, failure = exc.finished, exc
+    exits = []
+    for warning in caught:
+        found = BALL_EXIT.match(str(warning.message))
+        assert found and warning.category is RuntimeWarning, warning
+        exits.append(int(found.group(1)))
+    expected = []
     for j, lane in enumerate(lanes):
-        rows, summary, stop = reference_run(lane, horizons[j], problem, mixing, noise)
+        rows, summary, stop = reference_run(lane, horizons[j], problem, mixing, noise, polar_of(lane))
         where = f"lane {j} ({lane.algorithm})"
+        if summary["ball_exit"] is not None:
+            expected.append(summary["ball_exit"])
         if stop is not None:
             assert failure is not None and len(results) == j, f"{where} diverges: {stop}"
             assert (failure.algorithm, failure.iteration, failure.node, failure.quantity) == (lane.algorithm, *stop)
             assert_rows_match(failure.rows, rows, where)
+            assert exits == expected, f"ball exits {exits} != {expected}"
             return j
         assert j < len(results), f"{where} runs to its horizon in the reference loop: {failure}"
         result = results[j]
@@ -179,6 +207,7 @@ def assert_runs_match(lanes, horizons, problem, mixing, noise) -> int:
         for name in ("max_tracking_residual", "max_avg_iterate_residual"):
             assert max(getattr(result, name), summary[name]) <= 1e-9 * scale, f"{where}: {name}"
     assert failure is None, failure
+    assert exits == expected, f"ball exits {exits} != {expected}"
     return len(lanes)
 
 
