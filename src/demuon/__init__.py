@@ -48,9 +48,7 @@ from .problems import (
 from .topology import (
     InvalidMixingError,
     MixingSpec,
-    build_complete,
-    build_directed_exponential,
-    build_ring,
+    build_family,
     check_node_count,
     load_mixing_csv,
     mix_blocks,

@@ -1,8 +1,8 @@
 """Mixing matrices for the supported communication graphs, plus their mixing rate.
 
-Every built-in family uses uniform self-inclusive weights, which makes the
-matrix circulant and therefore doubly stochastic by construction. A custom
-matrix goes through `validate_mixing`, which returns its mixing rate or raises
+Every built-in family is one circulant rule over its `_OFFSETS`, uniform and
+self-inclusive, so doubly stochastic by construction. A custom matrix goes
+through `validate_mixing`, which returns its mixing rate or raises
 InvalidMixingError naming every check it fails.
 """
 
@@ -22,6 +22,14 @@ CUSTOM = "custom"
 FAMILIES = (COMPLETE, RING, DIRECTED_EXPONENTIAL, CUSTOM)
 
 STOCHASTIC_TOL = 1e-12
+# Each built-in family's offsets on n nodes: sender j gives weight
+# 1/len(offsets) to node (j + o) mod n for each offset o (n = 2^t nodes for
+# the directed exponential graph, offsets 0 and 2^s for s < t).
+_OFFSETS = {
+    COMPLETE: range,
+    RING: lambda n: (0, 1, n - 1),
+    DIRECTED_EXPONENTIAL: lambda n: (0, *(1 << s for s in range(n.bit_length() - 1))),
+}
 
 
 class InvalidMixingError(ValueError):
@@ -32,10 +40,12 @@ class InvalidMixingError(ValueError):
 class MixingSpec:
     """A validated N x N mixing matrix with its cached mixing rate."""
 
-    n_nodes: int
     weights: np.ndarray
     mixing_rate: float
-    family: str
+
+    @property
+    def n_nodes(self) -> int:
+        return self.weights.shape[0]
 
 
 def _deviation_norm(w: np.ndarray) -> float:
@@ -97,38 +107,6 @@ def check_node_count(family: str, n_nodes: int):
         )
 
 
-def build_complete(n: int) -> MixingSpec:
-    """All-pairs averaging: W = (1 1^T)/n, mixing rate exactly 0."""
-    check_node_count(COMPLETE, n)
-    w = np.full((n, n), 1.0 / n)
-    return MixingSpec(n, w, _deviation_norm(w), COMPLETE)
-
-
-def build_ring(n: int) -> MixingSpec:
-    """Undirected ring: each node averages itself and both neighbours at 1/3."""
-    check_node_count(RING, n)
-    w = np.zeros((n, n))
-    for i in range(n):
-        w[i, i] = w[i, (i - 1) % n] = w[i, (i + 1) % n] = 1.0 / 3.0
-    return MixingSpec(n, w, _deviation_norm(w), RING)
-
-
-def build_directed_exponential(n: int) -> MixingSpec:
-    """Directed exponential graph on n = 2^t nodes.
-
-    Node i sends to i, i+1, i+2, ..., i+2^(t-1) (mod n), each edge weighted
-    1/(t+1); circulant, hence doubly stochastic.
-    """
-    check_node_count(DIRECTED_EXPONENTIAL, n)
-    t = n.bit_length() - 1
-    offsets = [0] + [1 << s for s in range(t)]
-    w = np.zeros((n, n))
-    for sender in range(n):
-        for off in offsets:
-            w[(sender + off) % n, sender] = 1.0 / (t + 1)
-    return MixingSpec(n, w, _deviation_norm(w), DIRECTED_EXPONENTIAL)
-
-
 def load_mixing_csv(path) -> MixingSpec:
     """Load a custom N x N mixing matrix from dense CSV; abort if invalid.
 
@@ -146,25 +124,24 @@ def load_mixing_csv(path) -> MixingSpec:
         raise InvalidMixingError(f"could not parse mixing CSV {path}: {exc}") from exc
     if w.shape[0] == 0:
         raise InvalidMixingError(f"mixing CSV {path} holds no rows")
-    if w.shape[0] != w.shape[1]:
-        raise InvalidMixingError(
-            f"mixing CSV {path} must be square, got {w.shape[0]}x{w.shape[1]}"
-        )
     try:
         rate = validate_mixing(w)
-    except ValueError as exc:  # non-finite entries or a failed check
+    except ValueError as exc:  # non-finite entries, a non-square shape or a failed check
         raise InvalidMixingError(f"mixing CSV {path}: {exc}") from exc
-    return MixingSpec(w.shape[0], w, rate, CUSTOM)
+    return MixingSpec(w, rate)
 
 
 def build_family(family: str, n: int) -> MixingSpec:
-    if family == COMPLETE:
-        return build_complete(n)
-    if family == RING:
-        return build_ring(n)
-    if family == DIRECTED_EXPONENTIAL:
-        return build_directed_exponential(n)
-    raise ValueError(f"unknown topology family {family!r}")
+    """The mixing matrix of a built-in family on n nodes, the circulant of its `_OFFSETS`."""
+    check_node_count(family, n)
+    if family == CUSTOM:
+        raise ValueError("the custom family has no builder; load its weights with load_mixing_csv")
+    offsets = _OFFSETS[family](n)
+    senders = np.arange(n)
+    w = np.zeros((n, n))
+    for o in offsets:
+        w[(senders + o) % n, senders] = 1.0 / len(offsets)
+    return MixingSpec(w, _deviation_norm(w))
 
 
 def mix_blocks(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:

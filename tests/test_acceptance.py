@@ -31,7 +31,7 @@ from demuon.optimizers import (
 )
 from demuon.problems import ProblemSet, QUADRATIC, make_quadratic
 from demuon.runner import execute, sweep
-from demuon.topology import build_complete, build_directed_exponential, build_ring
+from demuon.topology import build_family
 
 from linalg_oracles import conditioned_matrix, random_matrix
 
@@ -82,7 +82,7 @@ def test_criterion_02_newton_schulz_fidelity():
 def test_criterion_03_consensus_bound():
     problem = make_quadratic(8, 6, 5, 8, heterogeneity=0.5, seed=31)
     sched = ScheduleParams(0.1, 0.2)
-    for mixing in (build_ring(8), build_directed_exponential(8)):
+    for mixing in (build_family("ring", 8), build_family("directed_exponential", 8)):
         bound = consensus_bound(sched.eta, mixing.mixing_rate, 8)
         for seed in SEEDS:
             noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
@@ -99,7 +99,7 @@ def _identity_sweep(algorithm):
     """Manually step every topology/seed, returning worst identity residuals."""
     problem = make_quadratic(8, 6, 5, 8, heterogeneity=0.5, seed=31)
     worst_track = worst_ave = 0.0
-    for mixing in (build_complete(8), build_ring(8), build_directed_exponential(8)):
+    for mixing in (build_family("complete", 8), build_family("ring", 8), build_family("directed_exponential", 8)):
         for seed in SEEDS:
             noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
             params, eta = ScheduleParams(0.1, 0.2), 0.1
@@ -136,7 +136,7 @@ def test_criterion_05_average_iterate_identity():
 def test_criterion_06_rate_trend():
     start = time.perf_counter()
     problem = make_quadratic(4, 6, 5, 8, heterogeneity=0.0, seed=42)
-    mixing = build_ring(4)
+    mixing = build_family("ring", 4)
     horizons = (64, 256, 1024, 4096)
     # One pass per seed: its four horizons are lanes that retire at their own K.
     vals = []
@@ -157,16 +157,16 @@ def test_criterion_07_hand_simulation_oracles():
     noiseless = NoiseModel("gaussian", 2.0, 0.0)
 
     state = initial_state([Lane("demuon", ScheduleParams(0.5, 1.0))], 1, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([2.0]), build_complete(1), noiseless)
+    state, _ = step(state, scalar_quadratic([2.0]), build_family("complete", 1), noiseless)
     assert abs(state.x[0, 0, 0, 0] - 0.5) <= 1e-12
 
     state = initial_state([Lane("demuon", ScheduleParams(0.5, 1.0))], 2, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_complete(2), noiseless)
+    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_family("complete", 2), noiseless)
     assert abs(state.x[0, 0, 0, 0] - 0.5) <= 1e-12
     assert abs(state.x[0, 1, 0, 0] - 0.5) <= 1e-12
 
     state = initial_state([Lane("dsgd", BaselineParams(dsgd_eta=0.1))], 2, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_complete(2), noiseless)
+    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_family("complete", 2), noiseless)
     assert abs(state.x[0, 0, 0, 0] - 0.1) <= 1e-12
     assert abs(state.x[0, 1, 0, 0] - 0.1) <= 1e-12
     _report(7, "single-step hand simulations reproduce to 1e-12")
@@ -174,7 +174,7 @@ def test_criterion_07_hand_simulation_oracles():
 
 def test_criterion_08_baseline_contracts():
     problem = make_quadratic(4, 4, 3, 5, heterogeneity=0.6, seed=77)
-    mixing = build_ring(4)
+    mixing = build_family("ring", 4)
     params = BaselineParams(clip_eta=10.0, clip_tau=0.1)
     noise = NoiseModel("student_t", 1.6, 0.5, dof=2.0, base_seed=5)
 
@@ -201,7 +201,7 @@ def test_criterion_08_baseline_contracts():
         seed = int(rng.integers(2**31))
         scalar = scalar_quadratic([target])
         scalar_noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
-        mix1 = build_complete(1)
+        mix1 = build_family("complete", 1)
         sched = ScheduleParams(eta, theta)
         base = ScheduleParams(eta, theta)
         st_d = initial_state([Lane("demuon", sched)], 1, np.zeros((1, 1)))

@@ -110,7 +110,7 @@ def test_build_params_baselines():
 def test_build_components():
     cfg = parse_config(MINIMAL)
     mixing = build_mixing(cfg)
-    assert mixing.n_nodes == 4 and mixing.family == "ring"
+    np.testing.assert_array_equal(mixing.weights, topology.build_family("ring", 4).weights)
     problem = build_problem(cfg)
     assert problem.n_nodes == 4
     noise = build_noise(cfg)
@@ -119,14 +119,14 @@ def test_build_components():
 
 
 def test_custom_topology_round_trip(tmp_path):
-    from demuon.topology import build_ring
+    from demuon.topology import build_family
 
     w_path = tmp_path / "w.csv"
-    np.savetxt(w_path, build_ring(4).weights, delimiter=",")
+    np.savetxt(w_path, build_family("ring", 4).weights, delimiter=",")
     text = MINIMAL.replace("family = ring", f"family = custom\nweights_csv = {w_path}")
     cfg = parse_config(text)
     mixing = build_mixing(cfg)
-    assert mixing.family == "custom"
+    np.testing.assert_allclose(mixing.weights, build_family("ring", 4).weights, atol=1e-12)
     assert mixing.mixing_rate == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     mismatched = text.replace("n_nodes = 4", "n_nodes = 8")
@@ -276,7 +276,7 @@ def node_files(tmp_path_factory):
     """Per node count 1..9: a custom weights CSV and a problem file for that many nodes."""
     root = tmp_path_factory.mktemp("node_files")
     for n in range(1, 10):
-        np.savetxt(root / f"w{n}.csv", topology.build_complete(n).weights, delimiter=",")
+        np.savetxt(root / f"w{n}.csv", topology.build_family("complete", n).weights, delimiter=",")
         problems.dump_problem(problems.make_quadratic(n, 2, 2, 2, 0.5, 1), root / f"p{n}.txt")
     return root
 

@@ -8,7 +8,7 @@ from demuon.linalg import nuclear_norm
 from demuon.noise import NoiseModel, sample_noise
 from demuon.optimizers import BaselineParams, Lane, ScheduleParams, run, theoretical_schedule
 from demuon.problems import make_quadratic
-from demuon.topology import build_ring
+from demuon.topology import build_family
 
 
 def test_model_validation():
@@ -151,5 +151,5 @@ def test_the_engine_draws_the_noise_once_per_round(monkeypatch):
         + [Lane("gt_nsgdm", ScheduleParams(0.1, 0.2), horizon=2)],
     ):
         calls.clear()
-        results = run(lanes, prob, build_ring(3), noise)
+        results = run(lanes, prob, build_family("ring", 3), noise)
         assert calls == list(range(max(r.horizon for r in results)))

@@ -27,7 +27,7 @@ from demuon.optimizers import (
     theoretical_schedule,
 )
 from demuon.problems import ProblemSet, QUADRATIC, make_quadratic
-from demuon.topology import MixingSpec, build_complete, build_directed_exponential, build_ring, validate_mixing
+from demuon.topology import MixingSpec, build_family, validate_mixing
 from test_topology import _doubly_stochastic
 
 NOISELESS = NoiseModel("gaussian", 2.0, 0.0)
@@ -136,7 +136,7 @@ def test_single_node_hand_simulation():
     # f(x) = 0.5 (x - 2)^2, x0 = 0, theta = 1, eta = 0.5 -> x1 = 0.5
     prob = scalar_quadratic([2.0])
     st = lane_state("demuon", ScheduleParams(0.5, 1.0), 1, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(1), NOISELESS)
+    st, _ = step(st, prob, build_family("complete", 1), NOISELESS)
     assert st.m[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert st.v[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert st.x[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -145,7 +145,7 @@ def test_single_node_hand_simulation():
 def test_two_node_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
     st = lane_state("demuon", ScheduleParams(0.5, 1.0), 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(2), NOISELESS)
+    st, _ = step(st, prob, build_family("complete", 2), NOISELESS)
     np.testing.assert_allclose(st.m[0, :, 0, 0], [0.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(st.v[0, :, 0, 0], [-1.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(st.x[0, :, 0, 0], [0.5, 0.5], atol=1e-12)
@@ -154,21 +154,21 @@ def test_two_node_hand_simulation():
 def test_dsgd_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
     st = lane_state("dsgd", BaselineParams(dsgd_eta=0.1), 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(2), NOISELESS)
+    st, _ = step(st, prob, build_family("complete", 2), NOISELESS)
     np.testing.assert_allclose(st.x[0, :, 0, 0], [0.1, 0.1], atol=1e-12)
 
 
 def test_dsgd_reduces_to_gradient_descent():
     prob = scalar_quadratic([2.0])
     st = lane_state("dsgd", BaselineParams(dsgd_eta=0.25), 1, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(1), NOISELESS)
+    st, _ = step(st, prob, build_family("complete", 1), NOISELESS)
     assert st.x[0, 0, 0, 0] == pytest.approx(0.25 * 2.0, abs=1e-15)
 
 
 def test_dsgd_zero_gradient_fixed_point():
     prob = scalar_quadratic([0.0, 0.0])
     st = lane_state("dsgd", BaselineParams(), 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_complete(2), NOISELESS)
+    st, _ = step(st, prob, build_family("complete", 2), NOISELESS)
     assert not st.x.any()
 
 
@@ -176,13 +176,13 @@ def test_clip_schedule_and_norms():
     prob = scalar_quadratic([5.0, -5.0])
     params = BaselineParams(clip_eta=10.0, clip_tau=0.1)
     st = lane_state("dsgd_clip", params, 2, np.zeros((1, 1)))
-    st, info = step(st, prob, build_complete(2), NOISELESS)
+    st, info = step(st, prob, build_family("complete", 2), NOISELESS)
     assert info["eta"] == [10.0]
     assert info["tau"][0] == pytest.approx(0.1)
     assert all(n <= info["tau"][0] + 1e-15 for n in np.linalg.norm(info["directions"][0], axis=(1, 2)))
     # k = 31: eta_31 = 10/32, tau_31 = 0.1 * 32^(2/5) = 0.4
     st31 = replace(lane_state("dsgd_clip", params, 2, np.zeros((1, 1))), iter=31)
-    _, info31 = step(st31, prob, build_complete(2), NOISELESS)
+    _, info31 = step(st31, prob, build_family("complete", 2), NOISELESS)
     assert info31["eta"][0] == pytest.approx(0.3125, abs=1e-15)
     assert info31["tau"][0] == pytest.approx(0.4, abs=1e-12)
 
@@ -201,7 +201,7 @@ def test_gt_directions_are_unit_or_zero(rng):
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.4, seed=5)
     noise = NoiseModel("gaussian", 2.0, 0.2, base_seed=7)
     st = lane_state("gt_nsgdm", ScheduleParams(0.1, 0.2), 3, np.zeros((3, 2)))
-    mixing = build_ring(3)
+    mixing = build_family("ring", 3)
     for _ in range(25):
         st, info = step(st, prob, mixing, noise)
         for i in range(3):
@@ -212,7 +212,7 @@ def test_gt_directions_are_unit_or_zero(rng):
 def test_gt_zero_tracker_gives_zero_direction():
     prob = scalar_quadratic([0.0])
     st = lane_state("gt_nsgdm", ScheduleParams(0.1, 0.2), 1, np.zeros((1, 1)))
-    st, info = step(st, prob, build_complete(1), NOISELESS)
+    st, info = step(st, prob, build_family("complete", 1), NOISELESS)
     assert not info["directions"].any()
     assert not st.x.any()
 
@@ -222,7 +222,7 @@ def test_gt_single_node_normalized_step():
     t = np.array([[3.0, 0.0], [0.0, 4.0]])
     prob = ProblemSet(QUADRATIC, 1, 2, 2, a=(np.eye(2),), b=(t,))
     st = lane_state("gt_nsgdm", ScheduleParams(0.5, 1.0), 1, np.zeros((2, 2)))
-    st, _ = step(st, prob, build_complete(1), NOISELESS)
+    st, _ = step(st, prob, build_family("complete", 1), NOISELESS)
     expected = 0.5 * t / frobenius_norm(t)
     np.testing.assert_allclose(st.x[0, 0], expected, atol=1e-12)
 
@@ -236,7 +236,7 @@ def test_scalar_demuon_equals_gt_nsgdm(rng):
         seed = int(rng.integers(2**31))
         prob = scalar_quadratic([target])
         noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=seed)
-        mix = build_complete(1)
+        mix = build_family("complete", 1)
         st_d = lane_state("demuon", ScheduleParams(eta, theta), 1, np.zeros((1, 1)))
         st_g = lane_state("gt_nsgdm", ScheduleParams(eta, theta), 1, np.zeros((1, 1)))
         for _ in range(12):
@@ -250,7 +250,7 @@ def test_complete_graph_keeps_nodes_identical():
     a = np.array([[1.2, 0.0], [0.3, 0.8]])
     b = np.array([[0.4], [0.9]])
     prob = ProblemSet(QUADRATIC, 4, 2, 1, a=(a,) * 4, b=(b,) * 4)
-    mix = build_complete(4)
+    mix = build_family("complete", 4)
     sched = ScheduleParams(0.1, 0.3)
     base = BaselineParams()
     for algorithm, params in (
@@ -271,7 +271,7 @@ def test_demuon_directions_have_unit_spectral_norm(m, n, p):
     prob = make_quadratic(4, m, n, p, heterogeneity=0.6, seed=8)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=11)
     st = lane_state("demuon", ScheduleParams(0.1, 0.2), 4, np.zeros((m, n)))
-    mixing = build_ring(4)
+    mixing = build_family("ring", 4)
     for _ in range(20):
         st, info = step(st, prob, mixing, noise)
         for i in range(4):
@@ -280,7 +280,7 @@ def test_demuon_directions_have_unit_spectral_norm(m, n, p):
 
 def test_run_emits_one_row_per_iteration():
     prob = make_quadratic(2, 2, 2, 3, seed=1)
-    res = run([Lane("dsgd", BaselineParams(), horizon=1)], prob, build_complete(2), NOISELESS)[0]
+    res = run([Lane("dsgd", BaselineParams(), horizon=1)], prob, build_family("complete", 2), NOISELESS)[0]
     assert len(res.rows) == 1
     assert res.rows[0].iter == 0
     assert 0 <= res.iota < 1
@@ -289,8 +289,8 @@ def test_run_emits_one_row_per_iteration():
 def test_run_is_deterministic():
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.3, seed=4)
     noise = NoiseModel("student_t", 1.6, 0.4, dof=2.0, base_seed=21)
-    r1 = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)], prob, build_ring(3), noise)[0]
-    r2 = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)], prob, build_ring(3), noise)[0]
+    r1 = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)], prob, build_family("ring", 3), noise)[0]
+    r2 = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)], prob, build_family("ring", 3), noise)[0]
     for a, b in zip(r1.rows, r2.rows):
         assert a.consensus_error_x == b.consensus_error_x
         assert a.avg_grad_nuclear == b.avg_grad_nuclear
@@ -300,7 +300,7 @@ def test_run_is_deterministic():
 
 def test_run_single_node_convergence():
     prob = make_quadratic(1, 4, 3, 6, heterogeneity=0.0, seed=3)
-    res = run([Lane("demuon", ScheduleParams(0.05, 0.5), horizon=80)], prob, build_complete(1), NOISELESS)[0]
+    res = run([Lane("demuon", ScheduleParams(0.05, 0.5), horizon=80)], prob, build_family("complete", 1), NOISELESS)[0]
     assert res.rows[-1].avg_grad_nuclear < res.rows[0].avg_grad_nuclear
 
 
@@ -318,7 +318,7 @@ def test_run_tracking_and_average_iterate_identities(algorithm, params):
     # On a doubly stochastic W, mean X+ = mean X - eta * mean(D) for every algorithm.
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=6)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=9)
-    res = run([Lane(algorithm, params, horizon=60)], prob, build_ring(4), noise)[0]
+    res = run([Lane(algorithm, params, horizon=60)], prob, build_family("ring", 4), noise)[0]
     assert res.max_avg_iterate_residual <= 1e-9
     if algorithm in TRACKER_ALGORITHMS:
         assert res.max_tracking_residual <= 1e-9
@@ -339,7 +339,7 @@ def doubly_stochastic_mixings(draw):
         w = _circulant(weights / weights.sum())
     else:
         w = _doubly_stochastic(n, draw(st.floats(0.05, 1.0), label="c"), draw(st.permutations(range(n)), label="perm"))
-    return MixingSpec(n, w, validate_mixing(w), "custom")
+    return MixingSpec(w, validate_mixing(w))
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,7 +367,7 @@ def test_run_checks_mean_iterate_recursion_for_every_algorithm(algorithm, params
     # Rows sum to 1 but columns do not, so mixing moves the mean iterate and
     # mean X+ = mean X - eta * mean(D) fails for every algorithm.
     prob = make_quadratic(2, 3, 2, 4, heterogeneity=0.5, seed=6)
-    mixing = MixingSpec(2, np.array([[0.5, 0.5], [0.0, 1.0]]), 0.5, "custom")
+    mixing = MixingSpec(np.array([[0.5, 0.5], [0.0, 1.0]]), 0.5)
     res = run([Lane(algorithm, params, horizon=5)], prob, mixing, NOISELESS)[0]
     assert res.max_avg_iterate_residual > 1e-3
 
@@ -375,7 +375,7 @@ def test_run_checks_mean_iterate_recursion_for_every_algorithm(algorithm, params
 def test_run_consensus_bound_holds():
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=10)
     noise = NoiseModel("gaussian", 2.0, 0.4, base_seed=2)
-    mixing = build_ring(4)
+    mixing = build_family("ring", 4)
     res = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=100)], prob, mixing, noise)[0]
     assert res.consensus_violations == 0
     bound = consensus_bound(0.1, mixing.mixing_rate, 4)
@@ -385,11 +385,11 @@ def test_run_consensus_bound_holds():
 def test_run_rejects_mismatched_params():
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     with pytest.raises(TypeError):
-        run([Lane("demuon", BaselineParams(), horizon=5)], prob, build_complete(2), NOISELESS)
+        run([Lane("demuon", BaselineParams(), horizon=5)], prob, build_family("complete", 2), NOISELESS)
     with pytest.raises(TypeError):
-        run([Lane("dsgd", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_complete(2), NOISELESS)
+        run([Lane("dsgd", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_family("complete", 2), NOISELESS)
     with pytest.raises(ValueError):
-        run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_complete(3), NOISELESS)
+        run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_family("complete", 3), NOISELESS)
 
 
 @pytest.mark.parametrize("algorithm", ["demuon", "gt_nsgdm"])
@@ -397,15 +397,15 @@ def test_run_theorem_schedule_horizon_locked(algorithm):
     prob = make_quadratic(2, 2, 2, 3, seed=0)
     sched = theoretical_schedule(16, 2.0)
     with pytest.raises(ValueError):
-        run([Lane(algorithm, sched, horizon=8)], prob, build_complete(2), NOISELESS)
-    res = run([Lane(algorithm, sched)], prob, build_complete(2), NOISELESS)[0]  # horizon from schedule
+        run([Lane(algorithm, sched, horizon=8)], prob, build_family("complete", 2), NOISELESS)
+    res = run([Lane(algorithm, sched)], prob, build_family("complete", 2), NOISELESS)[0]  # horizon from schedule
     assert res.horizon == 16
 
 
 def test_run_iota_uniform_and_seeded():
     prob = make_quadratic(1, 2, 2, 3, seed=0)
     results = [
-        run([Lane("dsgd", BaselineParams(), horizon=50)], prob, build_complete(1), replace(NOISELESS, base_seed=s))[0]
+        run([Lane("dsgd", BaselineParams(), horizon=50)], prob, build_family("complete", 1), replace(NOISELESS, base_seed=s))[0]
         for s in range(30)
     ]
     assert [r.seed for r in results] == list(range(30))  # the report seed is the noise model's
@@ -418,7 +418,7 @@ def test_run_newton_schulz_orthogonalizer():
     prob = make_quadratic(2, 3, 3, 4, heterogeneity=0.2, seed=12)
     noise = NoiseModel("gaussian", 2.0, 0.1, base_seed=3)
     res = run([Lane("demuon", ScheduleParams(0.1, 0.2), orthogonalizer="ns:15", horizon=30)], prob,
-              build_complete(2), noise)[0]
+              build_family("complete", 2), noise)[0]
     assert res.consensus_violations == 0
     assert res.max_tracking_residual <= 1e-9
     assert res.max_avg_iterate_residual <= 1e-9
@@ -426,7 +426,7 @@ def test_run_newton_schulz_orthogonalizer():
 
 def test_run_results_hold_every_round_row_in_order():
     prob = make_quadratic(2, 2, 2, 3, seed=1)
-    [res] = run([Lane("dsgd", BaselineParams(), horizon=7)], prob, build_complete(2), NOISELESS)
+    [res] = run([Lane("dsgd", BaselineParams(), horizon=7)], prob, build_family("complete", 2), NOISELESS)
     assert [r.iter for r in res.rows] == list(range(7))
 
 
@@ -439,7 +439,7 @@ def test_two_route_consensus_norms_sandwich_each_iteration():
 
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=13)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=4)
-    mixing = build_ring(4)
+    mixing = build_family("ring", 4)
     st = lane_state("demuon", ScheduleParams(0.1, 0.2), 4, np.zeros((3, 2)))
     for _ in range(60):
         x = st.x[0]
@@ -463,7 +463,7 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
     import demuon.problems as problems
 
     prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.3, seed=17)
-    mixing = build_ring(4)
+    mixing = build_family("ring", 4)
     sched = theoretical_schedule(200, 2.0)
     # The theorem schedule alone fills the potential, and the potential reuses
     # the round's exact gradients, and its window's objective at the mean and
@@ -511,7 +511,7 @@ def test_run_warns_when_ball_exited():
     prob = make_nonconvex_gram(2, 3, 2, heterogeneity=0.0, seed=5, ball_radius=1e-3)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     with pytest.warns(RuntimeWarning, match="certified ball"):
-        res = run([Lane("demuon", ScheduleParams(0.3, 0.5), horizon=10)], prob, build_complete(2), noise)[0]
+        res = run([Lane("demuon", ScheduleParams(0.3, 0.5), horizon=10)], prob, build_family("complete", 2), noise)[0]
     assert res.ball_exited
 
 
@@ -531,7 +531,7 @@ def test_ball_exit_warns_at_the_per_node_reference_iteration(algorithm, params, 
 
     prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5, ball_radius=radius)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
-    mixing = build_ring(3)
+    mixing = build_family("ring", 3)
     # Reference: every node's spectral norm after every round.
     st = lane_state(algorithm, params, 3, np.zeros((4, 3)))
     expected = None
@@ -559,7 +559,7 @@ def test_ball_check_decomposes_no_iterate_inside_the_ball(monkeypatch):
     prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     for algorithm, params in (("demuon", ScheduleParams(0.05, 0.5)), ("dsgd", BaselineParams(dsgd_eta=0.05))):
-        res = run([Lane(algorithm, params, horizon=60)], prob, build_ring(3), noise)[0]
+        res = run([Lane(algorithm, params, horizon=60)], prob, build_family("ring", 3), noise)[0]
         assert not res.ball_exited
     assert decomposed == []
 
@@ -570,7 +570,7 @@ def dsgd_divergence_setup():
 
     prob = make_nonconvex_gram(4, 4, 3, seed=0)
     noise = NoiseModel("student_t", 1.2, 0.3, dof=1.3, base_seed=0)
-    return prob, build_ring(4), noise, BaselineParams(dsgd_eta=1.0)
+    return prob, build_family("ring", 4), noise, BaselineParams(dsgd_eta=1.0)
 
 
 def test_dsgd_divergence_stops_at_the_round_with_context():
@@ -605,7 +605,7 @@ def test_step_raises_the_first_failing_lane_and_a_prefix_reruns_the_round():
     from demuon.problems import make_nonconvex_gram
 
     prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=0)
-    mixing, noise = build_ring(3), NoiseModel("gaussian", 2.0, 0.3, base_seed=1)
+    mixing, noise = build_family("ring", 3), NoiseModel("gaussian", 2.0, 0.3, base_seed=1)
     lanes = (
         Lane("demuon", ScheduleParams(0.05, 0.5)),
         Lane("dsgd", BaselineParams(dsgd_eta=1e10)),  # a finite gradient near 1e300, a step past overflow
@@ -670,8 +670,8 @@ def test_lockstep_lanes_equal_one_lane_runs(data):
         prob = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=seed)
     else:
         prob = make_quadratic(n_nodes, m, n, 3, heterogeneity=0.5, seed=seed)
-    families = [build_complete] + [build_ring] * (n_nodes >= 3) + [build_directed_exponential] * (n_nodes in (2, 4))
-    mixing = data.draw(st.sampled_from(families), label="mixing")(n_nodes)
+    families = ["complete"] + ["ring"] * (n_nodes >= 3) + ["directed_exponential"] * (n_nodes in (2, 4))
+    mixing = build_family(data.draw(st.sampled_from(families), label="mixing"), n_nodes)
     noise = data.draw(st.sampled_from([
         NoiseModel("student_t", 1.2, 0.5, dof=1.3, base_seed=seed),
         NoiseModel("gaussian", 2.0, 0.3, base_seed=seed),
@@ -685,7 +685,7 @@ def test_lockstep_lanes_equal_one_lane_runs(data):
 
 def test_run_takes_each_lanes_horizon():
     prob = make_quadratic(2, 2, 2, 3, seed=0)
-    args = (prob, build_complete(2), NOISELESS)
+    args = (prob, build_family("complete", 2), NOISELESS)
     with pytest.raises(ValueError, match="at least one lane"):
         run([], *args)
     with pytest.raises(ValueError, match="horizon"):
@@ -712,7 +712,7 @@ def test_run_takes_each_lanes_horizon():
 def test_a_lane_on_an_explicit_schedule_names_its_own_horizon(algorithm):
     # An explicit schedule has no horizon: a lane on one that names none is
     # rejected instead of running a default number of rounds.
-    args = (make_quadratic(2, 2, 2, 3, seed=0), build_complete(2), NOISELESS)
+    args = (make_quadratic(2, 2, 2, 3, seed=0), build_family("complete", 2), NOISELESS)
     with pytest.raises(ValueError, match="horizon must be a positive integer, got None"):
         run([Lane(algorithm, ScheduleParams(0.1, 0.2))], *args)
     [result] = run([Lane(algorithm, ScheduleParams(0.1, 0.2), horizon=3)], *args)
@@ -729,7 +729,7 @@ def test_lane_rejects_an_unknown_orthogonalizer_where_it_is_built():
 
 @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)], ids=["float", "bool", "numpy-float"])
 def test_run_rejects_a_horizon_that_is_not_an_integer(bad):
-    args = (make_quadratic(2, 2, 2, 3, seed=0), build_complete(2), NOISELESS)
+    args = (make_quadratic(2, 2, 2, 3, seed=0), build_family("complete", 2), NOISELESS)
     with pytest.raises(ValueError, match="horizon must be a positive integer"):
         run([Lane("dsgd", BaselineParams(), horizon=bad)], *args)
     with pytest.raises(ValueError, match="horizon must be a positive integer"):
@@ -810,8 +810,8 @@ def test_lanes_with_their_own_horizons_equal_one_lane_runs(data):
         prob = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=seed)
     else:
         prob = make_quadratic(n_nodes, m, n, 3, heterogeneity=0.5, seed=seed)
-    families = [build_complete] + [build_ring] * (n_nodes >= 3) + [build_directed_exponential] * (n_nodes in (2, 4))
-    mixing = data.draw(st.sampled_from(families), label="mixing")(n_nodes)
+    families = ["complete"] + ["ring"] * (n_nodes >= 3) + ["directed_exponential"] * (n_nodes in (2, 4))
+    mixing = build_family(data.draw(st.sampled_from(families), label="mixing"), n_nodes)
     noise = data.draw(st.sampled_from([
         NoiseModel("student_t", 1.2, 0.5, dof=1.3, base_seed=seed),
         NoiseModel("gaussian", 2.0, 0.3, base_seed=seed),
@@ -880,9 +880,9 @@ def test_rows_do_not_depend_on_the_window_when_lanes_retire_mid_window(monkeypat
         Lane("dsgd_clip", BaselineParams(), horizon=5),
         Lane("demuon", ScheduleParams(0.05, 0.5), orthogonalizer="ns:5", horizon=37),
     ]
-    results, failure, caught = _window_invariant(monkeypatch, lanes, prob, build_ring(4), noise)
+    results, failure, caught = _window_invariant(monkeypatch, lanes, prob, build_family("ring", 4), noise)
     assert failure is None and caught == [] and len(results) == len(lanes)
-    assert [[row.iter for row in r.rows] for r in run(lanes, prob, build_ring(4), noise)] == [
+    assert [[row.iter for row in r.rows] for r in run(lanes, prob, build_family("ring", 4), noise)] == [
         list(range(k)) for k in (64, 37, 5, 37)
     ]
 
@@ -895,7 +895,7 @@ def test_rows_do_not_depend_on_the_window_when_the_ball_is_left_mid_window(monke
     prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5, ball_radius=0.5)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     lanes = [Lane(algorithm, params, horizon=40) for algorithm, params, _ in BALL_CASES]
-    results, failure, caught = _window_invariant(monkeypatch, lanes, prob, build_ring(3), noise)
+    results, failure, caught = _window_invariant(monkeypatch, lanes, prob, build_family("ring", 3), noise)
     exits = [int(re.search(r"at iteration (\d+)", text).group(1)) for text in caught]
     # Each lane leaves the ball at its own round, all inside one window when a window may hold 64 rounds.
     assert failure is None and len(set(exits)) == len(lanes)
@@ -958,7 +958,7 @@ def test_window_norms_equal_per_row_norms_bit_for_bit(alpha):
     from demuon.diagnostics import node_mean
 
     prob = make_quadratic(4, 6, 5, 3, heterogeneity=0.5, seed=2)
-    mixing = build_ring(4)
+    mixing = build_family("ring", 4)
     noise = NoiseModel("student_t", alpha, 0.3, dof=alpha + 0.5, base_seed=4)
     lanes = [
         Lane("demuon", theoretical_schedule(48, alpha)),
@@ -1012,7 +1012,7 @@ def test_noise_moment_is_the_python_power_mean_of_the_draws(alpha, family, dof, 
     horizons = [1, 2, 3, 5, 8, 13, 40]
     lanes = [Lane("demuon", ScheduleParams(0.1, 0.2), horizon=40)]
     lanes += [Lane("dsgd", BaselineParams(), horizon=h) for h in horizons]
-    results = run(lanes, prob, build_ring(5), noise)
+    results = run(lanes, prob, build_family("ring", 5), noise)
     moment_sum, checked = 0.0, 0
     for k in range(40):
         draws = sample_noise(noise, 6, 4, 5, k)
@@ -1028,7 +1028,7 @@ def test_an_overflowing_noise_moment_reads_inf():
     # Norms of about 1e250 overflow their power: the moment is inf, and the run ends normally.
     prob = make_quadratic(4, 6, 5, 8, seed=1)
     noise = NoiseModel("student_t", 1.6, 1e250, dof=2.0, base_seed=3)
-    [result] = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_ring(4), noise)
+    [result] = run([Lane("demuon", ScheduleParams(0.1, 0.2), horizon=5)], prob, build_family("ring", 4), noise)
     assert result.noise_alpha_moment == float("inf") and np.isfinite(result.avg_grad_nuclear_mean)
 
 
@@ -1075,7 +1075,7 @@ def zero_and_deficient_tracker_rounds(draw):
     prob = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=0)
     zeros = np.zeros_like(v)
     state = RunState(0, zeros, zeros, v, tuple(lanes))
-    return lanes, prob, MixingSpec(n_nodes, w, 0.5, "custom"), state
+    return lanes, prob, MixingSpec(w, 0.5), state
 
 
 @settings(max_examples=150, deadline=None)

@@ -31,7 +31,7 @@ from demuon.optimizers import (
     theoretical_schedule,
 )
 from demuon.problems import ProblemSet, make_nonconvex_gram, make_quadratic
-from demuon.topology import MixingSpec, build_complete, build_directed_exponential, build_ring, validate_mixing
+from demuon.topology import MixingSpec, build_family, validate_mixing
 from linalg_oracles import polar_oracle
 from reference_engine import newton_schulz, reference_round, reference_run
 from test_topology import _doubly_stochastic
@@ -70,14 +70,14 @@ def close(engine, oracle, rtol, scale=1.0):
 def mixings(draw):
     family = draw(st.sampled_from(["ring", "complete", "directed_exponential", "random"]), label="family")
     if family == "ring":
-        return build_ring(draw(st.integers(3, 5), label="n"))
+        return build_family("ring", draw(st.integers(3, 5), label="n"))
     if family == "complete":
-        return build_complete(draw(st.integers(1, 5), label="n"))
+        return build_family("complete", draw(st.integers(1, 5), label="n"))
     if family == "directed_exponential":
-        return build_directed_exponential(draw(st.sampled_from([2, 4]), label="n"))
+        return build_family("directed_exponential", draw(st.sampled_from([2, 4]), label="n"))
     n = draw(st.integers(1, 5), label="n")
     w = _doubly_stochastic(n, draw(st.floats(0.05, 1.0), label="c"), draw(st.permutations(range(n)), label="perm"))
-    return MixingSpec(n, w, validate_mixing(w), "custom")
+    return MixingSpec(w, validate_mixing(w))
 
 
 @st.composite
@@ -226,7 +226,7 @@ def test_reference_loop_reproduces_a_hand_computed_round():
     problem = ProblemSet("quadratic", 2, 1, 1, a=(np.eye(1), np.eye(1)), b=(np.full((1, 1), 3.0), np.full((1, 1), -1.0)))
     lane = Lane("demuon", ScheduleParams(0.25, 0.5), horizon=1)
     zero = [np.zeros((1, 1))] * 2
-    ref = reference_round(lane, problem, build_complete(2).weights, NoiseModel("gaussian", 2.0, 0.0), 0, zero, zero,
+    ref = reference_round(lane, problem, build_family("complete", 2).weights, NoiseModel("gaussian", 2.0, 0.0), 0, zero, zero,
                           zero)
     assert [g.item() for g in ref["exact"]] == [-3.0, 1.0]
     assert [m.item() for m in ref["m"]] == [-1.5, 0.5]

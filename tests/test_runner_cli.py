@@ -477,10 +477,10 @@ def test_cli_validate_rejects_the_weights_csv_that_run_rejects(tmp_path, capsys,
 
 
 def test_cli_validate_and_run_accept_a_valid_weights_csv(tmp_path, capsys):
-    from demuon.topology import build_ring
+    from demuon.topology import build_family
 
     weights = tmp_path / "w.csv"
-    np.savetxt(weights, build_ring(4).weights, delimiter=",")
+    np.savetxt(weights, build_family("ring", 4).weights, delimiter=",")
     path = tmp_path / "exp.ini"
     path.write_text(config_text(tmp_path / "out").replace("family = ring", f"family = custom\nweights_csv = {weights}"))
     assert main(["validate", str(path)]) == 0
@@ -546,7 +546,7 @@ def test_cli_sweep_loads_each_custom_file_four_times(tmp_path, capsys, monkeypat
     # at the build.
     import demuon.problems
     import demuon.topology
-    from demuon.topology import build_ring
+    from demuon.topology import build_family
 
     calls = {"load_problem": 0, "load_mixing_csv": 0}
     for module, name in ((demuon.problems, "load_problem"), (demuon.topology, "load_mixing_csv")):
@@ -555,7 +555,7 @@ def test_cli_sweep_loads_each_custom_file_four_times(tmp_path, capsys, monkeypat
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     weights = tmp_path / "w.csv"
-    np.savetxt(weights, build_ring(4).weights, delimiter=",")
+    np.savetxt(weights, build_family("ring", 4).weights, delimiter=",")
     problem = _problem_file(tmp_path, "4-nodes")
     path = tmp_path / "exp.ini"
     text = config_text(tmp_path / "out", extra="[schedule]\nmode = theorem\n")

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from demuon.linalg import spectral_norm
 from demuon.topology import (
     InvalidMixingError,
-    build_complete,
-    build_directed_exponential,
     build_family,
-    build_ring,
     check_node_count,
     load_mixing_csv,
     mix_blocks,
@@ -25,42 +22,42 @@ def ring_rate_closed_form(n):
 
 
 def test_complete_graph():
-    spec = build_complete(2)
+    spec = build_family("complete", 2)
     np.testing.assert_allclose(spec.weights, [[0.5, 0.5], [0.5, 0.5]])
     assert spec.mixing_rate == 0.0
-    spec8 = build_complete(8)
+    spec8 = build_family("complete", 8)
     np.testing.assert_allclose(spec8.weights, np.full((8, 8), 0.125))
     assert spec8.mixing_rate == 0.0
-    single = build_complete(1)
+    single = build_family("complete", 1)
     np.testing.assert_allclose(single.weights, [[1.0]])
     assert single.mixing_rate == 0.0
 
 
 def test_ring_rates_match_circulant_eigenvalues():
-    assert build_ring(4).mixing_rate == pytest.approx(1.0 / 3.0, abs=1e-10)
-    assert build_ring(8).mixing_rate == pytest.approx((1.0 + 2.0 * np.cos(np.pi / 4)) / 3.0, abs=1e-10)
-    assert build_ring(3).mixing_rate == pytest.approx(0.0, abs=1e-10)
+    assert build_family("ring", 4).mixing_rate == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert build_family("ring", 8).mixing_rate == pytest.approx((1.0 + 2.0 * np.cos(np.pi / 4)) / 3.0, abs=1e-10)
+    assert build_family("ring", 3).mixing_rate == pytest.approx(0.0, abs=1e-10)
     for n in (5, 6, 8, 12):
-        assert build_ring(n).mixing_rate == pytest.approx(ring_rate_closed_form(n), abs=1e-10)
+        assert build_family("ring", n).mixing_rate == pytest.approx(ring_rate_closed_form(n), abs=1e-10)
 
 
 def test_ring_rejects_small_n():
     with pytest.raises(ValueError):
-        build_ring(2)
+        build_family("ring", 2)
 
 
 def test_directed_exponential():
-    spec2 = build_directed_exponential(2)
+    spec2 = build_family("directed_exponential", 2)
     np.testing.assert_allclose(spec2.weights, [[0.5, 0.5], [0.5, 0.5]])
     assert spec2.mixing_rate == pytest.approx(0.0, abs=1e-12)
 
-    spec4 = build_directed_exponential(4)
+    spec4 = build_family("directed_exponential", 4)
     assert np.count_nonzero(spec4.weights) == 12
     assert set(np.round(spec4.weights[spec4.weights > 0], 12)) == {round(1 / 3, 12)}
     w = spec4.weights
     assert spec4.mixing_rate == pytest.approx(spectral_norm(w - np.full((4, 4), 0.25)), abs=1e-12)
 
-    spec8 = build_directed_exponential(8)
+    spec8 = build_family("directed_exponential", 8)
     assert set(np.round(spec8.weights[spec8.weights > 0], 12)) == {0.25}
     # node 0 sends to offsets {0, 1, 2, 4}
     np.testing.assert_allclose(np.nonzero(spec8.weights[:, 0])[0], [0, 1, 2, 4])
@@ -71,7 +68,7 @@ def test_directed_exponential():
 def test_directed_exponential_rejects_non_power_of_two():
     for n in (3, 6, 12):
         with pytest.raises(ValueError):
-            build_directed_exponential(n)
+            build_family("directed_exponential", n)
 
 
 def test_check_node_count_is_the_builders_rule():
@@ -95,16 +92,16 @@ def test_check_node_count_is_the_builders_rule():
 
 def test_all_families_validate():
     for spec in (
-        build_complete(1), build_complete(8),
-        build_ring(3), build_ring(8),
-        build_directed_exponential(2), build_directed_exponential(16),
+        build_family("complete", 1), build_family("complete", 8),
+        build_family("ring", 3), build_family("ring", 8),
+        build_family("directed_exponential", 2), build_family("directed_exponential", 16),
     ):
         assert validate_mixing(spec.weights) == pytest.approx(spec.mixing_rate, abs=1e-12)
 
 
 def test_rate_ordering_at_fixed_size():
-    assert build_complete(8).mixing_rate == 0.0
-    assert 0.0 < build_directed_exponential(8).mixing_rate < build_ring(8).mixing_rate
+    assert build_family("complete", 8).mixing_rate == 0.0
+    assert 0.0 < build_family("directed_exponential", 8).mixing_rate < build_family("ring", 8).mixing_rate
 
 
 def mixing_failures(w):
@@ -129,12 +126,12 @@ def test_validate_reports_column_failure():
 
 
 def test_mixing_rate_complete_and_ring():
-    assert validate_mixing(build_complete(8).weights) == 0.0
-    assert validate_mixing(build_ring(4).weights) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert validate_mixing(build_family("complete", 8).weights) == 0.0
+    assert validate_mixing(build_family("ring", 4).weights) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
 
 def test_mix_blocks_preserves_block_average(rng):
-    for spec in (build_ring(5), build_directed_exponential(8)):
+    for spec in (build_family("ring", 5), build_family("directed_exponential", 8)):
         blocks = rng.standard_normal((spec.n_nodes, 3, 2))
         mixed = mix_blocks(spec.weights, blocks)
         np.testing.assert_allclose(mixed.mean(axis=0), blocks.mean(axis=0), atol=1e-12)
@@ -151,9 +148,9 @@ def test_mix_blocks_preserves_block_average(rng):
 def test_mix_blocks_equals_tensordot_exactly(n_nodes, m, n, weights, seed):
     rng = np.random.default_rng(seed)
     if weights == "ring" and n_nodes >= 3:
-        w = build_ring(n_nodes).weights
+        w = build_family("ring", n_nodes).weights
     elif weights == "directed_exponential" and n_nodes in (2, 4, 8):
-        w = build_directed_exponential(n_nodes).weights
+        w = build_family("directed_exponential", n_nodes).weights
     else:
         w = rng.random((n_nodes, n_nodes))
         w /= w.sum(axis=1, keepdims=True)
@@ -164,17 +161,17 @@ def test_mix_blocks_equals_tensordot_exactly(n_nodes, m, n, weights, seed):
 
 
 def test_build_family_dispatch():
-    assert build_family("ring", 4).family == "ring"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^family "):
         build_family("torus", 4)
+    with pytest.raises(ValueError, match="load_mixing_csv"):
+        build_family("custom", 4)
 
 
 def test_load_mixing_csv_roundtrip(tmp_path):
-    spec = build_ring(5)
+    spec = build_family("ring", 5)
     path = tmp_path / "w.csv"
     np.savetxt(path, spec.weights, delimiter=",")
     loaded = load_mixing_csv(path)
-    assert loaded.family == "custom"
     assert loaded.n_nodes == 5
     np.testing.assert_allclose(loaded.weights, spec.weights, atol=1e-12)
 
@@ -186,7 +183,7 @@ def test_load_mixing_csv_rejects_invalid(tmp_path):
         load_mixing_csv(path)
     path2 = tmp_path / "rect.csv"
     np.savetxt(path2, np.ones((2, 3)) / 3.0, delimiter=",")
-    with pytest.raises(InvalidMixingError):
+    with pytest.raises(InvalidMixingError, match="rect.csv: mixing matrix must be square"):
         load_mixing_csv(path2)
     with pytest.raises(ValueError, match="must be square"):
         validate_mixing(np.ones((2, 3)) / 3.0)
@@ -262,5 +259,5 @@ def test_load_mixing_csv_loads_a_valid_spec_or_raises_invalid_mixing(tmp_path_fa
     if valid is not None:
         np.testing.assert_array_equal(spec.weights, valid)
     if spec is not None:
-        assert spec.family == "custom" and spec.weights.shape == (spec.n_nodes, spec.n_nodes)
+        assert spec.weights.shape == (spec.n_nodes, spec.n_nodes)
         assert validate_mixing(spec.weights) == spec.mixing_rate
