@@ -12,7 +12,10 @@ underflowed or the slice is zero, or, for the nuclear norm and the polar
 factor, it is ill-conditioned), use the SVD. The route depends on each
 matrix's shape only, so a stack gives exactly what its matrices give one by
 one. The Frobenius norm of a stack is one BLAS dot per matrix, the call
-`np.linalg.norm` makes for one matrix.
+`np.linalg.norm` makes for one matrix. The Newton-Schulz polar factor and
+the step directions that normalise a matrix divide it by its Frobenius norm
+taken after dividing by its largest |entry| (`_unit_frobenius`), so they do
+not depend on its scale and map the zero matrix to zero.
 """
 
 from __future__ import annotations
@@ -136,6 +139,19 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows, np.swapaxes(rows, -2, -1)))[..., 0, 0]
 
 
+def _unit_frobenius(a: np.ndarray) -> np.ndarray:
+    """Every matrix of an (..., m, n) stack divided by its Frobenius norm; a zero matrix stays zero.
+
+    The norm is taken after dividing by the matrix's largest |entry|, so its
+    sum of squares lies in [1, m n] and neither underflows nor overflows at
+    any finite scale.
+    """
+    peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    live = peak > 0.0
+    a = np.divide(a, peak, out=np.zeros(a.shape), where=live)
+    return np.divide(a, np.linalg.norm(a, axis=(-2, -1), keepdims=True), out=a, where=live)
+
+
 def frobenius_norm(a):
     """Square root of the sum of squared entries.
 
@@ -213,18 +229,17 @@ def msgn_exact(a) -> np.ndarray:
 def msgn_newton_schulz(a, iters: int) -> np.ndarray:
     """Approximate polar factor via the cubic Newton-Schulz iteration.
 
-    Pre-scales by 1/||a||_F, then iterates y <- 1.5 y - 0.5 y y^T y. After
-    scaling every singular value lies in (0, 1], where this cubic converges
-    monotonically to 1, so iterates keep spectral norm <= 1 at every step. `a` may be a stack of matrices, each scaled by
-    its own norm; every matrix must be nonzero.
+    Pre-scales by 1/||a||_F (`_unit_frobenius`, so the result does not
+    depend on the scale of `a`), then iterates y <- 1.5 y - 0.5 y y^T y.
+    After scaling every singular value lies in (0, 1], where this cubic
+    converges monotonically to 1, so iterates keep spectral norm <= 1 at
+    every step. The zero matrix maps to the zero matrix, as in `msgn_exact`.
+    `a` may be a stack of matrices, each scaled by its own norm.
     """
     a = as_matrix(a, stack=True)
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    fro = np.linalg.norm(a, axis=(-2, -1), keepdims=True)
-    if not fro.all():
-        raise ValueError("Newton-Schulz polar factor is undefined for the zero matrix")
-    y = a / fro
+    y = _unit_frobenius(a)
     tall = y.shape[-2] >= y.shape[-1]
     for _ in range(iters):
         yt = np.swapaxes(y, -2, -1)

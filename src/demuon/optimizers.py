@@ -8,7 +8,10 @@ and results do not depend on how it is parallelized. `run` holds one or
 more lanes (algorithms on the same problem, mixing and noise model, each
 with its own horizon) as one (L, N, m, n) stack and makes one `step` call
 per round for all of them: one noise draw, one gradient call, one mix per
-stage and one direction call per group of lanes that share a kernel. The
+stage and one direction call per group of lanes that share a kernel. Every
+direction kernel that normalises (both polar factors, gt_nsgdm's unit
+tracker and dsgd_clip's clip) is scale-free: the zero matrix gives a zero
+step, and no norm underflows or overflows at a finite scale. The
 per-round diagnostics are computed a window of rounds at a time. `step`
 raises the Diverged of a non-finite round; `run` alone decides which lanes
 leave the stack.
@@ -204,36 +207,20 @@ def _raise_first_failure(k: int, lanes: tuple, **stacks) -> None:
     raise Diverged(lanes[lane].algorithm, k, int(np.argmin(nodes)), quantity, lane)
 
 
-def _polar_directions(v: np.ndarray, orthogonalizer: tuple) -> np.ndarray:
-    """Polar factor of every node's tracker in one stacked call; a zero tracker gives a zero step."""
-    kind, iters = orthogonalizer
-    if kind == "svd":
-        return msgn_exact(v)
-    dirs = np.zeros_like(v)
-    live = v.any(axis=(-2, -1))
-    if live.any():
-        dirs[live] = msgn_newton_schulz(v[live], iters)
-    return dirs
-
-
-def _normalized_directions(v: np.ndarray) -> np.ndarray:
-    """V_i/||V_i||_F for every node, zero where V_i = 0."""
-    norms = np.linalg.norm(v, axis=(-2, -1), keepdims=True)
-    return np.divide(v, norms, out=np.zeros_like(v), where=norms > 0.0)
-
-
 def clip_to_frobenius(g: np.ndarray, tau) -> np.ndarray:
     """Scale g onto the Frobenius ball of radius tau when it lands outside.
 
     `g` may be a stack of matrices; each one is clipped on its own, and g
     itself is returned when every matrix already lies inside. `tau` may be
-    an array that broadcasts against the stack (one radius per lane); a
-    matrix inside its ball is then scaled by exactly 1.
+    an array that broadcasts against the stack (one radius per lane). A
+    matrix inside its ball is kept bit for bit; one outside becomes tau
+    times its `linalg._unit_frobenius`, at any finite scale.
     """
-    norms = np.linalg.norm(g, axis=(-2, -1), keepdims=True)
-    if (norms <= tau).all():
+    with np.errstate(over="ignore"):  # a norm that overflows is outside every ball
+        inside = np.linalg.norm(g, axis=(-2, -1), keepdims=True) <= tau
+    if inside.all():
         return g
-    return g * (tau / np.maximum(norms, tau))
+    return np.where(inside, g, tau * linalg._unit_frobenius(g))
 
 
 def _round_schedule(lane: Lane, k: int) -> tuple[float, float | None]:
@@ -288,9 +275,9 @@ def _directions(groups, v, grads, noise, schedules) -> np.ndarray:
     dirs = None
     for algorithm, polar, idx, lanes in groups:
         if algorithm == DEMUON:
-            out = _polar_directions(v[lanes], polar)
+            out = msgn_exact(v[lanes]) if polar[0] == "svd" else msgn_newton_schulz(v[lanes], polar[1])
         elif algorithm == GT_NSGDM:
-            out = _normalized_directions(v[lanes])
+            out = linalg._unit_frobenius(v[lanes])
         elif algorithm == DSGD_CLIP:
             out = clip_to_frobenius(grads[lanes] + noise, _per_lane([schedules[i][1] for i in idx]))
         else:

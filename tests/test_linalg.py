@@ -192,8 +192,10 @@ def test_newton_schulz_keeps_unit_spectral_cap(rng):
         assert spectral_norm(msgn_newton_schulz(a, iters=iters)) <= 1.0 + 1e-10
 
 
-def test_newton_schulz_rejects_zero_and_bad_iters():
-    with pytest.raises(ValueError):
-        msgn_newton_schulz(np.zeros((2, 2)), iters=5)
+def test_newton_schulz_maps_zero_to_zero_and_rejects_bad_iters():
+    # As msgn_exact does: a zero tracker gives a zero step.
+    for shape in ((2, 2), (3, 1), (4, 2, 3)):
+        out = msgn_newton_schulz(np.zeros(shape), iters=5)
+        assert out.shape == shape and not out.any()
     with pytest.raises(ValueError):
         msgn_newton_schulz(np.eye(2), iters=0)

@@ -197,6 +197,45 @@ def test_clip_to_frobenius():
     assert not clip_to_frobenius(zero, 1.0).any()
 
 
+# The problem of the scale test: a 4-node quadratic with A_i and B_i
+# multiplied by `scale`, so every gradient is scale^2 times that at scale 1.
+SCALE_LANES = (
+    Lane("demuon", ScheduleParams(0.1, 0.5)),
+    Lane("demuon", ScheduleParams(0.1, 0.5), orthogonalizer="ns:8"),
+    Lane("gt_nsgdm", ScheduleParams(0.1, 0.5)),
+    Lane("dsgd_clip", BaselineParams()),
+)
+
+
+def scaled_rounds(scale):
+    """The directions (rounds, lanes, N, m, n), clipping radii and final state of 4 noiseless rounds of SCALE_LANES."""
+    prob = make_quadratic(4, 3, 2, 4, heterogeneity=0.5, seed=1)
+    prob = replace(prob, a=prob.a * scale, b=prob.b * scale)
+    state = initial_state(SCALE_LANES, 4, np.zeros((3, 2)))
+    directions, taus = [], []
+    for _ in range(4):
+        state, info = step(state, prob, build_family("ring", 4), NOISELESS)
+        directions.append(info["directions"])
+        taus.append(info["tau"][3])
+    return np.array(directions), taus, state
+
+
+def test_direction_kernels_do_not_depend_on_the_scale():
+    # Gradient entries near 1e-180 underflow a plain Frobenius norm's sum of
+    # squares, and near 1e160 overflow it; the directions must not notice.
+    base, _, _ = scaled_rounds(1.0)
+    for scale in (1e-90, 1.0, 1e80):
+        directions, taus, state = scaled_rounds(scale)
+        assert state.x.any(axis=(1, 2, 3)).all(), f"scale {scale}: a lane never moved"
+        for j in range(3):  # demuon on both kernels and gt_nsgdm are scale-free
+            size = np.abs(base[:, j]).max()
+            assert np.abs(directions[:, j] - base[:, j]).max() <= 1e-12 * size, f"scale {scale}, lane {j}"
+        if scale == 1e80:  # every clipped gradient lands on its ball
+            for k, tau in enumerate(taus):
+                norms = [frobenius_norm(d) for d in directions[k, 3]]
+                np.testing.assert_allclose(norms, tau, rtol=1e-12)
+
+
 def test_gt_directions_are_unit_or_zero(rng):
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.4, seed=5)
     noise = NoiseModel("gaussian", 2.0, 0.2, base_seed=7)
