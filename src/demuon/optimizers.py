@@ -515,11 +515,17 @@ def _window_rows(live, problem, window, alpha: float) -> None:
         applied = eta * node_mean(_stacked([r.info["directions"] for r in window]), keepdims=True)
         resid = node_mean(x, keepdims=True) - (x_mean_prev - applied)
         resid = linalg._frobenius(resid[:, :, 0]).tolist()
-        # One stacked call gives every lane's mean-gradient norm and every noise draw's.
+        # One stacked call gives every lane's mean-gradient norm and every noise
+        # draw's. A mean gradient that overflowed (finite gradients whose sum is
+        # not) reads inf.
         grads = _stacked([r.info["exact_grads"] for r in window])
         noise = _stacked([r.info["noise"] for r in window])
-        nuclear = nuclear_norm(np.concatenate([node_mean(grads), noise], axis=1).reshape(-1, *nodes[1:]))
+        mean_grads = node_mean(grads)
+        overflowed = ~np.isfinite(mean_grads).all(axis=(-2, -1))
+        mean_grads[overflowed] = 0.0
+        nuclear = nuclear_norm(np.concatenate([mean_grads, noise], axis=1).reshape(-1, *nodes[1:]))
         nuclear = nuclear.reshape(n_rounds, -1)
+        nuclear[:, :n_lanes][overflowed] = np.inf
         objective = problems.objective_at(problem, x_mean_prev[:, :, 0])
         if tracked:
             lanes = _lanes(tracked)

@@ -146,6 +146,9 @@ def reference_round(lane, problem, w, model, k, xs, ms, vs, polar=polar_oracle):
 
 
 def _svdvals(a):
+    """Singular values; a matrix that overflowed to inf reads [inf]."""
+    if not np.isfinite(a).all():
+        return np.array([math.inf])
     return np.linalg.svd(a, compute_uv=False)
 
 

@@ -612,6 +612,23 @@ def dsgd_divergence_setup():
     return prob, build_family("ring", 4), noise, BaselineParams(dsgd_eta=1.0)
 
 
+def test_a_mean_gradient_that_overflows_reads_inf():
+    # Round 5's node gradients are finite, so its iterates are too, but their
+    # sum overflows: the row reads inf, and round 6 diverges.
+    from demuon.optimizers import Diverged
+    from demuon.problems import make_nonconvex_gram
+
+    prob = make_nonconvex_gram(2, 13, 12, heterogeneity=0.5, seed=245)
+    noise = NoiseModel("student_t", 1.2, 0.5, dof=1.3, base_seed=245)
+    lane = Lane("dsgd", BaselineParams(dsgd_eta=1.0), horizon=7)
+    with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
+        warnings.simplefilter("ignore")  # the lane leaves the certified ball first
+        run([lane], prob, build_family("complete", 2), noise)
+    assert (caught.value.iteration, caught.value.quantity) == (6, "iterate")
+    norms = [row.avg_grad_nuclear for row in caught.value.rows]
+    assert np.isfinite(norms[:5]).all() and norms[5] == np.inf
+
+
 def test_dsgd_divergence_stops_at_the_round_with_context():
     from demuon.optimizers import Diverged
 
