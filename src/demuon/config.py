@@ -3,9 +3,9 @@
 `_FORMAT` declares the file format, one (section, key) -> field entry per
 key; `ExperimentConfig` holds every default, and README "Config format"
 lists the keys with their ranges. `validate_config` checks a rule that a
-cheap component owns by building that component (the noise model, the
-schedule, the baseline constants, the topology's node-count rule), so
-validation and the run apply the same rule. For the same reason it loads
+component owns by building that component or calling its check (the noise
+model, the schedule, the baseline constants, the topology's node-count rule,
+the problem's size rules), so validation and the run apply the same rule. For the same reason it loads
 the files a config names, a custom family's weights and a custom_file
 problem, as the build functions do.
 """
@@ -13,7 +13,6 @@ problem, as the build functions do.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -184,16 +183,9 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {cfg.problem_kind!r}")
     if cfg.problem_kind == CUSTOM_FILE:
         _custom_problem(cfg)
-    # Building the problem would check these too, but builds its matrices.
-    for key in ("m", "n", "p"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"problem.{key} must be positive, got {getattr(cfg, key)}")
-    if not 0.0 <= cfg.heterogeneity < math.inf:
-        raise ConfigError(
-            f"problem.heterogeneity must be nonnegative and finite, got {cfg.heterogeneity}"
-        )
-    if cfg.problem_seed < 0:
-        raise ConfigError(f"problem.seed must be nonnegative, got {cfg.problem_seed}")
+    _checked(
+        "problem", problems.check_problem_args, cfg.n_nodes, cfg.m, cfg.n, cfg.p, cfg.heterogeneity, cfg.problem_seed
+    )
     _check_sizes(cfg)
 
     _checked("noise", build_noise, cfg)

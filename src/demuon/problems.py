@@ -192,6 +192,21 @@ def _zero_sum(offsets: np.ndarray) -> np.ndarray:
     return np.concatenate([offsets, -np.sum(offsets, axis=0, keepdims=True)])
 
 
+def check_problem_args(n_nodes: int, m: int, n: int, p: int, heterogeneity: float, seed: int):
+    """Raise ValueError unless a synthesized problem can be drawn from these arguments.
+
+    The sizes must be positive, the heterogeneity nonnegative and finite,
+    and the seed nonnegative. Each message starts with the argument's name.
+    """
+    for name, value in (("n_nodes", n_nodes), ("m", m), ("n", n), ("p", p)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 <= heterogeneity < inf:
+        raise ValueError(f"heterogeneity must be nonnegative and finite, got {heterogeneity}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def make_quadratic(
     n_nodes: int,
     m: int,
@@ -206,8 +221,7 @@ def make_quadratic(
     heterogeneity = 0 every node shares the minimizer X* and f_low = 0.
     The Lipschitz certificate max_i ||A_i^T A_i||_* holds globally.
     """
-    if not 0.0 <= heterogeneity < inf:
-        raise ValueError(f"heterogeneity must be nonnegative and finite, got {heterogeneity}")
+    check_problem_args(n_nodes, m, n, p, heterogeneity, seed)
     rng = np.random.default_rng(seed)
     a = _conditioned_random(rng, n_nodes, p, m, _COND)
     x_star = 0.5 * rng.standard_normal((m, n))
@@ -229,8 +243,7 @@ def make_nonconvex_gram(
     (each f_i >= 0). The Lipschitz certificate is only claimed on the
     spectral ball ||X|| <= ball_radius.
     """
-    if not 0.0 <= heterogeneity < inf:
-        raise ValueError(f"heterogeneity must be nonnegative and finite, got {heterogeneity}")
+    check_problem_args(n_nodes, m, n, 1, heterogeneity, seed)  # the Gram family has no p
     rng = np.random.default_rng(seed)
     x_star = 0.5 * rng.standard_normal((m, n))
     g = rng.standard_normal((n_nodes - 1, m, m))

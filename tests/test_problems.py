@@ -428,3 +428,26 @@ def test_mutated_problem_files_raise_only_problem_format_errors(problem_files, d
         load_problem(path)
     except ProblemFormatError:
         pass
+
+
+@pytest.mark.parametrize(
+    "make, args, message",
+    [
+        (make_quadratic, (0, 8, 6, 10), "n_nodes must be positive, got 0"),
+        (make_quadratic, (4, 0, 6, 10), "m must be positive, got 0"),
+        (make_quadratic, (4, 8, -2, 10), "n must be positive, got -2"),
+        (make_quadratic, (4, 8, 6, 0), "p must be positive, got 0"),
+        (make_quadratic, (4, 8, 6, 10, -0.5), "heterogeneity must be nonnegative and finite, got -0.5"),
+        (make_quadratic, (4, 8, 6, 10, float("nan")), "heterogeneity must be nonnegative and finite, got nan"),
+        (make_quadratic, (4, 8, 6, 10, 0.5, -1), "seed must be nonnegative, got -1"),
+        (make_nonconvex_gram, (0, 8, 6), "n_nodes must be positive, got 0"),
+        (make_nonconvex_gram, (4, 8, 0), "n must be positive, got 0"),
+        (make_nonconvex_gram, (4, 8, 6, float("inf")), "heterogeneity must be nonnegative and finite, got inf"),
+        (make_nonconvex_gram, (4, 8, 6, 0.5, -3), "seed must be nonnegative, got -3"),
+    ],
+)
+def test_makers_reject_bad_arguments_naming_them(make, args, message):
+    # Checked before any draw, so numpy's own errors never surface.
+    with pytest.raises(ValueError) as caught:
+        make(*args)
+    assert str(caught.value) == message
