@@ -5,9 +5,9 @@ key; `ExperimentConfig` holds every default, and README "Config format"
 lists the keys with their ranges. `validate_config` checks a rule that a
 component owns by building that component or calling its check (the noise
 model, the schedule, the baseline constants, the topology's node-count rule,
-the problem's size rules), so validation and the run apply the same rule. For the same reason it loads
-the files a config names, a custom family's weights and a custom_file
-problem, as the build functions do.
+the problem's size rules), so validation and the run apply the same rule.
+For the same reason it loads the files a config names, a custom family's
+weights and a custom_file problem, as the build functions do.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ class MixingSpec:
 
     @property
     def n_nodes(self) -> int:
+        """N, the size of the weights."""
         return self.weights.shape[0]
 
 
