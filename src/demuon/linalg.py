@@ -147,9 +147,13 @@ def _unit_frobenius(a: np.ndarray) -> np.ndarray:
     any finite scale.
     """
     peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    live = peak > 0.0
-    a = np.divide(a, peak, out=np.zeros(a.shape), where=live)
-    return np.divide(a, np.linalg.norm(a, axis=(-2, -1), keepdims=True), out=a, where=live)
+    zero = peak == 0.0
+    peak[zero] = 1.0  # 0 / 1 keeps a zero matrix zero
+    a = a / peak
+    norm = _frobenius(a)[..., None, None]
+    norm[zero] = 1.0
+    a /= norm
+    return a
 
 
 def frobenius_norm(a):

@@ -217,10 +217,13 @@ def clip_to_frobenius(g: np.ndarray, tau) -> np.ndarray:
     times its `linalg._unit_frobenius`, at any finite scale.
     """
     with np.errstate(over="ignore"):  # a norm that overflows is outside every ball
-        inside = np.linalg.norm(g, axis=(-2, -1), keepdims=True) <= tau
+        inside = linalg._frobenius(g)[..., None, None] <= tau
     if inside.all():
         return g
-    return np.where(inside, g, tau * linalg._unit_frobenius(g))
+    out = linalg._unit_frobenius(g)
+    out *= tau
+    np.copyto(out, g, where=inside)
+    return out
 
 
 def _round_schedule(lane: Lane, k: int) -> tuple[float, float | None]:
