@@ -216,6 +216,7 @@ def clip_to_frobenius(g: np.ndarray, tau) -> np.ndarray:
     matrix inside its ball is kept bit for bit; one outside becomes tau
     times its `linalg._unit_frobenius`, at any finite scale.
     """
+    g = np.asarray(g, dtype=float)  # an integer matrix would square in wrapping integers
     with np.errstate(over="ignore"):  # a norm that overflows is outside every ball
         inside = linalg._frobenius(g)[..., None, None] <= tau
     if inside.all():

@@ -195,6 +195,8 @@ def test_clip_to_frobenius():
     assert clip_to_frobenius(small, 1.0) is small
     zero = np.zeros((2, 2))
     assert not clip_to_frobenius(zero, 1.0).any()
+    # 2^32 squared wraps to 0 in int64; the norm is taken in floats.
+    np.testing.assert_array_equal(clip_to_frobenius(np.array([[2**32, 0]]), 1.0), [[1.0, 0.0]])
 
 
 # The problem of the scale test: a 4-node quadratic with A_i and B_i
@@ -443,8 +445,9 @@ def test_run_theorem_schedule_horizon_locked(algorithm):
 
 def test_run_iota_uniform_and_seeded():
     prob = make_quadratic(1, 2, 2, 3, seed=0)
+    mixing = build_family("complete", 1)
     results = [
-        run([Lane("dsgd", BaselineParams(), horizon=50)], prob, build_family("complete", 1), replace(NOISELESS, base_seed=s))[0]
+        run([Lane("dsgd", BaselineParams(), horizon=50)], prob, mixing, replace(NOISELESS, base_seed=s))[0]
         for s in range(30)
     ]
     assert [r.seed for r in results] == list(range(30))  # the report seed is the noise model's

@@ -226,8 +226,8 @@ def test_reference_loop_reproduces_a_hand_computed_round():
     problem = ProblemSet("quadratic", 2, 1, 1, a=(np.eye(1), np.eye(1)), b=(np.full((1, 1), 3.0), np.full((1, 1), -1.0)))
     lane = Lane("demuon", ScheduleParams(0.25, 0.5), horizon=1)
     zero = [np.zeros((1, 1))] * 2
-    ref = reference_round(lane, problem, build_family("complete", 2).weights, NoiseModel("gaussian", 2.0, 0.0), 0, zero, zero,
-                          zero)
+    w = build_family("complete", 2).weights
+    ref = reference_round(lane, problem, w, NoiseModel("gaussian", 2.0, 0.0), 0, zero, zero, zero)
     assert [g.item() for g in ref["exact"]] == [-3.0, 1.0]
     assert [m.item() for m in ref["m"]] == [-1.5, 0.5]
     assert [v.item() for v in ref["v"]] == [-0.5, -0.5]
