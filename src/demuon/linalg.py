@@ -139,17 +139,17 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(rows, np.swapaxes(rows, -2, -1)))[..., 0, 0]
 
 
-def _unit_frobenius(a: np.ndarray) -> np.ndarray:
+def _unit_frobenius(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Every matrix of an (..., m, n) stack divided by its Frobenius norm; a zero matrix stays zero.
 
     The norm is taken after dividing by the matrix's largest |entry|, so its
     sum of squares lies in [1, m n] and neither underflows nor overflows at
-    any finite scale.
+    any finite scale. The result is written to `out` when one is given.
     """
     peak = np.abs(a).max(axis=(-2, -1), keepdims=True)
     zero = peak == 0.0
     peak[zero] = 1.0  # 0 / 1 keeps a zero matrix zero
-    a = a / peak
+    a = np.divide(a, peak, out=out)
     norm = _frobenius(a)[..., None, None]
     norm[zero] = 1.0
     a /= norm
@@ -187,16 +187,16 @@ def nuclear_norm(a):
     return _per_matrix(_singular_values(as_matrix(a, stack=True), nuclear=True).sum(axis=-1))
 
 
-def _svd_polar(a: np.ndarray) -> np.ndarray:
+def _svd_polar(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Polar factor u @ vt of the reduced SVD over singular values > DEFAULT_RANK_TOL * the largest."""
     u, s, vt = _svd(a)
     # Singular values are nonincreasing, so the kept directions are a prefix;
     # zeroing the rest equals truncating. A zero matrix keeps none.
     u *= s[..., None, :] > DEFAULT_RANK_TOL * s[..., None, :1]
-    return u @ vt
+    return np.matmul(u, vt, out=out)
 
 
-def msgn_exact(a) -> np.ndarray:
+def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal (polar) factor u @ v.T of the reduced SVD.
 
     Singular directions with singular value <= DEFAULT_RANK_TOL * (largest
@@ -211,20 +211,27 @@ def msgn_exact(a) -> np.ndarray:
     overflowed, underflowed or is zero, or whose smallest eigenvalue is below
     `_GRAM_POLAR_RCOND` times its largest (ill-conditioned or rank deficient),
     is redone by the masked SVD, as are square and smaller inputs.
+
+    The result is written to `out` when one is given (an array of the
+    result's shape that does not overlap `a`), the fallback slices scattered
+    into it; the values do not depend on it.
     """
     a = as_matrix(a, stack=True)
     gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE)
     if gram is None:
-        return _svd_polar(a)
+        return _svd_polar(a, out)
     try:
         lam, q = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:  # LAPACK did not converge; the SVD decides every slice
-        return _svd_polar(a)
+        return _svd_polar(a, out)
     ok = (lam[..., -1] >= _GRAM_LAMBDA_FLOOR) & (lam[..., 0] >= _GRAM_POLAR_RCOND * lam[..., -1])
     # Slices that fall back get a harmless unit scale instead of 1/sqrt(<= 0).
     root = np.sqrt(np.where(ok[..., None], lam, 1.0))
-    inv_root = (q / root[..., None, :]) @ np.swapaxes(q, -2, -1)
-    out = a @ inv_root if a.shape[-2] > a.shape[-1] else inv_root @ a
+    # The Gram is spent: its memory takes the scaled eigenvectors.
+    inv_root = np.divide(q, root[..., None, :], out=gram) @ np.swapaxes(q, -2, -1)
+    del gram, q
+    tall = a.shape[-2] > a.shape[-1]
+    out = np.matmul(a, inv_root, out=out) if tall else np.matmul(inv_root, a, out=out)
     if not ok.all():
         out[~ok] = _svd_polar(a[~ok])
     return out

@@ -60,19 +60,25 @@ class NoiseModel:
             raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed}")
 
 
-def sample_noise(model: NoiseModel, m: int, n: int, n_nodes: int, iteration: int) -> np.ndarray:
+def sample_noise(
+    model: NoiseModel, m: int, n: int, n_nodes: int, iteration: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw one zero-mean m x n noise matrix per node: the (n_nodes, m, n) stack of one round.
 
     Row i comes from the stream of `(base_seed, i, iteration)`, so it does
-    not depend on `n_nodes`. Both keys must be below 2**32.
+    not depend on `n_nodes`. Both keys must be below 2**32. The draws are
+    written to `out` when one is given, an (n_nodes, m, n) float array.
     """
     if not 1 <= n_nodes < _KEY_LIMIT:
         raise ValueError(f"n_nodes must lie in [1, 2**32), got {n_nodes}")
     if not 0 <= iteration < _KEY_LIMIT:
         raise ValueError(f"iteration must lie in [0, 2**32), got {iteration}")
+    if out is None:
+        out = np.empty((n_nodes, m, n))
+    elif out.shape != (n_nodes, m, n):
+        raise ValueError(f"out has shape {out.shape}, expected {(n_nodes, m, n)}")
     block, offset = divmod(iteration, _BLOCK)
     seeds = _seed_block(model.base_seed, n_nodes, block)[:, offset]
-    out = np.empty((n_nodes, m, n))
     for i, words in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(_SeedWords(words)))
         if model.family == GAUSSIAN:

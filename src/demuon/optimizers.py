@@ -274,27 +274,64 @@ def _layout(kinds: tuple) -> tuple:
     )
 
 
-def _directions(groups, v, grads, noise, schedules) -> np.ndarray:
-    """Each lane's step direction: its tracker (tracked lanes) or stochastic gradient, mapped by its kernel."""
-    dirs = None
+class RoundBuffers(NamedTuple):
+    """The arrays one `step` writes its round into.
+
+    `x`, `m` and `v` take the next state, `grads`, `noise` and `directions`
+    the round record, and `scratch` the tracked lanes' stochastic gradients,
+    then every lane's stepped iterates. All are (L, N, m, n) stacks but
+    `noise`, (N, m, n). `step` writes only the tracked lanes' rows of `m` and
+    `v`: the untracked lanes' rows must hold zeros, as `allocate` leaves them.
+    """
+
+    x: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    grads: np.ndarray
+    noise: np.ndarray
+    directions: np.ndarray
+    scratch: np.ndarray
+
+    @classmethod
+    def allocate(cls, shape: tuple) -> RoundBuffers:
+        """Fresh buffers for an (L, N, m, n) lane stack: momenta and trackers zero, the rest uninitialised."""
+        return cls(np.empty(shape), np.zeros(shape), np.zeros(shape), np.empty(shape),
+                   np.empty(shape[1:]), np.empty(shape), np.empty(shape))
+
+
+def _directions(groups, v, grads, noise, schedules, dirs: np.ndarray) -> np.ndarray:
+    """Each lane's step direction, written to `dirs`: its tracker (tracked lanes) or stochastic gradient, mapped by its kernel."""
     for algorithm, polar, idx, lanes in groups:
+        # A group of consecutive lanes writes its rows in place; a scattered one is copied in.
+        target = dirs[lanes] if isinstance(lanes, slice) else None
         if algorithm == DEMUON:
-            out = msgn_exact(v[lanes]) if polar[0] == "svd" else msgn_newton_schulz(v[lanes], polar[1])
+            got = msgn_exact(v[lanes], out=target) if polar[0] == "svd" else msgn_newton_schulz(v[lanes], polar[1])
         elif algorithm == GT_NSGDM:
-            out = linalg._unit_frobenius(v[lanes])
+            got = linalg._unit_frobenius(v[lanes], out=target)
         elif algorithm == DSGD_CLIP:
-            out = clip_to_frobenius(grads[lanes] + noise, _per_lane([schedules[i][1] for i in idx]))
+            got = clip_to_frobenius(np.add(grads[lanes], noise, out=target), _per_lane([schedules[i][1] for i in idx]))
         else:
-            out = grads[lanes] + noise
-        if len(groups) == 1:
-            return out
-        if dirs is None:
-            dirs = np.empty((len(schedules),) + v.shape[1:])
-        dirs[lanes] = out
+            got = np.add(grads[lanes], noise, out=target)
+        if got is not target:
+            dirs[lanes] = got
     return dirs
 
 
-def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel):
+class _SlotBuffers(RoundBuffers):
+    """The RoundBuffers of a `_Stores` round, disjoint from its entering state by the stores' layout."""
+
+    __slots__ = ()
+
+
+def _check_disjoint(state: RunState, out: RoundBuffers) -> None:
+    """Raise ValueError when a buffer of `out` may share memory with the entering state."""
+    for name, buf in zip(out._fields, out):
+        for quantity, arr in (("x", state.x), ("m", state.m), ("v", state.v)):
+            if np.may_share_memory(buf, arr):
+                raise ValueError(f"out.{name} overlaps the entering state's {quantity}")
+
+
+def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, out: RoundBuffers | None = None):
     """One synchronous round of every lane of a lane stack.
 
     Each lane's algorithm, orthogonalizer and parameters come from
@@ -305,47 +342,58 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel):
     `noise`, `directions`, and `eta` and `tau` (lists, one per lane; tau is
     None where nothing is clipped).
 
+    The round is written into `out`, a RoundBuffers that must not overlap
+    the entering state (ValueError), or into fresh buffers when it is None;
+    the next state and the record's arrays are its arrays. The entering
+    state is only read, so a round that fails leaves it as it was.
+
     A non-finite round raises the Diverged of its first non-finite lane
     (`Diverged.lane` is its stack position): the momenta and trackers of
     every lane are checked before any direction is taken, then the iterates.
     """
     k, lanes = state.iter, state.lanes
-    noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k)
+    if out is None:
+        out = RoundBuffers.allocate(state.x.shape)
+    elif not isinstance(out, _SlotBuffers):  # run's own layout needs no check
+        _check_disjoint(state, out)
+    noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k, out=out.noise)
     schedules = [_round_schedule(lane, k) for lane in lanes]
     tracked, groups = _layout(tuple((lane.algorithm, lane.orthogonalizer) for lane in lanes))
-    m, v = state.m, state.v
     # A diverging round overflows on its way to inf/nan; _raise_first_failure names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = problems.exact_gradient(problem, state.x)
-        if len(tracked) == len(lanes):
-            m, v = _track(m, v, grads + noise, _per_lane([lane.params.theta for lane in lanes]), mixing)
-        elif tracked:
+        grads = problems.exact_gradient(problem, state.x, out=out.grads)
+        if tracked:
             idx = _lanes(tracked)
-            m, v = m.copy(), v.copy()
             theta = _per_lane([lanes[i].params.theta for i in tracked])
-            m[idx], v[idx] = _track(state.m[idx], state.v[idx], grads[idx] + noise, theta, mixing)
-        _raise_first_failure(k, lanes, momentum=m, tracker=v)
-        dirs = _directions(groups, v, grads, noise, schedules)
-        stepped = _per_lane([eta for eta, _ in schedules]) * dirs
-        x = mix_blocks(mixing.weights, np.subtract(state.x, stepped, out=stepped))
+            stochastic = np.add(grads[idx], noise, out=out.scratch[: len(tracked)])
+            # Scattered tracked lanes have no view to write into; their rows are copied in.
+            m_out, v_out = (out.m[idx], out.v[idx]) if isinstance(idx, slice) else (None, None)
+            m_new, v_new = _track(state.m[idx], state.v[idx], stochastic, theta, mixing, m_out, v_out)
+            if m_out is None:
+                out.m[idx], out.v[idx] = m_new, v_new
+        _raise_first_failure(k, lanes, momentum=out.m, tracker=out.v)
+        dirs = _directions(groups, out.v, grads, noise, schedules, out.directions)
+        stepped = np.multiply(_per_lane([eta for eta, _ in schedules]), dirs, out=out.scratch)
+        x = mix_blocks(mixing.weights, np.subtract(state.x, stepped, out=stepped), out=out.x)
     _raise_first_failure(k, lanes, iterate=x)
     etas, taus = [eta for eta, _ in schedules], [tau for _, tau in schedules]
     record = {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": etas, "tau": taus}
-    return RunState(k + 1, x, m, v, lanes), record
+    return RunState(k + 1, x, out.m, out.v, lanes), record
 
 
-def _track(m: np.ndarray, v: np.ndarray, stochastic_grads: np.ndarray, theta, mixing: MixingSpec):
+def _track(m, v, stochastic_grads, theta, mixing: MixingSpec, m_out=None, v_out=None):
     """The momentum and tracker stages of tracked lanes: (M^k, V^k) from (M^{k-1}, V^{k-1}).
 
     M^k = (1 - theta) M^{k-1} + theta G and V^k = W (V^{k-1} + M^k - M^{k-1}),
-    formed in place where that gives the same floats: on a lane stack every
-    extra temporary costs allocator work.
+    written to `m_out` and `v_out` (fresh arrays where None). The stochastic
+    gradients G are scratch: they are overwritten by the tracker's sum
+    before the mix, which gives the same floats as fresh temporaries.
     """
-    m_new = (1.0 - theta) * m
-    m_new += theta * stochastic_grads
-    v_new = v + m_new
+    m_new = np.multiply(1.0 - theta, m, out=m_out)
+    m_new += np.multiply(theta, stochastic_grads, out=stochastic_grads)
+    v_new = np.add(v, m_new, out=stochastic_grads)
     v_new -= m
-    return m_new, mix_blocks(mixing.weights, v_new)
+    return m_new, mix_blocks(mixing.weights, v_new, out=v_out)
 
 
 def _outside_ball(xs: np.ndarray, radius: float) -> np.ndarray:
@@ -461,23 +509,64 @@ class _LaneRun:
 
 
 class _Pending(NamedTuple):
-    """A round whose rows `run` has yet to build: its entering iterates, the state and record of its step."""
+    """A round whose rows `run` has yet to build; its arrays are in the window's `_Stores`."""
 
-    x_prev: np.ndarray
-    state: RunState
-    info: dict
+    iter: int
+    eta: list
     step_s: float
 
 
-def _stacked(arrays) -> np.ndarray:
-    """The arrays stacked on a new leading axis; a lone array as a view with that axis, not a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+def _window_rounds(shape: tuple) -> int:
+    """The rounds a window of an (L, N, m, n) lane stack holds: the most, up to `_WINDOW_ROUNDS`, whose arrays fit `_WINDOW_BYTES`.
+
+    A round's arrays are its state (x, m, v), gradients and directions, and its (N, m, n) noise draw.
+    """
+    stack = math.prod(shape) * 8
+    return max(1, min(_WINDOW_ROUNDS, _WINDOW_BYTES // (5 * stack + stack // shape[0])))
 
 
-def _window_rounds(state: RunState, info: dict) -> int:
-    """The rounds a window holds: the most, up to `_WINDOW_ROUNDS`, whose arrays fit `_WINDOW_BYTES`."""
-    arrays = (state.x, state.m, state.v, info["exact_grads"], info["noise"], info["directions"])
-    return max(1, min(_WINDOW_ROUNDS, _WINDOW_BYTES // sum(a.nbytes for a in arrays)))
+class _Stores:
+    """The round buffers `run` owns for one lane composition: a window's states and records.
+
+    Round w of a window reads state slot w and writes state slot w + 1 and
+    record slot w (see `buffers`), so the window's diagnostics read views of
+    these arrays. Each noise slot is preceded by L free matrices, where the
+    diagnostics put the lanes' mean gradients: one nuclear-norm call then
+    reads both without a concatenated copy. Momenta and trackers start zero,
+    so untracked lanes keep zero rows. A lane composition allocates its
+    stores once; a retirement or a divergence lays out new ones for the
+    surviving lanes.
+    """
+
+    def __init__(self, state: RunState):
+        shape = state.x.shape
+        self.rounds = _window_rounds(shape)
+        slots = (self.rounds + 1, *shape)
+        self.x, self.m, self.v = np.empty(slots), np.zeros(slots), np.zeros(slots)
+        self.grads, self.directions = np.empty((self.rounds, *shape)), np.empty((self.rounds, *shape))
+        self.nuclear = np.empty((self.rounds, shape[0] + shape[1], *shape[2:]))
+        self.noise = self.nuclear[:, shape[0] :]
+        self.scratch = np.empty(shape)
+        self.x[0], self.m[0], self.v[0] = state.x, state.m, state.v
+        self.state = RunState(state.iter, self.x[0], self.m[0], self.v[0], state.lanes)
+        self._lay_out()
+
+    def _lay_out(self) -> None:
+        # buffers[w] is what round w of a window writes: state slot w + 1 and record slot w.
+        self.buffers = [
+            _SlotBuffers(self.x[w + 1], self.m[w + 1], self.v[w + 1], self.grads[w], self.noise[w],
+                         self.directions[w], self.scratch)
+            for w in range(self.rounds)
+        ]
+
+    def carry(self, state: RunState) -> RunState:
+        """`state`, the window's last, moved to slot 0 for the next window (the flush has read the window)."""
+        if self.rounds == 1:  # two slots: swap them instead of copying
+            self.x, self.m, self.v = self.x[::-1], self.m[::-1], self.v[::-1]
+            self._lay_out()
+        else:
+            self.x[0], self.m[0], self.v[0] = state.x, state.m, state.v
+        return RunState(state.iter, self.x[0], self.m[0], self.v[0], state.lanes)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -488,20 +577,21 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _window_rows(live, problem, window, alpha: float) -> None:
+def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
     """Record every live lane's rows and noise-moment sums of the pending rounds in `window`, then empty it.
 
-    Every round of a window has the same live lanes. Each diagnostic is one
-    call for all rounds and lanes: the consensus errors, the mean-gradient and
-    noise nuclear norms, the ball check, the objective at the mean, the
-    tracking and mean-iterate residuals (`linalg._frobenius`, bit for bit the
-    per-matrix norms) and the potential. Each row holds its slice.
+    Every round of a window has the same live lanes, and its arrays are the
+    first slots of `stores`. Each diagnostic is one call for all rounds and
+    lanes: the consensus errors, the mean-gradient and noise nuclear norms,
+    the ball check, the objective at the mean, the tracking and mean-iterate
+    residuals (`linalg._frobenius`, bit for bit the per-matrix norms) and the
+    potential. Each row holds its slice.
     """
     if not window:
         return
     t0 = time.perf_counter()
     n_rounds, n_lanes = len(window), len(live)
-    iters = [r.state.iter - 1 for r in window]
+    iters = [r.iter for r in window]
     tracked = [j for j, lane_run in enumerate(live) if lane_run.tracked]
     # A tracked lane's position among the tracked lanes, and a theorem lane's among the theorem lanes.
     slot = {j: t for t, j in enumerate(tracked)}
@@ -510,31 +600,29 @@ def _window_rows(live, problem, window, alpha: float) -> None:
     # A round just short of divergence can overflow its diagnostics; the row
     # then reads inf, and the next round, if any, raises Diverged.
     with np.errstate(over="ignore", invalid="ignore"):
-        x_prev = _stacked([r.x_prev for r in window])
-        x = _stacked([r.state.x for r in window])
+        x_prev, x = stores.x[:n_rounds], stores.x[1 : n_rounds + 1]
         nodes = x.shape[-3:]
         x_mean_prev = node_mean(x_prev, keepdims=True)
         cons_x = diagnostics.consensus_error(x_prev.reshape(-1, *nodes)).reshape(n_rounds, n_lanes).tolist()
-        eta = np.array([r.info["eta"] for r in window]).reshape(n_rounds, n_lanes, 1, 1, 1)
-        applied = eta * node_mean(_stacked([r.info["directions"] for r in window]), keepdims=True)
+        eta = np.array([r.eta for r in window]).reshape(n_rounds, n_lanes, 1, 1, 1)
+        applied = eta * node_mean(stores.directions[:n_rounds], keepdims=True)
         resid = node_mean(x, keepdims=True) - (x_mean_prev - applied)
         resid = linalg._frobenius(resid[:, :, 0]).tolist()
         # One stacked call gives every lane's mean-gradient norm and every noise
         # draw's. A mean gradient that overflowed (finite gradients whose sum is
         # not) reads inf.
-        grads = _stacked([r.info["exact_grads"] for r in window])
-        noise = _stacked([r.info["noise"] for r in window])
+        grads = stores.grads[:n_rounds]
         mean_grads = node_mean(grads)
         overflowed = ~np.isfinite(mean_grads).all(axis=(-2, -1))
         mean_grads[overflowed] = 0.0
-        nuclear = nuclear_norm(np.concatenate([mean_grads, noise], axis=1).reshape(-1, *nodes[1:]))
-        nuclear = nuclear.reshape(n_rounds, -1)
+        stores.nuclear[:n_rounds, :n_lanes] = mean_grads
+        nuclear = nuclear_norm(stores.nuclear[:n_rounds].reshape(-1, *nodes[1:])).reshape(n_rounds, -1)
         nuclear[:, :n_lanes][overflowed] = np.inf
         objective = problems.objective_at(problem, x_mean_prev[:, :, 0])
         if tracked:
             lanes = _lanes(tracked)
-            v = _stacked([r.state.v[lanes] for r in window])
-            m = _stacked([r.state.m[lanes] for r in window])
+            v = np.ascontiguousarray(stores.v[1 : n_rounds + 1, lanes])
+            m = np.ascontiguousarray(stores.m[1 : n_rounds + 1, lanes])
             tracking = linalg._frobenius(node_mean(v) - node_mean(m)).tolist()
             cons_v = diagnostics.consensus_error_nuclear(v.reshape(-1, *nodes)).reshape(n_rounds, -1)
             if theorem:
@@ -622,30 +710,29 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
         raise ValueError(
             f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
         )
-    state = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n)))
-    live = runs
-    failure = failed = None
+    state, live = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n))), runs
+    stores = failure = failed = None
     window = []
     while live:
+        if stores is None:  # a new lane composition: lay out its round buffers
+            stores = _Stores(state)
+            state = stores.state
         t0 = time.perf_counter()
-        x_prev = state.x
         try:
-            state, info = step(state, problem, mixing, noise_model)
+            state, info = step(state, problem, mixing, noise_model, out=stores.buffers[len(window)])
         except Diverged as exc:
-            _window_rows(live, problem, window, noise_model.alpha)
+            _window_rows(live, problem, stores, window, noise_model.alpha)
             failure, failed = exc, live[exc.lane]
-            state, live = state.take(range(exc.lane)), live[: exc.lane]
+            state, live, stores = state.take(range(exc.lane)), live[: exc.lane], None
             continue
-        if not window:
-            rounds = _window_rounds(state, info)
-        window.append(_Pending(x_prev, state, info, time.perf_counter() - t0))
-        del x_prev, info  # held by the window only, so a flush frees them
-        retiring = any(lane_run.horizon == state.iter for lane_run in live)
-        if retiring or len(window) == rounds:
-            _window_rows(live, problem, window, noise_model.alpha)
-        if retiring:
-            keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
-            state, live = state.take(keep), [live[j] for j in keep]
+        window.append(_Pending(state.iter - 1, info["eta"], time.perf_counter() - t0))
+        keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
+        if len(keep) < len(live) or len(window) == stores.rounds:
+            _window_rows(live, problem, stores, window, noise_model.alpha)
+            if len(keep) == len(live):
+                state = stores.carry(state)
+            else:
+                state, live, stores = state.take(keep), [live[j] for j in keep], None
 
     kept = runs.index(failed) if failure is not None else len(runs)
     for lane_run in runs[: kept + 1]:

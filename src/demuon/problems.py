@@ -102,14 +102,15 @@ def _values(problem: ProblemSet, x: np.ndarray):
     return 0.25 * np.sum(np.multiply(g, g, out=g), axis=(-2, -1))
 
 
-def exact_gradient(problem: ProblemSet, x) -> np.ndarray:
+def exact_gradient(problem: ProblemSet, x, out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradients of every f_i, in one batched product.
 
     `x` is the (N, m, n) stack of per-node iterates, or one m x n iterate
     shared by all nodes; the result is the (N, m, n) gradient stack, whose
     row i is grad f_i at node i's iterate. Leading axes in front of N (the
     lanes of a run) are broadcast over, and each (N, m, n) slice gives
-    exactly what it gives alone.
+    exactly what it gives alone. The gradients are written to `out` when one
+    is given, an array of the result's shape.
     """
     x = as_matrix(x, stack=True)
     shape = (problem.m, problem.n)
@@ -117,8 +118,8 @@ def exact_gradient(problem: ProblemSet, x) -> np.ndarray:
         want = f"{shape} or (..., {problem.n_nodes}, {shape[0]}, {shape[1]})"
         raise ValueError(f"iterate shape {x.shape} does not match problem {want}")
     if problem.kind == QUADRATIC:
-        return np.swapaxes(problem.a, -2, -1) @ _minus(problem.a @ x, problem.b)
-    return _minus(x @ np.swapaxes(x, -2, -1), problem.c) @ x
+        return np.matmul(np.swapaxes(problem.a, -2, -1), _minus(problem.a @ x, problem.b), out=out)
+    return np.matmul(_minus(x @ np.swapaxes(x, -2, -1), problem.c), x, out=out)
 
 
 def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:

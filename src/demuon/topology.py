@@ -145,12 +145,20 @@ def build_family(family: str, n: int) -> MixingSpec:
     return MixingSpec(w, _deviation_norm(w))
 
 
-def mix_blocks(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def mix_blocks(w: np.ndarray, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply (W kron I_m) blockwise: out[i] = sum_j w[i, j] * blocks[j].
 
     `blocks` is an (N, m, n) stack, or an (L, N, m, n) stack of L of them,
     each mixed on its own. One matrix product per (N, m, n) stack over its
     flattened blocks; it gives exactly what `np.tensordot(w, blocks,
-    axes=(1, 0))` gives on that stack, with less overhead.
+    axes=(1, 0))` gives on that stack, with less overhead. The result is
+    written to `out` when one is given, a C-contiguous array of the blocks'
+    shape.
     """
-    return (w @ blocks.reshape(*blocks.shape[:-3], w.shape[0], -1)).reshape(blocks.shape)
+    flat = blocks.reshape(*blocks.shape[:-3], w.shape[0], -1)
+    if out is None:
+        return (w @ flat).reshape(blocks.shape)
+    if out.shape != blocks.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {blocks.shape} array")
+    np.matmul(w, flat, out=out.reshape(flat.shape))
+    return out

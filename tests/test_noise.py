@@ -141,7 +141,7 @@ def test_the_engine_draws_the_noise_once_per_round(monkeypatch):
     import demuon.optimizers as optimizers
 
     calls = []
-    monkeypatch.setattr(optimizers, "sample_noise", lambda *a: calls.append(a[-1]) or sample_noise(*a))
+    monkeypatch.setattr(optimizers, "sample_noise", lambda *a, **kw: calls.append(a[4]) or sample_noise(*a, **kw))
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.3, seed=4)
     noise = NoiseModel("gaussian", 2.0, 0.3, base_seed=5)
     for lanes in (
