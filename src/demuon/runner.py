@@ -31,8 +31,10 @@ def version_hash() -> str:
 
 
 def run_id(cfg: config_mod.ExperimentConfig) -> str:
-    """Stable identifier derived from the full config (seed included)."""
-    canon = json.dumps(cfg.as_dict(), sort_keys=True, separators=(",", ":"))
+    """Stable identifier of the experiment: the config (seed included) but `out_dir`, which only places its files."""
+    settings = cfg.as_dict()
+    del settings["out_dir"]
+    canon = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import warnings
 
 import numpy as np
@@ -67,6 +68,12 @@ def test_run_id_depends_on_config(tmp_path):
     cfg = parse_config(config_text(tmp_path))
     assert run_id(cfg) == run_id(cfg)
     assert run_id(with_overrides(cfg, seed=4)) != run_id(cfg)
+    # The output directory only places the files: one experiment, one id, wherever it is written.
+    elsewhere = with_overrides(cfg, out_dir=str(tmp_path / "elsewhere"))
+    assert run_id(elsewhere) == run_id(cfg)
+    first, second = execute(cfg), execute(elsewhere)
+    assert os.path.basename(first.summary_path) == os.path.basename(second.summary_path)
+    assert json.load(open(second.summary_path))["config"]["out_dir"] == elsewhere.out_dir
 
 
 def test_sweep_outcomes_and_summary(tmp_path):
