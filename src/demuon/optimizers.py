@@ -13,8 +13,11 @@ direction kernel that normalises (both polar factors, gt_nsgdm's unit
 tracker and dsgd_clip's clip) is scale-free: the zero matrix gives a zero
 step, and no norm underflows or overflows at a finite scale. The
 per-round diagnostics are computed a window of rounds at a time. `step`
-raises the Diverged of a non-finite round; `run` alone decides which lanes
-leave the stack.
+writes its round into a `RoundBuffers` given as `out` (fresh ones by
+default); `run` owns one set of window stores per lane composition and
+recycles them, so a round allocates no stack of its own. `step` raises the
+Diverged of a non-finite round; `run` alone decides which lanes leave the
+stack.
 """
 
 from __future__ import annotations
@@ -300,7 +303,10 @@ class RoundBuffers(NamedTuple):
 
 
 def _directions(groups, v, grads, noise, schedules, dirs: np.ndarray) -> np.ndarray:
-    """Each lane's step direction, written to `dirs`: its tracker (tracked lanes) or stochastic gradient, mapped by its kernel."""
+    """Each lane's step direction, written to `dirs`.
+
+    The direction is the lane's tracker (tracked lanes) or stochastic gradient, mapped by its kernel.
+    """
     for algorithm, polar, idx, lanes in groups:
         # A group of consecutive lanes writes its rows in place; a scattered one is copied in.
         target = dirs[lanes] if isinstance(lanes, slice) else None
@@ -517,9 +523,11 @@ class _Pending(NamedTuple):
 
 
 def _window_rounds(shape: tuple) -> int:
-    """The rounds a window of an (L, N, m, n) lane stack holds: the most, up to `_WINDOW_ROUNDS`, whose arrays fit `_WINDOW_BYTES`.
+    """The rounds a window of an (L, N, m, n) lane stack holds.
 
-    A round's arrays are its state (x, m, v), gradients and directions, and its (N, m, n) noise draw.
+    That is the most, up to `_WINDOW_ROUNDS`, whose arrays fit `_WINDOW_BYTES`;
+    a round's arrays are its state (x, m, v), gradients and directions, and
+    its (N, m, n) noise draw.
     """
     stack = math.prod(shape) * 8
     return max(1, min(_WINDOW_ROUNDS, _WINDOW_BYTES // (5 * stack + stack // shape[0])))
@@ -680,7 +688,9 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     stack, and the objective at the mean, is one call for the window's rounds
     and lanes. A window is the most rounds, at most `_WINDOW_ROUNDS`, whose
     arrays fit `_WINDOW_BYTES`; it also ends when a lane retires or fails.
-    The rows do not depend on the window. Returns one RunResult per lane, in
+    The rounds are written into round buffers that `run` owns (`_Stores`),
+    one set per lane composition, reused window after window. The rows do
+    not depend on the window. Returns one RunResult per lane, in
     lane order, each equal field for field to a one-lane run of that lane.
 
     A tracked lane on a `theoretical_schedule` also reports each round's
