@@ -280,9 +280,9 @@ def _layout(kinds: tuple) -> tuple:
 class RoundBuffers(NamedTuple):
     """The arrays one `step` writes its round into.
 
-    `x`, `m` and `v` take the next state, `grads`, `noise` and `directions`
-    the round record, and `scratch` the tracked lanes' stochastic gradients,
-    then every lane's stepped iterates. All are (L, N, m, n) stacks but
+    `x`, `m` and `v` take the next state and `grads`, `noise` and
+    `directions` the round record; until the iterates are written, `x` holds
+    the tracked lanes' stochastic gradients. All are (L, N, m, n) stacks but
     `noise`, (N, m, n). `step` writes only the tracked lanes' rows of `m` and
     `v`: the untracked lanes' rows must hold zeros, as `allocate` leaves them.
     """
@@ -293,13 +293,12 @@ class RoundBuffers(NamedTuple):
     grads: np.ndarray
     noise: np.ndarray
     directions: np.ndarray
-    scratch: np.ndarray
 
     @classmethod
     def allocate(cls, shape: tuple) -> RoundBuffers:
         """Fresh buffers for an (L, N, m, n) lane stack: momenta and trackers zero, the rest uninitialised."""
-        return cls(np.empty(shape), np.zeros(shape), np.zeros(shape), np.empty(shape),
-                   np.empty(shape[1:]), np.empty(shape), np.empty(shape))
+        return cls(np.empty(shape), np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape[1:]),
+                   np.empty(shape))
 
 
 def _directions(groups, v, grads, noise, schedules, dirs: np.ndarray) -> np.ndarray:
@@ -371,7 +370,7 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
         if tracked:
             idx = _lanes(tracked)
             theta = _per_lane([lanes[i].params.theta for i in tracked])
-            stochastic = np.add(grads[idx], noise, out=out.scratch[: len(tracked)])
+            stochastic = np.add(grads[idx], noise, out=out.x[: len(tracked)])
             # Scattered tracked lanes have no view to write into; their rows are copied in.
             m_out, v_out = (out.m[idx], out.v[idx]) if isinstance(idx, slice) else (None, None)
             m_new, v_new = _track(state.m[idx], state.v[idx], stochastic, theta, mixing, m_out, v_out)
@@ -379,7 +378,9 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
                 out.m[idx], out.v[idx] = m_new, v_new
         _raise_first_failure(k, lanes, momentum=out.m, tracker=out.v)
         dirs = _directions(groups, out.v, grads, noise, schedules, out.directions)
-        stepped = np.multiply(_per_lane([eta for eta, _ in schedules]), dirs, out=out.scratch)
+        # A fresh stack that the mix frees: a buffer held for the run would add to the polar factor's and the
+        # diagnostics' peak memory.
+        stepped = _per_lane([eta for eta, _ in schedules]) * dirs
         x = mix_blocks(mixing.weights, np.subtract(state.x, stepped, out=stepped), out=out.x)
     _raise_first_failure(k, lanes, iterate=x)
     etas, taus = [eta for eta, _ in schedules], [tau for _, tau in schedules]
@@ -554,7 +555,6 @@ class _Stores:
         self.grads, self.directions = np.empty((self.rounds, *shape)), np.empty((self.rounds, *shape))
         self.nuclear = np.empty((self.rounds, shape[0] + shape[1], *shape[2:]))
         self.noise = self.nuclear[:, shape[0] :]
-        self.scratch = np.empty(shape)
         self.x[0], self.m[0], self.v[0] = state.x, state.m, state.v
         self.state = RunState(state.iter, self.x[0], self.m[0], self.v[0], state.lanes)
         self._lay_out()
@@ -563,7 +563,7 @@ class _Stores:
         # buffers[w] is what round w of a window writes: state slot w + 1 and record slot w.
         self.buffers = [
             _SlotBuffers(self.x[w + 1], self.m[w + 1], self.v[w + 1], self.grads[w], self.noise[w],
-                         self.directions[w], self.scratch)
+                         self.directions[w])
             for w in range(self.rounds)
         ]
 
