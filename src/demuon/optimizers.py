@@ -15,7 +15,8 @@ step, and no norm underflows or overflows at a finite scale. The
 per-round diagnostics are computed a window of rounds at a time. `step`
 writes its round into a `RoundBuffers` given as `out` (fresh ones by
 default); `run` owns one set of window stores per lane composition and
-recycles them, so a round allocates no stack of its own. `step` raises the
+recycles them, so a round allocates only its stepped iterates and the
+kernels' temporaries. `step` raises the
 Diverged of a non-finite round; `run` alone decides which lanes leave the
 stack.
 """
