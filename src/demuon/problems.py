@@ -17,7 +17,8 @@ Problem file format (dense CSV blocks, nodes in index order):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
 import numpy as np
@@ -48,9 +49,14 @@ class ProblemSet:
     None. Sequences of per-node matrices are stacked once at construction.
 
     `lipschitz_star` bounds the nuclear-norm gradient variation against the
-    spectral-norm argument distance; for quadratics it is global
-    (ball_radius = inf), for the Gram family it is certified only while
-    spectral_norm(X) <= ball_radius.
+    spectral-norm argument distance: max_i ||A_i||_F^2 for quadratics,
+    globally (ball_radius = inf); 3 min(m, n) R^2 + max_i ||C_i||_* for the
+    Gram family, only while spectral_norm(X) <= R = ball_radius. `f_low` is
+    `known_f_low` when one is given, 0 for the Gram family, and otherwise the
+    objective at the least-squares minimizer of the stacked system, that is,
+    the infimum of f up to rounding. No run reads either: each is computed on
+    first read and kept on the instance (an overflow raises under
+    `np.errstate(over="raise")`).
     """
 
     kind: str
@@ -60,8 +66,7 @@ class ProblemSet:
     a: np.ndarray | None = None
     b: np.ndarray | None = None
     c: np.ndarray | None = None
-    lipschitz_star: float | None = None
-    f_low: float | None = None
+    known_f_low: float | None = None
     ball_radius: float = inf
 
     def __post_init__(self):
@@ -87,6 +92,22 @@ class ProblemSet:
             bad = np.flatnonzero(skew > _SYMMETRY_TOL * np.abs(self.c).max(axis=(-2, -1)))
             if bad.size:
                 raise ValueError(f"node {bad[0]}: C must be symmetric, max |C - C^T| = {skew[bad[0]]}")
+
+    @cached_property
+    def lipschitz_star(self) -> float:
+        if self.kind == QUADRATIC:
+            # A_i^T A_i is positive semidefinite, so its nuclear norm is its trace ||A_i||_F^2.
+            return float(np.max(np.sum(np.square(self.a), axis=(-2, -1))))
+        return 3.0 * min(self.m, self.n) * self.ball_radius**2 + float(np.max(nuclear_norm(self.c)))
+
+    @cached_property
+    def f_low(self) -> float:
+        if self.known_f_low is not None:
+            return self.known_f_low
+        if self.kind == NONCONVEX_GRAM:
+            return 0.0
+        x_opt = np.linalg.lstsq(self.a.reshape(-1, self.m), self.b.reshape(-1, self.n), rcond=None)[0]
+        return objective_at(self, x_opt)
 
 
 def _values(problem: ProblemSet, x: np.ndarray):
@@ -159,35 +180,6 @@ def _conditioned_random(rng: np.random.Generator, count: int, rows: int, cols: i
     return (u * s) @ vt
 
 
-def _certified_quadratic(a: np.ndarray, b: np.ndarray, f_low: float | None = None) -> ProblemSet:
-    """Quadratic ProblemSet with its Lipschitz certificate max_i ||A_i^T A_i||_*.
-
-    A_i^T A_i is positive semidefinite, so its nuclear norm is its trace,
-    ||A_i||_F^2. The squares and their sums honour `np.errstate`, so under
-    `over="raise"` an overflowing certificate raises. Without `f_low`, the
-    lower bound is the objective at the least-squares minimizer of the
-    stacked system.
-    """
-    n_nodes, _, m = a.shape
-    n = b.shape[-1]
-    l_star = float(np.max(np.sum(np.square(a), axis=(-2, -1))))
-    problem = ProblemSet(QUADRATIC, n_nodes, m, n, a=a, b=b, lipschitz_star=l_star, f_low=f_low)
-    if f_low is None:
-        x_opt = np.linalg.lstsq(problem.a.reshape(-1, m), problem.b.reshape(-1, n), rcond=None)[0]
-        problem = replace(problem, f_low=objective_at(problem, x_opt))
-    return problem
-
-
-def _certified_gram(c: np.ndarray, n: int, ball_radius: float) -> ProblemSet:
-    """Gram-matching ProblemSet with f_low = 0 and the certificate on the spectral ball."""
-    n_nodes, m, _ = c.shape
-    l_star = 3.0 * min(m, n) * ball_radius**2 + float(np.max(nuclear_norm(c)))
-    return ProblemSet(
-        NONCONVEX_GRAM, n_nodes, m, n, c=c,
-        lipschitz_star=l_star, f_low=0.0, ball_radius=ball_radius,
-    )
-
-
 def _zero_sum(offsets: np.ndarray) -> np.ndarray:
     """The N - 1 node offsets followed by minus their sum, so that the N offsets sum to zero."""
     return np.concatenate([offsets, -np.sum(offsets, axis=0, keepdims=True)])
@@ -227,7 +219,7 @@ def make_quadratic(
     a = _conditioned_random(rng, n_nodes, p, m, _COND)
     x_star = 0.5 * rng.standard_normal((m, n))
     b = a @ x_star + heterogeneity * _zero_sum(rng.standard_normal((n_nodes - 1, p, n)))
-    return _certified_quadratic(a, b, f_low=0.0 if heterogeneity == 0 else None)
+    return ProblemSet(QUADRATIC, n_nodes, m, n, a=a, b=b, known_f_low=0.0 if heterogeneity == 0 else None)
 
 
 def make_nonconvex_gram(
@@ -251,7 +243,7 @@ def make_nonconvex_gram(
     c = x_star @ x_star.T + heterogeneity * _zero_sum(0.5 * (g + np.swapaxes(g, -2, -1)))
     if ball_radius is None:
         ball_radius = 2.0 * (1.0 + spectral_norm(x_star))
-    return _certified_gram(c, n, ball_radius)
+    return ProblemSet(NONCONVEX_GRAM, n_nodes, m, n, c=c, ball_radius=ball_radius)
 
 
 def _parse_block(lines, start: int, rows: int, cols: int, label: str) -> tuple[np.ndarray, int]:
@@ -317,12 +309,16 @@ def load_problem(path) -> ProblemSet:
                 raise ProblemFormatError(f"{path}: node {i}: {exc}") from exc
             data[label].append(block)
     try:
-        # Finite entries can still overflow the certificates.
         with np.errstate(over="raise", invalid="raise"):
             if kind == QUADRATIC:
-                return _certified_quadratic(np.stack(data["A"]), np.stack(data["B"]))
-            c = np.stack(data["C"])
-            return _certified_gram(c, n, 2.0 * (1.0 + float(np.max(spectral_norm(c))) ** 0.5))
+                problem = ProblemSet(kind, n_nodes, m, n, a=np.stack(data["A"]), b=np.stack(data["B"]))
+            else:
+                c = np.stack(data["C"])
+                radius = 2.0 * (1.0 + float(np.max(spectral_norm(c))) ** 0.5)
+                problem = ProblemSet(kind, n_nodes, m, n, c=c, ball_radius=radius)
+            # Finite entries can still overflow the certificates, so they are read here.
+            problem.lipschitz_star, problem.f_low
+            return problem
     except (ValueError, ArithmeticError) as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
 

@@ -8,6 +8,7 @@ is explicitly requested (which trades the byte-identity guarantee away).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -19,8 +20,9 @@ from . import diagnostics, optimizers
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
+@functools.cache
 def version_hash() -> str:
-    """Digest of the package sources, embedded in summaries for traceability."""
+    """Digest of the package sources, embedded in summaries; read on the first call only, once per process."""
     digest = hashlib.sha256()
     for name in sorted(os.listdir(_PACKAGE_DIR)):
         if name.endswith(".py"):

@@ -1,8 +1,12 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demuon import config, problems
 from demuon.linalg import nuclear_norm, spectral_norm
 from demuon.problems import (
     NONCONVEX_GRAM,
@@ -27,7 +31,7 @@ def fd_directional(problem, i, x, d, h=1e-5):
 
 def identity_quadratic(b):
     b = np.asarray(b, dtype=float)
-    return ProblemSet(QUADRATIC, 1, b.shape[0], b.shape[1], a=(np.eye(b.shape[0]),), b=(b,), f_low=0.0)
+    return ProblemSet(QUADRATIC, 1, b.shape[0], b.shape[1], a=(np.eye(b.shape[0]),), b=(b,), known_f_low=0.0)
 
 
 def test_quadratic_fixed_values():
@@ -43,7 +47,7 @@ def test_quadratic_fixed_values():
 
 def test_gram_fixed_values(rng):
     x = rng.standard_normal((3, 2))
-    prob = ProblemSet("nonconvex_gram", 1, 3, 2, c=(x @ x.T,), f_low=0.0)
+    prob = ProblemSet("nonconvex_gram", 1, 3, 2, c=(x @ x.T,), known_f_low=0.0)
     assert objective_at(prob, x) == pytest.approx(0.0, abs=1e-14)
     np.testing.assert_allclose(exact_gradient(prob, x)[0], np.zeros((3, 2)), atol=1e-12)
 
@@ -330,6 +334,118 @@ def test_problem_file_rejects_an_overflowing_certificate(tmp_path, entry, loads)
     else:
         with pytest.raises(ProblemFormatError, match="overflow|finite"):
             load_problem(path)
+
+
+def forbid_certificates(monkeypatch):
+    """Make every call that computes a certificate raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a certificate was computed")
+
+    monkeypatch.setattr(np, "square", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    monkeypatch.setattr(problems, "nuclear_norm", forbidden)
+    monkeypatch.setattr(problems, "objective_at", forbidden)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+GRAM_WORKLOAD = """
+[run]
+algorithm = gt_nsgdm
+horizon = 200
+out_dir = runs/gram
+
+[topology]
+family = directed_exponential
+n_nodes = 16
+
+[problem]
+kind = nonconvex_gram
+m = 32
+n = 16
+
+[noise]
+family = student_t
+alpha = 1.6
+scale = 0.3
+dof = 2.0
+"""
+
+
+def workload_configs():
+    """The configs whose problems the benchmark's quickstart, large_n64, rate_sweep and baselines_gram build."""
+    quickstart = config.parse_config(os.path.join(CONFIGS, "quickstart.ini"))
+    return [
+        quickstart,
+        config.with_overrides(quickstart, n_nodes=64, m=64, n=32, horizon=50),
+        config.parse_config(os.path.join(CONFIGS, "rate_sweep.ini")),
+        config.parse_config(GRAM_WORKLOAD),
+    ]
+
+
+def test_building_a_problem_computes_no_certificate(monkeypatch):
+    forbid_certificates(monkeypatch)
+    built = [make_quadratic(3, 4, 2, 5, heterogeneity=h, seed=1) for h in (0.0, 0.5)]
+    built.append(make_nonconvex_gram(3, 4, 2, heterogeneity=0.5, seed=1))
+    built += [config.build_problem(cfg) for cfg in workload_configs()]
+    assert [prob.kind for prob in built[3:]] == [QUADRATIC] * 3 + [NONCONVEX_GRAM]
+    for prob in built:
+        assert "lipschitz_star" not in vars(prob) and "f_low" not in vars(prob)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_nodes=st.integers(1, 4),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    p=st.integers(1, 8),
+    heterogeneity=st.sampled_from([0.0, 0.5, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_nodes=1, m=1, n=1, p=1, heterogeneity=0.5, seed=0)  # 1x1
+@example(n_nodes=3, m=2, n=5, p=4, heterogeneity=0.5, seed=1)  # m < n
+@example(n_nodes=4, m=5, n=2, p=3, heterogeneity=2.0, seed=2)  # p < m
+def test_first_read_gives_the_closed_forms(n_nodes, m, n, p, heterogeneity, seed):
+    quad = make_quadratic(n_nodes, m, n, p, heterogeneity=heterogeneity, seed=seed)
+    gram = make_nonconvex_gram(n_nodes, m, n, heterogeneity=heterogeneity, seed=seed)
+    direct = ProblemSet(QUADRATIC, n_nodes, m, n, a=tuple(quad.a), b=tuple(quad.b))
+    x_opt = np.linalg.lstsq(np.vstack(quad.a), np.vstack(quad.b), rcond=None)[0]
+    assert quad.lipschitz_star == direct.lipschitz_star == max(float(np.sum(np.square(a_i))) for a_i in quad.a)
+    assert quad.f_low == (0.0 if heterogeneity == 0 else objective_at(quad, x_opt))
+    assert direct.f_low == objective_at(quad, x_opt)
+    assert gram.lipschitz_star == 3.0 * min(m, n) * gram.ball_radius**2 + max(nuclear_norm(c_i) for c_i in gram.c)
+    assert gram.f_low == 0.0
+
+
+def test_a_second_read_computes_nothing(monkeypatch):
+    built = [make_quadratic(3, 4, 2, 5, heterogeneity=0.5, seed=2), make_nonconvex_gram(3, 4, 2, 0.5, seed=2)]
+    first = [(prob.lipschitz_star, prob.f_low) for prob in built]
+    forbid_certificates(monkeypatch)
+    assert [(prob.lipschitz_star, prob.f_low) for prob in built] == first
+
+
+def test_directly_built_problems_read_their_certificates(rng):
+    a, b = rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 5, 2))
+    quad = ProblemSet(QUADRATIC, 3, 4, 2, a=a, b=b)
+    assert np.isfinite(quad.f_low) and quad.f_low > 0.0
+    for _ in range(200):
+        assert objective_at(quad, 2.0 * rng.standard_normal((4, 2))) >= quad.f_low
+    x = rng.standard_normal((4, 2))
+    gram = ProblemSet(NONCONVEX_GRAM, 2, 4, 2, c=np.stack([x @ x.T, 2.0 * x @ x.T]), ball_radius=3.0)
+    assert gram.f_low == 0.0 and np.isfinite(gram.lipschitz_star)
+
+
+def test_replace_computes_the_certificates_of_the_new_data():
+    quad = make_quadratic(3, 4, 2, 5, heterogeneity=0.5, seed=3)
+    gram = make_nonconvex_gram(3, 4, 2, heterogeneity=0.5, seed=3)
+    read = (quad.lipschitz_star, quad.f_low, gram.lipschitz_star)
+    scaled = replace(quad, a=2.0 * quad.a, b=quad.b + 1.0)
+    fresh = ProblemSet(QUADRATIC, 3, 4, 2, a=2.0 * quad.a, b=quad.b + 1.0)
+    assert (scaled.lipschitz_star, scaled.f_low) == (fresh.lipschitz_star, fresh.f_low)
+    assert scaled.lipschitz_star == 4.0 * read[0] and scaled.f_low != read[1]
+    wider = replace(gram, ball_radius=2.0 * gram.ball_radius)
+    fresh = ProblemSet(NONCONVEX_GRAM, 3, 4, 2, c=gram.c, ball_radius=wider.ball_radius)
+    assert wider.lipschitz_star == fresh.lipschitz_star
+    assert wider.lipschitz_star > read[2]
 
 
 def test_problem_set_stacks_node_data_once():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from demuon import runner
 from demuon.cli import main
 from demuon.config import parse_config, with_overrides
 from demuon.runner import compare, execute, run_id, sweep, version_hash
@@ -62,6 +63,23 @@ def test_execute_is_byte_identical(tmp_path):
     second = execute(cfg)
     assert open(second.metrics_path, "rb").read() == metrics_1
     assert open(second.summary_path, "rb").read() == summary_1
+
+
+def test_runs_in_one_process_read_the_package_sources_once(tmp_path, monkeypatch):
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return open(path, *args, **kwargs)
+
+    version_hash.cache_clear()
+    monkeypatch.setattr(runner, "open", spy, raising=False)
+    cfg = parse_config(config_text(tmp_path))
+    summary = json.load(open(execute(cfg).summary_path))
+    _, sweep_path = sweep(with_overrides(cfg, sweep=(4, 6)), workers=1)
+    sources = [path for path in opened if path.endswith(".py")]
+    assert sources and len(sources) == len(set(sources))
+    assert summary["version"] == json.load(open(sweep_path))["version"] == version_hash()
 
 
 def test_run_id_depends_on_config(tmp_path):
