@@ -193,7 +193,8 @@ def per_node_gram(n_nodes, m, n, heterogeneity, seed):
 )
 @example(n_nodes=1, m=1, n=1, p=1, heterogeneity=0.0, seed=0)  # 1x1
 @example(n_nodes=4, m=5, n=2, p=3, heterogeneity=0.5, seed=1)  # p < m
-@example(n_nodes=3, m=2, n=4, p=7, heterogeneity=0.0, seed=2)  # p > m
+@example(n_nodes=3, m=2, n=4, p=7, heterogeneity=0.0, seed=2)  # p > m, m < n
+@example(n_nodes=2, m=2, n=5, p=4, heterogeneity=2.0, seed=3)  # m < n, heterogeneous
 def test_generated_problems_equal_the_per_node_construction(n_nodes, m, n, p, heterogeneity, seed):
     # One stacked draw per kind of node data takes the same numbers from the
     # stream as one draw per node, so the node data are bit for bit the same.
@@ -205,6 +206,14 @@ def test_generated_problems_equal_the_per_node_construction(n_nodes, m, n, p, he
     # ||A_i^T A_i||_* is the trace ||A_i||_F^2 of a positive semidefinite matrix.
     l_star = max(nuclear_norm(a_i.T @ a_i) for a_i in a)
     assert quad.lipschitz_star == pytest.approx(l_star, rel=1e-12)
+    # The first read gives the closed forms bit for bit, with or without a known lower bound.
+    direct = ProblemSet(QUADRATIC, n_nodes, m, n, a=a, b=b)
+    x_opt = np.linalg.lstsq(np.vstack(a), np.vstack(b), rcond=None)[0]
+    assert quad.lipschitz_star == direct.lipschitz_star == max(float(np.sum(np.square(a_i))) for a_i in a)
+    assert quad.f_low == (0.0 if heterogeneity == 0 else objective_at(quad, x_opt))
+    assert direct.f_low == objective_at(quad, x_opt)
+    assert gram.lipschitz_star == 3.0 * min(m, n) * gram.ball_radius**2 + max(nuclear_norm(c_i) for c_i in gram.c)
+    assert gram.f_low == 0.0
 
 
 @pytest.mark.parametrize("p, m", [(1, 1), (2, 5), (6, 3), (4, 4)])
@@ -390,30 +399,6 @@ def test_building_a_problem_computes_no_certificate(monkeypatch):
     assert [prob.kind for prob in built[3:]] == [QUADRATIC] * 3 + [NONCONVEX_GRAM]
     for prob in built:
         assert "lipschitz_star" not in vars(prob) and "f_low" not in vars(prob)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n_nodes=st.integers(1, 4),
-    m=st.integers(1, 6),
-    n=st.integers(1, 6),
-    p=st.integers(1, 8),
-    heterogeneity=st.sampled_from([0.0, 0.5, 2.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n_nodes=1, m=1, n=1, p=1, heterogeneity=0.5, seed=0)  # 1x1
-@example(n_nodes=3, m=2, n=5, p=4, heterogeneity=0.5, seed=1)  # m < n
-@example(n_nodes=4, m=5, n=2, p=3, heterogeneity=2.0, seed=2)  # p < m
-def test_first_read_gives_the_closed_forms(n_nodes, m, n, p, heterogeneity, seed):
-    quad = make_quadratic(n_nodes, m, n, p, heterogeneity=heterogeneity, seed=seed)
-    gram = make_nonconvex_gram(n_nodes, m, n, heterogeneity=heterogeneity, seed=seed)
-    direct = ProblemSet(QUADRATIC, n_nodes, m, n, a=tuple(quad.a), b=tuple(quad.b))
-    x_opt = np.linalg.lstsq(np.vstack(quad.a), np.vstack(quad.b), rcond=None)[0]
-    assert quad.lipschitz_star == direct.lipschitz_star == max(float(np.sum(np.square(a_i))) for a_i in quad.a)
-    assert quad.f_low == (0.0 if heterogeneity == 0 else objective_at(quad, x_opt))
-    assert direct.f_low == objective_at(quad, x_opt)
-    assert gram.lipschitz_star == 3.0 * min(m, n) * gram.ball_radius**2 + max(nuclear_norm(c_i) for c_i in gram.c)
-    assert gram.f_low == 0.0
 
 
 def test_a_second_read_computes_nothing(monkeypatch):
