@@ -5,11 +5,13 @@ worked through its short-side Gram matrix, which is cheaper than the SVD at
 every short side once the matrices come in stacks: they take their singular
 values from `eigvalsh` of the Gram, clipped at 0 before the square root. The
 exact polar factor takes the Gram route only from a short side of
-`_POLAR_GRAM_MIN_SIDE`: `V Q diag(lambda^-1/2) Q^T` (or `Q diag(lambda^-1/2)
-Q^T V` for a wide `V`) from `eigh` of the Gram. Square inputs, smaller polar
-inputs, and every slice the Gram cannot resolve (it overflowed, it
-underflowed or the slice is zero, or, for the nuclear norm and the polar
-factor, it is ill-conditioned), use the SVD. The route depends on each
+`_POLAR_GRAM_MIN_SIDE`, and there it needs matrix products only: `V G^{-1/2}`
+(or `G^{-1/2} V` for a wide `V`), with `G^{-1/2}` from a Newton-Schulz
+iteration on the Gram `G`, then one cubic Newton-Schulz step on the factor.
+Square inputs, smaller polar inputs, and every slice the Gram cannot resolve
+(it overflowed, it underflowed or the slice is zero; for the nuclear norm, it
+is ill-conditioned; for the polar factor, its iteration did not converge
+within `_POLAR_NS_STEPS` steps), use the SVD. The route depends on each
 matrix's shape only, so a stack gives exactly what its matrices give one by
 one. The Frobenius norm of a stack is one BLAS dot per matrix, the call
 `np.linalg.norm` makes for one matrix. The Newton-Schulz polar factor and
@@ -23,10 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-12
-# Short side from which the Gram-eigh polar factor beats the SVD polar; on a
-# 2-vCPU host the crossover fell between 8 and 12. The norms take the Gram
-# route at every short side: on stacks of 189 to 36,864 8x6 matrices it took
-# 37-51% less time than the SVD (it is slower only on a lone small matrix).
+# Short side from which the Gram polar factor beats the SVD polar; on a 2-vCPU
+# host the crossover (then with an `eigh` of the Gram) fell between 8 and 12.
+# The norms take the Gram route at every short side: on stacks of 189 to
+# 36,864 8x6 matrices it took 37-51% less time than the SVD (it is slower only
+# on a lone small matrix).
 _POLAR_GRAM_MIN_SIDE = 12
 # Below this largest Gram eigenvalue the Gram's entries have underflowed, or
 # the slice is zero: tiny / eps.
@@ -34,12 +37,25 @@ _GRAM_LAMBDA_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # An eigenvalue carries an absolute error of about eps * lambda_max, so the
 # nuclear norm takes the Gram route only where lambda_min >= this * lambda_max.
 _GRAM_NUCLEAR_RCOND = 1e-6
-# The Gram-eigh polar factor's error grows like eps * cond(V)^2 (on 64x32
-# inputs with log-spaced spectra, at most 1.4e-13 at cond 100, 1.2e-12 at 300
-# and 1.0e-11 at 1e3), so it is taken only where lambda_min >= this *
-# lambda_max, i.e. cond(V) <= 100. Every rank-deficient slice falls to the
-# masked SVD.
-_GRAM_POLAR_RCOND = 1e-4
+# The polar factor's Gram route takes G^{-1/2} from the inverse-free cubic
+# Newton-Schulz iteration (Higham, Functions of Matrices, 2008, ch. 6 and 8) on
+# y = G / ||G||_F, whose eigenvalues lie in (0, 1] and rise to 1 from below:
+# t = 1.5 I - 0.5 y, y <- y t t, p <- p t. A slice has converged once every
+# entry of y - I is within _POLAR_NS_TOL. The iterate alone is off the polar
+# factor by about eps * cond(V)^2, as an eigendecomposition of the Gram is; the
+# cubic step on the factor that follows squares its defect to rounding level
+# and leaves about eps * cond(V). On 64x32, 32x64, 200x12 and 256x128 inputs
+# with linear, geometric, one-small, one-large and two-cluster spectra it was
+# at most 2.1e-14 from the masked SVD at cond 100, 4.0e-14 at 150 and 7.9e-14
+# at 300, where `eigh` of the Gram gave up to 8.2e-13 at cond 100. A slice not
+# converged after _POLAR_NS_STEPS steps, one whose smallest eigenvalue of y is
+# below about 2.3e-6 (cond(V) above 280 to 660 with the spectrum at a short
+# side of 32) or that is rank deficient, is redone by the masked SVD. No slice
+# can pass before step _POLAR_NS_FIRST_CHECK: y's smallest eigenvalue starts at
+# most 1/sqrt(12), which is still 3.1e-7 below 1 after five steps.
+_POLAR_NS_TOL = 1e-8
+_POLAR_NS_STEPS = 20
+_POLAR_NS_FIRST_CHECK = 6
 
 
 class NumericalFailure(RuntimeError):
@@ -196,6 +212,99 @@ def _svd_polar(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(u, vt, out=out)
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of every matrix of a stack."""
+    return np.einsum("...ii->...i", a)
+
+
+def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Polar factor of every slice of a validated stack from its short-side Gram, into `out`; the mask of resolved slices.
+
+    `gram` is the stack's (..., k, k) Gram from `_short_gram` and `out` a
+    C-ordered array of `a`'s shape; the iteration works in the memory of
+    both and in two more (..., k, k) stacks. Each slice iterates on its own
+    and leaves the working stack once it has converged, so extra steps never
+    drive its entries into subnormals and its result does not depend on the
+    other slices. The multiplier p is symmetrised, and the factor q = a p
+    (tall) or p a (wide) takes one cubic Newton-Schulz step, q (1.5 I - 0.5
+    q^T q) (or (1.5 I - 0.5 q q^T) q), formed as a (p w) (or (w p) a). A
+    slice whose Gram overflowed, underflowed or is zero (||G||_F outside
+    [`_GRAM_LAMBDA_FLOOR`, inf)), or that did not converge, is not resolved
+    and reads zero.
+    """
+    k = gram.shape[-1]
+    y = gram.reshape(-1, k, k)
+    b = y.shape[0]
+    with np.errstate(over="ignore"):
+        c = _frobenius(y)
+    ok = (c >= _GRAM_LAMBDA_FLOOR) & (c < np.inf)
+    live = np.flatnonzero(ok)  # the slice each working row holds
+    n = live.size
+    if n < b:
+        y[:n] = y[live]
+    y[:n] /= c[live, None, None]
+    # Row i of t holds the working slice's t while i < n, and the finished
+    # slice order[i]'s p from then on. p and spare swap after each product;
+    # spare starts in `out`, which is free until the factor is formed (each
+    # slice's m n >= k k entries).
+    t, p = np.empty_like(y), np.empty_like(y)
+    own = p  # p may end the loop in `out`; the multiplier is formed here
+    spare = out.reshape(-1)[: y.size].reshape(y.shape)
+    order = np.concatenate([live, np.flatnonzero(~ok)])
+    t[n:] = 0.0
+    for step in range(1, _POLAR_NS_STEPS + 1):
+        if not n:
+            break
+        np.multiply(y[:n], -0.5, out=t[:n])
+        _diagonal(t[:n])[...] += 1.5
+        if step == 1:
+            p[:n] = t[:n]
+        else:
+            np.matmul(p[:n], t[:n], out=spare[:n])
+            p, spare = spare, p
+        np.matmul(y[:n], t[:n], out=spare[:n])
+        np.matmul(spare[:n], t[:n], out=y[:n])
+        if step < _POLAR_NS_FIRST_CHECK:
+            continue
+        # max |y - I| per slice: |y| with its diagonal replaced by |y_ii - 1|.
+        defect = np.abs(y[:n], out=spare[:n])
+        np.abs(_diagonal(y[:n]) - 1.0, out=_diagonal(defect))
+        done = defect.max(axis=(-2, -1)) <= _POLAR_NS_TOL
+        if done.any():
+            # The finished slices' p go to rows m..n of t; the working slices
+            # in those rows move to the rows the finished slices leave.
+            finished = np.flatnonzero(done)
+            m = n - finished.size
+            holes = finished[finished < m]
+            movers = m + np.flatnonzero(~done[m:])
+            t[m:n] = p[finished]
+            order[m:n] = live[finished]
+            y[holes], p[holes], live[holes] = y[movers], p[movers], live[movers]
+            live, n = live[:m], m
+    ok[live] = False
+    # In slice order, symmetrised and scaled: (p + p^T) / (2 sqrt(c)).
+    y[order] = t
+    scale = np.zeros(b)
+    scale[ok] = 0.5 / np.sqrt(c[ok])
+    p = np.add(y, np.swapaxes(y, -2, -1), out=own)
+    p *= scale[:, None, None]
+    p, w, pw = (x.reshape(gram.shape) for x in (p, y, t))
+    tall = a.shape[-2] > a.shape[-1]
+    if tall:
+        np.matmul(a, p, out=out)
+        np.matmul(np.swapaxes(out, -2, -1), out, out=w)
+    else:
+        np.matmul(p, a, out=out)
+        np.matmul(out, np.swapaxes(out, -2, -1), out=w)
+    w *= -0.5
+    _diagonal(w)[...] += 1.5
+    if tall:
+        np.matmul(a, np.matmul(p, w, out=pw), out=out)
+    else:
+        np.matmul(np.matmul(w, p, out=pw), a, out=out)
+    return ok.reshape(gram.shape[:-2])
+
+
 def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     """Orthogonal (polar) factor u @ v.T of the reduced SVD.
 
@@ -206,34 +315,33 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     stacked call then gives every matrix's polar factor.
 
     A non-square matrix with short side >= `_POLAR_GRAM_MIN_SIDE` takes it
-    from `eigh` of its short-side Gram, `a @ (Q diag(lambda^-1/2) Q^T)` when tall
-    and `(Q diag(lambda^-1/2) Q^T) @ a` when wide. A slice whose Gram
-    overflowed, underflowed or is zero, or whose smallest eigenvalue is below
-    `_GRAM_POLAR_RCOND` times its largest (ill-conditioned or rank deficient),
-    is redone by the masked SVD, as are square and smaller inputs.
+    from its short-side Gram G with matrix products only (`_gram_polar`):
+    `a @ G^{-1/2}` when tall and `G^{-1/2} @ a` when wide, G^{-1/2} from a
+    Newton-Schulz iteration, then one cubic Newton-Schulz step on the
+    factor. A slice whose Gram overflowed, underflowed or is zero, or whose
+    iteration did not converge within `_POLAR_NS_STEPS` steps
+    (ill-conditioned or rank deficient), is redone by the masked SVD, as
+    are square and smaller inputs. Like the SVD's, the result has spectral
+    norm at most 1 up to rounding.
 
     The result is written to `out` when one is given (an array of the
     result's shape that does not overlap `a`), the fallback slices scattered
     into it; the values do not depend on it.
     """
     a = as_matrix(a, stack=True)
+    # Products into another memory layout may round differently, so they go
+    # to a C-ordered array that is then copied to `out`.
+    polar = out if out is not None and out.flags.c_contiguous else np.empty(a.shape)
     gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE)
     if gram is None:
-        return _svd_polar(a, out)
-    try:
-        lam, q = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError:  # LAPACK did not converge; the SVD decides every slice
-        return _svd_polar(a, out)
-    ok = (lam[..., -1] >= _GRAM_LAMBDA_FLOOR) & (lam[..., 0] >= _GRAM_POLAR_RCOND * lam[..., -1])
-    # Slices that fall back get a harmless unit scale instead of 1/sqrt(<= 0).
-    root = np.sqrt(np.where(ok[..., None], lam, 1.0))
-    # The Gram is spent: its memory takes the scaled eigenvectors.
-    inv_root = np.divide(q, root[..., None, :], out=gram) @ np.swapaxes(q, -2, -1)
-    del gram, q
-    tall = a.shape[-2] > a.shape[-1]
-    out = np.matmul(a, inv_root, out=out) if tall else np.matmul(inv_root, a, out=out)
-    if not ok.all():
-        out[~ok] = _svd_polar(a[~ok])
+        _svd_polar(a, polar)
+    else:
+        ok = _gram_polar(a, gram, polar)
+        if not ok.all():
+            polar[~ok] = _svd_polar(a[~ok])
+    if out is None or polar is out:
+        return polar
+    out[...] = polar
     return out
 
 

@@ -98,7 +98,8 @@ class ProblemSet:
         if self.kind == QUADRATIC:
             # A_i^T A_i is positive semidefinite, so its nuclear norm is its trace ||A_i||_F^2.
             return float(np.max(np.sum(np.square(self.a), axis=(-2, -1))))
-        return 3.0 * min(self.m, self.n) * self.ball_radius**2 + float(np.max(nuclear_norm(self.c)))
+        # A numpy power, so that an overflow follows np.errstate as the other certificates do.
+        return float(3.0 * min(self.m, self.n) * np.float64(self.ball_radius) ** 2 + np.max(nuclear_norm(self.c)))
 
     @cached_property
     def f_low(self) -> float:
@@ -316,11 +317,16 @@ def load_problem(path) -> ProblemSet:
                 c = np.stack(data["C"])
                 radius = 2.0 * (1.0 + float(np.max(spectral_norm(c))) ** 0.5)
                 problem = ProblemSet(kind, n_nodes, m, n, c=c, ball_radius=radius)
-            # Finite entries can still overflow the certificates, so they are read here.
-            problem.lipschitz_star, problem.f_low
-            return problem
     except (ValueError, ArithmeticError) as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc
+    # Finite entries can still overflow the certificates, so they are read here.
+    for name in ("lipschitz_star", "f_low"):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                getattr(problem, name)
+        except ArithmeticError as exc:
+            raise ProblemFormatError(f"{path}: the {kind} certificate {name} overflows ({exc})") from exc
+    return problem
 
 
 def dump_problem(problem: ProblemSet, path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demuon import linalg
 from demuon.linalg import (
     as_matrix,
     frobenius_norm,
@@ -117,6 +118,53 @@ def test_msgn_exact_matches_polar_oracle(seed, shape, kind, scale):
     # The consensus envelope assumes ||step||_2 <= eta, so the factor must not overshoot.
     assert spectral_norm(polar) <= 1.0 + 1e-12
 
+
+
+SWEEP_CONDS = (1.0, 10.0, 100.0, 150.0, 300.0, 1e3, 1e8)
+
+
+def sweep_slices(rng, m, n):
+    """m x n slices with cond(V) from SWEEP_CONDS under five spectra, then a zero and two rank-deficient ones."""
+    r = min(m, n)
+    out = []
+    for cond in SWEEP_CONDS:
+        lin, geo = np.linspace(1.0, 1.0 / cond, r), np.geomspace(1.0, 1.0 / cond, r)
+        one_small, one_large, two_clusters = np.ones(r), np.full(r, 1.0 / cond), np.ones(r)
+        one_small[-1], one_large[0], two_clusters[r // 2 :] = 1.0 / cond, 1.0, 1.0 / cond
+        for s in (lin, geo, one_small, one_large, two_clusters):
+            u = np.linalg.qr(rng.standard_normal((m, r)))[0]
+            v = np.linalg.qr(rng.standard_normal((n, r)))[0]
+            out.append((u * s) @ v.T)
+    out.append(np.zeros((m, n)))
+    for k in (1, r - 1):
+        out.append(rng.standard_normal((m, k)) @ rng.standard_normal((k, n)))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(64, 32), (32, 64), (64, 64, 32)])
+def test_msgn_exact_conditioning_sweep(rng, shape):
+    # Both sides of the Gram route's step cap, and every fallback, in one stack.
+    *lead, m, n = shape
+    slices = sweep_slices(rng, m, n)
+    if lead:  # the large_n64 tracker stack, the rest Gaussian
+        slices += [rng.standard_normal((m, n)) for _ in range(lead[0] - len(slices))]
+    stack = np.stack(slices)
+    out = msgn_exact(stack)
+    for a, polar in zip(stack, out):
+        np.testing.assert_array_equal(polar, msgn_exact(a))
+        np.testing.assert_allclose(polar, polar_oracle(a), rtol=0, atol=1e-12)
+        assert np.linalg.norm(polar, 2) <= 1.0 + 1e-12
+
+
+def test_gram_route_polar_needs_no_eigh_or_svd(monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a factorization ran on the Gram route")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(linalg, "_svd", forbidden)
+    for shape in ((64, 64, 32), (8, 12, 40)):
+        stack = rng.standard_normal(shape)
+        assert msgn_exact(stack).shape == shape
 
 def test_norm_ordering(rng):
     for _ in range(200):

@@ -345,6 +345,18 @@ def test_problem_file_rejects_an_overflowing_certificate(tmp_path, entry, loads)
             load_problem(path)
 
 
+
+def test_problem_file_names_an_overflowing_gram_certificate(tmp_path):
+    # Finite, symmetric C whose ball radius R squares past the largest double:
+    # 3 min(m, n) R^2 + max_i ||C_i||_* is then not finite.
+    path = tmp_path / "big_gram.txt"
+    path.write_text("nonconvex_gram 1 2 2\n1e308,1e307\n1e307,1e308\n")
+    with pytest.raises(ProblemFormatError) as info:
+        load_problem(path)
+    assert str(info.value) == (
+        f"{path}: the nonconvex_gram certificate lipschitz_star overflows (overflow encountered in scalar power)"
+    )
+
 def forbid_certificates(monkeypatch):
     """Make every call that computes a certificate raise."""
     def forbidden(*args, **kwargs):

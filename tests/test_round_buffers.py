@@ -143,12 +143,13 @@ def test_zero_and_rank_deficient_trackers_fall_back_into_the_buffers():
 
 
 @settings(max_examples=150, deadline=None)
-@given(seeds, sides | gram_dims, sides | gram_dims, slice_kinds, st.sampled_from((1.0, 1e200, 1e-170)))
-def test_msgn_exact_into_out_equals_the_allocating_call(seed, m, n, kinds, scale):
+@given(seeds, sides | gram_dims, sides | gram_dims, slice_kinds, st.sampled_from((1.0, 1e200, 1e-170)),
+       st.sampled_from("CF"))
+def test_msgn_exact_into_out_equals_the_allocating_call(seed, m, n, kinds, scale, order):
     # Zero and rank-deficient slices, and a scale that over- or underflows the
-    # Gram, are scattered from the masked SVD into `out`.
+    # Gram, are scattered from the masked SVD into `out`, in either memory order.
     a = scale * build_stack(seed, m, n, kinds)
-    out = np.full(a.shape, np.nan)
+    out = np.full(a.shape, np.nan, order=order)
     got = msgn_exact(a, out=out)
     assert got is out and _same(out, msgn_exact(a))
 
