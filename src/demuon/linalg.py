@@ -7,7 +7,8 @@ values from `eigvalsh` of the Gram, clipped at 0 before the square root. The
 exact polar factor takes the Gram route only from a short side of
 `_POLAR_GRAM_MIN_SIDE`, and there it needs matrix products only: `V G^{-1/2}`
 (or `G^{-1/2} V` for a wide `V`), with `G^{-1/2}` from a Newton-Schulz
-iteration on the Gram `G`, then one cubic Newton-Schulz step on the factor.
+iteration on the Gram `G` (and one cubic Newton-Schulz step on the factor of
+an ill-conditioned slice).
 Square inputs, smaller polar inputs, and every slice the Gram cannot resolve
 (it overflowed, it underflowed or the slice is zero; for the nuclear norm, it
 is ill-conditioned; for the polar factor, its iteration did not converge
@@ -40,19 +41,25 @@ _GRAM_NUCLEAR_RCOND = 1e-6
 # The polar factor's Gram route takes G^{-1/2} from the inverse-free cubic
 # Newton-Schulz iteration (Higham, Functions of Matrices, 2008, ch. 6 and 8) on
 # y = G / ||G||_F, whose eigenvalues lie in (0, 1] and rise to 1 from below:
-# t = 1.5 I - 0.5 y, y <- y t t, p <- p t. A slice has converged once every
-# entry of y - I is within _POLAR_NS_TOL. The iterate alone is off the polar
-# factor by about eps * cond(V)^2, as an eigendecomposition of the Gram is; the
-# cubic step on the factor that follows squares its defect to rounding level
-# and leaves about eps * cond(V). On 64x32, 32x64, 200x12 and 256x128 inputs
-# with linear, geometric, one-small, one-large and two-cluster spectra it was
-# at most 2.1e-14 from the masked SVD at cond 100, 4.0e-14 at 150 and 7.9e-14
-# at 300, where `eigh` of the Gram gave up to 8.2e-13 at cond 100. A slice not
-# converged after _POLAR_NS_STEPS steps, one whose smallest eigenvalue of y is
-# below about 2.3e-6 (cond(V) above 280 to 660 with the spectrum at a short
-# side of 32) or that is rank deficient, is redone by the masked SVD. No slice
-# can pass before step _POLAR_NS_FIRST_CHECK: y's smallest eigenvalue starts at
+# t = 1.5 I - 0.5 y, y <- y t t, p <- p t. A slice stops at the first check
+# at which every entry of y - I is within _POLAR_NS_EXACT_TOL (rounding level),
+# or, after _POLAR_NS_EXACT_STEPS steps, within _POLAR_NS_TOL. The factor
+# a G^{-1/2} is off the polar factor by about eps * cond(V)^2, as with an
+# eigendecomposition of the Gram; a slice that stops within
+# _POLAR_NS_EXACT_STEPS steps has cond(V)^2 <= ||G||_F / lambda_min below
+# about 1.8e3, and was at most 4.4e-14 from the masked SVD. A later slice takes
+# one cubic Newton-Schulz step on its factor, which squares its defect to
+# rounding level and leaves about eps * cond(V): at most 2.1e-14 at cond 100,
+# 3.9e-14 at 150 and 9.2e-14 at 300 (64x32, 32x64, 200x12 and 256x128 inputs;
+# linear, geometric, one-small, one-large and two-cluster spectra), where
+# `eigh` of the Gram gave up to 8.2e-13 at cond 100. A slice not converged
+# after _POLAR_NS_STEPS steps, one whose smallest eigenvalue of y is below
+# about 2.3e-6 (cond(V) above 280 to 660 with the spectrum at a short side of
+# 32) or that is rank deficient, is redone by the masked SVD. No slice can
+# pass before step _POLAR_NS_FIRST_CHECK: y's smallest eigenvalue starts at
 # most 1/sqrt(12), which is still 3.1e-7 below 1 after five steps.
+_POLAR_NS_EXACT_TOL = 1e-14
+_POLAR_NS_EXACT_STEPS = 14
 _POLAR_NS_TOL = 1e-8
 _POLAR_NS_STEPS = 20
 _POLAR_NS_FIRST_CHECK = 6
@@ -87,20 +94,25 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise NumericalFailure(f"SVD did not converge on a {a.shape} matrix: {exc}") from exc
 
 
-def _short_gram(a: np.ndarray, min_side: int):
+def _short_gram(a: np.ndarray, min_side: int, room: np.ndarray | None = None):
     """Short-side Gram matrix of a validated matrix or stack, or None for the SVD route.
 
     None for square inputs and for a short side below `min_side`, so the
     route depends on the matrix shape alone, never on the stack size. A slice
     whose Gram overflowed is zeroed, which sends it to the SVD with the zero
-    slices (its largest eigenvalue is then below `_GRAM_LAMBDA_FLOOR`).
+    slices (its largest eigenvalue is then below `_GRAM_LAMBDA_FLOOR`). The
+    Gram is written to the front of `room`, a C-ordered array with as many
+    entries as `a` at least, when one is given.
     """
     m, n = a.shape[-2:]
     if m == n or min(m, n) < min_side:
         return None
+    k = min(m, n)
+    shape = a.shape[:-2] + (k, k)
+    out = None if room is None else room.reshape(-1)[: a.size // max(m, n) * k].reshape(shape)
     at = np.swapaxes(a, -2, -1)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        gram = at @ a if m > n else a @ at
+        gram = np.matmul(at, a, out=out) if m > n else np.matmul(a, at, out=out)
     gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0
     return gram
 
@@ -220,17 +232,19 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Polar factor of every slice of a validated stack from its short-side Gram, into `out`; the mask of resolved slices.
 
-    `gram` is the stack's (..., k, k) Gram from `_short_gram` and `out` a
-    C-ordered array of `a`'s shape; the iteration works in the memory of
-    both and in two more (..., k, k) stacks. Each slice iterates on its own
-    and leaves the working stack once it has converged, so extra steps never
-    drive its entries into subnormals and its result does not depend on the
-    other slices. The multiplier p is symmetrised, and the factor q = a p
-    (tall) or p a (wide) takes one cubic Newton-Schulz step, q (1.5 I - 0.5
-    q^T q) (or (1.5 I - 0.5 q q^T) q), formed as a (p w) (or (w p) a). A
-    slice whose Gram overflowed, underflowed or is zero (||G||_F outside
-    [`_GRAM_LAMBDA_FLOOR`, inf)), or that did not converge, is not resolved
-    and reads zero.
+    `gram` is the stack's (..., k, k) Gram from `_short_gram`, written to the
+    front of `out`, a C-ordered array of `a`'s shape. The iteration works in
+    the memory of `out` and in two more (..., k, k) stacks, three when `out`
+    does not hold two. Each slice iterates on its own and leaves the working
+    stack once it has converged, so extra steps never drive its entries into
+    subnormals and its result does not depend on the other slices. The
+    factor is a p (tall) or p a (wide) with p = G^{-1/2}; a slice that
+    converged only after `_POLAR_NS_EXACT_STEPS` steps takes p symmetrised
+    and then one cubic Newton-Schulz step on its factor, q (1.5 I - 0.5 q^T
+    q) (or (1.5 I - 0.5 q q^T) q), formed as a (p w) (or (w p) a). A slice
+    whose Gram overflowed, underflowed or is zero (||G||_F below
+    `_GRAM_LAMBDA_FLOOR` or not finite), or that did not converge, is not
+    resolved and reads zero.
     """
     k = gram.shape[-1]
     y = gram.reshape(-1, k, k)
@@ -238,6 +252,7 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         c = _frobenius(y)
     ok = (c >= _GRAM_LAMBDA_FLOOR) & (c < np.inf)
+    rough = np.zeros(b, dtype=bool)
     live = np.flatnonzero(ok)  # the slice each working row holds
     n = live.size
     if n < b:
@@ -245,11 +260,11 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
     y[:n] /= c[live, None, None]
     # Row i of t holds the working slice's t while i < n, and the finished
     # slice order[i]'s p from then on. p and spare swap after each product;
-    # spare starts in `out`, which is free until the factor is formed (each
-    # slice's m n >= k k entries).
+    # spare takes the rest of `out` when it has room.
     t, p = np.empty_like(y), np.empty_like(y)
-    own = p  # p may end the loop in `out`; the multiplier is formed here
-    spare = out.reshape(-1)[: y.size].reshape(y.shape)
+    own = p  # p may end the loop in `out`; the result is formed here
+    room = out.reshape(-1)[y.size : 2 * y.size]
+    spare = room.reshape(y.shape) if room.size == y.size else np.empty_like(y)
     order = np.concatenate([live, np.flatnonzero(~ok)])
     t[n:] = 0.0
     for step in range(1, _POLAR_NS_STEPS + 1):
@@ -269,7 +284,8 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
         # max |y - I| per slice: |y| with its diagonal replaced by |y_ii - 1|.
         defect = np.abs(y[:n], out=spare[:n])
         np.abs(_diagonal(y[:n]) - 1.0, out=_diagonal(defect))
-        done = defect.max(axis=(-2, -1)) <= _POLAR_NS_TOL
+        late = step > _POLAR_NS_EXACT_STEPS
+        done = defect.max(axis=(-2, -1)) <= (_POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL)
         if done.any():
             # The finished slices' p go to rows m..n of t; the working slices
             # in those rows move to the rows the finished slices leave.
@@ -279,29 +295,33 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
             movers = m + np.flatnonzero(~done[m:])
             t[m:n] = p[finished]
             order[m:n] = live[finished]
+            rough[live[finished]] = late
             y[holes], p[holes], live[holes] = y[movers], p[movers], live[movers]
             live, n = live[:m], m
     ok[live] = False
-    # In slice order, symmetrised and scaled: (p + p^T) / (2 sqrt(c)).
-    y[order] = t
+    # In slice order and scaled: p / sqrt(c).
+    p = own
+    p[order] = t
     scale = np.zeros(b)
-    scale[ok] = 0.5 / np.sqrt(c[ok])
-    p = np.add(y, np.swapaxes(y, -2, -1), out=own)
+    scale[ok] = 1.0 / np.sqrt(c[ok])
     p *= scale[:, None, None]
-    p, w, pw = (x.reshape(gram.shape) for x in (p, y, t))
     tall = a.shape[-2] > a.shape[-1]
     if tall:
-        np.matmul(a, p, out=out)
-        np.matmul(np.swapaxes(out, -2, -1), out, out=w)
+        np.matmul(a, p.reshape(gram.shape), out=out)
     else:
-        np.matmul(p, a, out=out)
-        np.matmul(out, np.swapaxes(out, -2, -1), out=w)
-    w *= -0.5
-    _diagonal(w)[...] += 1.5
-    if tall:
-        np.matmul(a, np.matmul(p, w, out=pw), out=out)
-    else:
-        np.matmul(np.matmul(w, p, out=pw), a, out=out)
+        np.matmul(p.reshape(gram.shape), a, out=out)
+    if rough.any():
+        rough = np.flatnonzero(rough)  # the slices to take the step on their factor
+        a, p = a.reshape(-1, *a.shape[-2:])[rough], p[rough]
+        p += np.swapaxes(p, -2, -1)
+        p *= 0.5
+        q = np.matmul(a, p) if tall else np.matmul(p, a)
+        qt = np.swapaxes(q, -2, -1)
+        w = np.matmul(qt, q) if tall else np.matmul(q, qt)
+        w *= -0.5
+        _diagonal(w)[...] += 1.5
+        q = np.matmul(a, p @ w, out=q) if tall else np.matmul(w @ p, a, out=q)
+        out.reshape(-1, *out.shape[-2:])[rough] = q
     return ok.reshape(gram.shape[:-2])
 
 
@@ -317,8 +337,8 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     A non-square matrix with short side >= `_POLAR_GRAM_MIN_SIDE` takes it
     from its short-side Gram G with matrix products only (`_gram_polar`):
     `a @ G^{-1/2}` when tall and `G^{-1/2} @ a` when wide, G^{-1/2} from a
-    Newton-Schulz iteration, then one cubic Newton-Schulz step on the
-    factor. A slice whose Gram overflowed, underflowed or is zero, or whose
+    Newton-Schulz iteration (and one cubic Newton-Schulz step on the factor
+    of an ill-conditioned slice). A slice whose Gram overflowed, underflowed or is zero, or whose
     iteration did not converge within `_POLAR_NS_STEPS` steps
     (ill-conditioned or rank deficient), is redone by the masked SVD, as
     are square and smaller inputs. Like the SVD's, the result has spectral
@@ -332,7 +352,7 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     # Products into another memory layout may round differently, so they go
     # to a C-ordered array that is then copied to `out`.
     polar = out if out is not None and out.flags.c_contiguous else np.empty(a.shape)
-    gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE)
+    gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE, polar)
     if gram is None:
         _svd_polar(a, polar)
     else:

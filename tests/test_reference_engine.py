@@ -14,6 +14,7 @@ import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,6 +221,19 @@ def test_engine_matches_the_per_node_reference_loop(case):
     if finished:
         assert_rounds_match(lanes[:finished], horizons[:finished], problem, mixing, noise)
 
+
+
+@pytest.mark.parametrize("m, n", [(13, 12), (12, 14)])
+def test_engine_matches_the_reference_loop_on_the_gram_route(m, n):
+    # Every draw above may miss the two shapes on which `msgn_exact` takes its
+    # Newton-Schulz Gram route; this case always takes it, tall and wide.
+    problem = make_quadratic(4, m, n, 5, heterogeneity=0.5, seed=m + n)
+    noise = NoiseModel("student_t", 1.6, 0.3, dof=2.1, base_seed=m + n)
+    lanes = [Lane("demuon", ScheduleParams(0.1, 0.5), horizon=20), Lane("demuon", theoretical_schedule(20, 1.6))]
+    horizons = [20, 20]
+    mixing = build_family("ring", 4)
+    assert assert_runs_match(lanes, horizons, problem, mixing, noise) == 2
+    assert_rounds_match(lanes, horizons, problem, mixing, noise)
 
 def test_reference_loop_reproduces_a_hand_computed_round():
     # The loop itself on N = 2 scalars f_i(x) = 0.5 (x - t_i)^2, noiseless,
