@@ -195,7 +195,8 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.schedule_mode == "theorem":
         if cfg.algorithm not in optimizers.TRACKER_ALGORITHMS:
             raise ConfigError("schedule.mode=theorem only applies to demuon or gt_nsgdm")
-        if min(cfg.sweep or (cfg.horizon,)) < 4:
+        # run.horizon too: `runner.execute` runs it even when a sweep is given.
+        if min((cfg.horizon, *cfg.sweep)) < 4:
             raise ConfigError("schedule.mode=theorem requires every horizon K >= 4")
     # Stricter than ScheduleParams, which also takes theta = 1.
     if not 0.0 < cfg.theta < 1.0:

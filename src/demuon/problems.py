@@ -324,8 +324,8 @@ def load_problem(path) -> ProblemSet:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 getattr(problem, name)
-        except ArithmeticError as exc:
-            raise ProblemFormatError(f"{path}: the {kind} certificate {name} overflows ({exc})") from exc
+        except (ValueError, ArithmeticError) as exc:
+            raise ProblemFormatError(f"{path}: the {kind} certificate {name} cannot be computed ({exc})") from exc
     return problem
 
 

@@ -92,6 +92,8 @@ def test_theorem_mode_restrictions():
         parse_config(theorem.replace("algorithm = demuon", "algorithm = dsgd"))
     with pytest.raises(ConfigError, match="K >= 4"):
         parse_config(theorem.replace("horizon = 10", "horizon = 3"))
+    with pytest.raises(ConfigError, match="K >= 4"):
+        parse_config(theorem.replace("horizon = 10", "horizon = 1\nsweep = 4, 8"))
 
 
 def test_build_params_baselines():
