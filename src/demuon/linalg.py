@@ -230,7 +230,7 @@ def _diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Polar factor of every slice of a validated stack from its short-side Gram, into `out`; the mask of resolved slices.
+    """Polar factor of each slice of a validated stack, from its short-side Gram, into `out`; mask of resolved slices.
 
     `gram` is the stack's (..., k, k) Gram from `_short_gram`, written to the
     front of `out`, a C-ordered array of `a`'s shape. The iteration works in
@@ -311,8 +311,8 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
     else:
         np.matmul(p.reshape(gram.shape), a, out=out)
     if rough.any():
-        rough = np.flatnonzero(rough)  # the slices to take the step on their factor
-        a, p = a.reshape(-1, *a.shape[-2:])[rough], p[rough]
+        late = np.flatnonzero(rough)
+        a, p = a.reshape(-1, *a.shape[-2:])[late], p[late]
         p += np.swapaxes(p, -2, -1)
         p *= 0.5
         q = np.matmul(a, p) if tall else np.matmul(p, a)
@@ -321,7 +321,7 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
         w *= -0.5
         _diagonal(w)[...] += 1.5
         q = np.matmul(a, p @ w, out=q) if tall else np.matmul(w @ p, a, out=q)
-        out.reshape(-1, *out.shape[-2:])[rough] = q
+        out.reshape(-1, *out.shape[-2:])[late] = q
     return ok.reshape(gram.shape[:-2])
 
 
@@ -338,11 +338,11 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     from its short-side Gram G with matrix products only (`_gram_polar`):
     `a @ G^{-1/2}` when tall and `G^{-1/2} @ a` when wide, G^{-1/2} from a
     Newton-Schulz iteration (and one cubic Newton-Schulz step on the factor
-    of an ill-conditioned slice). A slice whose Gram overflowed, underflowed or is zero, or whose
-    iteration did not converge within `_POLAR_NS_STEPS` steps
-    (ill-conditioned or rank deficient), is redone by the masked SVD, as
-    are square and smaller inputs. Like the SVD's, the result has spectral
-    norm at most 1 up to rounding.
+    of an ill-conditioned slice). A slice whose Gram overflowed, underflowed
+    or is zero, or whose iteration did not converge within `_POLAR_NS_STEPS`
+    steps (ill-conditioned or rank deficient), is redone by the masked SVD,
+    as are square and smaller inputs. Like the SVD's, the result has
+    spectral norm at most 1 up to rounding.
 
     The result is written to `out` when one is given (an array of the
     result's shape that does not overlap `a`), the fallback slices scattered

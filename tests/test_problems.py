@@ -354,7 +354,8 @@ def test_problem_file_names_an_overflowing_gram_certificate(tmp_path):
     with pytest.raises(ProblemFormatError) as info:
         load_problem(path)
     assert str(info.value) == (
-        f"{path}: the nonconvex_gram certificate lipschitz_star cannot be computed (overflow encountered in scalar power)"
+        f"{path}: the nonconvex_gram certificate lipschitz_star cannot be computed"
+        " (overflow encountered in scalar power)"
     )
 
 def forbid_certificates(monkeypatch):
