@@ -61,7 +61,8 @@ def node_mean(stack: np.ndarray, keepdims: bool = False) -> np.ndarray:
     """Mean over the node axis of an (..., N, m, n) stack.
 
     Bit for bit `stack.mean(axis=-3)`, the same sum divided by N, without
-    the Python overhead of `ndarray.mean`, which every round pays several times.
+    the Python overhead of `ndarray.mean`, which every window of rounds pays
+    several times.
     """
     return np.add.reduce(stack, axis=-3, keepdims=keepdims) / stack.shape[-3]
 
@@ -142,23 +143,20 @@ def potential(objective_at_mean, grads, ms, consensus_v, params):
     P = f(mean X) + p * ||grad F stack - M stack||_F^alpha
                   + q * ||V stack - replicated mean V||_*
 
-    `objective_at_mean` is f(mean X), `grads` the (N, m, n) stack of exact
-    local gradients at the same iterates X and `consensus_v` the tracker
-    consensus `consensus_error_nuclear(V)`, as the run already computes them.
-
-    Many lanes and rounds go in one call: `grads` and `ms` of shape
-    (..., L, N, m, n), `objective_at_mean` and `consensus_v` of shape
-    (..., L), and `params` a sequence of L PotentialParams, one per lane. The
-    Frobenius norms are then one stacked call, and the result is the (..., L)
-    array of what each set's own call gives, bit for bit: the rest is Python
-    float arithmetic per set, since `np.power` can round differently from `**`.
+    Many lanes and rounds go in one call, as the run makes it: `grads` and
+    `ms` are (..., L, N, m, n) stacks, the exact local gradients at the
+    iterates X and the momenta of L lanes; `objective_at_mean` (f(mean X))
+    and `consensus_v` (the tracker consensus `consensus_error_nuclear(V)`)
+    have shape (..., L); and `params` is a sequence of L PotentialParams, one
+    per lane. One set is L = 1. The Frobenius norms are one stacked call,
+    and the result is the (..., L) array of what each set alone gives, bit
+    for bit: the rest is Python float arithmetic per set, since `np.power`
+    can round differently from `**`.
     """
     gaps = np.asarray(grads, dtype=float) - np.asarray(ms, dtype=float)
-    if gaps.ndim < 3:
-        raise ValueError(f"expected N stacked matrices, got ndim={gaps.ndim}")
+    if gaps.ndim < 4:
+        raise ValueError(f"expected (..., L, N, m, n) stacks, got ndim={gaps.ndim}")
     fro = frobenius_norm(gaps.reshape(*gaps.shape[:-3], -1, gaps.shape[-1]))
-    if gaps.ndim == 3:
-        return objective_at_mean + params.p * fro**params.alpha + params.q * consensus_v
     lanes = len(params)
     cells = (np.reshape(values, (-1, lanes)).tolist() for values in (objective_at_mean, fro, consensus_v))
     out = [

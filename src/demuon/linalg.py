@@ -344,24 +344,23 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     as are square and smaller inputs. Like the SVD's, the result has
     spectral norm at most 1 up to rounding.
 
-    The result is written to `out` when one is given (an array of the
-    result's shape that does not overlap `a`), the fallback slices scattered
-    into it; the values do not depend on it.
+    The result is written to `out` when one is given, a C-contiguous float64
+    array of the result's shape that does not overlap `a` (else ValueError),
+    the fallback slices scattered into it; the values do not depend on it.
     """
     a = as_matrix(a, stack=True)
-    # Products into another memory layout may round differently, so they go
-    # to a C-ordered array that is then copied to `out`.
-    polar = out if out is not None and out.flags.c_contiguous else np.empty(a.shape)
-    gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE, polar)
+    if out is None:
+        out = np.empty(a.shape)
+    elif out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 {a.shape} array")
+    elif np.may_share_memory(out, a):
+        raise ValueError("out must not overlap the input")
+    gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE, out)
     if gram is None:
-        _svd_polar(a, polar)
-    else:
-        ok = _gram_polar(a, gram, polar)
-        if not ok.all():
-            polar[~ok] = _svd_polar(a[~ok])
-    if out is None or polar is out:
-        return polar
-    out[...] = polar
+        return _svd_polar(a, out)
+    ok = _gram_polar(a, gram, out)
+    if not ok.all():
+        out[~ok] = _svd_polar(a[~ok])
     return out
 
 

@@ -12,13 +12,12 @@ stage and one direction call per group of lanes that share a kernel. Every
 direction kernel that normalises (both polar factors, gt_nsgdm's unit
 tracker and dsgd_clip's clip) is scale-free: the zero matrix gives a zero
 step, and no norm underflows or overflows at a finite scale. The
-per-round diagnostics are computed a window of rounds at a time. `step`
-writes its round into a `RoundBuffers` given as `out` (fresh ones by
-default); `run` owns one set of window stores per lane composition and
-recycles them, so a round allocates only its stepped iterates and the
-kernels' temporaries. `step` raises the
-Diverged of a non-finite round; `run` alone decides which lanes leave the
-stack.
+per-round diagnostics are computed a window of rounds at a time. `run`
+owns one set of window stores per lane composition and hands `step` a slot
+of them to write each round into, so a round allocates only its stepped
+iterates and the kernels' temporaries; a direct `step` call writes into
+fresh arrays. `step` raises the Diverged of a non-finite round; `run` alone
+decides which lanes leave the stack.
 """
 
 from __future__ import annotations
@@ -278,14 +277,15 @@ def _layout(kinds: tuple) -> tuple:
     )
 
 
-class RoundBuffers(NamedTuple):
-    """The arrays one `step` writes its round into.
+class _RoundBuffers(NamedTuple):
+    """The arrays one `step` writes its round into: fresh ones, or a slot of `run`'s `_Stores`.
 
     `x`, `m` and `v` take the next state and `grads`, `noise` and
     `directions` the round record; until the iterates are written, `x` holds
     the tracked lanes' stochastic gradients. All are (L, N, m, n) stacks but
     `noise`, (N, m, n). `step` writes only the tracked lanes' rows of `m` and
-    `v`: the untracked lanes' rows must hold zeros, as `allocate` leaves them.
+    `v`; the untracked lanes' rows hold the zeros that `allocate` and the
+    stores start with. Both lay the buffers out apart from the entering state.
     """
 
     x: np.ndarray
@@ -296,7 +296,7 @@ class RoundBuffers(NamedTuple):
     directions: np.ndarray
 
     @classmethod
-    def allocate(cls, shape: tuple) -> RoundBuffers:
+    def allocate(cls, shape: tuple) -> _RoundBuffers:
         """Fresh buffers for an (L, N, m, n) lane stack: momenta and trackers zero, the rest uninitialised."""
         return cls(np.empty(shape), np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape[1:]),
                    np.empty(shape))
@@ -323,21 +323,7 @@ def _directions(groups, v, grads, noise, schedules, dirs: np.ndarray) -> np.ndar
     return dirs
 
 
-class _SlotBuffers(RoundBuffers):
-    """The RoundBuffers of a `_Stores` round, disjoint from its entering state by the stores' layout."""
-
-    __slots__ = ()
-
-
-def _check_disjoint(state: RunState, out: RoundBuffers) -> None:
-    """Raise ValueError when a buffer of `out` may share memory with the entering state."""
-    for name, buf in zip(out._fields, out):
-        for quantity, arr in (("x", state.x), ("m", state.m), ("v", state.v)):
-            if np.may_share_memory(buf, arr):
-                raise ValueError(f"out.{name} overlaps the entering state's {quantity}")
-
-
-def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, out: RoundBuffers | None = None):
+def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, out: _RoundBuffers | None = None):
     """One synchronous round of every lane of a lane stack.
 
     Each lane's algorithm, orthogonalizer and parameters come from
@@ -348,10 +334,9 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
     `noise`, `directions`, and `eta` and `tau` (lists, one per lane; tau is
     None where nothing is clipped).
 
-    The round is written into `out`, a RoundBuffers that must not overlap
-    the entering state (ValueError), or into fresh buffers when it is None;
-    the next state and the record's arrays are its arrays. The entering
-    state is only read, so a round that fails leaves it as it was.
+    The round is written into fresh arrays. `out` is for `run`, which passes
+    a slot of its own round buffers; anything else raises TypeError. The
+    entering state is only read, so a round that fails leaves it as it was.
 
     A non-finite round raises the Diverged of its first non-finite lane
     (`Diverged.lane` is its stack position): the momenta and trackers of
@@ -359,9 +344,9 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
     """
     k, lanes = state.iter, state.lanes
     if out is None:
-        out = RoundBuffers.allocate(state.x.shape)
-    elif not isinstance(out, _SlotBuffers):  # run's own layout needs no check
-        _check_disjoint(state, out)
+        out = _RoundBuffers.allocate(state.x.shape)
+    elif not isinstance(out, _RoundBuffers):
+        raise TypeError(f"out must be one of run's round buffers, got {type(out).__name__}")
     noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k, out=out.noise)
     schedules = [_round_schedule(lane, k) for lane in lanes]
     tracked, groups = _layout(tuple((lane.algorithm, lane.orthogonalizer) for lane in lanes))
@@ -563,8 +548,8 @@ class _Stores:
     def _lay_out(self) -> None:
         # buffers[w] is what round w of a window writes: state slot w + 1 and record slot w.
         self.buffers = [
-            _SlotBuffers(self.x[w + 1], self.m[w + 1], self.v[w + 1], self.grads[w], self.noise[w],
-                         self.directions[w])
+            _RoundBuffers(self.x[w + 1], self.m[w + 1], self.v[w + 1], self.grads[w], self.noise[w],
+                          self.directions[w])
             for w in range(self.rounds)
         ]
 

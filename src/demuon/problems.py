@@ -127,33 +127,25 @@ def _values(problem: ProblemSet, x: np.ndarray):
 def exact_gradient(problem: ProblemSet, x, out: np.ndarray | None = None) -> np.ndarray:
     """Exact gradients of every f_i, in one batched product.
 
-    `x` is the (N, m, n) stack of per-node iterates, or one m x n iterate
-    shared by all nodes; the result is the (N, m, n) gradient stack, whose
-    row i is grad f_i at node i's iterate. Leading axes in front of N (the
-    lanes of a run) are broadcast over, and each (N, m, n) slice gives
-    exactly what it gives alone. The gradients are written to `out` when one
-    is given, an array of the result's shape.
+    `x` is the (..., N, m, n) stack of per-node iterates; the result has its
+    shape, and row i of each (N, m, n) slice is grad f_i at node i's iterate.
+    Leading axes in front of N (the lanes of a run) are broadcast over, and
+    each (N, m, n) slice gives exactly what it gives alone. The residual is
+    formed in place: on a lane stack a second temporary of the stack's size
+    costs more, in allocation, than the subtraction. The gradients are
+    written to `out` when one is given, an array of the result's shape.
     """
     x = as_matrix(x, stack=True)
-    shape = (problem.m, problem.n)
-    if x.shape != shape and x.shape[-3:] != (problem.n_nodes, *shape):
-        want = f"{shape} or (..., {problem.n_nodes}, {shape[0]}, {shape[1]})"
+    if x.shape[-3:] != (problem.n_nodes, problem.m, problem.n):
+        want = f"(..., {problem.n_nodes}, {problem.m}, {problem.n})"
         raise ValueError(f"iterate shape {x.shape} does not match problem {want}")
     if problem.kind == QUADRATIC:
-        return np.matmul(np.swapaxes(problem.a, -2, -1), _minus(problem.a @ x, problem.b), out=out)
-    return np.matmul(_minus(x @ np.swapaxes(x, -2, -1), problem.c), x, out=out)
-
-
-def _minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b, formed in `a` when `a` has the result's shape.
-
-    On a lane stack a second temporary of the stack's size costs more, in
-    allocation, than the subtraction itself; the values are the same.
-    """
-    if a.ndim < b.ndim:
-        return a - b
-    a -= b
-    return a
+        r = problem.a @ x
+        r -= problem.b
+        return np.matmul(np.swapaxes(problem.a, -2, -1), r, out=out)
+    g = x @ np.swapaxes(x, -2, -1)
+    g -= problem.c
+    return np.matmul(g, x, out=out)
 
 
 def objective_at(problem: ProblemSet, x):
@@ -229,22 +221,20 @@ def make_nonconvex_gram(
     n: int,
     heterogeneity: float = 0.0,
     seed: int = 0,
-    ball_radius: float | None = None,
 ) -> ProblemSet:
     """Synthesize a Gram-matching problem C_i = X* X*^T + heterogeneity * S_i.
 
     The S_i are symmetric with zero sum. f_low = 0 is a valid lower bound
     (each f_i >= 0). The Lipschitz certificate is only claimed on the
-    spectral ball ||X|| <= ball_radius.
+    spectral ball ||X|| <= ball_radius = 2 (1 + ||X*||_2);
+    `dataclasses.replace` gives the problem on another ball.
     """
     check_problem_args(n_nodes, m, n, 1, heterogeneity, seed)  # the Gram family has no p
     rng = np.random.default_rng(seed)
     x_star = 0.5 * rng.standard_normal((m, n))
     g = rng.standard_normal((n_nodes - 1, m, m))
     c = x_star @ x_star.T + heterogeneity * _zero_sum(0.5 * (g + np.swapaxes(g, -2, -1)))
-    if ball_radius is None:
-        ball_radius = 2.0 * (1.0 + spectral_norm(x_star))
-    return ProblemSet(NONCONVEX_GRAM, n_nodes, m, n, c=c, ball_radius=ball_radius)
+    return ProblemSet(NONCONVEX_GRAM, n_nodes, m, n, c=c, ball_radius=2.0 * (1.0 + spectral_norm(x_star)))
 
 
 def _parse_block(lines, start: int, rows: int, cols: int, label: str) -> tuple[np.ndarray, int]:

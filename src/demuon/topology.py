@@ -74,12 +74,18 @@ def validate_mixing(w) -> float:
             failures.append("rows must sum to 1")
         if not np.all(np.abs(w.sum(axis=0) - 1.0) <= STOCHASTIC_TOL):
             failures.append("columns must sum to 1")
-        power = np.eye(n)
-        for _ in range(n):
-            power = power @ w
-            if np.all(power > 0):
-                break
-        else:
+        # A nonnegative W with a positive power has no zero column, so every
+        # later power is positive too: some W^j (j <= N) is positive exactly
+        # when W^N is. Its 0/1 pattern comes from repeated squaring of W's,
+        # which no product of small weights can underflow.
+        reach, pattern, j = np.eye(n), (w > 0).astype(float), n
+        while j:
+            if j & 1:
+                reach = np.minimum(reach @ pattern, 1.0)
+            j >>= 1
+            if j:
+                pattern = np.minimum(pattern @ pattern, 1.0)
+        if not np.all(reach > 0):
             failures.append("some power W^j (j <= N) must be entrywise positive")
         rate = _deviation_norm(w)
     if not rate < 1.0:

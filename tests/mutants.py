@@ -1,0 +1,293 @@
+"""Mutants of the package that the tests are known to kill, and a script that checks they still do.
+
+Each entry of `MUTANTS` names a file of the package, an exact snippet of it,
+the snippet's replacement, the tests that must fail with the replacement in
+place, and the CHANGES.md entry that first recorded the kill.
+`tests/test_mutants.py` checks that every snippet occurs exactly once in its
+file, so a change that moves the mutated code must update the table.
+
+    python tests/mutants.py [name ...]
+
+first runs every named test on the package as it is (they must pass), then,
+for each mutant (or the ones named), copies `src/` to a temporary directory,
+applies the replacement there and runs the mutant's tests against that copy
+with a fixed hypothesis seed. It prints one line per mutant and exits 1 when
+one survives, that is, when one of its tests passes. A surviving mutant is a
+finding: make a test stronger, do not drop the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# Hypothesis draws new examples on every run unless seeded.
+HYPOTHESIS_SEED = 0
+
+REFERENCE_LOOP = "Problem set-up without the certificate SVD or per-node loops"
+DIRECTION_KERNELS = "One builder for the mixing families, scale-free direction kernels"
+ROUND_BUFFERS = "Round buffers owned by `run`"
+POLAR_KERNEL = "Matmul-only exact polar factor"
+ONE_CALL_SHAPE = "One call shape per entry point"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple  # pytest ids relative to the repository root; each must fail
+    found: str  # the CHANGES.md entry that first recorded the kill
+
+
+OPTIMIZERS = "src/demuon/optimizers.py"
+LINALG = "src/demuon/linalg.py"
+BUFFERS = "tests/test_round_buffers.py::"
+LINALG_TESTS = "tests/test_linalg.py::"
+OPTIMIZER_TESTS = "tests/test_optimizers.py::"
+REFERENCE = "tests/test_reference_engine.py::"
+
+MUTANTS = (
+    Mutant(
+        "round k+1's noise is drawn at round k",
+        OPTIMIZERS,
+        "state.n_nodes, k, out=out.noise)",
+        "state.n_nodes, k + 1, out=out.noise)",
+        (
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+            OPTIMIZER_TESTS + "test_noise_moment_is_the_python_power_mean_of_the_draws",
+        ),
+        REFERENCE_LOOP,
+    ),
+    Mutant(
+        "the direction is taken from the unmixed tracker",
+        OPTIMIZERS,
+        "dirs = _directions(groups, out.v, grads,",
+        # Until the iterates are written, the x buffer holds the tracked lanes' trackers before the mix.
+        "dirs = _directions(groups, out.x, grads,",
+        (
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+            OPTIMIZER_TESTS + "test_two_node_hand_simulation",
+        ),
+        REFERENCE_LOOP,
+    ),
+    Mutant(
+        "a wrong Newton-Schulz coefficient",
+        LINALG,
+        "            y = 1.5 * y - 0.5 * (y @ (yt @ y))\n",
+        "            y = 1.5 * y - 0.49 * (y @ (yt @ y))\n",
+        (
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+            LINALG_TESTS + "test_newton_schulz_identity_fixed_point",
+        ),
+        DIRECTION_KERNELS,
+    ),
+    Mutant(
+        "the ball-exit warning names the next iteration",
+        OPTIMIZERS,
+        "at iteration {iters[int(np.argmax(exits))]}",
+        "at iteration {iters[int(np.argmax(exits))] + 1}",
+        (
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+            OPTIMIZER_TESTS + "test_ball_exit_warns_at_the_per_node_reference_iteration",
+        ),
+        DIRECTION_KERNELS,
+    ),
+    Mutant(
+        "msgn_exact drops its fallback scatter",
+        LINALG,
+        "        out[~ok] = _svd_polar(a[~ok])\n",
+        "        pass\n",
+        (
+            LINALG_TESTS + "test_msgn_exact_conditioning_sweep",
+            BUFFERS + "test_zero_and_rank_deficient_trackers_fall_back_into_the_buffers",
+        ),
+        ROUND_BUFFERS,
+    ),
+    Mutant(
+        "step drops the copy-in of a scattered direction group",
+        OPTIMIZERS,
+        "            dirs[lanes] = got\n",
+        "            dirs[lanes] = got if isinstance(lanes, slice) else dirs[lanes]\n",
+        (BUFFERS + "test_step_into_buffers_equals_the_allocating_step",),
+        ROUND_BUFFERS,
+    ),
+    Mutant(
+        "step drops the copy-in of scattered tracked lanes' m and v",
+        OPTIMIZERS,
+        "                out.m[idx], out.v[idx] = m_new, v_new\n",
+        "                pass\n",
+        (BUFFERS + "test_step_into_buffers_equals_the_allocating_step",),
+        ROUND_BUFFERS,
+    ),
+    Mutant(
+        "the tracker subtracts M^k instead of M^{k-1}",
+        OPTIMIZERS,
+        "    v_new -= m\n",
+        "    v_new -= m_new\n",
+        (
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+            BUFFERS + "test_zero_and_rank_deficient_trackers_fall_back_into_the_buffers",
+        ),
+        ROUND_BUFFERS,
+    ),
+    Mutant(
+        "the Gram iteration's -0.5 made -0.49",
+        LINALG,
+        "np.multiply(y[:n], -0.5, out=t[:n])",
+        "np.multiply(y[:n], -0.49, out=t[:n])",
+        (
+            LINALG_TESTS + "test_gram_route_polar_needs_no_eigh_or_svd",
+            LINALG_TESTS + "test_a_converged_slice_stops_iterating",
+        ),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "the convergence gate is skipped",
+        LINALG,
+        "done = defect.max(axis=(-2, -1)) <= (_POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL)",
+        "done = defect.max(axis=(-2, -1)) <= np.inf",
+        (LINALG_TESTS + "test_msgn_exact_conditioning_sweep",),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "the convergence gate never passes",
+        LINALG,
+        "done = defect.max(axis=(-2, -1)) <= (_POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL)",
+        "done = defect.max(axis=(-2, -1)) < 0.0",
+        (LINALG_TESTS + "test_gram_route_polar_needs_no_eigh_or_svd",),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "a late slice's multiplier is not symmetrised",
+        LINALG,
+        "        p += np.swapaxes(p, -2, -1)\n        p *= 0.5\n",
+        "",
+        (LINALG_TESTS + "test_msgn_exact_conditioning_sweep",),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "a late slice takes no step on its factor",
+        LINALG,
+        "        out.reshape(-1, *out.shape[-2:])[late] = q\n",
+        "        pass\n",
+        (LINALG_TESTS + "test_msgn_exact_conditioning_sweep",),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "late slices are not flagged for the step on the factor",
+        LINALG,
+        "            rough[live[finished]] = late\n",
+        "            rough[live[finished]] = False\n",
+        (LINALG_TESTS + "test_msgn_exact_conditioning_sweep",),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "the exact tier runs to the step cap",
+        LINALG,
+        "        late = step > _POLAR_NS_EXACT_STEPS\n",
+        "        late = step > _POLAR_NS_STEPS\n",
+        (LINALG_TESTS + "test_msgn_exact_conditioning_sweep",),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "the compaction's movers are off by m",
+        LINALG,
+        "            movers = m + np.flatnonzero(~done[m:])\n",
+        "            movers = np.flatnonzero(~done[m:])\n",
+        (
+            LINALG_TESTS + "test_msgn_exact_conditioning_sweep",
+            BUFFERS + "test_msgn_exact_into_out_equals_the_allocating_call",
+        ),
+        POLAR_KERNEL,
+    ),
+    Mutant(
+        "the convergence checks start at step 12",
+        LINALG,
+        "_POLAR_NS_FIRST_CHECK = 6\n",
+        "_POLAR_NS_FIRST_CHECK = 12\n",
+        (LINALG_TESTS + "test_a_converged_slice_stops_iterating",),
+        ONE_CALL_SHAPE,
+    ),
+)
+
+
+def run_tests(tests, src: Path, workdir: Path) -> set:
+    """The ids (as given) of `tests` that fail when the package is imported from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    found = subprocess.run(
+        [sys.executable, "-c", "import demuon; print(demuon.__file__)"],
+        env=env, cwd=workdir, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(found).is_relative_to(src):
+        raise RuntimeError(f"the tests would import demuon from {found}, not from {src}")
+    # Run from `workdir`, so the hypothesis example database of a mutant stays out of the repository.
+    cmd = [
+        sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+        f"--hypothesis-seed={HYPOTHESIS_SEED}", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(ROOT),
+        *(str(ROOT / test) for test in tests),
+    ]
+    done = subprocess.run(cmd, env=env, cwd=workdir, capture_output=True, text=True)
+    if done.returncode not in (0, 1):  # not a plain pass or fail: a missing test, a collection error
+        raise RuntimeError(f"pytest exited with {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    failed = set()
+    for line in done.stdout.splitlines():
+        if line.startswith("FAILED "):
+            # pytest names the file relative to the working directory, and a parametrized case by its parameters.
+            path, _, name = line.split()[1].partition("::")
+            path = os.path.relpath((workdir / path).resolve(), ROOT)
+            failed.add(f"{Path(path).as_posix()}::{name.partition('[')[0]}")
+    return failed & set(tests)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Replace the mutant's snippet in its file under `root`."""
+    path = root / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: the snippet occurs {text.count(mutant.snippet)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}")
+        return 2
+    tests = sorted({test for mutant in chosen for test in mutant.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        failing = run_tests(tests, ROOT / "src", tmp)
+        if failing:
+            print(f"these tests fail without a mutant: {sorted(failing)}")
+            return 2
+        survivors, start = [], time.perf_counter()
+        for mutant in chosen:
+            copy = tmp / "mutant"
+            shutil.copytree(ROOT / "src", copy / "src")
+            apply(mutant, copy)
+            t0 = time.perf_counter()
+            failed = run_tests(mutant.tests, copy / "src", tmp)
+            shutil.rmtree(copy)
+            passed = [test for test in mutant.tests if test not in failed]
+            verdict = "SURVIVED" if passed else "killed"
+            seconds = time.perf_counter() - t0
+            print(f"{verdict:8}  {mutant.name}  ({len(failed)}/{len(mutant.tests)} failed, {seconds:.1f} s)")
+            for test in passed:
+                print(f"          passed: {test}")
+            if passed:
+                survivors.append(mutant.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

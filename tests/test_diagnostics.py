@@ -74,19 +74,27 @@ def test_consensus_bound_values():
         consensus_bound(0.0, 0.5, 4)
 
 
+def _one_set_potential(prob, xs, ms, vs, params) -> float:
+    """The potential of one set of (N, m, n) stacks: L = 1 of the batched call."""
+    value = potential(
+        [objective_at(prob, xs.mean(axis=0))], exact_gradient(prob, xs)[None], ms[None],
+        [consensus_error_nuclear(vs)], [params],
+    )
+    assert value.shape == (1,)
+    return float(value[0])
+
+
 def test_potential_degenerate_params_is_objective(rng):
     prob = make_quadratic(3, 3, 2, 4, heterogeneity=0.5, seed=1)
     xs = rng.standard_normal((3, 3, 2))
     ms = rng.standard_normal((3, 3, 2))
     vs = rng.standard_normal((3, 3, 2))
     params = PotentialParams(0.0, 0.0, 2.0)
-    assert potential(
-        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, xs), ms, consensus_error_nuclear(vs), params
-    ) == pytest.approx(
+    assert _one_set_potential(prob, xs, ms, vs, params) == pytest.approx(
         objective_at(prob, xs.mean(axis=0)), rel=1e-14
     )
-    with pytest.raises(ValueError, match="expected N stacked matrices"):
-        potential(0.0, ms[0], ms[0], 0.0, params)
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., L, N, m, n\) stacks"):
+        potential([0.0], ms, ms, [0.0], [params])
 
 
 def test_potential_vanishing_penalties(rng):
@@ -96,9 +104,7 @@ def test_potential_vanishing_penalties(rng):
     ms = np.stack([local_gradient(prob, i, xs[i]) for i in range(2)])
     vs = np.broadcast_to(rng.standard_normal((2, 2)), (2, 2, 2)).copy()
     params = PotentialParams(0.8, 1.3, 2.0)
-    assert potential(
-        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, xs), ms, consensus_error_nuclear(vs), params
-    ) == pytest.approx(
+    assert _one_set_potential(prob, xs, ms, vs, params) == pytest.approx(
         objective_at(prob, xs.mean(axis=0)), abs=1e-12
     )
 
@@ -117,9 +123,7 @@ def test_potential_matches_brute_force(rng):
     v_dev = np.vstack([vs[i] - vs.mean(axis=0) for i in range(3)])
     term_v = params.q * np.sum(np.linalg.svd(v_dev, compute_uv=False))
     expected = f_mean + term_m + term_v
-    assert potential(
-        objective_at(prob, xs.mean(axis=0)), exact_gradient(prob, xs), ms, consensus_error_nuclear(vs), params
-    ) == pytest.approx(expected, abs=1e-12)
+    assert _one_set_potential(prob, xs, ms, vs, params) == pytest.approx(expected, abs=1e-12)
 
 
 def test_theorem_potential_params():

@@ -166,6 +166,40 @@ def test_gram_route_polar_needs_no_eigh_or_svd(monkeypatch, rng):
         stack = rng.standard_normal(shape)
         assert msgn_exact(stack).shape == shape
 
+
+def _slice_products(monkeypatch, a) -> int:
+    """msgn_exact(a), and the number of k x k by k x k slice products its Gram iteration takes."""
+    products, matmul = [0], np.matmul
+
+    def counted(x, y, *args, **kwargs):
+        if x.shape[-2:] == y.shape[-2:] == (x.shape[-1],) * 2:
+            products[0] += int(np.prod(x.shape[:-2]))
+        return matmul(x, y, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "matmul", counted)
+        got = msgn_exact(a)
+    np.testing.assert_allclose(got, np.stack([polar_oracle(s) for s in a]), atol=1e-12, rtol=0)
+    return products[0]
+
+
+@pytest.mark.parametrize("shape", [(64, 32), (16, 40), (200, 12)])
+def test_a_converged_slice_stops_iterating(monkeypatch, rng, shape):
+    # Orthonormal columns (rows, when wide) have Gram c I at any scale c, so
+    # y = I / sqrt(k) reaches I to rounding in 7 steps: 2 products in the
+    # first step and 3 in each later one. In a stack with a slow slice, every
+    # fast slice still stops at its own step, not at the slow one's.
+    m, n = shape
+    fast = np.linalg.qr(rng.standard_normal((max(m, n), min(m, n))))[0]
+    fast = fast if m > n else fast.T
+    slow = conditioned_matrix(rng, m, n, 100.0)
+    alone = _slice_products(monkeypatch, slow[None])
+    assert alone > 3 * 10 - 1
+    assert _slice_products(monkeypatch, 3.0 * fast[None]) <= 3 * 8 - 1
+    stack = np.stack([3.0 * fast, slow, 1e-3 * fast, 7.0 * fast])
+    assert _slice_products(monkeypatch, stack) - alone <= 3 * (3 * 8 - 1)
+
+
 def test_norm_ordering(rng):
     for _ in range(200):
         a = random_matrix(rng)

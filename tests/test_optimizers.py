@@ -533,12 +533,12 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
     st0 = lane_state("demuon", sched, 4, np.zeros((3, 2)))
     st1, info = step(st0, prob, mixing, NOISELESS)
     by_hand = potential(
-        problems.objective_at(prob, st0.x[0].mean(axis=0)),
-        info["exact_grads"][0],
-        st1.m[0],
-        consensus_error_nuclear(st1.v[0]),
-        theorem_potential_params(200, 2.0, mixing.mixing_rate),
-    )
+        [problems.objective_at(prob, st0.x[0].mean(axis=0))],
+        info["exact_grads"][:1],
+        st1.m[:1],
+        [consensus_error_nuclear(st1.v[0])],
+        [theorem_potential_params(200, 2.0, mixing.mixing_rate)],
+    )[0]
     assert res.rows[0].potential == by_hand
     pots = [row.potential for row in res.rows]
     assert all(np.isfinite(p) for p in pots)
@@ -550,7 +550,7 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
 def test_run_warns_when_ball_exited():
     from demuon.problems import make_nonconvex_gram
 
-    prob = make_nonconvex_gram(2, 3, 2, heterogeneity=0.0, seed=5, ball_radius=1e-3)
+    prob = replace(make_nonconvex_gram(2, 3, 2, heterogeneity=0.0, seed=5), ball_radius=1e-3)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     with pytest.warns(RuntimeWarning, match="certified ball"):
         res = run([Lane("demuon", ScheduleParams(0.3, 0.5), horizon=10)], prob, build_family("complete", 2), noise)[0]
@@ -571,7 +571,7 @@ def test_ball_exit_warns_at_the_per_node_reference_iteration(algorithm, params, 
 
     from demuon.problems import make_nonconvex_gram
 
-    prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5, ball_radius=radius)
+    prob = replace(make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5), ball_radius=radius)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     mixing = build_family("ring", 3)
     # Reference: every node's spectral norm after every round.
@@ -951,7 +951,7 @@ def test_rows_do_not_depend_on_the_window_when_the_ball_is_left_mid_window(monke
 
     from demuon.problems import make_nonconvex_gram
 
-    prob = make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5, ball_radius=0.5)
+    prob = replace(make_nonconvex_gram(3, 4, 3, heterogeneity=0.5, seed=5), ball_radius=0.5)
     noise = NoiseModel("gaussian", 2.0, 0.5, base_seed=1)
     lanes = [Lane(algorithm, params, horizon=40) for algorithm, params, _ in BALL_CASES]
     results, failure, caught = _window_invariant(monkeypatch, lanes, prob, build_family("ring", 3), noise)

@@ -29,6 +29,12 @@ def fd_directional(problem, i, x, d, h=1e-5):
     return (up - down) / (2.0 * h)
 
 
+def replicated(problem, x):
+    """One iterate `x` on every node: the (N, m, n) stack the gradient oracle takes."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(x, (problem.n_nodes, *x.shape))
+
+
 def identity_quadratic(b):
     b = np.asarray(b, dtype=float)
     return ProblemSet(QUADRATIC, 1, b.shape[0], b.shape[1], a=(np.eye(b.shape[0]),), b=(b,), known_f_low=0.0)
@@ -40,16 +46,16 @@ def test_quadratic_fixed_values():
     assert objective_at(prob, np.zeros((2, 2))) == 0.0
     prob_i = identity_quadratic(np.eye(2))
     assert objective_at(prob_i, np.zeros((2, 2))) == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(exact_gradient(prob_i, np.zeros((2, 2)))[0], -np.eye(2))
+    np.testing.assert_allclose(exact_gradient(prob_i, replicated(prob_i, np.zeros((2, 2))))[0], -np.eye(2))
     x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(exact_gradient(prob, x0)[0], x0)
+    np.testing.assert_allclose(exact_gradient(prob, replicated(prob, x0))[0], x0)
 
 
 def test_gram_fixed_values(rng):
     x = rng.standard_normal((3, 2))
     prob = ProblemSet("nonconvex_gram", 1, 3, 2, c=(x @ x.T,), known_f_low=0.0)
     assert objective_at(prob, x) == pytest.approx(0.0, abs=1e-14)
-    np.testing.assert_allclose(exact_gradient(prob, x)[0], np.zeros((3, 2)), atol=1e-12)
+    np.testing.assert_allclose(exact_gradient(prob, replicated(prob, x))[0], np.zeros((3, 2)), atol=1e-12)
 
 
 def test_gradients_match_finite_differences(rng):
@@ -60,7 +66,7 @@ def test_gradients_match_finite_differences(rng):
             i = int(rng.integers(problem.n_nodes))
             x = rng.standard_normal((problem.m, problem.n))
             d = rng.standard_normal((problem.m, problem.n))
-            grad_dot = float(np.sum(exact_gradient(problem, x)[i] * d))
+            grad_dot = float(np.sum(exact_gradient(problem, replicated(problem, x))[i] * d))
             fd = fd_directional(problem, i, x, d)
             assert abs(grad_dot - fd) <= 1e-5 * max(1.0, abs(fd))
 
@@ -75,7 +81,7 @@ def test_gradient_fd_sweep_100_pairs(rng):
         i = int(rng.integers(problem.n_nodes))
         x = rng.standard_normal((problem.m, problem.n))
         d = rng.standard_normal((problem.m, problem.n))
-        grad_dot = float(np.sum(exact_gradient(problem, x)[i] * d))
+        grad_dot = float(np.sum(exact_gradient(problem, replicated(problem, x))[i] * d))
         fd = fd_directional(problem, i, x, d)
         assert abs(grad_dot - fd) <= 1e-4 * max(1.0, abs(fd))
 
@@ -140,7 +146,8 @@ def test_smoothness_certificate(rng):
         i = int(rng.integers(3))
         x = rng.standard_normal((4, 3))
         y = rng.standard_normal((4, 3))
-        lhs = nuclear_norm(exact_gradient(prob, x)[i] - exact_gradient(prob, y)[i])
+        gx, gy = (exact_gradient(prob, replicated(prob, z))[i] for z in (x, y))
+        lhs = nuclear_norm(gx - gy)
         assert lhs <= prob.lipschitz_star * spectral_norm(x - y) * (1.0 + 1e-12)
 
 
@@ -153,7 +160,8 @@ def test_gram_certificate_inside_ball(rng):
         y = rng.standard_normal((3, 2))
         x *= min(1.0, 0.9 * r / max(spectral_norm(x), 1e-12))
         y *= min(1.0, 0.9 * r / max(spectral_norm(y), 1e-12))
-        lhs = nuclear_norm(exact_gradient(prob, x)[i] - exact_gradient(prob, y)[i])
+        gx, gy = (exact_gradient(prob, replicated(prob, z))[i] for z in (x, y))
+        lhs = nuclear_norm(gx - gy)
         assert lhs <= prob.lipschitz_star * spectral_norm(x - y) * (1.0 + 1e-12)
 
 
@@ -242,7 +250,8 @@ def test_heterogeneity_deltas_cancel():
 
 def test_node_and_shape_errors():
     prob = make_quadratic(2, 3, 2, 4, seed=0)
-    for bad in (np.zeros((2, 3)), np.zeros((4, 2))):
+    # A lone m x n iterate is not a node stack either.
+    for bad in (np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((1, 3, 2))):
         with pytest.raises(ValueError, match="iterate shape"):
             exact_gradient(prob, bad)
 

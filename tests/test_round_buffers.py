@@ -1,10 +1,14 @@
-"""Rounds written into caller buffers (`out=`) against the allocating calls.
+"""Rounds written into given buffers (`out=`) against the allocating calls.
 
 `run` recycles its round buffers, so every kernel that produces a round
-stack, and `step` itself, must give the same bits whether it writes into a
-given array or a fresh one, must write every element it returns (the buffers
-below start as NaN), and must leave the entering state untouched.
+stack, and `step` itself into `run`'s own buffers, must give the same bits
+whether it writes into a given array or a fresh one, must write every element
+it returns (the buffers below start as NaN), and must leave the entering state
+untouched. `step` takes no other buffers, and a kernel rejects an `out` it
+cannot fill in place.
 """
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -18,10 +22,10 @@ from demuon.optimizers import (
     BaselineParams,
     Diverged,
     Lane,
-    RoundBuffers,
     RunState,
     ScheduleParams,
     initial_state,
+    _RoundBuffers,
     step,
 )
 from demuon.problems import exact_gradient, make_nonconvex_gram, make_quadratic
@@ -43,9 +47,9 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _nan_buffers(shape, tracked) -> RoundBuffers:
-    """Buffers that hold NaN wherever `step` must write, and the zeros it relies on elsewhere."""
-    bufs = RoundBuffers.allocate(shape)
+def _nan_buffers(shape, tracked) -> _RoundBuffers:
+    """`run`'s kind of buffers, holding NaN wherever `step` must write and the zeros `allocate` leaves elsewhere."""
+    bufs = _RoundBuffers.allocate(shape)
     for buf in bufs:
         buf.fill(np.nan)
     for buf in (bufs.m, bufs.v):
@@ -143,15 +147,36 @@ def test_zero_and_rank_deficient_trackers_fall_back_into_the_buffers():
 
 
 @settings(max_examples=150, deadline=None)
-@given(seeds, sides | gram_dims, sides | gram_dims, slice_kinds, st.sampled_from((1.0, 1e200, 1e-170)),
-       st.sampled_from("CF"))
-def test_msgn_exact_into_out_equals_the_allocating_call(seed, m, n, kinds, scale, order):
+@given(seeds, sides | gram_dims, sides | gram_dims, slice_kinds, st.sampled_from((1.0, 1e200, 1e-170)))
+def test_msgn_exact_into_out_equals_the_allocating_call(seed, m, n, kinds, scale):
     # Zero and rank-deficient slices, and a scale that over- or underflows the
-    # Gram, are scattered from the masked SVD into `out`, in either memory order.
+    # Gram, are scattered from the masked SVD into `out`.
     a = scale * build_stack(seed, m, n, kinds)
-    out = np.full(a.shape, np.nan, order=order)
+    out = np.full(a.shape, np.nan)
     got = msgn_exact(a, out=out)
     assert got is out and _same(out, msgn_exact(a))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2), (4, 40, 16)])  # the SVD route and the Gram route
+def test_msgn_exact_rejects_an_out_it_cannot_fill_in_place(shape):
+    # `a` is the front of a buffer whose back can be handed over as `out`.
+    memory = np.empty(np.prod(shape) + 7)
+    a = memory[: np.prod(shape)].reshape(shape)
+    a[...] = entering = build_stack(5, *shape[1:], ["full"] * shape[0])
+    layouts = (
+        np.empty(shape, order="F"),  # another memory order
+        np.empty(shape[:-1] + (shape[-1] + 1,))[..., :-1],  # a strided view
+        np.empty(shape[:-2] + shape[:-3:-1]),  # the transposed shape
+        np.empty(shape, dtype=np.float32),
+    )
+    for out in layouts:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            msgn_exact(a, out=out)
+    # The result would overwrite the input while the kernel still reads it.
+    for out in (a, memory[7:].reshape(shape)):  # the input itself, and memory it shares in part
+        with pytest.raises(ValueError, match="must not overlap"):
+            msgn_exact(a, out=out)
+    assert _same(a, entering)
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,6 +192,15 @@ def test_sample_noise_into_out_equals_the_allocating_call(seed, n_nodes, m, n, i
         sample_noise(model, m, n, n_nodes, iteration, out=np.empty((n_nodes + 1, m, n)))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex128])
+def test_sample_noise_rejects_an_out_that_is_not_float64(dtype):
+    # Draws cast into another dtype would be truncated or rounded without a word.
+    out = np.zeros((2, 3, 4), dtype=dtype)
+    with pytest.raises(ValueError, match=r"shape \(2, 3, 4\) and dtype .*expected \(2, 3, 4\) float64"):
+        sample_noise(NoiseModel("gaussian", 2.0, 5.0, base_seed=1), 3, 4, 2, 0, out=out)
+    assert not out.any()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(("quadratic", "nonconvex_gram")), seeds, st.integers(1, 4), sides, sides, st.integers(0, 3))
 def test_exact_gradient_into_out_equals_the_allocating_call(kind, seed, n_nodes, m, n, n_lanes):
@@ -175,8 +209,8 @@ def test_exact_gradient_into_out_equals_the_allocating_call(kind, seed, n_nodes,
     else:
         problem = make_nonconvex_gram(n_nodes, m, n, heterogeneity=0.5, seed=seed)
     rng = np.random.default_rng(seed)
-    # n_lanes = 0 stands for one iterate shared by every node.
-    x = rng.standard_normal((m, n) if n_lanes == 0 else (n_lanes, n_nodes, m, n))
+    # n_lanes = 0 stands for a bare (N, m, n) node stack.
+    x = rng.standard_normal((n_nodes, m, n) if n_lanes == 0 else (n_lanes, n_nodes, m, n))
     want = exact_gradient(problem, x)
     out = np.full(want.shape, np.nan)
     got = exact_gradient(problem, x, out=out)
@@ -208,18 +242,35 @@ LANES = (
 )
 
 
-@pytest.mark.parametrize("field", RoundBuffers._fields)
+# Buffers laid out by a caller, with the fields of `run`'s own.
+CallerBuffers = namedtuple("CallerBuffers", _RoundBuffers._fields)
+
+
+@pytest.mark.parametrize("field", _RoundBuffers._fields)
 @pytest.mark.parametrize("quantity", ("x", "m", "v"))
 def test_step_rejects_buffers_that_overlap_the_entering_state(field, quantity):
+    # Buffers that alias the entering state would make a round read what it
+    # has already overwritten; no caller's buffers reach the round at all.
     problem = make_quadratic(3, 4, 3, 2, heterogeneity=0.5, seed=1)
     state = initial_state(LANES, 3, np.ones((4, 3)))
     entering = [a.copy() for a in (state.x, state.m, state.v)]
     shared = getattr(state, quantity)
-    bufs = RoundBuffers.allocate(state.x.shape)._replace(**{field: shared[0] if field == "noise" else shared})
-    with pytest.raises(ValueError, match=f"out.{field} overlaps the entering state's {quantity}"):
+    bufs = CallerBuffers(*_RoundBuffers.allocate(state.x.shape))._replace(
+        **{field: shared[0] if field == "noise" else shared}
+    )
+    with pytest.raises(TypeError, match="out must be one of run's round buffers, got CallerBuffers"):
         step(state, problem, build_family("ring", 3), NoiseModel("gaussian", 2.0, 0.3), out=bufs)
     for before, after in zip(entering, (state.x, state.m, state.v)):
         assert _same(before, after)
+
+
+def test_step_rejects_caller_buffers_that_overlap_nothing_too():
+    problem = make_quadratic(3, 4, 3, 2, heterogeneity=0.5, seed=1)
+    state = initial_state(LANES, 3, np.ones((4, 3)))
+    fresh = _RoundBuffers.allocate(state.x.shape)
+    for out in (CallerBuffers(*fresh), tuple(fresh)):
+        with pytest.raises(TypeError, match="out must be one of run's round buffers"):
+            step(state, problem, build_family("ring", 3), NoiseModel("gaussian", 2.0, 0.3), out=out)
 
 
 def test_a_failed_step_into_buffers_leaves_the_entering_state_whole():

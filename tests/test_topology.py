@@ -119,6 +119,46 @@ def test_validate_reports_identity_failures():
     assert float(rate) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_validate_accepts_a_primitive_matrix_whose_powers_underflow():
+    # A lazy directed cycle: W^(N-1) is the first positive power, and its
+    # smallest entries, 0.001^(N-1), underflow to zero.
+    n = 120
+    w = 0.999 * np.eye(n) + 0.001 * np.roll(np.eye(n), 1, axis=0)
+    assert validate_mixing(w) == pytest.approx(0.9999986, abs=1e-7)
+
+
+def test_validate_rejects_reducible_and_late_primitive_matrices():
+    primitive = "some power W^j (j <= N) must be entrywise positive"
+    # Two complete graphs with no edge between them: no power is positive.
+    assert primitive in mixing_failures(np.kron(np.eye(2), np.full((3, 3), 1.0 / 3.0)))
+    # Wielandt's matrix on 4 nodes (a cycle with one chord) is primitive,
+    # but its first positive power is W^10, beyond W^N.
+    wielandt = np.roll(np.eye(4), 1, axis=1)
+    wielandt[3, 1] = 1.0
+    assert primitive in mixing_failures(wielandt)
+    assert np.all(np.linalg.matrix_power(wielandt, 10) > 0)
+    assert not np.all(np.linalg.matrix_power(wielandt, 9) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_primitivity_check_matches_the_powers_of_the_pattern(n, seed, density):
+    # Against the loop over W^j, j = 1..N, on the pattern of W in integers.
+    rng = np.random.default_rng(seed)
+    pattern = (rng.random((n, n)) < density).astype(np.int64)
+    w = pattern * rng.random((n, n)) + pattern * 1e-3
+    power, positive = np.eye(n, dtype=np.int64), False
+    for _ in range(n):
+        power = np.minimum(power @ pattern, 1)
+        positive = positive or bool(np.all(power > 0))
+    try:
+        validate_mixing(w)
+        failures = []
+    except InvalidMixingError as exc:
+        failures = str(exc).split("; ")
+    assert ("some power W^j (j <= N) must be entrywise positive" not in failures) == positive
+
+
 def test_validate_reports_column_failure():
     failures = mixing_failures(np.array([[1.0, 0.0], [0.5, 0.5]]))
     assert "columns must sum to 1" in failures
