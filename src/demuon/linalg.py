@@ -86,6 +86,15 @@ def as_matrix(a, stack: bool = False) -> np.ndarray:
     return out
 
 
+def _out_array(out, shape: tuple) -> np.ndarray:
+    """The one `out=` rule of the kernels: a fresh array for None, else `out`, a C-contiguous float64 `shape` array."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    return out
+
+
 def _svd(a: np.ndarray, compute_uv: bool = True):
     """Reduced SVD of a matrix or of every matrix of a stack, in one LAPACK call."""
     try:
@@ -344,16 +353,13 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     as are square and smaller inputs. Like the SVD's, the result has
     spectral norm at most 1 up to rounding.
 
-    The result is written to `out` when one is given, a C-contiguous float64
-    array of the result's shape that does not overlap `a` (else ValueError),
-    the fallback slices scattered into it; the values do not depend on it.
+    The result is written to `out` when one is given (see `_out_array`), the
+    fallback slices scattered into it; the values do not depend on it. An
+    `out` that overlaps `a` raises ValueError too.
     """
     a = as_matrix(a, stack=True)
-    if out is None:
-        out = np.empty(a.shape)
-    elif out.shape != a.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 {a.shape} array")
-    elif np.may_share_memory(out, a):
+    out = _out_array(out, a.shape)
+    if np.may_share_memory(out, a):
         raise ValueError("out must not overlap the input")
     gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE, out)
     if gram is None:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .linalg import _out_array
+
 GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
 FAMILIES = (GAUSSIAN, STUDENT_T)
@@ -67,16 +69,13 @@ def sample_noise(
 
     Row i comes from the stream of `(base_seed, i, iteration)`, so it does
     not depend on `n_nodes`. Both keys must be below 2**32. The draws are
-    written to `out` when one is given, an (n_nodes, m, n) float64 array.
+    written to `out` when one is given (see `linalg._out_array`).
     """
     if not 1 <= n_nodes < _KEY_LIMIT:
         raise ValueError(f"n_nodes must lie in [1, 2**32), got {n_nodes}")
     if not 0 <= iteration < _KEY_LIMIT:
         raise ValueError(f"iteration must lie in [0, 2**32), got {iteration}")
-    if out is None:
-        out = np.empty((n_nodes, m, n))
-    elif out.shape != (n_nodes, m, n) or out.dtype != np.float64:
-        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, expected {(n_nodes, m, n)} float64")
+    out = _out_array(out, (n_nodes, m, n))
     block, offset = divmod(iteration, _BLOCK)
     seeds = _seed_block(model.base_seed, n_nodes, block)[:, offset]
     for i, words in enumerate(seeds):

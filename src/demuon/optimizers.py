@@ -8,7 +8,7 @@ and results do not depend on how it is parallelized. `run` holds one or
 more lanes (algorithms on the same problem, mixing and noise model, each
 with its own horizon) as one (L, N, m, n) stack and makes one `step` call
 per round for all of them: one noise draw, one gradient call, one mix per
-stage and one direction call per group of lanes that share a kernel. Every
+stage and one direction call per kind of lane (see `_layout`). Every
 direction kernel that normalises (both polar factors, gt_nsgdm's unit
 tracker and dsgd_clip's clip) is scale-free: the zero matrix gives a zero
 step, and no norm underflows or overflows at a finite scale. The
@@ -258,34 +258,37 @@ def _per_lane(values):
     return np.array(values, dtype=float).reshape(-1, 1, 1, 1)
 
 
+def _runs(keys) -> list:
+    """(key, slice of its positions) of each maximal run of consecutive equal keys."""
+    cuts = [0, *(i for i in range(1, len(keys)) if keys[i] != keys[i - 1]), len(keys)]
+    return [(keys[a], slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(kinds: tuple) -> tuple:
-    """(tracked lane positions, kernel groups) of a lane stack, worked out once per composition.
+    """(tracked runs, direction groups) of a lane stack, worked out once per composition.
 
     `kinds` holds each lane's (algorithm, orthogonalizer) pair, all that the
     layout depends on, so lanes that differ only in parameters or horizon
-    share one cache entry. Lanes of one kind form a group that shares one
-    direction call; a group is (algorithm, parsed orthogonalizer, its lane
-    positions, their index).
+    share one cache entry. A maximal run of consecutive lanes of one kind,
+    (algorithm, parsed orthogonalizer, its slice), shares one direction call,
+    and a maximal run of tracked lanes (a slice) one tracker mix; `run`
+    stacks each kind together and the tracked lanes first.
     """
-    tracked = tuple(i for i, (algorithm, _) in enumerate(kinds) if algorithm in TRACKER_ALGORITHMS)
-    groups = {}
-    for i, kind in enumerate(kinds):
-        groups.setdefault(kind, []).append(i)
-    return tracked, tuple(
-        (algorithm, parse_orthogonalizer(spec), idx, _lanes(idx)) for (algorithm, spec), idx in groups.items()
-    )
+    tracked = tuple(lanes for on, lanes in _runs([a in TRACKER_ALGORITHMS for a, _ in kinds]) if on)
+    return tracked, tuple((a, parse_orthogonalizer(spec), lanes) for (a, spec), lanes in _runs(kinds))
 
 
 class _RoundBuffers(NamedTuple):
     """The arrays one `step` writes its round into: fresh ones, or a slot of `run`'s `_Stores`.
 
     `x`, `m` and `v` take the next state and `grads`, `noise` and
-    `directions` the round record; until the iterates are written, `x` holds
-    the tracked lanes' stochastic gradients. All are (L, N, m, n) stacks but
-    `noise`, (N, m, n). `step` writes only the tracked lanes' rows of `m` and
-    `v`; the untracked lanes' rows hold the zeros that `allocate` and the
-    stores start with. Both lay the buffers out apart from the entering state.
+    `directions` the round record; until the iterates are written, a tracked
+    lane's rows of `x` hold its stochastic gradients. All are (L, N, m, n)
+    stacks but `noise`, (N, m, n). `step` writes only the tracked lanes' rows
+    of `m` and `v`; the untracked lanes' rows hold the zeros that `allocate`
+    and the stores start with. Both lay the buffers out apart from the
+    entering state.
     """
 
     x: np.ndarray
@@ -307,19 +310,19 @@ def _directions(groups, v, grads, noise, schedules, dirs: np.ndarray) -> np.ndar
 
     The direction is the lane's tracker (tracked lanes) or stochastic gradient, mapped by its kernel.
     """
-    for algorithm, polar, idx, lanes in groups:
-        # A group of consecutive lanes writes its rows in place; a scattered one is copied in.
-        target = dirs[lanes] if isinstance(lanes, slice) else None
+    for algorithm, polar, lanes in groups:
+        target = dirs[lanes]
         if algorithm == DEMUON:
             got = msgn_exact(v[lanes], out=target) if polar[0] == "svd" else msgn_newton_schulz(v[lanes], polar[1])
         elif algorithm == GT_NSGDM:
             got = linalg._unit_frobenius(v[lanes], out=target)
         elif algorithm == DSGD_CLIP:
-            got = clip_to_frobenius(np.add(grads[lanes], noise, out=target), _per_lane([schedules[i][1] for i in idx]))
+            radii = _per_lane([tau for _, tau in schedules[lanes]])
+            got = clip_to_frobenius(np.add(grads[lanes], noise, out=target), radii)
         else:
             got = np.add(grads[lanes], noise, out=target)
-        if got is not target:
-            dirs[lanes] = got
+        if got is not target:  # Newton-Schulz and a clip that scales take no `out`
+            target[...] = got
     return dirs
 
 
@@ -328,11 +331,11 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
 
     Each lane's algorithm, orthogonalizer and parameters come from
     `state.lanes`. The round draws the noise once, takes every lane's
-    gradients in one call, mixes the trackers and the iterates in one call
-    each, and makes one direction call per group of lanes that share a
-    kernel. Returns the next state and the round record: `exact_grads`,
-    `noise`, `directions`, and `eta` and `tau` (lists, one per lane; tau is
-    None where nothing is clipped).
+    gradients and mixes the iterates in one call each, and mixes the trackers
+    and takes the directions in one call per run of lanes that share the
+    stage (see `_layout`). Returns the next state and the round record:
+    `exact_grads`, `noise`, `directions`, and `eta` and `tau` (lists, one
+    per lane; tau is None where nothing is clipped).
 
     The round is written into fresh arrays. `out` is for `run`, which passes
     a slot of its own round buffers; anything else raises TypeError. The
@@ -353,15 +356,10 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
     # A diverging round overflows on its way to inf/nan; _raise_first_failure names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
         grads = problems.exact_gradient(problem, state.x, out=out.grads)
-        if tracked:
-            idx = _lanes(tracked)
-            theta = _per_lane([lanes[i].params.theta for i in tracked])
-            stochastic = np.add(grads[idx], noise, out=out.x[: len(tracked)])
-            # Scattered tracked lanes have no view to write into; their rows are copied in.
-            m_out, v_out = (out.m[idx], out.v[idx]) if isinstance(idx, slice) else (None, None)
-            m_new, v_new = _track(state.m[idx], state.v[idx], stochastic, theta, mixing, m_out, v_out)
-            if m_out is None:
-                out.m[idx], out.v[idx] = m_new, v_new
+        for idx in tracked:
+            theta = _per_lane([lane.params.theta for lane in lanes[idx]])
+            stochastic = np.add(grads[idx], noise, out=out.x[idx])
+            _track(state.m[idx], state.v[idx], stochastic, theta, mixing, out.m[idx], out.v[idx])
         _raise_first_failure(k, lanes, momentum=out.m, tracker=out.v)
         dirs = _directions(groups, out.v, grads, noise, schedules, out.directions)
         # A fresh stack that the mix frees: a buffer held for the run would add to the polar factor's and the
@@ -374,19 +372,19 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
     return RunState(k + 1, x, out.m, out.v, lanes), record
 
 
-def _track(m, v, stochastic_grads, theta, mixing: MixingSpec, m_out=None, v_out=None):
+def _track(m, v, stochastic_grads, theta, mixing: MixingSpec, m_new, v_out) -> None:
     """The momentum and tracker stages of tracked lanes: (M^k, V^k) from (M^{k-1}, V^{k-1}).
 
     M^k = (1 - theta) M^{k-1} + theta G and V^k = W (V^{k-1} + M^k - M^{k-1}),
-    written to `m_out` and `v_out` (fresh arrays where None). The stochastic
-    gradients G are scratch: they are overwritten by the tracker's sum
-    before the mix, which gives the same floats as fresh temporaries.
+    written to `m_new` and `v_out`. The stochastic gradients G are scratch:
+    they are overwritten by the tracker's sum before the mix, which gives the
+    same floats as fresh temporaries.
     """
-    m_new = np.multiply(1.0 - theta, m, out=m_out)
+    np.multiply(1.0 - theta, m, out=m_new)
     m_new += np.multiply(theta, stochastic_grads, out=stochastic_grads)
     v_new = np.add(v, m_new, out=stochastic_grads)
     v_new -= m
-    return m_new, mix_blocks(mixing.weights, v_new, out=v_out)
+    mix_blocks(mixing.weights, v_new, out=v_out)
 
 
 def _outside_ball(xs: np.ndarray, radius: float) -> np.ndarray:
@@ -543,23 +541,15 @@ class _Stores:
         self.noise = self.nuclear[:, shape[0] :]
         self.x[0], self.m[0], self.v[0] = state.x, state.m, state.v
         self.state = RunState(state.iter, self.x[0], self.m[0], self.v[0], state.lanes)
-        self._lay_out()
 
-    def _lay_out(self) -> None:
-        # buffers[w] is what round w of a window writes: state slot w + 1 and record slot w.
-        self.buffers = [
-            _RoundBuffers(self.x[w + 1], self.m[w + 1], self.v[w + 1], self.grads[w], self.noise[w],
-                          self.directions[w])
-            for w in range(self.rounds)
-        ]
+    def buffers(self, w: int) -> _RoundBuffers:
+        """What round w of a window writes: state slot w + 1 and record slot w."""
+        return _RoundBuffers(self.x[w + 1], self.m[w + 1], self.v[w + 1], self.grads[w], self.noise[w],
+                             self.directions[w])
 
     def carry(self, state: RunState) -> RunState:
-        """`state`, the window's last, moved to slot 0 for the next window (the flush has read the window)."""
-        if self.rounds == 1:  # two slots: swap them instead of copying
-            self.x, self.m, self.v = self.x[::-1], self.m[::-1], self.v[::-1]
-            self._lay_out()
-        else:
-            self.x[0], self.m[0], self.v[0] = state.x, state.m, state.v
+        """`state`, a full window's last, made slot 0 by reversing the state slots (the flush has read the window)."""
+        self.x, self.m, self.v = self.x[::-1], self.m[::-1], self.v[::-1]
         return RunState(state.iter, self.x[0], self.m[0], self.v[0], state.lanes)
 
 
@@ -574,22 +564,21 @@ def _power(base: float, exponent: float) -> float:
 def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
     """Record every live lane's rows and noise-moment sums of the pending rounds in `window`, then empty it.
 
-    Every round of a window has the same live lanes, and its arrays are the
-    first slots of `stores`. Each diagnostic is one call for all rounds and
-    lanes: the consensus errors, the mean-gradient and noise nuclear norms,
-    the ball check, the objective at the mean, the tracking and mean-iterate
-    residuals (`linalg._frobenius`, bit for bit the per-matrix norms) and the
-    potential. Each row holds its slice.
+    Every round of a window has the same live lanes, tracked lanes first, and
+    its arrays are the first slots of `stores`. Each diagnostic is one call
+    for all rounds and lanes: the consensus errors, the mean-gradient and
+    noise nuclear norms, the ball check, the objective at the mean, the
+    tracking and mean-iterate residuals (`linalg._frobenius`, bit for bit the
+    per-matrix norms) and the potential. Each row holds its slice.
     """
     if not window:
         return
     t0 = time.perf_counter()
     n_rounds, n_lanes = len(window), len(live)
     iters = [r.iter for r in window]
-    tracked = [j for j, lane_run in enumerate(live) if lane_run.tracked]
-    # A tracked lane's position among the tracked lanes, and a theorem lane's among the theorem lanes.
-    slot = {j: t for t, j in enumerate(tracked)}
-    theorem = [j for j in tracked if live[j].pot_weights is not None]
+    n_tracked = sum(lane_run.tracked for lane_run in live)
+    # A theorem lane's position among the theorem lanes.
+    theorem = [j for j in range(n_tracked) if live[j].pot_weights is not None]
     pot_slot = {j: t for t, j in enumerate(theorem)}
     # A round just short of divergence can overflow its diagnostics; the row
     # then reads inf, and the next round, if any, raises Diverged.
@@ -613,18 +602,17 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
         nuclear = nuclear_norm(stores.nuclear[:n_rounds].reshape(-1, *nodes[1:])).reshape(n_rounds, -1)
         nuclear[:, :n_lanes][overflowed] = np.inf
         objective = problems.objective_at(problem, x_mean_prev[:, :, 0])
-        if tracked:
-            lanes = _lanes(tracked)
-            v = np.ascontiguousarray(stores.v[1 : n_rounds + 1, lanes])
-            m = np.ascontiguousarray(stores.m[1 : n_rounds + 1, lanes])
+        if n_tracked:
+            v = np.ascontiguousarray(stores.v[1 : n_rounds + 1, :n_tracked])
+            m = np.ascontiguousarray(stores.m[1 : n_rounds + 1, :n_tracked])
             tracking = linalg._frobenius(node_mean(v) - node_mean(m)).tolist()
             cons_v = diagnostics.consensus_error_nuclear(v.reshape(-1, *nodes)).reshape(n_rounds, -1)
             if theorem:
                 pots = diagnostics.potential(
                     objective[:, theorem],
                     grads[:, theorem],
-                    m[:, [slot[j] for j in theorem]],
-                    cons_v[:, [slot[j] for j in theorem]],
+                    m[:, theorem],
+                    cons_v[:, theorem],
                     [live[j].pot_weights for j in theorem],
                 ).tolist()
             cons_v = cons_v.tolist()
@@ -651,7 +639,7 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
         for j, lane_run in enumerate(live):
             track = consensus_v = pot = None
             if lane_run.tracked:
-                track, consensus_v = tracking[w][slot[j]], cons_v[w][slot[j]]
+                track, consensus_v = tracking[w][j], cons_v[w][j]
                 if j in pot_slot:
                     pot = pots[w][pot_slot[j]]
             lane_run.max_ave_resid = max(lane_run.max_ave_resid, resid[w][j])
@@ -675,9 +663,11 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     and lanes. A window is the most rounds, at most `_WINDOW_ROUNDS`, whose
     arrays fit `_WINDOW_BYTES`; it also ends when a lane retires or fails.
     The rounds are written into round buffers that `run` owns (`_Stores`),
-    one set per lane composition, reused window after window. The rows do
-    not depend on the window. Returns one RunResult per lane, in
-    lane order, each equal field for field to a one-lane run of that lane.
+    one set per lane composition, reused window after window. The stack
+    holds the tracked lanes first and each kind together (see `_layout`).
+    The rows do not depend on the window or the stack order. Returns one
+    RunResult per lane, in the order passed, each equal field for field to a
+    one-lane run of that lane.
 
     A tracked lane on a `theoretical_schedule` also reports each round's
     potential, weighted by `diagnostics.theorem_potential_params`. A lane's
@@ -688,25 +678,25 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     rounds.
 
     Divergence has the outcome of running the lanes one after another. When
-    `step` raises a lane's Diverged, that lane and every lane after it leave
-    the stack and the lanes before it run the same round again, which gives
-    them the same bits (the noise is keyed by the round, and every kernel
-    gives each lane what it gives that lane alone). So the lanes before the
-    first diverging lane run to their horizons, and its Diverged is raised
-    with `lane` its position in `lanes`, `finished` holding the results of
-    the lanes before it and `rows` its own rows of the rounds it finished.
-    The ball-exit RuntimeWarnings of the kept lanes are emitted, in lane
-    order, when the pass ends.
+    `step` raises a lane's Diverged, that lane and every lane passed after it
+    leave the stack and the lanes passed before it run the same round again,
+    which gives them the same bits (the noise is keyed by the round, and
+    every kernel gives each lane what it gives that lane alone). So the
+    lanes before the first diverging lane run to their horizons, and its
+    Diverged is raised with `lane` its position in `lanes`, `finished`
+    holding the results of the lanes before it and `rows` its own rows of
+    the rounds it finished. The ball-exit RuntimeWarnings of the kept lanes
+    are emitted, in lane order, when the pass ends.
     """
     lanes = list(lanes)
     if not lanes:
         raise ValueError("run needs at least one lane")
     runs = [_LaneRun(lane, _lane_horizon(lane), mixing) for lane in lanes]
     if problem.n_nodes != mixing.n_nodes:
-        raise ValueError(
-            f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}"
-        )
-    state, live = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n))), runs
+        raise ValueError(f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}")
+    kinds = [(lane.algorithm, lane.orthogonalizer) for lane in lanes]  # tracked first, then by kind: a stable sort
+    live = [runs[i] for i in sorted(range(len(lanes)), key=lambda i: (not runs[i].tracked, kinds.index(kinds[i])))]
+    state = initial_state([lane_run.lane for lane_run in live], mixing.n_nodes, np.zeros((problem.m, problem.n)))
     stores = failure = failed = None
     window = []
     while live:
@@ -715,20 +705,20 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
             state = stores.state
         t0 = time.perf_counter()
         try:
-            state, info = step(state, problem, mixing, noise_model, out=stores.buffers[len(window)])
+            state, info = step(state, problem, mixing, noise_model, out=stores.buffers(len(window)))
         except Diverged as exc:
-            _window_rows(live, problem, stores, window, noise_model.alpha)
             failure, failed = exc, live[exc.lane]
-            state, live, stores = state.take(range(exc.lane)), live[: exc.lane], None
-            continue
-        window.append(_Pending(state.iter - 1, info["eta"], time.perf_counter() - t0))
-        keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
-        if len(keep) < len(live) or len(window) == stores.rounds:
-            _window_rows(live, problem, stores, window, noise_model.alpha)
-            if len(keep) == len(live):
-                state = stores.carry(state)
-            else:
-                state, live, stores = state.take(keep), [live[j] for j in keep], None
+            keep = [j for j, lane_run in enumerate(live) if runs.index(lane_run) < runs.index(failed)]
+        else:
+            window.append(_Pending(state.iter - 1, info["eta"], time.perf_counter() - t0))
+            keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
+            if len(keep) == len(live) and len(window) < stores.rounds:
+                continue
+        _window_rows(live, problem, stores, window, noise_model.alpha)
+        if len(keep) == len(live):
+            state = stores.carry(state)
+        else:
+            state, live, stores = state.take(keep), [live[j] for j in keep], None
 
     kept = runs.index(failed) if failure is not None else len(runs)
     for lane_run in runs[: kept + 1]:

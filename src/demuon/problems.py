@@ -23,7 +23,7 @@ from math import inf
 
 import numpy as np
 
-from .linalg import as_matrix, nuclear_norm, spectral_norm
+from .linalg import _out_array, as_matrix, nuclear_norm, spectral_norm
 
 QUADRATIC = "quadratic"
 NONCONVEX_GRAM = "nonconvex_gram"
@@ -133,12 +133,13 @@ def exact_gradient(problem: ProblemSet, x, out: np.ndarray | None = None) -> np.
     each (N, m, n) slice gives exactly what it gives alone. The residual is
     formed in place: on a lane stack a second temporary of the stack's size
     costs more, in allocation, than the subtraction. The gradients are
-    written to `out` when one is given, an array of the result's shape.
+    written to `out` when one is given (see `linalg._out_array`).
     """
     x = as_matrix(x, stack=True)
     if x.shape[-3:] != (problem.n_nodes, problem.m, problem.n):
         want = f"(..., {problem.n_nodes}, {problem.m}, {problem.n})"
         raise ValueError(f"iterate shape {x.shape} does not match problem {want}")
+    out = _out_array(out, x.shape)
     if problem.kind == QUADRATIC:
         r = problem.a @ x
         r -= problem.b

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, spectral_norm
+from .linalg import _out_array, as_matrix, spectral_norm
 
 COMPLETE = "complete"
 RING = "ring"
@@ -157,14 +157,14 @@ def mix_blocks(w: np.ndarray, blocks: np.ndarray, out: np.ndarray | None = None)
     `blocks` is an (N, m, n) stack, or an (L, N, m, n) stack of L of them,
     each mixed on its own. One matrix product per (N, m, n) stack over its
     flattened blocks; it gives exactly what `np.tensordot(w, blocks,
-    axes=(1, 0))` gives on that stack, with less overhead. The result is
-    written to `out` when one is given, a C-contiguous array of the blocks'
-    shape.
+    axes=(1, 0))` gives on that stack, with less overhead. The blocks' node
+    axis must be W's (else ValueError). The result is written to `out` when
+    one is given (see `linalg._out_array`).
     """
-    flat = blocks.reshape(*blocks.shape[:-3], w.shape[0], -1)
-    if out is None:
-        return (w @ flat).reshape(blocks.shape)
-    if out.shape != blocks.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {blocks.shape} array")
+    nodes = blocks.shape[-3] if blocks.ndim >= 3 else 0
+    if nodes != w.shape[0]:
+        raise ValueError(f"blocks have {nodes} nodes but the mixing matrix has {w.shape[0]}")
+    out = _out_array(out, blocks.shape)
+    flat = blocks.reshape(*blocks.shape[:-3], nodes, -1)
     np.matmul(w, flat, out=out.reshape(flat.shape))
     return out

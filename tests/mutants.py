@@ -36,6 +36,7 @@ DIRECTION_KERNELS = "One builder for the mixing families, scale-free direction k
 ROUND_BUFFERS = "Round buffers owned by `run`"
 POLAR_KERNEL = "Matmul-only exact polar factor"
 ONE_CALL_SHAPE = "One call shape per entry point"
+ONE_WRITE_PATH = "One write path per round stage"
 
 
 class Mutant(NamedTuple):
@@ -109,22 +110,6 @@ MUTANTS = (
             LINALG_TESTS + "test_msgn_exact_conditioning_sweep",
             BUFFERS + "test_zero_and_rank_deficient_trackers_fall_back_into_the_buffers",
         ),
-        ROUND_BUFFERS,
-    ),
-    Mutant(
-        "step drops the copy-in of a scattered direction group",
-        OPTIMIZERS,
-        "            dirs[lanes] = got\n",
-        "            dirs[lanes] = got if isinstance(lanes, slice) else dirs[lanes]\n",
-        (BUFFERS + "test_step_into_buffers_equals_the_allocating_step",),
-        ROUND_BUFFERS,
-    ),
-    Mutant(
-        "step drops the copy-in of scattered tracked lanes' m and v",
-        OPTIMIZERS,
-        "                out.m[idx], out.v[idx] = m_new, v_new\n",
-        "                pass\n",
-        (BUFFERS + "test_step_into_buffers_equals_the_allocating_step",),
         ROUND_BUFFERS,
     ),
     Mutant(
@@ -215,6 +200,36 @@ MUTANTS = (
         "_POLAR_NS_FIRST_CHECK = 12\n",
         (LINALG_TESTS + "test_a_converged_slice_stops_iterating",),
         ONE_CALL_SHAPE,
+    ),
+    Mutant(
+        "run stacks its lanes in the order passed",
+        OPTIMIZERS,
+        "    live = [runs[i] for i in sorted(range(len(lanes)), key=lambda i: (not runs[i].tracked, kinds.index(kinds[i])))]\n",
+        "    live = list(runs)\n",
+        (OPTIMIZER_TESTS + "test_interleaved_lanes_take_one_call_per_stage_and_equal_one_lane_runs",),
+        ONE_WRITE_PATH,
+    ),
+    Mutant(
+        "a divergence keeps the stack prefix",
+        OPTIMIZERS,
+        "keep = [j for j, lane_run in enumerate(live) if runs.index(lane_run) < runs.index(failed)]",
+        "keep = list(range(exc.lane))",
+        (
+            OPTIMIZER_TESTS + "test_a_lane_stacked_ahead_of_its_caller_order_does_not_outlive_a_failure",
+            OPTIMIZER_TESTS + "test_two_lanes_failing_in_one_round_raise_the_one_passed_first",
+        ),
+        ONE_WRITE_PATH,
+    ),
+    Mutant(
+        "carry leaves the state slots in place",
+        OPTIMIZERS,
+        "        self.x, self.m, self.v = self.x[::-1], self.m[::-1], self.v[::-1]\n",
+        "",
+        (
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+            OPTIMIZER_TESTS + "test_rows_do_not_depend_on_the_window_when_lanes_retire_mid_window",
+        ),
+        ONE_WRITE_PATH,
     ),
 )
 

@@ -918,6 +918,115 @@ def test_a_diverging_lane_keeps_the_sequential_outcome(position, diverging):
     assert [r.horizon for r in caught.value.finished] == expected and caught.value.lane == position
 
 
+# Lanes passed so that their own order splits the demuon kind and the tracked lanes.
+INTERLEAVED = [
+    Lane("demuon", ScheduleParams(0.05, 0.5), horizon=12),
+    Lane("dsgd", BaselineParams(), horizon=12),
+    Lane("gt_nsgdm", ScheduleParams(0.1, 0.2), horizon=12),
+    Lane("demuon", ScheduleParams(0.1, 0.2), horizon=12),
+    Lane("dsgd_clip", BaselineParams(clip_tau=1e-3), horizon=12),
+]
+
+
+def _counting(monkeypatch, module, names):
+    """Calls of each of `names` in `module`, counted into the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_interleaved_lanes_take_one_call_per_stage_and_equal_one_lane_runs(monkeypatch):
+    import demuon.optimizers as optimizers
+
+    prob = make_quadratic(3, 14, 12, 4, heterogeneity=0.5, seed=6)  # the Gram route of the polar factor
+    mixing, noise = build_family("ring", 3), NoiseModel("student_t", 1.5, 0.3, dof=2.0, base_seed=6)
+    one_by_one = _outcome(lambda: _one_by_one(INTERLEAVED, prob, mixing, noise))
+    calls = _counting(monkeypatch, optimizers, ("msgn_exact", "mix_blocks"))
+    assert _outcome(lambda: run(INTERLEAVED, prob, mixing, noise)) == one_by_one
+    # `run` stacks the two demuon lanes together and the tracked lanes first:
+    # each round takes one polar factor, one tracker mix and one iterate mix.
+    assert calls == {"msgn_exact": 12, "mix_blocks": 2 * 12}
+
+
+def test_step_on_an_interleaved_stack_equals_one_lane_steps():
+    # A stack in any order gets the same bits, from one call per run of consecutive lanes that share a stage.
+    from demuon.optimizers import RunState
+
+    prob = make_quadratic(3, 14, 12, 4, heterogeneity=0.5, seed=7)
+    mixing, noise = build_family("ring", 3), NoiseModel("student_t", 1.5, 0.3, dof=2.0, base_seed=7)
+    rng = np.random.default_rng(7)
+    shape = (len(INTERLEAVED), 3, 14, 12)
+    tracked = np.array([lane.algorithm in TRACKER_ALGORITHMS for lane in INTERLEAVED]).reshape(-1, 1, 1, 1)
+    x, m, v = rng.standard_normal(shape), tracked * rng.standard_normal(shape), tracked * rng.standard_normal(shape)
+    nxt, info = step(RunState(9, x, m, v, tuple(INTERLEAVED)), prob, mixing, noise)
+    for i, lane in enumerate(INTERLEAVED):
+        alone, alone_info = step(RunState(9, x[i : i + 1], m[i : i + 1], v[i : i + 1], (lane,)), prob, mixing, noise)
+        for got, want in ((nxt.x, alone.x), (nxt.m, alone.m), (nxt.v, alone.v)):
+            assert got[i : i + 1].tobytes() == want.tobytes(), (i, lane.algorithm)
+        for name in ("exact_grads", "directions"):
+            assert info[name][i : i + 1].tobytes() == alone_info[name].tobytes(), (i, name)
+        assert (info["eta"][i], info["tau"][i]) == (alone_info["eta"][0], alone_info["tau"][0])
+        assert info["noise"].tobytes() == alone_info["noise"].tobytes()
+
+
+def test_a_lane_stacked_ahead_of_its_caller_order_does_not_outlive_a_failure(monkeypatch):
+    # `run` stacks tracked lanes first, so a diverging dsgd lane can sit behind
+    # lanes passed after it; those leave with it, as in a one-after-another run.
+    import demuon.optimizers as optimizers
+    from demuon.optimizers import Diverged
+
+    prob, mixing, noise, params = dsgd_divergence_setup()
+    diverging = Lane("dsgd", params, horizon=40)  # fails at iteration 6
+    demuon, gt = Lane("demuon", theoretical_schedule(12)), Lane("gt_nsgdm", ScheduleParams(0.1, 0.2), horizon=30)
+    stacked = []
+
+    def recorded(state, *args, _step=optimizers.step, **kwargs):
+        stacked.append(tuple(lane.algorithm for lane in state.lanes))
+        return _step(state, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "step", recorded)
+    for lanes, kept, steps in (
+        ([diverging, demuon], [], [("demuon", "dsgd")] * 7),
+        ([demuon, diverging, gt], ["demuon"], [("demuon", "gt_nsgdm", "dsgd")] * 7 + [("demuon",)] * 6),
+    ):
+        stacked.clear()
+        with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
+            warnings.simplefilter("ignore")
+            run(lanes, prob, mixing, noise)
+        exc = caught.value
+        assert (exc.algorithm, exc.iteration, exc.lane) == ("dsgd", 6, lanes.index(diverging))
+        assert [r.algorithm for r in exc.finished] == kept and stacked == steps
+        assert _outcome(lambda: run(lanes, prob, mixing, noise)) == _outcome(
+            lambda: _one_by_one(lanes, prob, mixing, noise)
+        )
+
+
+def test_two_lanes_failing_in_one_round_raise_the_one_passed_first():
+    # Two copies of the diverging dsgd lane, of two kinds (dsgd ignores its
+    # orthogonalizer): the later one passed is stacked first and raised
+    # first; the rerun of the round raises the earlier one.
+    from demuon.optimizers import Diverged
+
+    prob, mixing, noise, params = dsgd_divergence_setup()
+    lanes = [
+        Lane("dsgd", BaselineParams(), horizon=40),
+        Lane("dsgd", params, orthogonalizer="ns:3", horizon=40),
+        Lane("dsgd", params, horizon=40),
+    ]
+    with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
+        warnings.simplefilter("ignore")
+        run(lanes, prob, mixing, noise)
+    exc = caught.value
+    assert (exc.iteration, exc.lane, len(exc.finished), len(exc.rows)) == (6, 1, 1, 6)
+    assert _outcome(lambda: run(lanes, prob, mixing, noise)) == _outcome(
+        lambda: _one_by_one(lanes, prob, mixing, noise)
+    )
+
+
 def _window_invariant(monkeypatch, lanes, *args):
     """The run's outcome at the default window, checked equal at one-round and at full 64-round windows."""
     import demuon.optimizers as optimizers

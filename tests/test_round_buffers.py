@@ -8,6 +8,8 @@ untouched. `step` takes no other buffers, and a kernel rejects an `out` it
 cannot fill in place.
 """
 
+import inspect
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -196,7 +198,7 @@ def test_sample_noise_into_out_equals_the_allocating_call(seed, n_nodes, m, n, i
 def test_sample_noise_rejects_an_out_that_is_not_float64(dtype):
     # Draws cast into another dtype would be truncated or rounded without a word.
     out = np.zeros((2, 3, 4), dtype=dtype)
-    with pytest.raises(ValueError, match=r"shape \(2, 3, 4\) and dtype .*expected \(2, 3, 4\) float64"):
+    with pytest.raises(ValueError, match=r"C-contiguous float64 array of shape \(2, 3, 4\)"):
         sample_noise(NoiseModel("gaussian", 2.0, 5.0, base_seed=1), 3, 4, 2, 0, out=out)
     assert not out.any()
 
@@ -233,6 +235,53 @@ def test_mix_blocks_rejects_an_out_it_cannot_fill_in_place():
     for out in (np.empty((3, 4, 3))[..., :2], np.empty((3, 2, 4))):  # a strided view, a wrong shape
         with pytest.raises(ValueError, match="C-contiguous"):
             mix_blocks(w, blocks, out=out)
+
+
+# The kernels of the one `out=` rule (`linalg._out_array`), each called into `out` on a (3, 4, 2) result.
+KERNELS = {
+    "msgn_exact": lambda out: msgn_exact(build_stack(2, 4, 2, ["full"] * 3), out=out),
+    "sample_noise": lambda out: sample_noise(NoiseModel("gaussian", 2.0, 5.0, base_seed=1), 4, 2, 3, 0, out=out),
+    "mix_blocks": lambda out: mix_blocks(np.full((3, 3), 1.0 / 3.0), np.ones((3, 4, 2)), out=out),
+    "exact_gradient": lambda out: exact_gradient(
+        make_quadratic(3, 4, 2, 2, heterogeneity=0.5, seed=1), np.ones((3, 4, 2)), out=out
+    ),
+}
+# Each `out` a kernel cannot fill in place, holding 7 everywhere.
+UNFILLABLE = {
+    "float32": lambda: np.full((3, 4, 2), 7, dtype=np.float32),
+    "int64": lambda: np.full((3, 4, 2), 7, dtype=np.int64),
+    "fortran": lambda: np.full((3, 4, 2), 7.0, order="F"),
+    "strided": lambda: np.full((3, 4, 3), 7.0)[..., :2],
+    "wrong shape": lambda: np.full((3, 2, 4), 7.0),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(UNFILLABLE))
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernels_reject_an_out_they_cannot_fill_in_place_with_one_message(kernel, layout):
+    # A float32 or int64 out would round or truncate the result without a word.
+    out = UNFILLABLE[layout]()
+    with pytest.raises(ValueError, match=re.escape("out must be a C-contiguous float64 array of shape (3, 4, 2)")):
+        KERNELS[kernel](out)
+    assert (out == 7).all()
+    got = KERNELS[kernel](np.full((3, 4, 2), np.nan))
+    assert _same(got, KERNELS[kernel](None))
+
+
+def test_the_exported_callables_with_out_are_the_kernels_of_the_rule():
+    # A new kernel with `out=` must join the rule (and the table above) or fail here.
+    import demuon
+
+    with_out = set()
+    for name in dir(demuon):
+        try:
+            parameters = inspect.signature(getattr(demuon, name)).parameters
+        except (TypeError, ValueError):  # not a callable, or one without a signature
+            continue
+        if "out" in parameters:
+            with_out.add(name)
+    # `step`'s `out` takes only `run`'s round buffers, and a TypeError for anything else (see below).
+    assert with_out == set(KERNELS) | {"step"}
 
 
 LANES = (

@@ -177,6 +177,15 @@ def test_mix_blocks_preserves_block_average(rng):
         np.testing.assert_allclose(mixed.mean(axis=0), blocks.mean(axis=0), atol=1e-12)
 
 
+def test_mix_blocks_rejects_blocks_on_other_nodes():
+    # Eight node blocks would regroup into four rows of W without a word.
+    w = build_family("ring", 4).weights
+    for blocks in (np.ones((2, 8, 3, 2)), np.ones((3, 3, 2)), np.ones((3, 2))):
+        nodes = blocks.shape[-3] if blocks.ndim >= 3 else 0
+        with pytest.raises(ValueError, match=rf"blocks have {nodes} nodes but the mixing matrix has 4"):
+            mix_blocks(w, blocks)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 9),
