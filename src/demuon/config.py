@@ -194,7 +194,7 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError(f"schedule.mode must be 'explicit' or 'theorem', got {cfg.schedule_mode!r}")
     if cfg.schedule_mode == "theorem":
         if cfg.algorithm not in optimizers.TRACKER_ALGORITHMS:
-            raise ConfigError("schedule.mode=theorem only applies to demuon or gt_nsgdm")
+            raise ConfigError(f"schedule.mode=theorem only applies to {' or '.join(optimizers.TRACKER_ALGORITHMS)}")
         # run.horizon too: `runner.execute` runs it even when a sweep is given.
         if min((cfg.horizon, *cfg.sweep)) < 4:
             raise ConfigError("schedule.mode=theorem requires every horizon K >= 4")

@@ -8,9 +8,9 @@ and results do not depend on how it is parallelized. `run` holds one or
 more lanes (algorithms on the same problem, mixing and noise model, each
 with its own horizon) as one (L, N, m, n) stack and makes one `step` call
 per round for all of them: one noise draw, one gradient call, one mix per
-stage and one direction call per kind of lane (see `_layout`). Every
-direction kernel that normalises (both polar factors, gt_nsgdm's unit
-tracker and dsgd_clip's clip) is scale-free: the zero matrix gives a zero
+stage and one direction call per kind of lane, its (tracked, kernel) pair
+(see `_layout`). Every kernel that normalises (both polar factors, the unit
+matrix and the clip) is scale-free: the zero matrix gives a zero
 step, and no norm underflows or overflows at a finite scale. The
 per-round diagnostics are computed a window of rounds at a time. `run`
 owns one set of window stores per lane composition and hands `step` a slot
@@ -40,12 +40,12 @@ from .linalg import frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm
 from .noise import NoiseModel, sample_noise
 from .topology import MixingSpec, mix_blocks
 
-DEMUON = "demuon"
-DSGD = "dsgd"
-DSGD_CLIP = "dsgd_clip"
-GT_NSGDM = "gt_nsgdm"
-ALGORITHMS = (DEMUON, DSGD, DSGD_CLIP, GT_NSGDM)
-TRACKER_ALGORITHMS = (DEMUON, GT_NSGDM)
+# Each algorithm's row: whether its momentum is tracked, and the kernel that maps its tracker (tracked) or its
+# stochastic gradient to its direction: `polar` is msgn by the lane's orthogonalizer, `unit` the unit-Frobenius
+# matrix, `clip` the clip onto the round's ball and `raw` the identity.
+_TABLE = {"demuon": (True, "polar"), "dsgd": (False, "raw"), "dsgd_clip": (False, "clip"), "gt_nsgdm": (True, "unit")}
+ALGORITHMS = tuple(_TABLE)
+TRACKER_ALGORITHMS = tuple(name for name, (tracked, _) in _TABLE.items() if tracked)
 
 # Dedicated substream tag for the post-run uniform iteration draw, so the
 # draw never perturbs (or depends on) the trajectory's noise streams.
@@ -233,13 +233,13 @@ def clip_to_frobenius(g: np.ndarray, tau) -> np.ndarray:
 def _round_schedule(lane: Lane, k: int) -> tuple[float, float | None]:
     """(eta_k, tau_k) of the lane's round k; tau_k is the clipping radius, None when nothing is clipped.
 
-    dsgd_clip decays eta_k = eta/(k+1) and grows tau_k = tau*(k+1)^(2/5);
-    every other algorithm keeps a constant step.
+    The clip kernel decays eta_k = eta/(k+1) and grows tau_k = tau*(k+1)^(2/5);
+    every other kernel keeps a constant step: eta when tracked, dsgd_eta when not.
     """
     params = lane.params
-    if lane.algorithm == DSGD_CLIP:
+    if lane.kernel[0] == "clip":
         return params.clip_eta / (k + 1), params.clip_tau * (k + 1) ** 0.4
-    if lane.algorithm == DSGD:
+    if not lane.tracked:
         return params.dsgd_eta, None
     return params.eta, None
 
@@ -268,27 +268,26 @@ def _runs(keys) -> list:
 def _layout(kinds: tuple) -> tuple:
     """(tracked runs, direction groups) of a lane stack, worked out once per composition.
 
-    `kinds` holds each lane's (algorithm, orthogonalizer) pair, all that the
-    layout depends on, so lanes that differ only in parameters or horizon
-    share one cache entry. A maximal run of consecutive lanes of one kind,
-    (algorithm, parsed orthogonalizer, its slice), shares one direction call,
-    and a maximal run of tracked lanes (a slice) one tracker mix; `run`
-    stacks each kind together and the tracked lanes first.
+    `kinds` holds each lane's (tracked, kernel) pair, all that the layout
+    depends on: an orthogonalizer counts only in a polar kernel. A maximal
+    run of consecutive lanes of one kind, (kind, its slice), shares one
+    direction call, and a maximal run of tracked lanes (a slice) one tracker
+    mix; `run` stacks each kind together and the tracked lanes first.
     """
-    tracked = tuple(lanes for on, lanes in _runs([a in TRACKER_ALGORITHMS for a, _ in kinds]) if on)
-    return tracked, tuple((a, parse_orthogonalizer(spec), lanes) for (a, spec), lanes in _runs(kinds))
+    tracked = tuple(lanes for on, lanes in _runs([on for on, _ in kinds]) if on)
+    return tracked, tuple(_runs(kinds))
 
 
 class _RoundBuffers(NamedTuple):
     """The arrays one `step` writes its round into: fresh ones, or a slot of `run`'s `_Stores`.
 
     `x`, `m` and `v` take the next state and `grads`, `noise` and
-    `directions` the round record; until the iterates are written, a tracked
-    lane's rows of `x` hold its stochastic gradients. All are (L, N, m, n)
-    stacks but `noise`, (N, m, n). `step` writes only the tracked lanes' rows
-    of `m` and `v`; the untracked lanes' rows hold the zeros that `allocate`
-    and the stores start with. Both lay the buffers out apart from the
-    entering state.
+    `directions` the round record; until the iterates are written, `x` holds
+    the stochastic gradients (a tracked lane's rows are `_track`'s scratch).
+    All are (L, N, m, n) stacks but `noise`, (N, m, n). `step` writes only
+    the tracked lanes' rows of `m` and `v`; the untracked lanes' rows hold
+    the zeros that `allocate` and the stores start with. Both lay the
+    buffers out apart from the entering state.
     """
 
     x: np.ndarray
@@ -305,23 +304,21 @@ class _RoundBuffers(NamedTuple):
                    np.empty(shape))
 
 
-def _directions(groups, v, grads, noise, schedules, dirs: np.ndarray) -> np.ndarray:
-    """Each lane's step direction, written to `dirs`.
+def _directions(groups, v, stochastic, schedules, dirs: np.ndarray) -> np.ndarray:
+    """Each lane's step direction, written to `dirs`: one kernel call per group of `_layout`.
 
-    The direction is the lane's tracker (tracked lanes) or stochastic gradient, mapped by its kernel.
+    The kernel maps the lane's tracker (its row of `v`) when it is tracked, else its stochastic gradient.
     """
-    for algorithm, polar, lanes in groups:
-        target = dirs[lanes]
-        if algorithm == DEMUON:
-            got = msgn_exact(v[lanes], out=target) if polar[0] == "svd" else msgn_newton_schulz(v[lanes], polar[1])
-        elif algorithm == GT_NSGDM:
-            got = linalg._unit_frobenius(v[lanes], out=target)
-        elif algorithm == DSGD_CLIP:
-            radii = _per_lane([tau for _, tau in schedules[lanes]])
-            got = clip_to_frobenius(np.add(grads[lanes], noise, out=target), radii)
-        else:
-            got = np.add(grads[lanes], noise, out=target)
-        if got is not target:  # Newton-Schulz and a clip that scales take no `out`
+    for (tracked, (kernel, polar)), lanes in groups:
+        source, target = (v if tracked else stochastic)[lanes], dirs[lanes]
+        got = source  # the raw kernel
+        if kernel == "polar":
+            got = msgn_exact(source, out=target) if polar[0] == "svd" else msgn_newton_schulz(source, polar[1])
+        elif kernel == "unit":
+            got = linalg._unit_frobenius(source, out=target)
+        elif kernel == "clip":
+            got = clip_to_frobenius(source, _per_lane([tau for _, tau in schedules[lanes]]))
+        if got is not target:  # Newton-Schulz, the clip and the identity take no `out`
             target[...] = got
     return dirs
 
@@ -329,8 +326,8 @@ def _directions(groups, v, grads, noise, schedules, dirs: np.ndarray) -> np.ndar
 def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, out: _RoundBuffers | None = None):
     """One synchronous round of every lane of a lane stack.
 
-    Each lane's algorithm, orthogonalizer and parameters come from
-    `state.lanes`. The round draws the noise once, takes every lane's
+    Each lane's row of the table and parameters come from `state.lanes`. The
+    round draws the noise once, takes every lane's gradients and stochastic
     gradients and mixes the iterates in one call each, and mixes the trackers
     and takes the directions in one call per run of lanes that share the
     stage (see `_layout`). Returns the next state and the round record:
@@ -352,16 +349,16 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
         raise TypeError(f"out must be one of run's round buffers, got {type(out).__name__}")
     noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k, out=out.noise)
     schedules = [_round_schedule(lane, k) for lane in lanes]
-    tracked, groups = _layout(tuple((lane.algorithm, lane.orthogonalizer) for lane in lanes))
+    tracked, groups = _layout(tuple((lane.tracked, lane.kernel) for lane in lanes))
     # A diverging round overflows on its way to inf/nan; _raise_first_failure names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
         grads = problems.exact_gradient(problem, state.x, out=out.grads)
+        stochastic = np.add(grads, noise, out=out.x)
         for idx in tracked:
             theta = _per_lane([lane.params.theta for lane in lanes[idx]])
-            stochastic = np.add(grads[idx], noise, out=out.x[idx])
-            _track(state.m[idx], state.v[idx], stochastic, theta, mixing, out.m[idx], out.v[idx])
+            _track(state.m[idx], state.v[idx], stochastic[idx], theta, mixing, out.m[idx], out.v[idx])
         _raise_first_failure(k, lanes, momentum=out.m, tracker=out.v)
-        dirs = _directions(groups, out.v, grads, noise, schedules, out.directions)
+        dirs = _directions(groups, out.v, stochastic, schedules, out.directions)
         # A fresh stack that the mix frees: a buffer held for the run would add to the polar factor's and the
         # diagnostics' peak memory.
         stepped = _per_lane([eta for eta, _ in schedules]) * dirs
@@ -421,10 +418,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Lane:
-    """One algorithm of a `run`: its parameters, polar kernel and horizon.
+    """One algorithm of a `run`: its parameters, orthogonalizer and horizon.
 
-    `params` is a ScheduleParams for the tracked algorithms (demuon,
-    gt_nsgdm) and a BaselineParams for dsgd and dsgd_clip. `horizon` is the
+    The read-only `tracked` and `kernel` are its algorithm's row of `_TABLE`;
+    the kernel is (name, parsed orthogonalizer or None). `params` is a
+    ScheduleParams when tracked, else a BaselineParams. `horizon` is the
     number of rounds the lane runs; None takes a theorem schedule's horizon.
     """
 
@@ -434,17 +432,20 @@ class Lane:
     horizon: int | None = None
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in _TABLE:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        expected = ScheduleParams if self.algorithm in TRACKER_ALGORITHMS else BaselineParams
+        tracked, kernel = _TABLE[self.algorithm]
+        expected = ScheduleParams if tracked else BaselineParams
         if not isinstance(self.params, expected):
             raise TypeError(f"{self.algorithm} expects {expected.__name__}")
-        parse_orthogonalizer(self.orthogonalizer)
+        polar = parse_orthogonalizer(self.orthogonalizer)
+        object.__setattr__(self, "tracked", tracked)
+        object.__setattr__(self, "kernel", (kernel, polar if kernel == "polar" else None))
 
 
 def _lane_horizon(lane: Lane) -> int:
     """The rounds `lane` runs: its own horizon, else its theorem schedule's."""
-    derived = lane.params.horizon if lane.algorithm in TRACKER_ALGORITHMS else None
+    derived = lane.params.horizon if lane.tracked else None
     k = derived if lane.horizon is None else lane.horizon
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"horizon must be a positive integer, got {k}")
@@ -458,9 +459,8 @@ class _LaneRun:
 
     def __init__(self, lane: Lane, horizon: int, mixing: MixingSpec):
         self.lane, self.horizon = lane, horizon
-        self.tracked = lane.algorithm in TRACKER_ALGORITHMS
         self.bound = self.pot_weights = None
-        if self.tracked:
+        if lane.tracked:
             params = lane.params
             self.bound = diagnostics.consensus_bound(params.eta, mixing.mixing_rate, mixing.n_nodes)
             if params.horizon is not None:
@@ -479,7 +479,7 @@ class _LaneRun:
         grad_norms = [row.avg_grad_nuclear for row in self.rows]
         # Starting from 0.0, max() passes over a NaN residual.
         violations, tracks = 0, [0.0]
-        if self.tracked:
+        if self.lane.tracked:
             violations = sum(row.consensus_error_x > self.bound + 1e-9 for row in self.rows)
             tracks += [row.tracking_residual for row in self.rows]
         return RunResult(
@@ -576,7 +576,7 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
     t0 = time.perf_counter()
     n_rounds, n_lanes = len(window), len(live)
     iters = [r.iter for r in window]
-    n_tracked = sum(lane_run.tracked for lane_run in live)
+    n_tracked = sum(lane_run.lane.tracked for lane_run in live)
     # A theorem lane's position among the theorem lanes.
     theorem = [j for j in range(n_tracked) if live[j].pot_weights is not None]
     pot_slot = {j: t for t, j in enumerate(theorem)}
@@ -638,7 +638,7 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
         moment = float(np.add.reduce(noise_powers[w]))
         for j, lane_run in enumerate(live):
             track = consensus_v = pot = None
-            if lane_run.tracked:
+            if lane_run.lane.tracked:
                 track, consensus_v = tracking[w][j], cons_v[w][j]
                 if j in pot_slot:
                     pot = pots[w][pot_slot[j]]
@@ -694,8 +694,8 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     runs = [_LaneRun(lane, _lane_horizon(lane), mixing) for lane in lanes]
     if problem.n_nodes != mixing.n_nodes:
         raise ValueError(f"problem has {problem.n_nodes} nodes but mixing matrix has {mixing.n_nodes}")
-    kinds = [(lane.algorithm, lane.orthogonalizer) for lane in lanes]  # tracked first, then by kind: a stable sort
-    live = [runs[i] for i in sorted(range(len(lanes)), key=lambda i: (not runs[i].tracked, kinds.index(kinds[i])))]
+    kinds = [(lane.tracked, lane.kernel) for lane in lanes]  # tracked first, then by kind: a stable sort
+    live = [runs[i] for i in sorted(range(len(lanes)), key=lambda i: (not kinds[i][0], kinds.index(kinds[i])))]
     state = initial_state([lane_run.lane for lane_run in live], mixing.n_nodes, np.zeros((problem.m, problem.n)))
     stores = failure = failed = None
     window = []

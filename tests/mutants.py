@@ -37,6 +37,8 @@ ROUND_BUFFERS = "Round buffers owned by `run`"
 POLAR_KERNEL = "Matmul-only exact polar factor"
 ONE_CALL_SHAPE = "One call shape per entry point"
 ONE_WRITE_PATH = "One write path per round stage"
+ALGORITHM_TABLE = "One algorithm table"
+FORMULAS = "the ten formula mutants"
 
 
 class Mutant(NamedTuple):
@@ -50,10 +52,17 @@ class Mutant(NamedTuple):
 
 OPTIMIZERS = "src/demuon/optimizers.py"
 LINALG = "src/demuon/linalg.py"
+DIAGNOSTICS = "src/demuon/diagnostics.py"
+NOISE = "src/demuon/noise.py"
+TOPOLOGY = "src/demuon/topology.py"
 BUFFERS = "tests/test_round_buffers.py::"
 LINALG_TESTS = "tests/test_linalg.py::"
 OPTIMIZER_TESTS = "tests/test_optimizers.py::"
 REFERENCE = "tests/test_reference_engine.py::"
+ACCEPTANCE = "tests/test_acceptance.py::"
+DIAGNOSTICS_TESTS = "tests/test_diagnostics.py::"
+NOISE_TESTS = "tests/test_noise.py::"
+TOPOLOGY_TESTS = "tests/test_topology.py::"
 
 MUTANTS = (
     Mutant(
@@ -70,9 +79,9 @@ MUTANTS = (
     Mutant(
         "the direction is taken from the unmixed tracker",
         OPTIMIZERS,
-        "dirs = _directions(groups, out.v, grads,",
+        "dirs = _directions(groups, out.v, stochastic,",
         # Until the iterates are written, the x buffer holds the tracked lanes' trackers before the mix.
-        "dirs = _directions(groups, out.x, grads,",
+        "dirs = _directions(groups, out.x, stochastic,",
         (
             REFERENCE + "test_engine_matches_the_per_node_reference_loop",
             OPTIMIZER_TESTS + "test_two_node_hand_simulation",
@@ -204,7 +213,7 @@ MUTANTS = (
     Mutant(
         "run stacks its lanes in the order passed",
         OPTIMIZERS,
-        "    live = [runs[i] for i in sorted(range(len(lanes)), key=lambda i: (not runs[i].tracked, kinds.index(kinds[i])))]\n",
+        "    live = [runs[i] for i in sorted(range(len(lanes)), key=lambda i: (not kinds[i][0], kinds.index(kinds[i])))]\n",
         "    live = list(runs)\n",
         (OPTIMIZER_TESTS + "test_interleaved_lanes_take_one_call_per_stage_and_equal_one_lane_runs",),
         ONE_WRITE_PATH,
@@ -221,6 +230,15 @@ MUTANTS = (
         ONE_WRITE_PATH,
     ),
     Mutant(
+        "the layout drops the polar kernel's orthogonalizer",
+        OPTIMIZERS,
+        "    return tracked, tuple(_runs(kinds))\n",
+        # Lanes group by kernel name, and each group takes its first lane's orthogonalizer.
+        "    return tracked, tuple((kinds[lanes.start], lanes) for _, lanes in _runs([(on, kernel[0]) for on, kernel in kinds]))\n",
+        (OPTIMIZER_TESTS + "test_an_orthogonalizer_splits_only_polar_lanes",),
+        ALGORITHM_TABLE,
+    ),
+    Mutant(
         "carry leaves the state slots in place",
         OPTIMIZERS,
         "        self.x, self.m, self.v = self.x[::-1], self.m[::-1], self.v[::-1]\n",
@@ -230,6 +248,114 @@ MUTANTS = (
             OPTIMIZER_TESTS + "test_rows_do_not_depend_on_the_window_when_lanes_retire_mid_window",
         ),
         ONE_WRITE_PATH,
+    ),
+    # The formulas group: the paper's constants, schedules and estimators.
+    Mutant(
+        "the potential's p exponent",
+        DIAGNOSTICS,
+        "    p = k ** ((alpha**2 - 3.0 * alpha + 2.0) / d)\n",
+        "    p = k ** ((alpha**2 - 3.0 * alpha + 1.0) / d)\n",
+        (
+            DIAGNOSTICS_TESTS + "test_theorem_potential_params",
+            REFERENCE + "test_engine_matches_the_reference_loop_on_the_gram_route",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "the theorem theta exponent",
+        DIAGNOSTICS,
+        "    theta = k ** (-alpha / d)\n",
+        "    theta = k ** (-(alpha - 1.0) / d)\n",
+        (
+            OPTIMIZER_TESTS + "test_theoretical_schedule_values",
+            ACCEPTANCE + "test_criterion_09_constant_calculators",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "N in place of sqrt(N) in the consensus bound",
+        DIAGNOSTICS,
+        "    return math.sqrt(n_nodes) * lam * eta / (1.0 - lam)\n",
+        "    return n_nodes * lam * eta / (1.0 - lam)\n",
+        (
+            DIAGNOSTICS_TESTS + "test_consensus_bound_values",
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "Student-t noise drawn with dof + 1",
+        NOISE,
+        "rng.standard_t(model.dof, size=(m, n))",
+        "rng.standard_t(model.dof + 1.0, size=(m, n))",
+        (
+            NOISE_TESTS + "test_stacked_draws_equal_the_per_node_streams",
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "the mixing rate scaled by 0.9",
+        TOPOLOGY,
+        "    return spectral_norm(w - np.full((n, n), 1.0 / n))\n",
+        "    return 0.9 * spectral_norm(w - np.full((n, n), 1.0 / n))\n",
+        (
+            TOPOLOGY_TESTS + "test_mixing_rate_complete_and_ring",
+            TOPOLOGY_TESTS + "test_ring_rates_match_circulant_eigenvalues",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "the noise moment's root 1/2 in place of 1/alpha",
+        OPTIMIZERS,
+        "** (1.0 / noise_model.alpha),",
+        "** (1.0 / 2.0),",
+        (
+            OPTIMIZER_TESTS + "test_noise_moment_is_the_python_power_mean_of_the_draws",
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "iota never drawn as the last round",
+        OPTIMIZERS,
+        ".integers(self.horizon))",
+        ".integers(max(self.horizon - 1, 1)))",
+        (
+            OPTIMIZER_TESTS + "test_run_iota_reaches_every_round_of_a_short_horizon",
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "the potential weight q halved",
+        DIAGNOSTICS,
+        "    return PotentialParams(p, 2.0 * eta / (1.0 - lam), alpha)\n",
+        "    return PotentialParams(p, eta / (1.0 - lam), alpha)\n",
+        (
+            DIAGNOSTICS_TESTS + "test_theorem_potential_shares_the_schedule_step",
+            DIAGNOSTICS_TESTS + "test_theorem_potential_params",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "the clip radius exponent 0.5 in place of 0.4",
+        OPTIMIZERS,
+        "params.clip_tau * (k + 1) ** 0.4",
+        "params.clip_tau * (k + 1) ** 0.5",
+        (
+            OPTIMIZER_TESTS + "test_clip_schedule_and_norms",
+            ACCEPTANCE + "test_criterion_08_baseline_contracts",
+        ),
+        FORMULAS,
+    ),
+    Mutant(
+        "u_dm's noise term drops N",
+        DIAGNOSTICS,
+        "        + 3.0 * (n_nodes * sigma) ** alpha\n",
+        "        + 3.0 * sigma**alpha\n",
+        (DIAGNOSTICS_TESTS + "test_u_dm_hand_values_with_noise_mixing_and_many_nodes",),
+        FORMULAS,
     ),
 )
 

@@ -17,7 +17,9 @@ problem formulas written out, and the row diagnostics are the README's
 definitions; nothing here calls the engine's kernels, so a mistake in the
 engine is not shared by the oracle. `polar` can be swapped for another
 kernel to check it the same way; `newton_schulz(k)` is the `ns:<k>` kernel
-written out one matrix at a time.
+written out one matrix at a time. Each algorithm's schedule and direction
+are written out by name, not read from the engine's table, and a name the
+loop does not know raises.
 """
 
 import math
@@ -87,23 +89,28 @@ def mean(blocks):
 def schedule(lane, k):
     """(eta_k, tau_k) of round k; tau_k is None where nothing is clipped."""
     p = lane.params
-    if lane.algorithm == "dsgd_clip":
-        return p.clip_eta / (k + 1), p.clip_tau * (k + 1) ** 0.4
+    if lane.algorithm in ("demuon", "gt_nsgdm"):
+        return p.eta, None
     if lane.algorithm == "dsgd":
         return p.dsgd_eta, None
-    return p.eta, None
+    if lane.algorithm == "dsgd_clip":
+        return p.clip_eta / (k + 1), p.clip_tau * (k + 1) ** 0.4
+    raise ValueError(f"the reference loop has no schedule for {lane.algorithm!r}")
 
 
 def direction(algorithm, v, g, tau, polar):
+    """D_i of one node from its tracker v and stochastic gradient g."""
     if algorithm == "demuon":
         return polar(v)
     if algorithm == "gt_nsgdm":
         norm = np.linalg.norm(v)
         return v / norm if norm > 0.0 else np.zeros_like(v)
+    if algorithm == "dsgd":
+        return g
     if algorithm == "dsgd_clip":
         norm = np.linalg.norm(g)
         return g * (tau / norm) if norm > tau else g
-    return g
+    raise ValueError(f"the reference loop has no direction for {algorithm!r}")
 
 
 def first_non_finite(**quantities):

@@ -150,6 +150,21 @@ def test_u_dm_fixed_substitutions():
     assert u_dm_constant(0.0, 1, 0.0, 2.0, 0.0, 0.0, 1, 1) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_u_dm_hand_values_with_noise_mixing_and_many_nodes():
+    # N = 4, lam = 1/2 (gap 1/2, spread 2 sqrt(N) lam / gap + 1 = 5) and
+    # min(m, n) = 4, so the last term is (alpha - 1) (2 * 2 / (alpha / 2))^(alpha / (alpha - 1)).
+    # Noise and mixing alone (l_star = 0), sigma = 1/2, alpha = 2:
+    # 3 (N sigma)^2 + 2 (N + 1) lam sigma / gap + 4 N sigma lam / gap + 4^2 = 12 + 5 + 8 + 16.
+    assert u_dm_constant(0.0, 4, 0.5, 2.0, 0.5, 0.0, 4, 9) == pytest.approx(41.0, rel=1e-12)
+    # Smoothness alone (sigma = 0), l_star = 1, so l_stacked = N l_star = 4, and f0 - f_low = 1:
+    # 1 + 3 (4 * 5)^2 + (2 lam 4 / gap + 1/2) 5 + 16 = 1 + 1200 + 42.5 + 16.
+    assert u_dm_constant(1.0, 4, 0.0, 2.0, 0.5, 1.0, 9, 4) == pytest.approx(1259.5, rel=1e-12)
+    # Both: every term at once.
+    assert u_dm_constant(1.0, 4, 0.5, 2.0, 0.5, 1.0, 4, 9) == pytest.approx(1284.5, rel=1e-12)
+    # alpha = 3/2, sigma = 1: 3 * 4^(3/2) + 10 + 16 + (1/2) (16/3)^3.
+    assert u_dm_constant(0.0, 4, 1.0, 1.5, 0.5, 0.0, 9, 4) == pytest.approx(50.0 + 2048.0 / 27.0, rel=1e-12)
+
+
 def test_u_dm_positive_and_validated(rng):
     for _ in range(50):
         val = u_dm_constant(

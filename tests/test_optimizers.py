@@ -456,6 +456,14 @@ def test_run_iota_uniform_and_seeded():
     assert len(iotas) > 5  # the draw varies with the seed
 
 
+def test_run_iota_reaches_every_round_of_a_short_horizon():
+    # Uniform on {0, ..., K-1}: over 40 seeds at K = 4, the first and the last round are drawn too.
+    prob = make_quadratic(1, 2, 2, 3, seed=0)
+    lane, mixing = Lane("dsgd", BaselineParams(), horizon=4), build_family("complete", 1)
+    iotas = {run([lane], prob, mixing, replace(NOISELESS, base_seed=s))[0].iota for s in range(40)}
+    assert iotas == {0, 1, 2, 3}
+
+
 def test_run_newton_schulz_orthogonalizer():
     prob = make_quadratic(2, 3, 3, 4, heterogeneity=0.2, seed=12)
     noise = NoiseModel("gaussian", 2.0, 0.1, base_seed=3)
@@ -952,6 +960,27 @@ def test_interleaved_lanes_take_one_call_per_stage_and_equal_one_lane_runs(monke
     assert calls == {"msgn_exact": 12, "mix_blocks": 2 * 12}
 
 
+def test_an_orthogonalizer_splits_only_polar_lanes(monkeypatch):
+    # Lanes group by (tracked, kernel): gt_nsgdm ignores its orthogonalizer,
+    # so its two lanes share one unit-kernel call per round, while demuon's
+    # two take one exact and one Newton-Schulz polar factor per round.
+    import demuon.linalg as linalg
+    import demuon.optimizers as optimizers
+
+    prob = make_quadratic(3, 14, 12, 4, heterogeneity=0.5, seed=8)
+    mixing, noise = build_family("ring", 3), NoiseModel("student_t", 1.5, 0.3, dof=2.0, base_seed=8)
+    for algorithm, counted, expected in (
+        ("gt_nsgdm", (linalg, ("_unit_frobenius",)), {"_unit_frobenius": 12}),
+        ("demuon", (optimizers, ("msgn_exact", "msgn_newton_schulz")), {"msgn_exact": 12, "msgn_newton_schulz": 12}),
+    ):
+        lanes = [Lane(algorithm, ScheduleParams(0.05, 0.5), spec, horizon=12) for spec in ("svd", "ns:3")]
+        one_by_one = _outcome(lambda: _one_by_one(lanes, prob, mixing, noise))
+        with monkeypatch.context() as patch:
+            calls = _counting(patch, *counted)
+            assert _outcome(lambda: run(lanes, prob, mixing, noise)) == one_by_one
+        assert calls == expected, algorithm
+
+
 def test_step_on_an_interleaved_stack_equals_one_lane_steps():
     # A stack in any order gets the same bits, from one call per run of consecutive lanes that share a stage.
     from demuon.optimizers import RunState
@@ -1005,23 +1034,33 @@ def test_a_lane_stacked_ahead_of_its_caller_order_does_not_outlive_a_failure(mon
         )
 
 
-def test_two_lanes_failing_in_one_round_raise_the_one_passed_first():
-    # Two copies of the diverging dsgd lane, of two kinds (dsgd ignores its
-    # orthogonalizer): the later one passed is stacked first and raised
+def test_two_lanes_failing_in_one_round_raise_the_one_passed_first(monkeypatch):
+    # A dsgd lane and a dsgd_clip lane, clipped nowhere, both fail at iteration 6.
+    # `run` stacks the later dsgd lane with the first one, ahead of the
+    # dsgd_clip lane passed before it, so the stack raises the later lane
     # first; the rerun of the round raises the earlier one.
+    import demuon.optimizers as optimizers
     from demuon.optimizers import Diverged
 
     prob, mixing, noise, params = dsgd_divergence_setup()
     lanes = [
         Lane("dsgd", BaselineParams(), horizon=40),
-        Lane("dsgd", params, orthogonalizer="ns:3", horizon=40),
+        Lane("dsgd_clip", BaselineParams(clip_eta=1.0, clip_tau=1e300), horizon=40),
         Lane("dsgd", params, horizon=40),
     ]
+    stacked = []
+
+    def recorded(state, *args, _step=optimizers.step, **kwargs):
+        stacked.append(tuple(lanes.index(lane) for lane in state.lanes))
+        return _step(state, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "step", recorded)
     with warnings.catch_warnings(), pytest.raises(Diverged) as caught:
         warnings.simplefilter("ignore")
         run(lanes, prob, mixing, noise)
     exc = caught.value
     assert (exc.iteration, exc.lane, len(exc.finished), len(exc.rows)) == (6, 1, 1, 6)
+    assert stacked == [(0, 2, 1)] * 7 + [(0, 1)] + [(0,)] * 34
     assert _outcome(lambda: run(lanes, prob, mixing, noise)) == _outcome(
         lambda: _one_by_one(lanes, prob, mixing, noise)
     )

@@ -9,9 +9,12 @@ iteration of each ball-exit warning, and on the first diverging lane's
 Newton-Schulz kernel written out as its polar factor.
 """
 
+import importlib.util
 import math
 import re
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,9 +37,11 @@ from demuon.optimizers import (
 from demuon.problems import ProblemSet, make_nonconvex_gram, make_quadratic
 from demuon.topology import MixingSpec, build_family, validate_mixing
 from linalg_oracles import polar_oracle
+import reference_engine
 from reference_engine import newton_schulz, reference_round, reference_run
 from test_topology import _doubly_stochastic
 
+ROOT = Path(__file__).resolve().parent.parent
 # A round repeats the engine's arithmetic up to summation order; a
 # trajectory lets that round-off grow for up to 30 rounds.
 ROUND_RTOL = 1e-10
@@ -234,6 +239,30 @@ def test_engine_matches_the_reference_loop_on_the_gram_route(m, n):
     mixing = build_family("ring", 4)
     assert assert_runs_match(lanes, horizons, problem, mixing, noise) == 2
     assert_rounds_match(lanes, horizons, problem, mixing, noise)
+
+
+def test_the_oracle_and_the_benchmark_checks_agree_with_the_algorithm_table():
+    # Both keep their own literal lists, so that a mistake in the engine's
+    # table is not shared; this catches the lists drifting apart instead.
+    from demuon import optimizers
+
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    tracked = tuple(name for name, (on, _) in optimizers._TABLE.items() if on)
+    assert reference_engine.TRACKED == checks.TRACKER_ALGORITHMS == TRACKER_ALGORITHMS == tracked
+    v, g = np.array([[3.0, 0.0], [0.0, 4.0]]), np.array([[0.0, 6.0], [8.0, 0.0]])
+    for algorithm in ALGORITHMS:
+        params = ScheduleParams(0.1, 0.5) if algorithm in tracked else BaselineParams()
+        eta, tau = reference_engine.schedule(Lane(algorithm, params, horizon=4), 3)
+        assert eta > 0.0 and (tau is None) == (algorithm != "dsgd_clip"), algorithm
+        assert np.isfinite(reference_engine.direction(algorithm, v, g, tau, polar_oracle)).all(), algorithm
+    unknown = SimpleNamespace(algorithm="dsgd_typo", params=BaselineParams())
+    with pytest.raises(ValueError, match="dsgd_typo"):
+        reference_engine.schedule(unknown, 3)
+    with pytest.raises(ValueError, match="dsgd_typo"):
+        reference_engine.direction("dsgd_typo", v, g, 1.0, polar_oracle)
+
 
 def test_reference_loop_reproduces_a_hand_computed_round():
     # The loop itself on N = 2 scalars f_i(x) = 0.5 (x - t_i)^2, noiseless,

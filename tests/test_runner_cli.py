@@ -263,6 +263,20 @@ def test_theorem_schedule_fills_potential_column(tmp_path):
         assert all((row["potential"] != "") == filled for row in rows)
 
 
+def test_an_orthogonalizer_changes_the_metrics_of_demuon_alone(tmp_path):
+    # Only the polar kernel reads the orthogonalizer: the other algorithms
+    # write the same metrics bytes under ns:3 as under svd, with another run id.
+    for algorithm in ("demuon", "gt_nsgdm", "dsgd", "dsgd_clip"):
+        metrics, ids = [], set()
+        for spec in ("svd", "ns:3"):
+            text = config_text(tmp_path / algorithm / spec.replace(":", ""), algorithm=algorithm)
+            outcome = execute(parse_config(text.replace("horizon = 8", f"horizon = 8\northogonalizer = {spec}")))
+            metrics.append(open(outcome.metrics_path, "rb").read())
+            ids.add(json.load(open(outcome.summary_path))["run_id"])
+        assert len(ids) == 2, algorithm
+        assert (metrics[0] == metrics[1]) == (algorithm != "demuon"), algorithm
+
+
 def test_record_timing_fills_last_column(tmp_path):
     cfg = parse_config(config_text(tmp_path))
     timed = execute(cfg, record_timing=True)
