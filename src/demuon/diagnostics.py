@@ -176,7 +176,20 @@ def u_dm_constant(
     m: int,
     n: int,
 ) -> float:
-    """Horizon constant combining initial gap, noise, mixing, and smoothness terms."""
+    """Horizon constant combining initial gap, noise, mixing, and smoothness terms.
+
+    With Delta = f0_minus_flow, gap = 1 - lam, L_N = N l_star (the stacked
+    smoothness constant) and S = 2 sqrt(N) lam / gap + 1 (the consensus
+    spread), the seven terms are
+
+        U = Delta
+            + 3 (N sigma)^alpha
+            + 2 (N + 1) lam sigma / gap
+            + 4 N sigma lam / gap
+            + 3 (L_N S)^alpha
+            + (2 lam L_N / gap + l_star / 2) S
+            + (alpha - 1) (2 sqrt(min(m, n)) / (alpha gap))^(alpha / (alpha - 1)).
+    """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"mixing rate must lie in [0, 1), got {lam}")
     if not 1.0 < alpha <= 2.0:

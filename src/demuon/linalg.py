@@ -6,9 +6,15 @@ every short side once the matrices come in stacks: they take their singular
 values from `eigvalsh` of the Gram, clipped at 0 before the square root. The
 exact polar factor takes the Gram route only from a short side of
 `_POLAR_GRAM_MIN_SIDE`, and there it needs matrix products only: `V G^{-1/2}`
-(or `G^{-1/2} V` for a wide `V`), with `G^{-1/2}` from a Newton-Schulz
-iteration on the Gram `G` (and one cubic Newton-Schulz step on the factor of
-an ill-conditioned slice).
+(or `G^{-1/2} V` for a wide `V`), with `G^{-1/2}` from a quintic
+Newton-Schulz schedule on the Gram `G`: two steps with the Muon coefficients,
+then quintic Newton-Schulz steps to rounding level. That is 5 to 7 steps up
+to a condition number of 18 to 41 and 8 to 11 up to 310 to 700 (at a short
+side of 32, with the spectrum), about half the steps of the cubic iteration
+it replaced, and one cubic Newton-Schulz step on the factor of a slice that
+needed more than 7. The norms form their Gram with BLAS `syrk` (a product of
+a matrix with a transposed view of itself), the polar factor with `gemm` on
+a transposed copy.
 Square inputs, smaller polar inputs, and every slice the Gram cannot resolve
 (it overflowed, it underflowed or the slice is zero; for the nuclear norm, it
 is ill-conditioned; for the polar factor, its iteration did not converge
@@ -38,31 +44,50 @@ _GRAM_LAMBDA_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # An eigenvalue carries an absolute error of about eps * lambda_max, so the
 # nuclear norm takes the Gram route only where lambda_min >= this * lambda_max.
 _GRAM_NUCLEAR_RCOND = 1e-6
-# The polar factor's Gram route takes G^{-1/2} from the inverse-free cubic
-# Newton-Schulz iteration (Higham, Functions of Matrices, 2008, ch. 6 and 8) on
-# y = G / ||G||_F, whose eigenvalues lie in (0, 1] and rise to 1 from below:
-# t = 1.5 I - 0.5 y, y <- y t t, p <- p t. A slice stops at the first check
-# at which every entry of y - I is within _POLAR_NS_EXACT_TOL (rounding level),
-# or, after _POLAR_NS_EXACT_STEPS steps, within _POLAR_NS_TOL. The factor
-# a G^{-1/2} is off the polar factor by about eps * cond(V)^2, as with an
-# eigendecomposition of the Gram; a slice that stops within
-# _POLAR_NS_EXACT_STEPS steps has cond(V)^2 <= ||G||_F / lambda_min below
-# about 1.8e3, and was at most 4.4e-14 from the masked SVD. A later slice takes
-# one cubic Newton-Schulz step on its factor, which squares its defect to
-# rounding level and leaves about eps * cond(V): at most 2.1e-14 at cond 100,
-# 3.9e-14 at 150 and 9.2e-14 at 300 (64x32, 32x64, 200x12 and 256x128 inputs;
-# linear, geometric, one-small, one-large and two-cluster spectra), where
-# `eigh` of the Gram gave up to 8.2e-13 at cond 100. A slice not converged
-# after _POLAR_NS_STEPS steps, one whose smallest eigenvalue of y is below
-# about 2.3e-6 (cond(V) above 280 to 660 with the spectrum at a short side of
-# 32) or that is rank deficient, is redone by the masked SVD. No slice can
-# pass before step _POLAR_NS_FIRST_CHECK: y's smallest eigenvalue starts at
-# most 1/sqrt(12), which is still 3.1e-7 below 1 after five steps.
+# The polar factor's Gram route takes G^{-1/2} from an inverse-free
+# Newton-Schulz schedule on y = G / ||G||_F, whose eigenvalues lie in (0, 1].
+# Each step takes a row (a, b, c) of coefficients: t = a I + b y + c y^2,
+# y <- y t t, p <- p t, so p tends to y_0^{-1/2} as y tends to I; on the
+# singular values s of V / ||G||_F^{1/2} a step is s <- s (a + b s^2 + c s^4).
+# The first two rows are the quintic Muon coefficients (Jordan et al., 2024,
+# "Muon: an optimizer for hidden layers"), which raise a small s 3.44 times
+# per step and leave every eigenvalue of y in (0, 1.45]. The rest are the
+# quintic Newton-Schulz row (15/8, -10/8, 3/8), the [2/0] Pade iteration of
+# Kenney and Laub (Higham, Functions of Matrices, 2008, ch. 8): it converges
+# cubically to 1 from anywhere in (0, 7/3) and raises a small eigenvalue of y
+# 3.5 times per step, where the cubic row (1.5, -0.5, 0) gave 2.25. A slice
+# stops at the first check at which every entry of y - I is within
+# _POLAR_NS_EXACT_TOL (rounding level), or, after _POLAR_NS_EXACT_STEPS
+# steps, within _POLAR_NS_TOL. The factor a G^{-1/2} is off the polar factor
+# by about eps * cond(V)^2, as with an eigendecomposition of the Gram. A slice
+# that stops within _POLAR_NS_EXACT_STEPS steps has a smallest eigenvalue of
+# y above about 5.9e-4 (||G||_F / lambda_min below about 1.7e3; cond(V) up to
+# 18 to 41 at a short side of 32 with the spectrum, where the cubic iteration's
+# 14 steps reached 19 to 42), and was at most 2.3e-14 from the masked SVD. A
+# later slice takes one cubic Newton-Schulz step on its factor, which squares
+# its defect to rounding level and leaves about eps * cond(V): at most
+# 2.2e-14 at cond 100, 2.8e-14 at 150 and 8.3e-14 at 300 (64x32, 32x64, 200x12
+# and 256x128 inputs; linear, geometric, one-small, one-large and two-cluster
+# spectra), and up to 3.1e-13 just below the SVD's boundary. A slice not
+# converged after _POLAR_NS_STEPS steps, one whose smallest eigenvalue of y is
+# below about 2.1e-6 (cond(V) from 310 to 700 at a short side of 32 with the
+# spectrum, where the cubic iteration's 20 steps reached 300 to 675) or that
+# is rank deficient, is redone by the masked SVD. Steps on those inputs: 5 to
+# 7 at cond 1 to 10, 8 to 10 at 100 and 10 or 11 at 300, against 7 to 14, 16
+# to 19 and 19 or 20 for the cubic row. Checks start at step
+# _POLAR_NS_FIRST_CHECK: a slice could pass before it only if every
+# eigenvalue of y lands within about 2.5e-5 of 1 after the Muon rows, which
+# takes every starting eigenvalue within a relative 2e-5 of one of a few
+# isolated values (such as 0.0618); it then takes its extra step at the
+# tail's fixed point.
+_POLAR_NS_MUON = (3.4445, -4.7750, 2.0315)
+_POLAR_NS_ROWS = (_POLAR_NS_MUON, _POLAR_NS_MUON)
+_POLAR_NS_TAIL = (15 / 8, -10 / 8, 3 / 8)
 _POLAR_NS_EXACT_TOL = 1e-14
-_POLAR_NS_EXACT_STEPS = 14
+_POLAR_NS_EXACT_STEPS = 7
 _POLAR_NS_TOL = 1e-8
-_POLAR_NS_STEPS = 20
-_POLAR_NS_FIRST_CHECK = 6
+_POLAR_NS_STEPS = 11
+_POLAR_NS_FIRST_CHECK = 4
 
 
 class NumericalFailure(RuntimeError):
@@ -103,25 +128,20 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise NumericalFailure(f"SVD did not converge on a {a.shape} matrix: {exc}") from exc
 
 
-def _short_gram(a: np.ndarray, min_side: int, room: np.ndarray | None = None):
-    """Short-side Gram matrix of a validated matrix or stack, or None for the SVD route.
+def _short_gram(a: np.ndarray):
+    """Short-side Gram matrix of a validated matrix or stack, or None for the SVD route of a square input.
 
-    None for square inputs and for a short side below `min_side`, so the
-    route depends on the matrix shape alone, never on the stack size. A slice
-    whose Gram overflowed is zeroed, which sends it to the SVD with the zero
-    slices (its largest eigenvalue is then below `_GRAM_LAMBDA_FLOOR`). The
-    Gram is written to the front of `room`, a C-ordered array with as many
-    entries as `a` at least, when one is given.
+    A slice whose Gram overflowed is zeroed, which sends it to the SVD with
+    the zero slices (its largest eigenvalue is then below
+    `_GRAM_LAMBDA_FLOOR`). `matmul` of a matrix with a transposed view of
+    itself takes BLAS `syrk`.
     """
     m, n = a.shape[-2:]
-    if m == n or min(m, n) < min_side:
+    if m == n:
         return None
-    k = min(m, n)
-    shape = a.shape[:-2] + (k, k)
-    out = None if room is None else room.reshape(-1)[: a.size // max(m, n) * k].reshape(shape)
     at = np.swapaxes(a, -2, -1)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        gram = np.matmul(at, a, out=out) if m > n else np.matmul(a, at, out=out)
+        gram = np.matmul(at, a) if m > n else np.matmul(a, at)
     gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0
     return gram
 
@@ -135,7 +155,7 @@ def _singular_values(a: np.ndarray, nuclear: bool) -> np.ndarray:
     its largest is redone by the SVD. The decision is per slice, so a stack gives exactly
     what its matrices give one by one.
     """
-    gram = _short_gram(a, 1)
+    gram = _short_gram(a)
     if gram is None:
         return _svd(a, compute_uv=False)
     try:
@@ -234,32 +254,36 @@ def _svd_polar(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonal of every matrix of a stack."""
-    return np.einsum("...ii->...i", a)
+    """Writable strided view of the diagonal of every matrix of a C-contiguous (..., k, k) stack."""
+    k = a.shape[-1]
+    return a.reshape(*a.shape[:-2], k * k)[..., :: k + 1]
 
 
-def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Polar factor of each slice of a validated stack, from its short-side Gram, into `out`; mask of resolved slices.
+def _gram_polar(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Polar factor of each slice of a validated non-square stack, from its short-side Gram, into `out`; mask of resolved slices.
 
-    `gram` is the stack's (..., k, k) Gram from `_short_gram`, written to the
-    front of `out`, a C-ordered array of `a`'s shape. The iteration works in
-    the memory of `out` and in two more (..., k, k) stacks, three when `out`
-    does not hold two. Each slice iterates on its own and leaves the working
-    stack once it has converged, so extra steps never drive its entries into
-    subnormals and its result does not depend on the other slices. The
-    factor is a p (tall) or p a (wide) with p = G^{-1/2}; a slice that
-    converged only after `_POLAR_NS_EXACT_STEPS` steps takes p symmetrised
-    and then one cubic Newton-Schulz step on its factor, q (1.5 I - 0.5 q^T
-    q) (or (1.5 I - 0.5 q q^T) q), formed as a (p w) (or (w p) a). A slice
-    whose Gram overflowed, underflowed or is zero (||G||_F below
-    `_GRAM_LAMBDA_FLOOR` or not finite), or that did not converge, is not
-    resolved and reads zero.
+    `out` is a C-ordered array of `a`'s shape. It first holds a transposed
+    copy of `a`, so that the Gram is one BLAS `gemm` per slice (a product of
+    `a` with a transposed view of itself would take the slower `syrk`); the
+    iteration then works in the memory of `out` and in two more (..., k, k)
+    stacks, three when `out` does not hold two. Each slice iterates on its
+    own and leaves the working stack once it has converged, so its result
+    does not depend on the other slices. The factor is a p (tall) or p a
+    (wide) with p = G^{-1/2}; a slice that converged only after
+    `_POLAR_NS_EXACT_STEPS` steps takes p symmetrised and then one cubic
+    Newton-Schulz step on its factor, q (1.5 I - 0.5 q^T q) (or (1.5 I - 0.5
+    q q^T) q), formed as a (p w) (or (w p) a). A slice whose Gram
+    overflowed, underflowed or is zero (||G||_F below `_GRAM_LAMBDA_FLOOR`
+    or not finite), or that did not converge, is not resolved and reads zero.
     """
-    k = gram.shape[-1]
-    y = gram.reshape(-1, k, k)
+    lead, (rows, cols) = a.shape[:-2], a.shape[-2:]
+    tall, k = rows > cols, min(rows, cols)
+    at = out.reshape(*lead, cols, rows)
+    np.copyto(at, np.swapaxes(a, -2, -1))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        y = (np.matmul(at, a) if tall else np.matmul(a, at)).reshape(-1, k, k)
+        c = _frobenius(y)  # not finite where the Gram overflowed
     b = y.shape[0]
-    with np.errstate(over="ignore"):
-        c = _frobenius(y)
     ok = (c >= _GRAM_LAMBDA_FLOOR) & (c < np.inf)
     rough = np.zeros(b, dtype=bool)
     live = np.flatnonzero(ok)  # the slice each working row holds
@@ -268,19 +292,24 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
         y[:n] = y[live]
     y[:n] /= c[live, None, None]
     # Row i of t holds the working slice's t while i < n, and the finished
-    # slice order[i]'s p from then on. p and spare swap after each product;
-    # spare takes the rest of `out` when it has room.
-    t, p = np.empty_like(y), np.empty_like(y)
+    # slice order[i]'s p from then on. t lives in `out`, and so does spare
+    # when `out` has room for it; p and spare swap after each product.
+    room = out.reshape(-1)
+    t = room[: y.size].reshape(y.shape)
+    spare = room[y.size : 2 * y.size].reshape(y.shape) if room.size >= 2 * y.size else np.empty_like(y)
+    p = np.empty_like(y)
     own = p  # p may end the loop in `out`; the result is formed here
-    room = out.reshape(-1)[y.size : 2 * y.size]
-    spare = room.reshape(y.shape) if room.size == y.size else np.empty_like(y)
     order = np.concatenate([live, np.flatnonzero(~ok)])
     t[n:] = 0.0
     for step in range(1, _POLAR_NS_STEPS + 1):
         if not n:
             break
-        np.multiply(y[:n], -0.5, out=t[:n])
-        _diagonal(t[:n])[...] += 1.5
+        # t = y (b I + c y) + a I, the row's polynomial in y.
+        ca, cb, cc = _POLAR_NS_ROWS[step - 1] if step <= len(_POLAR_NS_ROWS) else _POLAR_NS_TAIL
+        np.multiply(y[:n], cc, out=spare[:n])
+        _diagonal(spare[:n])[...] += cb
+        np.matmul(y[:n], spare[:n], out=t[:n])
+        _diagonal(t[:n])[...] += ca
         if step == 1:
             p[:n] = t[:n]
         else:
@@ -290,11 +319,18 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.matmul(spare[:n], t[:n], out=y[:n])
         if step < _POLAR_NS_FIRST_CHECK:
             continue
-        # max |y - I| per slice: |y| with its diagonal replaced by |y_ii - 1|.
-        defect = np.abs(y[:n], out=spare[:n])
-        np.abs(_diagonal(y[:n]) - 1.0, out=_diagonal(defect))
         late = step > _POLAR_NS_EXACT_STEPS
-        done = defect.max(axis=(-2, -1)) <= (_POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL)
+        tol = _POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL
+        # max |y - I| per slice, taken only where every |y_ii - 1| is within
+        # tol: no other slice can pass, so the mask is the same.
+        off = np.abs(_diagonal(y[:n]) - 1.0)
+        done = off.max(axis=-1) <= tol
+        near = np.flatnonzero(done)
+        if near.size:
+            defect = np.take(y[:n], near, axis=0, out=spare[: near.size])
+            np.abs(defect, out=defect)
+            _diagonal(defect)[...] = off[near]
+            done[near] = defect.max(axis=(-2, -1)) <= tol
         if done.any():
             # The finished slices' p go to rows m..n of t; the working slices
             # in those rows move to the rows the finished slices leave.
@@ -314,11 +350,10 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
     scale = np.zeros(b)
     scale[ok] = 1.0 / np.sqrt(c[ok])
     p *= scale[:, None, None]
-    tall = a.shape[-2] > a.shape[-1]
     if tall:
-        np.matmul(a, p.reshape(gram.shape), out=out)
+        np.matmul(a, p.reshape(*lead, k, k), out=out)
     else:
-        np.matmul(p.reshape(gram.shape), a, out=out)
+        np.matmul(p.reshape(*lead, k, k), a, out=out)
     if rough.any():
         late = np.flatnonzero(rough)
         a, p = a.reshape(-1, *a.shape[-2:])[late], p[late]
@@ -331,7 +366,7 @@ def _gram_polar(a: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
         _diagonal(w)[...] += 1.5
         q = np.matmul(a, p @ w, out=q) if tall else np.matmul(w @ p, a, out=q)
         out.reshape(-1, *out.shape[-2:])[late] = q
-    return ok.reshape(gram.shape[:-2])
+    return ok.reshape(lead)
 
 
 def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
@@ -346,8 +381,8 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     A non-square matrix with short side >= `_POLAR_GRAM_MIN_SIDE` takes it
     from its short-side Gram G with matrix products only (`_gram_polar`):
     `a @ G^{-1/2}` when tall and `G^{-1/2} @ a` when wide, G^{-1/2} from a
-    Newton-Schulz iteration (and one cubic Newton-Schulz step on the factor
-    of an ill-conditioned slice). A slice whose Gram overflowed, underflowed
+    quintic Newton-Schulz schedule (and one cubic Newton-Schulz step on the
+    factor of an ill-conditioned slice). A slice whose Gram overflowed, underflowed
     or is zero, or whose iteration did not converge within `_POLAR_NS_STEPS`
     steps (ill-conditioned or rank deficient), is redone by the masked SVD,
     as are square and smaller inputs. Like the SVD's, the result has
@@ -361,10 +396,9 @@ def msgn_exact(a, out: np.ndarray | None = None) -> np.ndarray:
     out = _out_array(out, a.shape)
     if np.may_share_memory(out, a):
         raise ValueError("out must not overlap the input")
-    gram = _short_gram(a, _POLAR_GRAM_MIN_SIDE, out)
-    if gram is None:
+    if a.shape[-2] == a.shape[-1] or min(a.shape[-2:]) < _POLAR_GRAM_MIN_SIDE:
         return _svd_polar(a, out)
-    ok = _gram_polar(a, gram, out)
+    ok = _gram_polar(a, out)
     if not ok.all():
         out[~ok] = _svd_polar(a[~ok])
     return out

@@ -387,10 +387,22 @@ def _track(m, v, stochastic_grads, theta, mixing: MixingSpec, m_new, v_out) -> N
 def _outside_ball(xs: np.ndarray, radius: float) -> np.ndarray:
     """For each lane of an (L, N, m, n) stack, whether some node's iterate has spectral norm above `radius`.
 
-    ||X||_2 <= ||X||_F, so only nodes whose Frobenius norm exceeds the
-    radius (less a rounding slack) can be outside; only those are decomposed.
+    ||X||_2^2 is the largest eigenvalue of the short-side Gram G of X, so
+    ||X||_2 <= sqrt(||G||_F) <= ||X||_F: only nodes whose Frobenius norm and
+    then whose Gram bound exceed the radius (less a rounding slack) can be
+    outside, and only those are decomposed. The Gram bound is taken of
+    X / radius, whose entries lie within a factor sqrt(m n) of 1 on the
+    ball's edge, so it neither overflows nor underflows there; a node whose
+    Gram overflows is decomposed.
     """
-    near = np.linalg.norm(xs, axis=(-2, -1)) > radius * (1.0 - _BALL_SCREEN_SLACK)
+    edge = 1.0 - _BALL_SCREEN_SLACK
+    near = np.linalg.norm(xs, axis=(-2, -1)) > radius * edge
+    if near.any():
+        unit = xs[near] / radius
+        ut = np.swapaxes(unit, -2, -1)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            gram = np.matmul(ut, unit) if xs.shape[-2] >= xs.shape[-1] else np.matmul(unit, ut)
+            near[near] = ~(np.sqrt(linalg._frobenius(gram)) <= edge)
     outside = np.zeros(near.shape, dtype=bool)
     if near.any():
         outside[near] = spectral_norm(xs[near]) > radius

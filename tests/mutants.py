@@ -38,6 +38,7 @@ POLAR_KERNEL = "Matmul-only exact polar factor"
 ONE_CALL_SHAPE = "One call shape per entry point"
 ONE_WRITE_PATH = "One write path per round stage"
 ALGORITHM_TABLE = "One algorithm table"
+POLAR_SCHEDULE = "Quintic Gram schedule for the exact polar factor"
 FORMULAS = "the ten formula mutants"
 
 
@@ -133,39 +134,71 @@ MUTANTS = (
         ROUND_BUFFERS,
     ),
     Mutant(
-        "the Gram iteration's -0.5 made -0.49",
+        "the quintic tail's -10/8 made -9.9/8",
         LINALG,
-        "np.multiply(y[:n], -0.5, out=t[:n])",
-        "np.multiply(y[:n], -0.49, out=t[:n])",
+        "_POLAR_NS_TAIL = (15 / 8, -10 / 8, 3 / 8)\n",
+        "_POLAR_NS_TAIL = (15 / 8, -9.9 / 8, 3 / 8)\n",
         (
             LINALG_TESTS + "test_gram_route_polar_needs_no_eigh_or_svd",
             LINALG_TESTS + "test_a_converged_slice_stops_iterating",
         ),
-        POLAR_KERNEL,
+        POLAR_SCHEDULE,
+    ),
+    Mutant(
+        "the quintic tail made the cubic step",
+        LINALG,
+        "_POLAR_NS_TAIL = (15 / 8, -10 / 8, 3 / 8)\n",
+        "_POLAR_NS_TAIL = (1.5, -0.5, 0.0)\n",
+        (LINALG_TESTS + "test_a_converged_slice_stops_iterating",),
+        POLAR_SCHEDULE,
+    ),
+    Mutant(
+        "the Muon row's 3.4445 made 3.0",
+        LINALG,
+        "_POLAR_NS_MUON = (3.4445, -4.7750, 2.0315)\n",
+        "_POLAR_NS_MUON = (3.0, -4.7750, 2.0315)\n",
+        (LINALG_TESTS + "test_a_converged_slice_stops_iterating",),
+        POLAR_SCHEDULE,
+    ),
+    Mutant(
+        "one Muon row instead of two",
+        LINALG,
+        "_POLAR_NS_ROWS = (_POLAR_NS_MUON, _POLAR_NS_MUON)\n",
+        "_POLAR_NS_ROWS = (_POLAR_NS_MUON,)\n",
+        (LINALG_TESTS + "test_a_converged_slice_stops_iterating",),
+        POLAR_SCHEDULE,
     ),
     Mutant(
         "the convergence gate is skipped",
         LINALG,
-        "done = defect.max(axis=(-2, -1)) <= (_POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL)",
-        "done = defect.max(axis=(-2, -1)) <= np.inf",
+        "        tol = _POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL\n",
+        "        tol = np.inf\n",
         (LINALG_TESTS + "test_msgn_exact_conditioning_sweep",),
         POLAR_KERNEL,
     ),
     Mutant(
         "the convergence gate never passes",
         LINALG,
-        "done = defect.max(axis=(-2, -1)) <= (_POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL)",
-        "done = defect.max(axis=(-2, -1)) < 0.0",
+        "        tol = _POLAR_NS_TOL if late else _POLAR_NS_EXACT_TOL\n",
+        "        tol = -1.0\n",
         (LINALG_TESTS + "test_gram_route_polar_needs_no_eigh_or_svd",),
         POLAR_KERNEL,
+    ),
+    Mutant(
+        "the gate reads the diagonal of y alone",
+        LINALG,
+        "            done[near] = defect.max(axis=(-2, -1)) <= tol\n",
+        "            pass\n",
+        (LINALG_TESTS + "test_the_gate_reads_the_off_diagonal_entries",),
+        POLAR_SCHEDULE,
     ),
     Mutant(
         "a late slice's multiplier is not symmetrised",
         LINALG,
         "        p += np.swapaxes(p, -2, -1)\n        p *= 0.5\n",
         "",
-        (LINALG_TESTS + "test_msgn_exact_conditioning_sweep",),
-        POLAR_KERNEL,
+        (LINALG_TESTS + "test_msgn_exact_near_the_top_of_the_late_tier",),
+        POLAR_SCHEDULE,
     ),
     Mutant(
         "a late slice takes no step on its factor",
@@ -203,10 +236,10 @@ MUTANTS = (
         POLAR_KERNEL,
     ),
     Mutant(
-        "the convergence checks start at step 12",
+        "the convergence checks start at step 7",
         LINALG,
-        "_POLAR_NS_FIRST_CHECK = 6\n",
-        "_POLAR_NS_FIRST_CHECK = 12\n",
+        "_POLAR_NS_FIRST_CHECK = 4\n",
+        "_POLAR_NS_FIRST_CHECK = 7\n",
         (LINALG_TESTS + "test_a_converged_slice_stops_iterating",),
         ONE_CALL_SHAPE,
     ),

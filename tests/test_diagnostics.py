@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from demuon.diagnostics import (
     MetricsRow,
@@ -195,6 +197,19 @@ def test_min_horizon_monotonicity():
     base = min_horizon(3.0, 0.4, 2.0)
     assert min_horizon(3.0, 0.2, 2.0) >= base  # smaller eps: more iterations
     assert min_horizon(6.0, 0.4, 2.0) >= base  # larger constant: more iterations
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 10**9), st.floats(1.001, 2.0), st.floats(1e-6, 1e6))
+def test_min_horizon_inverts_the_theorem_accuracy(horizon, alpha, u_dm):
+    # At horizon K the theorem reaches epsilon = U K^(-(alpha - 1) / (3 alpha - 2)),
+    # and min_horizon gives K back. The few-ulp error of U / epsilon is raised
+    # to the power (3 alpha - 2) / (alpha - 1), at most about 1e3 here, which
+    # keeps it far inside the rule's 1e-9 relative snap to the nearest
+    # integer; from alpha near 1 + 1e-6 it would not be.
+    epsilon = u_dm * horizon ** (-(alpha - 1.0) / (3.0 * alpha - 2.0))
+    assume(epsilon < 1.0)
+    assert min_horizon(u_dm, epsilon, alpha) == horizon
 
 
 def test_metrics_row_csv():

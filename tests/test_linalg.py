@@ -156,6 +156,31 @@ def test_msgn_exact_conditioning_sweep(rng, shape):
         assert np.linalg.norm(polar, 2) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("shape", [(200, 12), (32, 64)])
+def test_msgn_exact_near_the_top_of_the_late_tier(monkeypatch, rng, shape):
+    # One singular value at 1 and the rest at 1 / cond, cond 550 to 620:
+    # slices the late tier still resolves, its largest defects. Each takes
+    # its multiplier p symmetrised before the step on its factor a p, whose
+    # polar factor an asymmetric p would move by up to 4e-12 here.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a slice fell back to the SVD")
+
+    m, n = shape
+    r = min(m, n)
+    slices = []
+    for cond in np.linspace(550.0, 620.0, 16):
+        u = np.linalg.qr(rng.standard_normal((m, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        s = np.full(r, 1.0 / cond)
+        s[0] = 1.0
+        slices.append((u * s) @ v.T)
+    stack = np.stack(slices)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_svd", forbidden)
+        out = msgn_exact(stack)
+    np.testing.assert_allclose(out, np.stack([polar_oracle(a) for a in stack]), rtol=0, atol=1e-12)
+
+
 def test_gram_route_polar_needs_no_eigh_or_svd(monkeypatch, rng):
     def forbidden(*args, **kwargs):
         raise AssertionError("a factorization ran on the Gram route")
@@ -183,21 +208,52 @@ def _slice_products(monkeypatch, a) -> int:
     return products[0]
 
 
-@pytest.mark.parametrize("shape", [(64, 32), (16, 40), (200, 12)])
-def test_a_converged_slice_stops_iterating(monkeypatch, rng, shape):
+@pytest.mark.parametrize("shape, fast_steps", [((64, 32), 6), ((16, 40), 5), ((200, 12), 5)])
+def test_a_converged_slice_stops_iterating(monkeypatch, rng, shape, fast_steps):
     # Orthonormal columns (rows, when wide) have Gram c I at any scale c, so
-    # y = I / sqrt(k) reaches I to rounding in 7 steps: 2 products in the
-    # first step and 3 in each later one. In a stack with a slow slice, every
-    # fast slice still stops at its own step, not at the slow one's.
+    # y = I / sqrt(k) reaches I to rounding in the steps the scalar schedule
+    # takes from 1 / sqrt(k): 6 at k = 32, 5 at k = 16 and 12. A step takes
+    # 3 products, 4 after the first. The cond-100 slice takes 9 steps, each
+    # schedule row shortening or lengthening one of the two counts. In a
+    # stack with the slow slice, every fast slice still stops at its own
+    # step, not at the slow one's.
     m, n = shape
     fast = np.linalg.qr(rng.standard_normal((max(m, n), min(m, n))))[0]
     fast = fast if m > n else fast.T
     slow = conditioned_matrix(rng, m, n, 100.0)
     alone = _slice_products(monkeypatch, slow[None])
-    assert alone > 3 * 10 - 1
-    assert _slice_products(monkeypatch, 3.0 * fast[None]) <= 3 * 8 - 1
+    assert alone == 4 * 9 - 1
+    assert _slice_products(monkeypatch, 3.0 * fast[None]) == 4 * fast_steps - 1
     stack = np.stack([3.0 * fast, slow, 1e-3 * fast, 7.0 * fast])
-    assert _slice_products(monkeypatch, stack) - alone <= 3 * (3 * 8 - 1)
+    assert _slice_products(monkeypatch, stack) - alone == 3 * (4 * fast_steps - 1)
+
+
+def test_the_gate_reads_the_off_diagonal_entries(rng):
+    # A 32x16 slice whose Gram has a Hadamard eigenbasis and two clusters of
+    # eigenvalues, their ratio r chosen so that at the first check y's two
+    # eigenvalues sit at 1 + e and 1 - e. Every diagonal entry of y - I is
+    # then their mean, at rounding, while the off-diagonal entries are about
+    # e: the slice must iterate on, not stop with a factor about e / 2 off.
+    def defects(r):
+        lam = np.array([1.0, r]) / np.sqrt(8.0 * (1.0 + r * r))
+        for step in range(1, linalg._POLAR_NS_FIRST_CHECK + 1):
+            rows = linalg._POLAR_NS_ROWS
+            ca, cb, cc = rows[step - 1] if step <= len(rows) else linalg._POLAR_NS_TAIL
+            lam = lam * (ca + lam * (cb + cc * lam)) ** 2
+        return lam - 1.0
+
+    lo, hi = 0.15, 0.16  # the mean defect changes sign in between
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if defects(mid).sum() > 0.0 else (lo, mid)
+    e = defects(lo)
+    assert abs(e.sum()) <= 1e-15 and np.abs(e).min() >= 1e-10
+    h = np.ones((1, 1))
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    u = np.linalg.qr(rng.standard_normal((32, 16)))[0]
+    a = (u * np.sqrt(np.repeat([1.0, lo], 8))) @ h.T / 4.0
+    np.testing.assert_allclose(msgn_exact(a), polar_oracle(a), rtol=0, atol=1e-12)
 
 
 def test_norm_ordering(rng):

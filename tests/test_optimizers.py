@@ -614,6 +614,36 @@ def test_ball_check_decomposes_no_iterate_inside_the_ball(monkeypatch):
     assert decomposed == []
 
 
+@pytest.mark.parametrize("radius", [2.0, 1e-100, 1e100])
+def test_ball_screen_decides_as_the_spectral_norm(monkeypatch, radius):
+    import demuon.optimizers as optimizers
+
+    # Each lane holds a probe and a node far inside the ball. The first five
+    # probes have Frobenius norm above the radius and spectral norm far
+    # below it (their Gram bound is below it too), just below it, at it,
+    # just above it and far above it; the rest are rank-1 nodes at the
+    # radius up to a few ulps, where the Gram bound is the spectral norm; the
+    # last is far outside, and its Gram overflows.
+    rng = np.random.default_rng(11)
+
+    def node(s):
+        u = np.linalg.qr(rng.standard_normal((4, 3)))[0]
+        v = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return (u * (radius * np.asarray(s))) @ v.T
+
+    spectra = ([0.8, 0.75, 0.7], [1.0 - 1e-9, 0.9, 0.9], [1.0, 0.9, 0.9], [1.0 + 1e-9, 0.9, 0.9], [1.5, 1.0, 1.0])
+    probes = [node(s) for s in spectra]
+    probes += [node([1.0 + j * 2.2e-16, 0.0, 0.0]) for j in range(-3, 4)]
+    probes.append(radius * 1e200 * np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    xs = np.stack([np.stack([p, node([1e-3] * 3)]) for p in probes])
+    decomposed = []
+    monkeypatch.setattr(optimizers, "spectral_norm", lambda a: decomposed.append(len(a)) or spectral_norm(a))
+    with np.errstate(over="ignore"):  # the Frobenius norm of the last probe overflows at radius 2
+        got = optimizers._outside_ball(xs, radius)
+    assert got.tolist() == [spectral_norm(p) > radius for p in probes]
+    assert sum(decomposed) == len(probes) - 1  # the first probe is screened out by its Gram bound
+
+
 def dsgd_divergence_setup():
     """The divergence repro: dsgd at eta = 1 on the Gram family under Student-t noise (dof 1.3)."""
     from demuon.problems import make_nonconvex_gram
