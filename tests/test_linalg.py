@@ -161,7 +161,7 @@ def test_msgn_exact_near_the_top_of_the_late_tier(monkeypatch, rng, shape):
     # One singular value at 1 and the rest at 1 / cond, cond 550 to 620:
     # slices the late tier still resolves, its largest defects. Each takes
     # its multiplier p symmetrised before the step on its factor a p, whose
-    # polar factor an asymmetric p would move by up to 4e-12 here.
+    # polar factor an asymmetric p would move by up to 4.5e-12 here.
     def forbidden(*args, **kwargs):
         raise AssertionError("a slice fell back to the SVD")
 
