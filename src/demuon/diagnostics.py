@@ -68,25 +68,25 @@ def node_mean(stack: np.ndarray, keepdims: bool = False) -> np.ndarray:
 
 
 def _deviations(xs) -> np.ndarray:
-    """The (N m) x n vertical stack of deviations X_i - mean(X) of N same-shape matrices.
+    """The (N m) x n vertical stack of deviations X_i - mean(X) of each set of N same-shape matrices.
 
-    An (L, N, m, n) stack of L such sets gives the (L, N m, n) stack of their deviation stacks.
+    An (..., N, m, n) stack gives the (..., N m, n) stack of its sets' deviation stacks, one per leading index.
     """
     arr = np.asarray(xs, dtype=float)
     # Checked before the mean, which warns on an empty stack.
-    if arr.ndim not in (3, 4) or 0 in arr.shape[:-2]:
-        raise ValueError(f"consensus error expects a nonempty (N, m, n) or (L, N, m, n) stack, got {arr.shape}")
+    if arr.ndim < 3 or 0 in arr.shape[:-2]:
+        raise ValueError(f"consensus error expects a nonempty (..., N, m, n) stack, got {arr.shape}")
     *lead, n_blocks, m, n = arr.shape
     return (arr - node_mean(arr, keepdims=True)).reshape(*lead, n_blocks * m, n)
 
 
 def consensus_error(xs):
-    """Spectral norm of the vertical stack of deviations X_i - mean(X); one per set of an (L, N, m, n) stack."""
+    """Spectral norm of the vertical stack of deviations X_i - mean(X); one per set of an (..., N, m, n) stack."""
     return spectral_norm(_deviations(xs))
 
 
 def consensus_error_nuclear(xs):
-    """Nuclear norm of the vertical stack of deviations X_i - mean(X); one per set of an (L, N, m, n) stack."""
+    """Nuclear norm of the vertical stack of deviations X_i - mean(X); one per set of an (..., N, m, n) stack."""
     return nuclear_norm(_deviations(xs))
 
 

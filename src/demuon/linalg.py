@@ -10,11 +10,10 @@ exact polar factor takes the Gram route only from a short side of
 Newton-Schulz schedule on the Gram `G`: two steps with the Muon coefficients,
 then quintic Newton-Schulz steps to rounding level. That is 5 to 7 steps up
 to a condition number of 18 to 41 and 8 to 11 up to 310 to 700 (at a short
-side of 32, with the spectrum), about half the steps of the cubic iteration
-it replaced, and one cubic Newton-Schulz step on the factor of a slice that
-needed more than 7. The norms form their Gram with BLAS `syrk` (a product of
-a matrix with a transposed view of itself), the polar factor with `gemm` on
-a transposed copy.
+side of 32, with the spectrum), and one cubic Newton-Schulz step on the
+factor of a slice that needed more than 7. The norms form their Gram with
+BLAS `syrk` (a product of a matrix with a transposed view of itself), the
+polar factor with `gemm` on a transposed copy.
 Square inputs, smaller polar inputs, and every slice the Gram cannot resolve
 (it overflowed, it underflowed or the slice is zero; for the nuclear norm, it
 is ill-conditioned; for the polar factor, its iteration did not converge
@@ -55,27 +54,24 @@ _GRAM_NUCLEAR_RCOND = 1e-6
 # quintic Newton-Schulz row (15/8, -10/8, 3/8), the [2/0] Pade iteration of
 # Kenney and Laub (Higham, Functions of Matrices, 2008, ch. 8): it converges
 # cubically to 1 from anywhere in (0, 7/3) and raises a small eigenvalue of y
-# 3.5 times per step, where the cubic row (1.5, -0.5, 0) gave 2.25. A slice
-# stops at the first check at which every entry of y - I is within
-# _POLAR_NS_EXACT_TOL (rounding level), or, after _POLAR_NS_EXACT_STEPS
-# steps, within _POLAR_NS_TOL. The factor a G^{-1/2} is off the polar factor
-# by about eps * cond(V)^2, as with an eigendecomposition of the Gram. A slice
-# that stops within _POLAR_NS_EXACT_STEPS steps has a smallest eigenvalue of
-# y above about 5.9e-4 (||G||_F / lambda_min below about 1.7e3; cond(V) up to
-# 18 to 41 at a short side of 32 with the spectrum, where the cubic iteration's
-# 14 steps reached 19 to 42), and was at most 2.3e-14 from the masked SVD. A
-# later slice takes one cubic Newton-Schulz step on its factor, which squares
-# its defect to rounding level and leaves about eps * cond(V): at most
-# 2.2e-14 at cond 100, 2.8e-14 at 150 and 8.3e-14 at 300 (64x32, 32x64, 200x12
-# and 256x128 inputs; linear, geometric, one-small, one-large and two-cluster
-# spectra), and up to 3.1e-13 just below the SVD's boundary. A slice not
-# converged after _POLAR_NS_STEPS steps, one whose smallest eigenvalue of y is
-# below about 2.1e-6 (cond(V) from 310 to 700 at a short side of 32 with the
-# spectrum, where the cubic iteration's 20 steps reached 300 to 675) or that
-# is rank deficient, is redone by the masked SVD. Steps on those inputs: 5 to
-# 7 at cond 1 to 10, 8 to 10 at 100 and 10 or 11 at 300, against 7 to 14, 16
-# to 19 and 19 or 20 for the cubic row. Checks start at step
-# _POLAR_NS_FIRST_CHECK: a slice could pass before it only if every
+# 3.5 times per step. A slice stops at the first check at which every entry
+# of y - I is within _POLAR_NS_EXACT_TOL (rounding level), or, after
+# _POLAR_NS_EXACT_STEPS steps, within _POLAR_NS_TOL. The factor a G^{-1/2} is
+# off the polar factor by about eps * cond(V)^2, as with an eigendecomposition
+# of the Gram. A slice that stops within _POLAR_NS_EXACT_STEPS steps has a
+# smallest eigenvalue of y above about 5.9e-4 (||G||_F / lambda_min below
+# about 1.7e3; cond(V) up to 18 to 41 at a short side of 32 with the
+# spectrum), and was at most 2.3e-14 from the masked SVD. A later slice takes
+# one cubic Newton-Schulz step on its factor, which squares its defect to
+# rounding level and leaves about eps * cond(V): at most 2.2e-14 at cond 100,
+# 2.8e-14 at 150 and 8.3e-14 at 300 (64x32, 32x64, 200x12 and 256x128 inputs;
+# linear, geometric, one-small, one-large and two-cluster spectra), and up to
+# 3.1e-13 just below the SVD's boundary. A slice not converged after
+# _POLAR_NS_STEPS steps, one whose smallest eigenvalue of y is below about
+# 2.1e-6 (cond(V) from 310 to 700 at a short side of 32 with the spectrum) or
+# that is rank deficient, is redone by the masked SVD. Steps on those inputs:
+# 5 to 7 at cond 1 to 10, 8 to 10 at 100 and 10 or 11 at 300. Checks start at
+# step _POLAR_NS_FIRST_CHECK: a slice could pass before it only if every
 # eigenvalue of y lands within about 2.5e-5 of 1 after the Muon rows, which
 # takes every starting eigenvalue within a relative 2e-5 of one of a few
 # isolated values (such as 0.0618); it then takes its extra step at the

@@ -385,7 +385,7 @@ def _track(m, v, stochastic_grads, theta, mixing: MixingSpec, m_new, v_out) -> N
 
 
 def _outside_ball(xs: np.ndarray, radius: float) -> np.ndarray:
-    """For each lane of an (L, N, m, n) stack, whether some node's iterate has spectral norm above `radius`.
+    """For each set of an (..., N, m, n) stack, whether some node's iterate has spectral norm above `radius`.
 
     ||X||_2^2 is the largest eigenvalue of the short-side Gram G of X, so
     ||X||_2 <= sqrt(||G||_F) <= ||X||_F: only nodes whose Frobenius norm and
@@ -406,7 +406,7 @@ def _outside_ball(xs: np.ndarray, radius: float) -> np.ndarray:
     outside = np.zeros(near.shape, dtype=bool)
     if near.any():
         outside[near] = spectral_norm(xs[near]) > radius
-    return outside.any(axis=1)
+    return outside.any(axis=-1)
 
 
 @dataclass
@@ -581,7 +581,9 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
     for all rounds and lanes: the consensus errors, the mean-gradient and
     noise nuclear norms, the ball check, the objective at the mean, the
     tracking and mean-iterate residuals (`linalg._frobenius`, bit for bit the
-    per-matrix norms) and the potential. Each row holds its slice.
+    per-matrix norms) and the potential. Each call reads the window's
+    (W, L, N, m, n) store views as they lie, reversed slots included, and
+    gives one value per (round, lane). Each row holds its slice.
     """
     if not window:
         return
@@ -596,9 +598,8 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
     # then reads inf, and the next round, if any, raises Diverged.
     with np.errstate(over="ignore", invalid="ignore"):
         x_prev, x = stores.x[:n_rounds], stores.x[1 : n_rounds + 1]
-        nodes = x.shape[-3:]
         x_mean_prev = node_mean(x_prev, keepdims=True)
-        cons_x = diagnostics.consensus_error(x_prev.reshape(-1, *nodes)).reshape(n_rounds, n_lanes).tolist()
+        cons_x = diagnostics.consensus_error(x_prev).tolist()
         eta = np.array([r.eta for r in window]).reshape(n_rounds, n_lanes, 1, 1, 1)
         applied = eta * node_mean(stores.directions[:n_rounds], keepdims=True)
         resid = node_mean(x, keepdims=True) - (x_mean_prev - applied)
@@ -611,28 +612,27 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
         overflowed = ~np.isfinite(mean_grads).all(axis=(-2, -1))
         mean_grads[overflowed] = 0.0
         stores.nuclear[:n_rounds, :n_lanes] = mean_grads
-        nuclear = nuclear_norm(stores.nuclear[:n_rounds].reshape(-1, *nodes[1:])).reshape(n_rounds, -1)
+        nuclear = nuclear_norm(stores.nuclear[:n_rounds])
         nuclear[:, :n_lanes][overflowed] = np.inf
         objective = problems.objective_at(problem, x_mean_prev[:, :, 0])
         if n_tracked:
-            v = np.ascontiguousarray(stores.v[1 : n_rounds + 1, :n_tracked])
-            m = np.ascontiguousarray(stores.m[1 : n_rounds + 1, :n_tracked])
+            v, m = stores.v[1 : n_rounds + 1, :n_tracked], stores.m[1 : n_rounds + 1, :n_tracked]
             tracking = linalg._frobenius(node_mean(v) - node_mean(m)).tolist()
-            cons_v = diagnostics.consensus_error_nuclear(v.reshape(-1, *nodes)).reshape(n_rounds, -1)
+            cons_v = diagnostics.consensus_error_nuclear(v)
             if theorem:
+                lanes = _lanes(theorem)
                 pots = diagnostics.potential(
-                    objective[:, theorem],
-                    grads[:, theorem],
-                    m[:, theorem],
-                    cons_v[:, theorem],
+                    objective[:, lanes],
+                    grads[:, lanes],
+                    m[:, lanes],
+                    cons_v[:, lanes],
                     [live[j].pot_weights for j in theorem],
                 ).tolist()
             cons_v = cons_v.tolist()
         if problem.ball_radius != float("inf"):
             watched = [j for j, lane_run in enumerate(live) if lane_run.ball_exit is None]
             if watched:
-                xw = x[:, _lanes(watched)]
-                outside = _outside_ball(xw.reshape(-1, *nodes), problem.ball_radius).reshape(n_rounds, -1)
+                outside = _outside_ball(x[:, _lanes(watched)], problem.ball_radius)
                 for j, exits in zip(watched, outside.T):
                     if exits.any():
                         live[j].ball_exit = (

@@ -39,6 +39,7 @@ ONE_CALL_SHAPE = "One call shape per entry point"
 ONE_WRITE_PATH = "One write path per round stage"
 ALGORITHM_TABLE = "One algorithm table"
 POLAR_SCHEDULE = "Quintic Gram schedule for the exact polar factor"
+WINDOW_VIEWS = "The diagnostics window reads `run`'s stores as they lie"
 FORMULAS = "the ten formula mutants"
 
 
@@ -64,6 +65,7 @@ ACCEPTANCE = "tests/test_acceptance.py::"
 DIAGNOSTICS_TESTS = "tests/test_diagnostics.py::"
 NOISE_TESTS = "tests/test_noise.py::"
 TOPOLOGY_TESTS = "tests/test_topology.py::"
+STACKED_TESTS = "tests/test_stacked.py::"
 
 MUTANTS = (
     Mutant(
@@ -281,6 +283,26 @@ MUTANTS = (
             OPTIMIZER_TESTS + "test_rows_do_not_depend_on_the_window_when_lanes_retire_mid_window",
         ),
         ONE_WRITE_PATH,
+    ),
+    Mutant(
+        "the ball check reduces over the lane axis",
+        OPTIMIZERS,
+        "    return outside.any(axis=-1)\n",
+        # Right on an (L, N) mask, the one shape the ball check took before windows went in whole.
+        "    return outside.any(axis=1)\n",
+        (OPTIMIZER_TESTS + "test_ball_screen_decides_as_the_spectral_norm",),
+        WINDOW_VIEWS,
+    ),
+    Mutant(
+        "the consensus errors take one lane axis at most",
+        DIAGNOSTICS,
+        "    if arr.ndim < 3 or 0 in arr.shape[:-2]:\n",
+        "    if arr.ndim not in (3, 4) or 0 in arr.shape[:-2]:\n",
+        (
+            STACKED_TESTS + "test_lane_stacks_match_per_lane_calls",
+            REFERENCE + "test_complete_graph_runs_are_centralized_muon",
+        ),
+        WINDOW_VIEWS,
     ),
     # The formulas group: the paper's constants, schedules and estimators.
     Mutant(

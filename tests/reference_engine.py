@@ -17,9 +17,11 @@ problem formulas written out, and the row diagnostics are the README's
 definitions; nothing here calls the engine's kernels, so a mistake in the
 engine is not shared by the oracle. `polar` can be swapped for another
 kernel to check it the same way; `newton_schulz(k)` is the `ns:<k>` kernel
-written out one matrix at a time. Each algorithm's schedule and direction
-are written out by name, not read from the engine's table, and a name the
-loop does not know raises.
+written out one matrix at a time. `centralized_run` is the exact reduction
+of the tracked and dsgd lanes on the complete graph: one centralized loop
+on the mean iterate, with no node copies at all. Each algorithm's schedule
+and direction are written out by name, not read from the engine's table,
+and a name the loop does not know raises.
 """
 
 import math
@@ -234,3 +236,27 @@ def reference_run(lane, horizon, problem, mixing, model, polar=polar_oracle):
         "ball_exit": ball_exit,
     }
     return rows, summary, None
+
+
+def centralized_run(algorithm, params, horizon, problem, model):
+    """Centralized Muon with momentum: the rows (f(x), ||grad f(x)||_*) of `horizon` rounds from x = 0.
+
+    M <- (1 - theta) M + theta (mean_i grad f_i(x) + mean_i xi_i) and
+    x <- x - eta msgn(M); `gt_nsgdm` steps along M / ||M||_F instead, and
+    `dsgd` takes x <- x - dsgd_eta (mean_i grad f_i(x) + mean_i xi_i). On the
+    complete graph (W = 1 1^T / N) every node of a `demuon`, `gt_nsgdm` or
+    `dsgd` lane holds this x after each mix, and each tracker is this M.
+    """
+    nodes = range(problem.n_nodes)
+    x = m = np.zeros((problem.m, problem.n))
+    rows = []
+    for k in range(horizon):
+        grad = mean([local_gradient(problem, i, x) for i in nodes])
+        rows.append((mean([local_value(problem, i, x) for i in nodes]), _svdvals(grad).sum()))
+        g = grad + mean([noise_draw(model, problem.m, problem.n, i, k) for i in nodes])
+        if algorithm == "dsgd":
+            x = x - params.dsgd_eta * g
+            continue
+        m = (1.0 - params.theta) * m + params.theta * g
+        x = x - params.eta * direction(algorithm, m, g, None, polar_oracle)
+    return rows

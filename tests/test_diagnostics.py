@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -42,12 +43,17 @@ def test_consensus_error_upper_bound(rng):
 
 
 @pytest.mark.parametrize("error", [consensus_error, consensus_error_nuclear])
-@pytest.mark.parametrize("xs", [np.ones((2, 3)), np.zeros((0, 2, 3))], ids=["2d", "empty"])
+@pytest.mark.parametrize(
+    "xs",
+    [np.ones(3), np.ones((2, 3)), np.zeros((0, 2, 3)), np.zeros((4, 0, 2, 3)), np.zeros((0, 4, 3, 2, 3))],
+    ids=["1d", "2d", "empty", "no_lanes", "no_rounds"],
+)
 def test_consensus_errors_reject_a_non_stack_before_averaging(error, xs):
     # The mean of an empty stack would warn first; every warning is an error here.
+    message = f"consensus error expects a nonempty (..., N, m, n) stack, got {xs.shape}"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             error(xs)
 
 

@@ -637,11 +637,23 @@ def test_ball_screen_decides_as_the_spectral_norm(monkeypatch, radius):
     probes.append(radius * 1e200 * np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
     xs = np.stack([np.stack([p, node([1e-3] * 3)]) for p in probes])
     decomposed = []
-    monkeypatch.setattr(optimizers, "spectral_norm", lambda a: decomposed.append(len(a)) or spectral_norm(a))
+    monkeypatch.setattr(optimizers, "spectral_norm", lambda a: decomposed.append(a.copy()) or spectral_norm(a))
     with np.errstate(over="ignore"):  # the Frobenius norm of the last probe overflows at radius 2
         got = optimizers._outside_ball(xs, radius)
     assert got.tolist() == [spectral_norm(p) > radius for p in probes]
-    assert sum(decomposed) == len(probes) - 1  # the first probe is screened out by its Gram bound
+    assert sum(map(len, decomposed)) == len(probes) - 1  # the first probe is screened out by its Gram bound
+    # A (W, L, N, m, n) window of such stacks, as `_window_rows` passes it, and
+    # its reversed view, as `_Stores.carry` leaves the slots: one value per
+    # (round, lane), from the matrices that one call per round decomposes.
+    window = np.stack([xs, np.zeros_like(xs), xs[::-1], np.roll(xs, 3, axis=0)])
+    with np.errstate(over="ignore"):
+        for stack in (window, window[::-1]):
+            decomposed.clear()
+            got = optimizers._outside_ball(stack, radius)
+            stacked = np.concatenate(decomposed)
+            decomposed.clear()
+            assert got.tolist() == [optimizers._outside_ball(rows, radius).tolist() for rows in stack]
+            assert stacked.tobytes() == np.concatenate(decomposed).tobytes()
 
 
 def dsgd_divergence_setup():

@@ -6,7 +6,9 @@ trajectories of up to 30 rounds (`run` against the loop running the lanes
 one after another, on every metrics column and summary field, on the
 iteration of each ball-exit warning, and on the first diverging lane's
 `Diverged`). A demuon lane on `ns:<k>` is checked against the loop with the
-Newton-Schulz kernel written out as its polar factor.
+Newton-Schulz kernel written out as its polar factor. On the complete graph
+the tracked lanes and dsgd are also checked against their exact reduction,
+a centralized loop on the mean iterate (`centralized_run`).
 """
 
 import importlib.util
@@ -38,7 +40,7 @@ from demuon.problems import ProblemSet, make_nonconvex_gram, make_quadratic
 from demuon.topology import MixingSpec, build_family, validate_mixing
 from linalg_oracles import polar_oracle
 import reference_engine
-from reference_engine import newton_schulz, reference_round, reference_run
+from reference_engine import centralized_run, newton_schulz, reference_round, reference_run
 from test_topology import _doubly_stochastic
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +48,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # trajectory lets that round-off grow for up to 30 rounds.
 ROUND_RTOL = 1e-10
 TRAJECTORY_RTOL = 1e-7
+# On the complete graph the engine and `centralized_run` differ only in
+# summation order (a node mean or a mix with weights 1/N against a Python
+# sum, the Gram route against the SVD), a few ulps a round that the
+# contracting quadratic does not amplify: 60 rounds stayed within 2e-15
+# relative. A slip in a formula (theta, eta, a round's noise) is orders of
+# magnitude above this.
+REDUCTION_RTOL = 1e-12
 # The text of `run`'s ball-exit RuntimeWarning; group 1 is the exit round.
 BALL_EXIT = re.compile(r"iterates left the certified ball \(radius .*\) at iteration (\d+); ")
 
@@ -239,6 +248,24 @@ def test_engine_matches_the_reference_loop_on_the_gram_route(m, n):
     mixing = build_family("ring", 4)
     assert assert_runs_match(lanes, horizons, problem, mixing, noise) == 2
     assert_rounds_match(lanes, horizons, problem, mixing, noise)
+
+
+@pytest.mark.parametrize("m, n", [(8, 5), (24, 12)])  # the SVD and the Gram route of `msgn_exact`
+@pytest.mark.parametrize("algorithm", ["demuon", "gt_nsgdm", "dsgd"])
+def test_complete_graph_runs_are_centralized_muon(algorithm, m, n):
+    # With W = 1 1^T / N every node holds the mean iterate after each mix and
+    # every tracker is the mean momentum, so a heterogeneous run under heavy
+    # tails is the centralized loop, round by round.
+    problem = make_quadratic(5, m, n, 6, heterogeneity=0.5, seed=m)
+    noise = NoiseModel("student_t", 1.6, 0.3, dof=2.0, base_seed=n)
+    params = BaselineParams(dsgd_eta=0.01) if algorithm == "dsgd" else ScheduleParams(0.05, 0.2)
+    [result] = run([Lane(algorithm, params, horizon=60)], problem, build_family("complete", 5), noise)
+    rows = centralized_run(algorithm, params, 60, problem, noise)
+    for row, (objective, grad_nuclear) in zip(result.rows, rows, strict=True):
+        assert row.objective_at_mean == pytest.approx(objective, rel=REDUCTION_RTOL, abs=0.0), row.iter
+        assert row.avg_grad_nuclear == pytest.approx(grad_nuclear, rel=REDUCTION_RTOL, abs=0.0), row.iter
+        # The iterates stay within a few units of zero, so this is rounding level.
+        assert row.consensus_error_x <= REDUCTION_RTOL, row.iter
 
 
 def test_the_oracle_and_the_benchmark_checks_agree_with_the_algorithm_table():

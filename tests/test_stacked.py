@@ -224,3 +224,12 @@ def test_lane_stacks_match_per_lane_calls(problem, n_lanes, seed, scale):
         assert means[lane].tobytes() == xs[lane].mean(axis=0).tobytes()
         assert spectral[lane] == consensus_error(xs[lane])
         assert nuclear[lane] == consensus_error_nuclear(xs[lane])
+    # The diagnostics window passes (W, L, N, m, n) views of `run`'s stores,
+    # reversed along the window axis after `_Stores.carry`, as they lie.
+    window = np.stack([xs, scale * rng.standard_normal(xs.shape), xs[::-1]])
+    for stack in (window, window[::-1]):
+        spectral, nuclear = consensus_error(stack), consensus_error_nuclear(stack)
+        assert spectral.shape == nuclear.shape == (3, n_lanes)
+        for idx in np.ndindex(3, n_lanes):
+            assert spectral[idx] == consensus_error(stack[idx])
+            assert nuclear[idx] == consensus_error_nuclear(stack[idx])
