@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 
 from . import config as config_mod
@@ -61,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse(path) -> config_mod.ExperimentConfig:
     """Parse the config file at `path`; a missing file raises FileNotFoundError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        return config_mod.parse_config(fh.read())
+    return config_mod.parse_config(pathlib.Path(path))
 
 
 def _load(path, args) -> config_mod.ExperimentConfig:

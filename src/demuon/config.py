@@ -108,11 +108,14 @@ _REQUIRED = (("run", "algorithm"), ("run", "horizon"), ("topology", "family"), (
 def parse_config(source) -> ExperimentConfig:
     """Parse a config file path or raw config text, fill defaults, validate.
 
-    An empty value leaves the key unset; an unknown section or key is an error.
+    An `os.PathLike` is always a path, so a missing file raises
+    FileNotFoundError naming it; a `str` is the path of an existing file,
+    else the config text. An empty value leaves the key unset; an unknown
+    section or key is an error.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     text = source
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and os.path.exists(source)):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:

@@ -3,23 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .linalg import frobenius_norm, nuclear_norm, spectral_norm
-
-CSV_COLUMNS = (
-    "iter",
-    "consensus_error_x",
-    "consensus_bound",
-    "avg_grad_nuclear",
-    "tracking_residual",
-    "consensus_error_v",
-    "potential",
-    "objective_at_mean",
-    "wall_time_ms",
-)
 
 
 def _fmt(x) -> str:
@@ -51,6 +39,9 @@ class MetricsRow:
             shown = include_timing or name != "wall_time_ms"
             cells.append(_fmt(getattr(self, name)) if shown else "")
         return ",".join(cells)
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(MetricsRow))
 
 
 def csv_header() -> str:

@@ -11,9 +11,10 @@ Newton-Schulz schedule on the Gram `G`: two steps with the Muon coefficients,
 then quintic Newton-Schulz steps to rounding level. That is 5 to 7 steps up
 to a condition number of 18 to 41 and 8 to 11 up to 310 to 700 (at a short
 side of 32, with the spectrum), and one cubic Newton-Schulz step on the
-factor of a slice that needed more than 7. The norms form their Gram with
-BLAS `syrk` (a product of a matrix with a transposed view of itself), the
-polar factor with `gemm` on a transposed copy.
+factor of a slice that needed more than 7. The norms, and the ball screen
+of `optimizers`, form their Gram with `_gram`, BLAS `syrk` (a product of a
+matrix with a transposed view of itself); the polar factor forms its own
+with `gemm` on a transposed copy.
 Square inputs, smaller polar inputs, and every slice the Gram cannot resolve
 (it overflowed, it underflowed or the slice is zero; for the nuclear norm, it
 is ill-conditioned; for the polar factor, its iteration did not converge
@@ -124,20 +125,27 @@ def _svd(a: np.ndarray, compute_uv: bool = True):
         raise NumericalFailure(f"SVD did not converge on a {a.shape} matrix: {exc}") from exc
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """Short-side Gram matrix of every matrix of an (..., m, n) stack: a^T a when tall or square, a a^T when wide.
+
+    `matmul` of a matrix with a transposed view of itself takes BLAS `syrk`.
+    No validation: a Gram that overflows or underflows does so silently.
+    """
+    at = np.swapaxes(a, -2, -1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return np.matmul(at, a) if a.shape[-2] >= a.shape[-1] else np.matmul(a, at)
+
+
 def _short_gram(a: np.ndarray):
-    """Short-side Gram matrix of a validated matrix or stack, or None for the SVD route of a square input.
+    """The `_gram` of a validated non-square matrix or stack, or None for the SVD route of a square input.
 
     A slice whose Gram overflowed is zeroed, which sends it to the SVD with
     the zero slices (its largest eigenvalue is then below
-    `_GRAM_LAMBDA_FLOOR`). `matmul` of a matrix with a transposed view of
-    itself takes BLAS `syrk`.
+    `_GRAM_LAMBDA_FLOOR`).
     """
-    m, n = a.shape[-2:]
-    if m == n:
+    if a.shape[-2] == a.shape[-1]:
         return None
-    at = np.swapaxes(a, -2, -1)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        gram = np.matmul(at, a) if m > n else np.matmul(a, at)
+    gram = _gram(a)
     gram[~np.isfinite(gram).all(axis=(-2, -1))] = 0.0
     return gram
 

@@ -34,9 +34,7 @@ import numpy as np
 
 from . import diagnostics, linalg, problems
 from .diagnostics import MetricsRow, node_mean
-# frobenius_norm is not called here but stays importable from this module:
-# bench/tracing.py wraps the norm functions where this module looks them up.
-from .linalg import frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm  # noqa: F401
+from .linalg import frobenius_norm, msgn_exact, msgn_newton_schulz, nuclear_norm, spectral_norm
 from .noise import NoiseModel, sample_noise
 from .topology import MixingSpec, mix_blocks
 
@@ -388,21 +386,19 @@ def _outside_ball(xs: np.ndarray, radius: float) -> np.ndarray:
     """For each set of an (..., N, m, n) stack, whether some node's iterate has spectral norm above `radius`.
 
     ||X||_2^2 is the largest eigenvalue of the short-side Gram G of X, so
-    ||X||_2 <= sqrt(||G||_F) <= ||X||_F: only nodes whose Frobenius norm and
-    then whose Gram bound exceed the radius (less a rounding slack) can be
-    outside, and only those are decomposed. The Gram bound is taken of
-    X / radius, whose entries lie within a factor sqrt(m n) of 1 on the
-    ball's edge, so it neither overflows nor underflows there; a node whose
-    Gram overflows is decomposed.
+    ||X||_2 <= sqrt(||G||_F) <= ||X||_F: only nodes whose Frobenius norm
+    (`frobenius_norm`) and then whose Gram bound (`linalg._gram`, the norms'
+    Gram) exceed the radius (less a rounding slack) can be outside, and only
+    those are decomposed. The Gram bound is taken of X / radius, whose
+    entries lie within a factor sqrt(m n) of 1 on the ball's edge, so it
+    neither overflows nor underflows there; a node whose Gram overflows is
+    decomposed. The iterates must be finite, as `run`'s are.
     """
     edge = 1.0 - _BALL_SCREEN_SLACK
-    near = np.linalg.norm(xs, axis=(-2, -1)) > radius * edge
+    near = frobenius_norm(xs) > radius * edge
     if near.any():
-        unit = xs[near] / radius
-        ut = np.swapaxes(unit, -2, -1)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            gram = np.matmul(ut, unit) if xs.shape[-2] >= xs.shape[-1] else np.matmul(unit, ut)
-            near[near] = ~(np.sqrt(linalg._frobenius(gram)) <= edge)
+            near[near] = ~(np.sqrt(linalg._frobenius(linalg._gram(xs[near] / radius))) <= edge)
     outside = np.zeros(near.shape, dtype=bool)
     if near.any():
         outside[near] = spectral_norm(xs[near]) > radius
@@ -511,14 +507,6 @@ class _LaneRun:
         )
 
 
-class _Pending(NamedTuple):
-    """A round whose rows `run` has yet to build; its arrays are in the window's `_Stores`."""
-
-    iter: int
-    eta: list
-    step_s: float
-
-
 def _window_rounds(shape: tuple) -> int:
     """The rounds a window of an (L, N, m, n) lane stack holds.
 
@@ -573,11 +561,13 @@ def _power(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
-    """Record every live lane's rows and noise-moment sums of the pending rounds in `window`, then empty it.
+def _window_rows(live, problem, stores: _Stores, first: int, step_s: list, alpha: float) -> None:
+    """Record every live lane's rows and noise-moment sums of a window's rounds, `first` to `first + W - 1`.
 
-    Every round of a window has the same live lanes, tracked lanes first, and
-    its arrays are the first slots of `stores`. Each diagnostic is one call
+    `step_s` holds each round's step seconds, so W is its length. Every round
+    of a window has the same live lanes, tracked lanes first, and its arrays
+    are the first slots of `stores`; a round's step sizes are its lanes'
+    `_round_schedule` rows, those `step` applied. Each diagnostic is one call
     for all rounds and lanes: the consensus errors, the mean-gradient and
     noise nuclear norms, the ball check, the objective at the mean, the
     tracking and mean-iterate residuals (`linalg._frobenius`, bit for bit the
@@ -585,11 +575,11 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
     (W, L, N, m, n) store views as they lie, reversed slots included, and
     gives one value per (round, lane). Each row holds its slice.
     """
-    if not window:
+    if not step_s:
         return
     t0 = time.perf_counter()
-    n_rounds, n_lanes = len(window), len(live)
-    iters = [r.iter for r in window]
+    n_rounds, n_lanes = len(step_s), len(live)
+    iters = range(first, first + n_rounds)
     n_tracked = sum(lane_run.lane.tracked for lane_run in live)
     # A theorem lane's position among the theorem lanes.
     theorem = [j for j in range(n_tracked) if live[j].pot_weights is not None]
@@ -600,7 +590,8 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
         x_prev, x = stores.x[:n_rounds], stores.x[1 : n_rounds + 1]
         x_mean_prev = node_mean(x_prev, keepdims=True)
         cons_x = diagnostics.consensus_error(x_prev).tolist()
-        eta = np.array([r.eta for r in window]).reshape(n_rounds, n_lanes, 1, 1, 1)
+        eta = np.array([[_round_schedule(lane_run.lane, k)[0] for lane_run in live] for k in iters])
+        eta = eta.reshape(n_rounds, n_lanes, 1, 1, 1)
         applied = eta * node_mean(stores.directions[:n_rounds], keepdims=True)
         resid = node_mean(x, keepdims=True) - (x_mean_prev - applied)
         resid = linalg._frobenius(resid[:, :, 0]).tolist()
@@ -644,8 +635,8 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
     # loop takes a SIMD path on some CPUs, so its last bits depend on the host.
     noise_powers = [[_power(norm, alpha) for norm in row[n_lanes:]] for row in nuclear]
     diagnostics_s = (time.perf_counter() - t0) / n_rounds
-    for w, pending in enumerate(window):
-        wall_ms = (pending.step_s + diagnostics_s) * 1e3 / n_lanes
+    for w, seconds in enumerate(step_s):
+        wall_ms = (seconds + diagnostics_s) * 1e3 / n_lanes
         # One round at a time, as the rounds ran: one sum over the window would round differently.
         moment = float(np.add.reduce(noise_powers[w]))
         for j, lane_run in enumerate(live):
@@ -660,7 +651,6 @@ def _window_rows(live, problem, stores: _Stores, window, alpha: float) -> None:
                 MetricsRow(iters[w], cons_x[w][j], lane_run.bound, nuclear[w][j], track, consensus_v, pot,
                            objective[w][j], wall_time_ms=wall_ms)
             )
-    window.clear()
 
 
 def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[RunResult]:
@@ -674,6 +664,8 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     stack, and the objective at the mean, is one call for the window's rounds
     and lanes. A window is the most rounds, at most `_WINDOW_ROUNDS`, whose
     arrays fit `_WINDOW_BYTES`; it also ends when a lane retires or fails.
+    Of each round, `run` keeps only its step seconds: the window reads the
+    arrays from the stores and the step sizes from each lane's schedule.
     The rounds are written into round buffers that `run` owns (`_Stores`),
     one set per lane composition, reused window after window. The stack
     holds the tracked lanes first and each kind together (see `_layout`).
@@ -710,23 +702,25 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
     live = [runs[i] for i in sorted(range(len(lanes)), key=lambda i: (not kinds[i][0], kinds.index(kinds[i])))]
     state = initial_state([lane_run.lane for lane_run in live], mixing.n_nodes, np.zeros((problem.m, problem.n)))
     stores = failure = failed = None
-    window = []
+    step_s = []  # the step seconds of the window's rounds so far
     while live:
         if stores is None:  # a new lane composition: lay out its round buffers
             stores = _Stores(state)
             state = stores.state
         t0 = time.perf_counter()
         try:
-            state, info = step(state, problem, mixing, noise_model, out=stores.buffers(len(window)))
+            state, _ = step(state, problem, mixing, noise_model, out=stores.buffers(len(step_s)))
         except Diverged as exc:
             failure, failed = exc, live[exc.lane]
             keep = [j for j, lane_run in enumerate(live) if runs.index(lane_run) < runs.index(failed)]
         else:
-            window.append(_Pending(state.iter - 1, info["eta"], time.perf_counter() - t0))
+            step_s.append(time.perf_counter() - t0)
             keep = [j for j, lane_run in enumerate(live) if lane_run.horizon > state.iter]
-            if len(keep) == len(live) and len(window) < stores.rounds:
+            if len(keep) == len(live) and len(step_s) < stores.rounds:
                 continue
-        _window_rows(live, problem, stores, window, noise_model.alpha)
+        # `state` enters the round after the window's last: the next one, or the one that failed.
+        _window_rows(live, problem, stores, state.iter - len(step_s), step_s, noise_model.alpha)
+        step_s = []
         if len(keep) == len(live):
             state = stores.carry(state)
         else:

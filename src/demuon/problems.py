@@ -322,16 +322,14 @@ def load_problem(path) -> ProblemSet:
 
 def dump_problem(problem: ProblemSet, path):
     """Write a ProblemSet in the file format accepted by load_problem."""
+    header = f"{problem.kind} {problem.n_nodes} {problem.m} {problem.n}"
+    if problem.kind == QUADRATIC:
+        blocks, header = (problem.a, problem.b), f"{header} {problem.a.shape[-2]}"
+    else:
+        blocks = (problem.c,)
     with open(path, "w", encoding="utf-8") as fh:
-        if problem.kind == QUADRATIC:
-            p = problem.a[0].shape[0]
-            fh.write(f"{problem.kind} {problem.n_nodes} {problem.m} {problem.n} {p}\n")
-            for i in range(problem.n_nodes):
-                for block in (problem.a[i], problem.b[i]):
-                    for row in block:
-                        fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        else:
-            fh.write(f"{problem.kind} {problem.n_nodes} {problem.m} {problem.n}\n")
-            for i in range(problem.n_nodes):
-                for row in problem.c[i]:
+        fh.write(header + "\n")
+        for i in range(problem.n_nodes):
+            for block in blocks:
+                for row in block[i]:
                     fh.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -41,6 +41,7 @@ ALGORITHM_TABLE = "One algorithm table"
 POLAR_SCHEDULE = "Quintic Gram schedule for the exact polar factor"
 WINDOW_VIEWS = "The diagnostics window reads `run`'s stores as they lie"
 FORMULAS = "the ten formula mutants"
+OWNERS = "Each formula once"
 
 
 class Mutant(NamedTuple):
@@ -303,6 +304,50 @@ MUTANTS = (
             REFERENCE + "test_complete_graph_runs_are_centralized_muon",
         ),
         WINDOW_VIEWS,
+    ),
+    Mutant(
+        "the window takes tau as its step size",
+        OPTIMIZERS,
+        "_round_schedule(lane_run.lane, k)[0]",
+        "_round_schedule(lane_run.lane, k)[1]",
+        (
+            OPTIMIZER_TESTS + "test_run_tracking_and_average_iterate_identities",
+            REFERENCE + "test_engine_matches_the_per_node_reference_loop",
+        ),
+        OWNERS,
+    ),
+    Mutant(
+        "the window takes round k + 1's step size",
+        OPTIMIZERS,
+        "_round_schedule(lane_run.lane, k)[0]",
+        "_round_schedule(lane_run.lane, k + 1)[0]",
+        (
+            OPTIMIZER_TESTS + "test_run_tracking_and_average_iterate_identities",
+            OPTIMIZER_TESTS + "test_identities_hold_on_random_doubly_stochastic_mixing",
+        ),
+        OWNERS,
+    ),
+    Mutant(
+        "the Gram's orientation test is flipped",
+        LINALG,
+        "if a.shape[-2] >= a.shape[-1] else",
+        "if a.shape[-2] < a.shape[-1] else",
+        (
+            LINALG_TESTS + "test_gram_is_the_short_side_product",
+            LINALG_TESTS + "test_gram_route_norms_need_no_svd",
+        ),
+        OWNERS,
+    ),
+    Mutant(
+        "the ball screen decomposes no node",
+        OPTIMIZERS,
+        "near = frobenius_norm(xs) > radius * edge",
+        "near = frobenius_norm(xs) > np.inf",
+        (
+            OPTIMIZER_TESTS + "test_ball_screen_decides_as_the_spectral_norm",
+            OPTIMIZER_TESTS + "test_ball_exit_warns_at_the_per_node_reference_iteration",
+        ),
+        OWNERS,
     ),
     # The formulas group: the paper's constants, schedules and estimators.
     Mutant(

@@ -164,6 +164,19 @@ def test_config_file_path(tmp_path):
     validate_config(cfg)
 
 
+def test_config_path_object_is_always_a_path(tmp_path):
+    # A missing Path is a missing file, never config text.
+    missing = tmp_path / "missing.ini"
+    message = f"[Errno 2] No such file or directory: {str(missing)!r}"
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
+        parse_config(missing)
+    # A str stays a path only when it names a file; otherwise it is the config text.
+    (tmp_path / "exp.ini").write_text(MINIMAL)
+    assert parse_config(str(tmp_path / "exp.ini")) == parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match="^could not parse config"):
+        parse_config(str(missing))
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

@@ -147,6 +147,20 @@ def test_theorem_potential_params():
         theorem_potential_params(16, 2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((-0.5, 1.0), "potential weights must be nonnegative"),
+        ((0.5, -1.0), "potential weights must be nonnegative"),
+        ((0.5, 1.0, 1.0), "alpha must lie in (1, 2], got 1.0"),
+        ((0.5, 1.0, 2.5), "alpha must lie in (1, 2], got 2.5"),
+    ],
+)
+def test_potential_params_reject_negative_weights_and_alpha_outside(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PotentialParams(*args)
+
+
 def test_theorem_potential_shares_the_schedule_step():
     for horizon, alpha, lam in ((4, 2.0, 0.0), (64, 1.5, 0.3), (1000, 1.1, 0.9)):
         eta = theoretical_schedule(horizon, alpha).eta
@@ -186,6 +200,10 @@ def test_u_dm_positive_and_validated(rng):
         u_dm_constant(1.0, 2, 0.1, 2.0, 1.0, 1.0, 2, 2)
     with pytest.raises(ValueError):
         u_dm_constant(1.0, 2, 0.1, 2.5, 0.2, 1.0, 2, 2)
+    with pytest.raises(ValueError, match=r"^sigma must be nonnegative, got -0\.1$"):
+        u_dm_constant(1.0, 2, -0.1, 2.0, 0.2, 1.0, 2, 2)
+    with pytest.raises(ValueError, match=r"^l_star must be nonnegative, got -1\.0$"):
+        u_dm_constant(1.0, 2, 0.1, 2.0, 0.2, -1.0, 2, 2)
 
 
 def test_min_horizon_values():
@@ -197,6 +215,9 @@ def test_min_horizon_values():
         min_horizon(5.5, 1.5, 2.0)
     with pytest.raises(ValueError):
         min_horizon(-1.0, 0.5, 2.0)
+    for alpha in (1.0, 2.5):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'alpha must lie in (1, 2], got {alpha}')}$"):
+            min_horizon(5.5, 0.5, alpha)
 
 
 def test_min_horizon_monotonicity():

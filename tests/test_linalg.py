@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,51 @@ def test_gram_route_polar_needs_no_eigh_or_svd(monkeypatch, rng):
     for shape in ((64, 64, 32), (8, 12, 40)):
         stack = rng.standard_normal(shape)
         assert msgn_exact(stack).shape == shape
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (2, 6, 3), (2, 3, 6)])
+def test_gram_is_the_short_side_product(rng, shape):
+    # a^T a when tall or square, a a^T when wide: the one Gram of the norms and the ball screen.
+    a = rng.standard_normal(shape)
+    at = np.swapaxes(a, -2, -1)
+    k = min(shape[-2:])
+    got = linalg._gram(a)
+    assert got.shape == (*shape[:-2], k, k)
+    np.testing.assert_array_equal(got, at @ a if shape[-2] >= shape[-1] else a @ at)
+
+
+def test_gram_route_norms_need_no_svd(monkeypatch, rng):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an SVD ran on the Gram route")
+
+    stacks = [rng.standard_normal(shape) for shape in ((4, 9, 5), (4, 5, 9))]
+    want = [np.linalg.svd(stack, compute_uv=False) for stack in stacks]
+    monkeypatch.setattr(linalg, "_svd", forbidden)
+    for stack, s in zip(stacks, want):
+        np.testing.assert_allclose(spectral_norm(stack), s[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(nuclear_norm(stack), s.sum(axis=-1), rtol=1e-12, atol=0)
+
+
+def _fails(message):
+    def factorization(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
+
+    return factorization
+
+
+def test_norms_take_the_svd_when_eigvalsh_fails(monkeypatch, rng):
+    stack = rng.standard_normal((3, 7, 4))
+    s = np.linalg.svd(stack, compute_uv=False)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _fails("Eigenvalues did not converge"))
+    assert spectral_norm(stack).tolist() == s[:, 0].tolist()
+    assert nuclear_norm(stack).tolist() == s.sum(axis=-1).tolist()
+
+
+def test_svd_failure_names_the_shape(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _fails("SVD did not converge"))
+    message = "SVD did not converge on a (2, 3, 3) matrix: SVD did not converge"
+    with pytest.raises(linalg.NumericalFailure, match=f"^{re.escape(message)}$"):
+        msgn_exact(np.ones((2, 3, 3)))
 
 
 def _slice_products(monkeypatch, a) -> int:

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -321,6 +322,20 @@ def test_problem_file_errors(tmp_path):
     truncated.write_text("quadratic 2 2 1 1\n1.0,0.0\n")
     with pytest.raises(ProblemFormatError):
         load_problem(truncated)
+
+
+def test_problem_file_rejects_a_zero_dimension(tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text("quadratic 1 0 1 1\n1.0\n")
+    message = f"{path}: line 1: dimensions must be positive, got [1, 0, 1, 1]"
+    with pytest.raises(ProblemFormatError, match=f"^{re.escape(message)}$"):
+        load_problem(path)
+
+
+def test_problem_set_rejects_an_unknown_kind():
+    message = "problem kind must be one of ('quadratic', 'nonconvex_gram'), got 'sparse'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        problems.ProblemSet("sparse", 1, 2, 2, c=np.eye(2)[None])
 
 
 def test_problem_file_errors_name_physical_lines(tmp_path):
