@@ -16,8 +16,10 @@ per-round diagnostics are computed a window of rounds at a time. `run`
 owns one set of window stores per lane composition and hands `step` a slot
 of them to write each round into, so a round allocates only its stepped
 iterates and the kernels' temporaries; a direct `step` call writes into
-fresh arrays. `step` raises the Diverged of a non-finite round; `run` alone
-decides which lanes leave the stack.
+fresh arrays. The stores hold momenta and trackers for the tracked lanes
+only, which lead `run`'s stack, and a window holds as many rounds as fit
+its byte budget (see `_window_rounds`). `step` raises the Diverged of a
+non-finite round; `run` alone decides which lanes leave the stack.
 """
 
 from __future__ import annotations
@@ -51,11 +53,17 @@ _REPORT_STREAM = 0x696F7461
 # Relative rounding slack of the Frobenius screen in the ball check.
 _BALL_SCREEN_SLACK = 1e-12
 # `run` computes its per-round diagnostics a window of rounds at a time: the
-# most rounds, at most _WINDOW_ROUNDS, whose held arrays fit _WINDOW_BYTES.
-# On a 2-vCPU host (2 MiB of L2 per core) the run time fell from 128 KiB to
-# 384 KiB and stayed flat to 1 MiB, while peak memory kept rising.
+# most rounds, at most _WINDOW_ROUNDS, whose held arrays fit _WINDOW_BYTES,
+# and at least two where two fit _WINDOW_L2_BYTES. On a 2-vCPU host (2 MiB of
+# L2 per core) the run time fell from 128 KiB to 384 KiB and stayed flat to
+# 1 MiB, while peak memory kept rising. A stack whose one round is above the
+# budget pays a window's fixed cost (about 40 stacked calls) every round:
+# two-round windows of the (3, 16, 32, 16) compare stack (768 KiB a round)
+# cut its run time by 9% for 1.3-3.0% more peak memory, three rounds by 13%
+# for 8.8% more.
 _WINDOW_ROUNDS = 64
 _WINDOW_BYTES = 384 * 1024
+_WINDOW_L2_BYTES = 2 * 1024 * 1024
 
 
 class Diverged(ValueError):
@@ -146,9 +154,12 @@ class RunState:
     """The per-node (X, M, V) of a lane stack entering round `iter`: (L, N, m, n) stacks.
 
     x holds the iterates X^k; m and v hold the previous round's momenta and
-    trackers (M^{k-1}, V^{k-1}), both zero before the first round; an
-    untracked lane keeps zero momenta and trackers. `lanes` holds the `Lane`
-    of each stack entry, in stack order.
+    trackers (M^{k-1}, V^{k-1}), both zero before the first round. Row j of
+    m and v is the lane at stack position j, and they need rows only up to
+    the last tracked lane (see `_held`): `initial_state` gives a zero row to
+    every lane, `run` holds rows for its tracked lanes alone, and the row of
+    an untracked lane stays zero. `lanes` holds the `Lane` of each stack
+    entry, in stack order.
     """
 
     iter: int
@@ -162,9 +173,12 @@ class RunState:
         return self.x.shape[-3]
 
     def take(self, idx) -> RunState:
-        """The state of the lanes at the ascending positions `idx`; the stacks are views where those are consecutive."""
-        index = _lanes(idx)
-        return RunState(self.iter, self.x[index], self.m[index], self.v[index], tuple(self.lanes[j] for j in idx))
+        """The state of the lanes at the ascending positions `idx`; the stacks are views where those are consecutive.
+
+        m and v keep the rows of the positions they hold, a leading part of `idx`.
+        """
+        index, held = _lanes(idx), _lanes([j for j in idx if j < len(self.m)])
+        return RunState(self.iter, self.x[index], self.m[held], self.v[held], tuple(self.lanes[j] for j in idx))
 
 
 def parse_orthogonalizer(spec: str) -> tuple[str, int]:
@@ -198,11 +212,15 @@ def initial_state(lanes, n_nodes: int, x0: np.ndarray) -> RunState:
 def _raise_first_failure(k: int, lanes: tuple, **stacks) -> None:
     """Raise the Diverged of the first lane holding a non-finite value, if any.
 
-    The stacks are (L, N, m, n); a lane's quantities are checked in the order given.
+    The stacks are (L, N, m, n), or hold rows for the leading lanes only, as
+    momenta and trackers may; a lane's quantities are checked in the order given.
     """
     if all(np.isfinite(stack).all() for stack in stacks.values()):
         return
-    finite = {quantity: np.isfinite(stack).all(axis=(-2, -1)) for quantity, stack in stacks.items()}
+    finite = {}
+    for quantity, stack in stacks.items():
+        finite[quantity] = np.ones((len(lanes), stack.shape[-3]), dtype=bool)
+        finite[quantity][: len(stack)] = np.isfinite(stack).all(axis=(-2, -1))
     lane = int(np.argmin(np.logical_and.reduce([nodes.all(axis=1) for nodes in finite.values()])))
     quantity, nodes = next((q, nodes[lane]) for q, nodes in finite.items() if not nodes[lane].all())
     raise Diverged(lanes[lane].algorithm, k, int(np.argmin(nodes)), quantity, lane)
@@ -240,6 +258,11 @@ def _round_schedule(lane: Lane, k: int) -> tuple[float, float | None]:
     if not lane.tracked:
         return params.dsgd_eta, None
     return params.eta, None
+
+
+def _held(lanes) -> int:
+    """The momentum and tracker rows a stack of `lanes` needs: one per position up to its last tracked lane."""
+    return max((j + 1 for j, lane in enumerate(lanes) if lane.tracked), default=0)
 
 
 def _lanes(idx):
@@ -282,9 +305,10 @@ class _RoundBuffers(NamedTuple):
     `x`, `m` and `v` take the next state and `grads`, `noise` and
     `directions` the round record; until the iterates are written, `x` holds
     the stochastic gradients (a tracked lane's rows are `_track`'s scratch).
-    All are (L, N, m, n) stacks but `noise`, (N, m, n). `step` writes only
-    the tracked lanes' rows of `m` and `v`; the untracked lanes' rows hold
-    the zeros that `allocate` and the stores start with. Both lay the
+    All are (L, N, m, n) stacks but `noise`, (N, m, n), and `m` and `v`,
+    which hold the rows of the entering state's (see `RunState`). `step`
+    writes only the tracked lanes' rows of `m` and `v`; an untracked lane's
+    row, if held, keeps the zeros that `allocate` starts with. Both lay the
     buffers out apart from the entering state.
     """
 
@@ -296,10 +320,14 @@ class _RoundBuffers(NamedTuple):
     directions: np.ndarray
 
     @classmethod
-    def allocate(cls, shape: tuple) -> _RoundBuffers:
-        """Fresh buffers for an (L, N, m, n) lane stack: momenta and trackers zero, the rest uninitialised."""
-        return cls(np.empty(shape), np.zeros(shape), np.zeros(shape), np.empty(shape), np.empty(shape[1:]),
-                   np.empty(shape))
+    def allocate(cls, shape: tuple, held: int) -> _RoundBuffers:
+        """Fresh buffers for an (L, N, m, n) lane stack with `held` momentum and tracker rows.
+
+        Momenta and trackers are zero, the rest uninitialised.
+        """
+        held_shape = (held, *shape[1:])
+        return cls(np.empty(shape), np.zeros(held_shape), np.zeros(held_shape), np.empty(shape),
+                   np.empty(shape[1:]), np.empty(shape))
 
 
 def _directions(groups, v, stochastic, schedules, dirs: np.ndarray) -> np.ndarray:
@@ -332,17 +360,22 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
     `exact_grads`, `noise`, `directions`, and `eta` and `tau` (lists, one
     per lane; tau is None where nothing is clipped).
 
-    The round is written into fresh arrays. `out` is for `run`, which passes
-    a slot of its own round buffers; anything else raises TypeError. The
-    entering state is only read, so a round that fails leaves it as it was.
+    The round is written into fresh arrays, whose momenta and trackers hold
+    the rows the entering state holds; a state without a row for each lane
+    up to its last tracked one raises ValueError. `out` is for `run`, which
+    passes a slot of its own round buffers; anything else raises TypeError.
+    The entering state is only read, so a round that fails leaves it as it was.
 
     A non-finite round raises the Diverged of its first non-finite lane
     (`Diverged.lane` is its stack position): the momenta and trackers of
     every lane are checked before any direction is taken, then the iterates.
     """
     k, lanes = state.iter, state.lanes
+    held = _held(lanes)
+    if min(len(state.m), len(state.v)) < held:
+        raise ValueError(f"state.m and state.v need a row for each of the first {held} lanes, the last tracked one's")
     if out is None:
-        out = _RoundBuffers.allocate(state.x.shape)
+        out = _RoundBuffers.allocate(state.x.shape, len(state.m))
     elif not isinstance(out, _RoundBuffers):
         raise TypeError(f"out must be one of run's round buffers, got {type(out).__name__}")
     noise = sample_noise(noise_model, problem.m, problem.n, state.n_nodes, k, out=out.noise)
@@ -507,15 +540,18 @@ class _LaneRun:
         )
 
 
-def _window_rounds(shape: tuple) -> int:
-    """The rounds a window of an (L, N, m, n) lane stack holds.
+def _window_rounds(shape: tuple, held: int) -> int:
+    """The rounds a window of an (L, N, m, n) lane stack with `held` momentum and tracker rows holds.
 
-    That is the most, up to `_WINDOW_ROUNDS`, whose arrays fit `_WINDOW_BYTES`;
-    a round's arrays are its state (x, m, v), gradients and directions, and
-    its (N, m, n) noise draw.
+    That is the most, up to `_WINDOW_ROUNDS`, whose arrays fit `_WINDOW_BYTES`,
+    and at least two when two rounds fit `_WINDOW_L2_BYTES`. A round's arrays
+    are its iterates, gradients and directions (L lanes each), its momenta and
+    trackers (`held` rows each), and its (N, m, n) noise draw.
     """
-    stack = math.prod(shape) * 8
-    return max(1, min(_WINDOW_ROUNDS, _WINDOW_BYTES // (5 * stack + stack // shape[0])))
+    lane = math.prod(shape[1:]) * 8
+    round_bytes = (3 * shape[0] + 2 * held + 1) * lane
+    fallback = 2 if 2 * round_bytes <= _WINDOW_L2_BYTES else 1
+    return min(_WINDOW_ROUNDS, max(fallback, _WINDOW_BYTES // round_bytes))
 
 
 class _Stores:
@@ -525,21 +561,22 @@ class _Stores:
     record slot w (see `buffers`), so the window's diagnostics read views of
     these arrays. Each noise slot is preceded by L free matrices, where the
     diagnostics put the lanes' mean gradients: one nuclear-norm call then
-    reads both without a concatenated copy. Momenta and trackers start zero,
-    so untracked lanes keep zero rows. A lane composition allocates its
+    reads both without a concatenated copy. The momentum and tracker slots
+    hold a row for each tracked lane and none for the untracked lanes after
+    them, so `step` writes every row. A lane composition allocates its
     stores once; a retirement or a divergence lays out new ones for the
     surviving lanes.
     """
 
     def __init__(self, state: RunState):
-        shape = state.x.shape
-        self.rounds = _window_rounds(shape)
-        slots = (self.rounds + 1, *shape)
-        self.x, self.m, self.v = np.empty(slots), np.zeros(slots), np.zeros(slots)
+        shape, held = state.x.shape, _held(state.lanes)
+        self.rounds = _window_rounds(shape, held)
+        held_slots = (self.rounds + 1, held, *shape[1:])
+        self.x, self.m, self.v = np.empty((self.rounds + 1, *shape)), np.empty(held_slots), np.empty(held_slots)
         self.grads, self.directions = np.empty((self.rounds, *shape)), np.empty((self.rounds, *shape))
         self.nuclear = np.empty((self.rounds, shape[0] + shape[1], *shape[2:]))
         self.noise = self.nuclear[:, shape[0] :]
-        self.x[0], self.m[0], self.v[0] = state.x, state.m, state.v
+        self.x[0], self.m[0], self.v[0] = state.x, state.m[:held], state.v[:held]
         self.state = RunState(state.iter, self.x[0], self.m[0], self.v[0], state.lanes)
 
     def buffers(self, w: int) -> _RoundBuffers:
@@ -566,8 +603,9 @@ def _window_rows(live, problem, stores: _Stores, first: int, step_s: list, alpha
 
     `step_s` holds each round's step seconds, so W is its length. Every round
     of a window has the same live lanes, tracked lanes first, and its arrays
-    are the first slots of `stores`; a round's step sizes are its lanes'
-    `_round_schedule` rows, those `step` applied. Each diagnostic is one call
+    are the first slots of `stores`, whose momenta and trackers are the
+    tracked lanes'; a round's step sizes are its lanes' `_round_schedule`
+    rows, those `step` applied. Each diagnostic is one call
     for all rounds and lanes: the consensus errors, the mean-gradient and
     noise nuclear norms, the ball check, the objective at the mean, the
     tracking and mean-iterate residuals (`linalg._frobenius`, bit for bit the
@@ -607,7 +645,7 @@ def _window_rows(live, problem, stores: _Stores, first: int, step_s: list, alpha
         nuclear[:, :n_lanes][overflowed] = np.inf
         objective = problems.objective_at(problem, x_mean_prev[:, :, 0])
         if n_tracked:
-            v, m = stores.v[1 : n_rounds + 1, :n_tracked], stores.m[1 : n_rounds + 1, :n_tracked]
+            v, m = stores.v[1 : n_rounds + 1], stores.m[1 : n_rounds + 1]
             tracking = linalg._frobenius(node_mean(v) - node_mean(m)).tolist()
             cons_v = diagnostics.consensus_error_nuclear(v)
             if theorem:

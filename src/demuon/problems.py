@@ -153,12 +153,19 @@ def objective_at(problem: ProblemSet, x):
     """Global objective f(x) = (1/N) sum_i f_i(x) at a common iterate.
 
     `x` may be an (..., m, n) stack of iterates; the result is then one value
-    per iterate, each exactly what that iterate gives alone.
+    per iterate, each exactly what that iterate gives alone. The Gram
+    family's (N, m, m) residuals are formed one iterate at a time, so a
+    stack's largest temporary is one iterate's, not the stack's.
     """
     x = as_matrix(x, stack=True)
     if x.shape[-2:] != (problem.m, problem.n):
         raise ValueError(f"iterate shape {x.shape} does not match problem (..., {problem.m}, {problem.n})")
-    means = np.mean(_values(problem, x[..., None, :, :]), axis=-1)
+    if problem.kind == QUADRATIC:
+        means = np.mean(_values(problem, x[..., None, :, :]), axis=-1)
+    else:
+        means = np.empty(x.shape[:-2])
+        for i in np.ndindex(means.shape):
+            means[i] = np.mean(_values(problem, x[i]))
     return float(means) if means.ndim == 0 else means
 
 

@@ -42,6 +42,7 @@ POLAR_SCHEDULE = "Quintic Gram schedule for the exact polar factor"
 WINDOW_VIEWS = "The diagnostics window reads `run`'s stores as they lie"
 FORMULAS = "the ten formula mutants"
 OWNERS = "Each formula once"
+TWO_ROUND_WINDOWS = "Two-round diagnostics windows for compare stacks"
 
 
 class Mutant(NamedTuple):
@@ -67,6 +68,7 @@ DIAGNOSTICS_TESTS = "tests/test_diagnostics.py::"
 NOISE_TESTS = "tests/test_noise.py::"
 TOPOLOGY_TESTS = "tests/test_topology.py::"
 STACKED_TESTS = "tests/test_stacked.py::"
+WINDOW_TESTS = "tests/test_windows.py::"
 
 MUTANTS = (
     Mutant(
@@ -456,6 +458,36 @@ MUTANTS = (
         "        + 3.0 * sigma**alpha\n",
         (DIAGNOSTICS_TESTS + "test_u_dm_hand_values_with_noise_mixing_and_many_nodes",),
         FORMULAS,
+    ),
+    Mutant(
+        "the two-round window fallback dropped",
+        OPTIMIZERS,
+        "fallback = 2 if 2 * round_bytes <= _WINDOW_L2_BYTES else 1",
+        "fallback = 1",
+        (
+            WINDOW_TESTS + "test_window_rounds_of_the_workload_stacks",
+            WINDOW_TESTS + "test_a_two_round_gram_compare_equals_one_round_windows_and_one_lane_runs",
+        ),
+        TWO_ROUND_WINDOWS,
+    ),
+    Mutant(
+        "the window budget counts momentum and tracker rows for every lane",
+        OPTIMIZERS,
+        "round_bytes = (3 * shape[0] + 2 * held + 1) * lane",
+        "round_bytes = (5 * shape[0] + 1) * lane",
+        (WINDOW_TESTS + "test_window_rounds_of_the_workload_stacks",),
+        TWO_ROUND_WINDOWS,
+    ),
+    Mutant(
+        "take keeps the leading held rows, not the kept lanes'",
+        OPTIMIZERS,
+        "_lanes([j for j in idx if j < len(self.m)])",
+        "slice(len([j for j in idx if j < len(self.m)]))",
+        (
+            WINDOW_TESTS + "test_a_tracked_lane_diverging_in_a_trimmed_stack",
+            WINDOW_TESTS + "test_take_keeps_the_held_rows_of_the_lanes_it_keeps",
+        ),
+        TWO_ROUND_WINDOWS,
     ),
 )
 

@@ -170,10 +170,10 @@ def test_config_path_object_is_always_a_path(tmp_path):
     message = f"[Errno 2] No such file or directory: {str(missing)!r}"
     with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
         parse_config(missing)
-    # A str stays a path only when it names a file; otherwise it is the config text.
+    # A str with no newline is a path too, so a mistyped one names the missing file; text has newlines.
     (tmp_path / "exp.ini").write_text(MINIMAL)
     assert parse_config(str(tmp_path / "exp.ini")) == parse_config(MINIMAL)
-    with pytest.raises(ConfigError, match="^could not parse config"):
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
         parse_config(str(missing))
 
 

@@ -276,8 +276,29 @@ def test_stacked_objective_equals_per_matrix_calls(kind, n_nodes, m, n, p):
     assert all(isinstance(v, float) for row in per_matrix for v in row)
     np.testing.assert_array_equal(stacked, per_matrix)
     np.testing.assert_array_equal(objective_at(prob, xs[:1, :1]), [[per_matrix[0][0]]])
+    # The Gram residuals are formed one iterate at a time, with the bytes of the one batched product.
+    batched = np.mean(problems._values(prob, xs[..., None, :, :]), axis=-1)
+    assert stacked.tobytes() == batched.tobytes()
     with pytest.raises(ValueError, match="iterate shape"):
         objective_at(prob, np.zeros((2, m + 1, n)))
+
+
+def test_gram_objective_of_a_window_holds_one_iterates_residuals_at_a_time():
+    # A (W, L) = (2, 3) window of baselines_gram's 16-node 32x16 iterates: its
+    # (N, m, m) residuals are 128 KiB an iterate, 768 KiB for the window.
+    import tracemalloc
+
+    prob = make_nonconvex_gram(16, 32, 16, heterogeneity=0.5, seed=1)
+    xs = np.random.default_rng(0).standard_normal((2, 3, 32, 16))
+    objective_at(prob, xs[0, 0])
+    tracemalloc.start()
+    try:
+        objective_at(prob, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    residuals = 16 * 32 * 32 * 8
+    assert residuals <= peak < 2 * residuals
 
 
 def test_problem_file_roundtrip(tmp_path):

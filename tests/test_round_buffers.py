@@ -51,7 +51,7 @@ def _same(a, b) -> bool:
 
 def _nan_buffers(shape, tracked) -> _RoundBuffers:
     """`run`'s kind of buffers, holding NaN wherever `step` must write and the zeros `allocate` leaves elsewhere."""
-    bufs = _RoundBuffers.allocate(shape)
+    bufs = _RoundBuffers.allocate(shape, shape[0])
     for buf in bufs:
         buf.fill(np.nan)
     for buf in (bufs.m, bufs.v):
@@ -304,7 +304,7 @@ def test_step_rejects_buffers_that_overlap_the_entering_state(field, quantity):
     state = initial_state(LANES, 3, np.ones((4, 3)))
     entering = [a.copy() for a in (state.x, state.m, state.v)]
     shared = getattr(state, quantity)
-    bufs = CallerBuffers(*_RoundBuffers.allocate(state.x.shape))._replace(
+    bufs = CallerBuffers(*_RoundBuffers.allocate(state.x.shape, len(LANES)))._replace(
         **{field: shared[0] if field == "noise" else shared}
     )
     with pytest.raises(TypeError, match="out must be one of run's round buffers, got CallerBuffers"):
@@ -316,7 +316,7 @@ def test_step_rejects_buffers_that_overlap_the_entering_state(field, quantity):
 def test_step_rejects_caller_buffers_that_overlap_nothing_too():
     problem = make_quadratic(3, 4, 3, 2, heterogeneity=0.5, seed=1)
     state = initial_state(LANES, 3, np.ones((4, 3)))
-    fresh = _RoundBuffers.allocate(state.x.shape)
+    fresh = _RoundBuffers.allocate(state.x.shape, len(LANES))
     for out in (CallerBuffers(*fresh), tuple(fresh)):
         with pytest.raises(TypeError, match="out must be one of run's round buffers"):
             step(state, problem, build_family("ring", 3), NoiseModel("gaussian", 2.0, 0.3), out=out)
