@@ -110,7 +110,11 @@ class PotentialParams:
 
 
 def _theorem_powers(horizon: int, alpha: float) -> tuple[float, float, float]:
-    """The theorem's power laws (eta, theta, p) in K; see ScheduleParams and PotentialParams."""
+    """The theorem's power laws (eta, theta, p) in K >= 4, alpha in (1, 2]; see ScheduleParams and PotentialParams."""
+    if horizon < 4:
+        raise ValueError(f"theorem schedule needs horizon >= 4, got {horizon}")
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     k, d = float(horizon), 3.0 * alpha - 2.0
     eta = k ** (-(2.0 * alpha - 1.0) / d)
     theta = k ** (-alpha / d)
@@ -120,11 +124,9 @@ def _theorem_powers(horizon: int, alpha: float) -> tuple[float, float, float]:
 
 def theorem_potential_params(horizon: int, alpha: float, lam: float) -> PotentialParams:
     """Potential weights matching the theoretical step/weighting schedule."""
-    if horizon < 4:
-        raise ValueError(f"theorem-mode potential needs horizon >= 4, got {horizon}")
+    eta, _, p = _theorem_powers(horizon, alpha)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"mixing rate must lie in [0, 1), got {lam}")
-    eta, _, p = _theorem_powers(horizon, alpha)
     return PotentialParams(p, 2.0 * eta / (1.0 - lam), alpha)
 
 

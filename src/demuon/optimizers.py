@@ -16,10 +16,11 @@ per-round diagnostics are computed a window of rounds at a time. `run`
 owns one set of window stores per lane composition and hands `step` a slot
 of them to write each round into, so a round allocates only its stepped
 iterates and the kernels' temporaries; a direct `step` call writes into
-fresh arrays. The stores hold momenta and trackers for the tracked lanes
-only, which lead `run`'s stack, and a window holds as many rounds as fit
-its byte budget (see `_window_rounds`). `step` raises the Diverged of a
-non-finite round; `run` alone decides which lanes leave the stack.
+fresh arrays or the caller's. `step` returns the next state alone. The
+stores hold momenta and trackers for the tracked lanes only, which lead
+`run`'s stack, and a window holds as many rounds as fit its byte budget
+(see `_window_rounds`). `step` raises the Diverged of a non-finite round;
+`run` alone decides which lanes leave the stack.
 """
 
 from __future__ import annotations
@@ -118,8 +119,6 @@ class ScheduleParams:
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
         if self.horizon is not None:
-            if self.horizon < 4:
-                raise ValueError(f"theorem schedule needs horizon >= 4, got {self.horizon}")
             eta, theta, _ = diagnostics._theorem_powers(self.horizon, self.alpha)
             if self.eta != eta or self.theta != theta:
                 raise ValueError(f"horizon {self.horizon} is set, but eta and theta are not its power law")
@@ -127,10 +126,6 @@ class ScheduleParams:
 
 def theoretical_schedule(horizon: int, alpha: float = 2.0) -> ScheduleParams:
     """Power-law (eta, theta) for a given horizon K >= 4 and tail index alpha."""
-    if horizon < 4:
-        raise ValueError(f"theorem schedule needs horizon >= 4, got {horizon}")
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     eta, theta, _ = diagnostics._theorem_powers(horizon, alpha)
     return ScheduleParams(eta, theta, horizon, alpha)
 
@@ -302,9 +297,10 @@ def _layout(kinds: tuple) -> tuple:
 class _RoundBuffers(NamedTuple):
     """The arrays one `step` writes its round into: fresh ones, or a slot of `run`'s `_Stores`.
 
-    `x`, `m` and `v` take the next state and `grads`, `noise` and
-    `directions` the round record; until the iterates are written, `x` holds
-    the stochastic gradients (a tracked lane's rows are `_track`'s scratch).
+    `x`, `m` and `v` take the next state, `grads`, `noise` and `directions`
+    the round's exact gradients, noise draw and directions; until the
+    iterates are written, `x` holds the stochastic gradients (a tracked
+    lane's rows are `_track`'s scratch).
     All are (L, N, m, n) stacks but `noise`, (N, m, n), and `m` and `v`,
     which hold the rows of the entering state's (see `RunState`). `step`
     writes only the tracked lanes' rows of `m` and `v`; an untracked lane's
@@ -356,14 +352,15 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
     round draws the noise once, takes every lane's gradients and stochastic
     gradients and mixes the iterates in one call each, and mixes the trackers
     and takes the directions in one call per run of lanes that share the
-    stage (see `_layout`). Returns the next state and the round record:
-    `exact_grads`, `noise`, `directions`, and `eta` and `tau` (lists, one
-    per lane; tau is None where nothing is clipped).
+    stage (see `_layout`). Returns the next state.
 
-    The round is written into fresh arrays, whose momenta and trackers hold
-    the rows the entering state holds; a state without a row for each lane
-    up to its last tracked one raises ValueError. `out` is for `run`, which
-    passes a slot of its own round buffers; anything else raises TypeError.
+    The round is written into `out`, else into fresh arrays; the momenta
+    and trackers hold the rows the entering state holds, and a state short
+    of a row for a lane up to its last tracked one raises ValueError. `out`
+    must be `_RoundBuffers` (else TypeError) apart from the entering state:
+    a slot of `run`'s stores, or fresh `_RoundBuffers.allocate(state.x.shape,
+    len(state.m))`, whose `grads`, `noise` and `directions` a caller reads.
+    The step sizes and clip radii are `_round_schedule`'s.
     The entering state is only read, so a round that fails leaves it as it was.
 
     A non-finite round raises the Diverged of its first non-finite lane
@@ -395,9 +392,7 @@ def step(state: RunState, problem, mixing: MixingSpec, noise_model: NoiseModel, 
         stepped = _per_lane([eta for eta, _ in schedules]) * dirs
         x = mix_blocks(mixing.weights, np.subtract(state.x, stepped, out=stepped), out=out.x)
     _raise_first_failure(k, lanes, iterate=x)
-    etas, taus = [eta for eta, _ in schedules], [tau for _, tau in schedules]
-    record = {"exact_grads": grads, "noise": noise, "directions": dirs, "eta": etas, "tau": taus}
-    return RunState(k + 1, x, out.m, out.v, lanes), record
+    return RunState(k + 1, x, out.m, out.v, lanes)
 
 
 def _track(m, v, stochastic_grads, theta, mixing: MixingSpec, m_new, v_out) -> None:
@@ -555,10 +550,10 @@ def _window_rounds(shape: tuple, held: int) -> int:
 
 
 class _Stores:
-    """The round buffers `run` owns for one lane composition: a window's states and records.
+    """The round buffers `run` owns for one lane composition: a window's states and round arrays.
 
     Round w of a window reads state slot w and writes state slot w + 1 and
-    record slot w (see `buffers`), so the window's diagnostics read views of
+    round slot w (see `buffers`), so the window's diagnostics read views of
     these arrays. Each noise slot is preceded by L free matrices, where the
     diagnostics put the lanes' mean gradients: one nuclear-norm call then
     reads both without a concatenated copy. The momentum and tracker slots
@@ -580,7 +575,7 @@ class _Stores:
         self.state = RunState(state.iter, self.x[0], self.m[0], self.v[0], state.lanes)
 
     def buffers(self, w: int) -> _RoundBuffers:
-        """What round w of a window writes: state slot w + 1 and record slot w."""
+        """What round w of a window writes: state slot w + 1 and round slot w."""
         return _RoundBuffers(self.x[w + 1], self.m[w + 1], self.v[w + 1], self.grads[w], self.noise[w],
                              self.directions[w])
 
@@ -747,7 +742,7 @@ def run(lanes, problem, mixing: MixingSpec, noise_model: NoiseModel) -> list[Run
             state = stores.state
         t0 = time.perf_counter()
         try:
-            state, _ = step(state, problem, mixing, noise_model, out=stores.buffers(len(step_s)))
+            state = step(state, problem, mixing, noise_model, out=stores.buffers(len(step_s)))
         except Diverged as exc:
             failure, failed = exc, live[exc.lane]
             keep = [j for j, lane_run in enumerate(live) if runs.index(lane_run) < runs.index(failed)]

@@ -183,10 +183,10 @@ def sweep(cfg: config_mod.ExperimentConfig, record_timing: bool = False, workers
     return [outcomes[k] for k in sorted(horizons)], sweep_path
 
 
-_SHARED_KEYS = (
-    "horizon", "seed", "topology_family", "n_nodes", "weights_csv",
-    "problem_kind", "m", "n", "p", "heterogeneity", "problem_seed",
-    "problem_path", "noise_family", "alpha", "scale", "dof",
+# What `_execute_lanes` builds once from the first config, the noise's seed and the aligned CSV's horizon.
+_SHARED_KEYS = tuple(
+    field for (section, key), (field, _) in config_mod._FORMAT.items()
+    if section in ("topology", "problem", "noise") or (section, key) in (("run", "horizon"), ("run", "seed"))
 )
 
 

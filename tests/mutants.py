@@ -43,6 +43,7 @@ WINDOW_VIEWS = "The diagnostics window reads `run`'s stores as they lie"
 FORMULAS = "the ten formula mutants"
 OWNERS = "Each formula once"
 TWO_ROUND_WINDOWS = "Two-round diagnostics windows for compare stacks"
+ONE_OWNER = "One owner per engine rule"
 
 
 class Mutant(NamedTuple):
@@ -59,6 +60,7 @@ LINALG = "src/demuon/linalg.py"
 DIAGNOSTICS = "src/demuon/diagnostics.py"
 NOISE = "src/demuon/noise.py"
 TOPOLOGY = "src/demuon/topology.py"
+RUNNER = "src/demuon/runner.py"
 BUFFERS = "tests/test_round_buffers.py::"
 LINALG_TESTS = "tests/test_linalg.py::"
 OPTIMIZER_TESTS = "tests/test_optimizers.py::"
@@ -69,6 +71,7 @@ NOISE_TESTS = "tests/test_noise.py::"
 TOPOLOGY_TESTS = "tests/test_topology.py::"
 STACKED_TESTS = "tests/test_stacked.py::"
 WINDOW_TESTS = "tests/test_windows.py::"
+RUNNER_TESTS = "tests/test_runner_cli.py::"
 
 MUTANTS = (
     Mutant(
@@ -488,6 +491,25 @@ MUTANTS = (
             WINDOW_TESTS + "test_take_keeps_the_held_rows_of_the_lanes_it_keeps",
         ),
         TWO_ROUND_WINDOWS,
+    ),
+    Mutant(
+        "compare's shared keys drop the noise section",
+        RUNNER,
+        'if section in ("topology", "problem", "noise") or',
+        'if section in ("topology", "problem") or',
+        (RUNNER_TESTS + "test_compare_rejects_mismatch_and_singleton",),
+        ONE_OWNER,
+    ),
+    Mutant(
+        "the theorem schedule takes horizon 3",
+        DIAGNOSTICS,
+        "    if horizon < 4:\n",
+        "    if horizon < 3:\n",
+        (
+            OPTIMIZER_TESTS + "test_schedule_params_validation",
+            DIAGNOSTICS_TESTS + "test_theorem_potential_params",
+        ),
+        ONE_OWNER,
     ),
 )
 

@@ -28,12 +28,14 @@ from demuon.optimizers import (
     run,
     step,
     theoretical_schedule,
+    _round_schedule,
 )
 from demuon.problems import ProblemSet, QUADRATIC, make_quadratic
 from demuon.runner import execute, sweep
 from demuon.topology import build_family
 
 from linalg_oracles import conditioned_matrix, random_matrix
+from stepping import step_with_buffers
 
 SEEDS = (0, 1, 2)
 
@@ -106,13 +108,13 @@ def _identity_sweep(algorithm):
             state = initial_state([Lane(algorithm, params)], 8, np.zeros((6, 5)))
             for _ in range(500):
                 x_mean = state.x[0].mean(axis=0)
-                state, info = step(state, problem, mixing, noise)
+                state, bufs = step_with_buffers(state, problem, mixing, noise)
                 m_mean = state.m[0].mean(axis=0)
                 v_mean = state.v[0].mean(axis=0)
                 track = frobenius_norm(v_mean - m_mean) / (1.0 + frobenius_norm(m_mean))
                 worst_track = max(worst_track, track)
                 if algorithm == "demuon":
-                    expected = x_mean - eta * info["directions"][0].mean(axis=0)
+                    expected = x_mean - eta * bufs.directions[0].mean(axis=0)
                     ave = frobenius_norm(state.x[0].mean(axis=0) - expected) / (1.0 + frobenius_norm(x_mean))
                     worst_ave = max(worst_ave, ave)
     return worst_track, worst_ave
@@ -157,16 +159,16 @@ def test_criterion_07_hand_simulation_oracles():
     noiseless = NoiseModel("gaussian", 2.0, 0.0)
 
     state = initial_state([Lane("demuon", ScheduleParams(0.5, 1.0))], 1, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([2.0]), build_family("complete", 1), noiseless)
+    state = step(state, scalar_quadratic([2.0]), build_family("complete", 1), noiseless)
     assert abs(state.x[0, 0, 0, 0] - 0.5) <= 1e-12
 
     state = initial_state([Lane("demuon", ScheduleParams(0.5, 1.0))], 2, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_family("complete", 2), noiseless)
+    state = step(state, scalar_quadratic([0.0, 2.0]), build_family("complete", 2), noiseless)
     assert abs(state.x[0, 0, 0, 0] - 0.5) <= 1e-12
     assert abs(state.x[0, 1, 0, 0] - 0.5) <= 1e-12
 
     state = initial_state([Lane("dsgd", BaselineParams(dsgd_eta=0.1))], 2, np.zeros((1, 1)))
-    state, _ = step(state, scalar_quadratic([0.0, 2.0]), build_family("complete", 2), noiseless)
+    state = step(state, scalar_quadratic([0.0, 2.0]), build_family("complete", 2), noiseless)
     assert abs(state.x[0, 0, 0, 0] - 0.1) <= 1e-12
     assert abs(state.x[0, 1, 0, 0] - 0.1) <= 1e-12
     _report(7, "single-step hand simulations reproduce to 1e-12")
@@ -180,16 +182,17 @@ def test_criterion_08_baseline_contracts():
 
     state = initial_state([Lane("dsgd_clip", params)], 4, np.zeros((4, 3)))
     for k in range(200):
-        state, info = step(state, problem, mixing, noise)
+        tau = _round_schedule(state.lanes[0], k)[1]
+        state, bufs = step_with_buffers(state, problem, mixing, noise)
         tau_k = 0.1 * (k + 1) ** 0.4
-        assert info["tau"][0] == pytest.approx(tau_k, rel=1e-12)
-        assert all(norm <= tau_k + 1e-12 for norm in np.linalg.norm(info["directions"][0], axis=(1, 2)))
+        assert tau == pytest.approx(tau_k, rel=1e-12)
+        assert all(norm <= tau_k + 1e-12 for norm in np.linalg.norm(bufs.directions[0], axis=(1, 2)))
 
     state = initial_state([Lane("gt_nsgdm", ScheduleParams(0.1, 0.2))], 4, np.zeros((4, 3)))
     for _ in range(200):
-        state, info = step(state, problem, mixing, noise)
+        state, bufs = step_with_buffers(state, problem, mixing, noise)
         for i in range(4):
-            norm = frobenius_norm(info["directions"][0][i])
+            norm = frobenius_norm(bufs.directions[0][i])
             assert abs(norm - 1.0) <= 1e-12 or norm == 0.0
 
     rng = np.random.default_rng(88)
@@ -207,8 +210,8 @@ def test_criterion_08_baseline_contracts():
         st_d = initial_state([Lane("demuon", sched)], 1, np.zeros((1, 1)))
         st_g = initial_state([Lane("gt_nsgdm", base)], 1, np.zeros((1, 1)))
         for _ in range(15):
-            st_d, _ = step(st_d, scalar, mix1, scalar_noise)
-            st_g, _ = step(st_g, scalar, mix1, scalar_noise)
+            st_d = step(st_d, scalar, mix1, scalar_noise)
+            st_g = step(st_g, scalar, mix1, scalar_noise)
             diff = abs(st_d.x[0, 0, 0, 0] - st_g.x[0, 0, 0, 0])
             worst = max(worst, diff)
             assert diff <= 1e-10

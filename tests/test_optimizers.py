@@ -25,9 +25,11 @@ from demuon.optimizers import (
     run,
     step,
     theoretical_schedule,
+    _round_schedule,
 )
 from demuon.problems import ProblemSet, QUADRATIC, make_quadratic
 from demuon.topology import MixingSpec, build_family, validate_mixing
+from stepping import step_with_buffers
 from test_topology import _doubly_stochastic
 
 NOISELESS = NoiseModel("gaussian", 2.0, 0.0)
@@ -136,7 +138,7 @@ def test_single_node_hand_simulation():
     # f(x) = 0.5 (x - 2)^2, x0 = 0, theta = 1, eta = 0.5 -> x1 = 0.5
     prob = scalar_quadratic([2.0])
     st = lane_state("demuon", ScheduleParams(0.5, 1.0), 1, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_family("complete", 1), NOISELESS)
+    st = step(st, prob, build_family("complete", 1), NOISELESS)
     assert st.m[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert st.v[0, 0, 0, 0] == pytest.approx(-2.0, abs=1e-12)
     assert st.x[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -145,7 +147,7 @@ def test_single_node_hand_simulation():
 def test_two_node_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
     st = lane_state("demuon", ScheduleParams(0.5, 1.0), 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_family("complete", 2), NOISELESS)
+    st = step(st, prob, build_family("complete", 2), NOISELESS)
     np.testing.assert_allclose(st.m[0, :, 0, 0], [0.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(st.v[0, :, 0, 0], [-1.0, -1.0], atol=1e-12)
     np.testing.assert_allclose(st.x[0, :, 0, 0], [0.5, 0.5], atol=1e-12)
@@ -154,21 +156,21 @@ def test_two_node_hand_simulation():
 def test_dsgd_hand_simulation():
     prob = scalar_quadratic([0.0, 2.0])
     st = lane_state("dsgd", BaselineParams(dsgd_eta=0.1), 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_family("complete", 2), NOISELESS)
+    st = step(st, prob, build_family("complete", 2), NOISELESS)
     np.testing.assert_allclose(st.x[0, :, 0, 0], [0.1, 0.1], atol=1e-12)
 
 
 def test_dsgd_reduces_to_gradient_descent():
     prob = scalar_quadratic([2.0])
     st = lane_state("dsgd", BaselineParams(dsgd_eta=0.25), 1, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_family("complete", 1), NOISELESS)
+    st = step(st, prob, build_family("complete", 1), NOISELESS)
     assert st.x[0, 0, 0, 0] == pytest.approx(0.25 * 2.0, abs=1e-15)
 
 
 def test_dsgd_zero_gradient_fixed_point():
     prob = scalar_quadratic([0.0, 0.0])
     st = lane_state("dsgd", BaselineParams(), 2, np.zeros((1, 1)))
-    st, _ = step(st, prob, build_family("complete", 2), NOISELESS)
+    st = step(st, prob, build_family("complete", 2), NOISELESS)
     assert not st.x.any()
 
 
@@ -176,15 +178,15 @@ def test_clip_schedule_and_norms():
     prob = scalar_quadratic([5.0, -5.0])
     params = BaselineParams(clip_eta=10.0, clip_tau=0.1)
     st = lane_state("dsgd_clip", params, 2, np.zeros((1, 1)))
-    st, info = step(st, prob, build_family("complete", 2), NOISELESS)
-    assert info["eta"] == [10.0]
-    assert info["tau"][0] == pytest.approx(0.1)
-    assert all(n <= info["tau"][0] + 1e-15 for n in np.linalg.norm(info["directions"][0], axis=(1, 2)))
+    eta, tau = _round_schedule(st.lanes[0], 0)
+    st, bufs = step_with_buffers(st, prob, build_family("complete", 2), NOISELESS)
+    assert eta == 10.0
+    assert tau == pytest.approx(0.1)
+    assert all(n <= tau + 1e-15 for n in np.linalg.norm(bufs.directions[0], axis=(1, 2)))
     # k = 31: eta_31 = 10/32, tau_31 = 0.1 * 32^(2/5) = 0.4
-    st31 = replace(lane_state("dsgd_clip", params, 2, np.zeros((1, 1))), iter=31)
-    _, info31 = step(st31, prob, build_family("complete", 2), NOISELESS)
-    assert info31["eta"][0] == pytest.approx(0.3125, abs=1e-15)
-    assert info31["tau"][0] == pytest.approx(0.4, abs=1e-12)
+    eta31, tau31 = _round_schedule(st.lanes[0], 31)
+    assert eta31 == pytest.approx(0.3125, abs=1e-15)
+    assert tau31 == pytest.approx(0.4, abs=1e-12)
 
 
 def test_clip_to_frobenius():
@@ -216,9 +218,9 @@ def scaled_rounds(scale):
     state = initial_state(SCALE_LANES, 4, np.zeros((3, 2)))
     directions, taus = [], []
     for _ in range(4):
-        state, info = step(state, prob, build_family("ring", 4), NOISELESS)
-        directions.append(info["directions"])
-        taus.append(info["tau"][3])
+        taus.append(_round_schedule(state.lanes[3], state.iter)[1])
+        state, bufs = step_with_buffers(state, prob, build_family("ring", 4), NOISELESS)
+        directions.append(bufs.directions)
     return np.array(directions), taus, state
 
 
@@ -244,17 +246,17 @@ def test_gt_directions_are_unit_or_zero(rng):
     st = lane_state("gt_nsgdm", ScheduleParams(0.1, 0.2), 3, np.zeros((3, 2)))
     mixing = build_family("ring", 3)
     for _ in range(25):
-        st, info = step(st, prob, mixing, noise)
+        st, bufs = step_with_buffers(st, prob, mixing, noise)
         for i in range(3):
-            norm = frobenius_norm(info["directions"][0][i])
+            norm = frobenius_norm(bufs.directions[0][i])
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
 
 
 def test_gt_zero_tracker_gives_zero_direction():
     prob = scalar_quadratic([0.0])
     st = lane_state("gt_nsgdm", ScheduleParams(0.1, 0.2), 1, np.zeros((1, 1)))
-    st, info = step(st, prob, build_family("complete", 1), NOISELESS)
-    assert not info["directions"].any()
+    st, bufs = step_with_buffers(st, prob, build_family("complete", 1), NOISELESS)
+    assert not bufs.directions.any()
     assert not st.x.any()
 
 
@@ -263,7 +265,7 @@ def test_gt_single_node_normalized_step():
     t = np.array([[3.0, 0.0], [0.0, 4.0]])
     prob = ProblemSet(QUADRATIC, 1, 2, 2, a=(np.eye(2),), b=(t,))
     st = lane_state("gt_nsgdm", ScheduleParams(0.5, 1.0), 1, np.zeros((2, 2)))
-    st, _ = step(st, prob, build_family("complete", 1), NOISELESS)
+    st = step(st, prob, build_family("complete", 1), NOISELESS)
     expected = 0.5 * t / frobenius_norm(t)
     np.testing.assert_allclose(st.x[0, 0], expected, atol=1e-12)
 
@@ -281,8 +283,8 @@ def test_scalar_demuon_equals_gt_nsgdm(rng):
         st_d = lane_state("demuon", ScheduleParams(eta, theta), 1, np.zeros((1, 1)))
         st_g = lane_state("gt_nsgdm", ScheduleParams(eta, theta), 1, np.zeros((1, 1)))
         for _ in range(12):
-            st_d, _ = step(st_d, prob, mix, noise)
-            st_g, _ = step(st_g, prob, mix, noise)
+            st_d = step(st_d, prob, mix, noise)
+            st_g = step(st_g, prob, mix, noise)
         assert abs(st_d.x[0, 0, 0, 0] - st_g.x[0, 0, 0, 0]) <= 1e-10
 
 
@@ -300,7 +302,7 @@ def test_complete_graph_keeps_nodes_identical():
     ):
         st = lane_state(algorithm, params, 4, np.zeros((2, 1)))
         for _ in range(20):
-            st, _ = step(st, prob, mix, NOISELESS)
+            st = step(st, prob, mix, NOISELESS)
             for i in range(1, 4):
                 np.testing.assert_array_equal(st.x[0, i], st.x[0, 0])
 
@@ -314,9 +316,9 @@ def test_demuon_directions_have_unit_spectral_norm(m, n, p):
     st = lane_state("demuon", ScheduleParams(0.1, 0.2), 4, np.zeros((m, n)))
     mixing = build_family("ring", 4)
     for _ in range(20):
-        st, info = step(st, prob, mixing, noise)
+        st, bufs = step_with_buffers(st, prob, mixing, noise)
         for i in range(4):
-            assert spectral_norm(info["directions"][0][i]) <= 1.0 + 1e-10
+            assert spectral_norm(bufs.directions[0][i]) <= 1.0 + 1e-10
 
 
 def test_run_emits_one_row_per_iteration():
@@ -498,7 +500,7 @@ def test_two_route_consensus_norms_sandwich_each_iteration():
         stacked_sp = consensus_error(x)
         assert stacked_sp >= np.mean(per_sp) - 1e-12
         assert stacked_sp <= math.sqrt(sum(v**2 for v in per_sp)) + 1e-12
-        st, _ = step(st, prob, mixing, noise)
+        st = step(st, prob, mixing, noise)
         v = st.v[0]
         v_dev = v - v.mean(axis=0)
         per_nu = [nuclear_norm(d) for d in v_dev]
@@ -539,10 +541,10 @@ def test_potential_trend_on_noiseless_run(monkeypatch):
     assert rows[0] == rows[1] == rows[2]
     monkeypatch.undo()
     st0 = lane_state("demuon", sched, 4, np.zeros((3, 2)))
-    st1, info = step(st0, prob, mixing, NOISELESS)
+    st1, bufs = step_with_buffers(st0, prob, mixing, NOISELESS)
     by_hand = potential(
         [problems.objective_at(prob, st0.x[0].mean(axis=0))],
-        info["exact_grads"][:1],
+        bufs.grads[:1],
         st1.m[:1],
         [consensus_error_nuclear(st1.v[0])],
         [theorem_potential_params(200, 2.0, mixing.mixing_rate)],
@@ -586,7 +588,7 @@ def test_ball_exit_warns_at_the_per_node_reference_iteration(algorithm, params, 
     st = lane_state(algorithm, params, 3, np.zeros((4, 3)))
     expected = None
     for k in range(40):
-        st, _ = step(st, prob, mixing, noise)
+        st = step(st, prob, mixing, noise)
         if max(spectral_norm(st.x[0, i]) for i in range(3)) > radius:
             expected = k
             break
@@ -691,7 +693,7 @@ def test_dsgd_divergence_stops_at_the_round_with_context():
     with pytest.raises(Diverged) as caught:
         for _ in range(50):
             assert np.isfinite(st.x).all()
-            st = step(st, prob, mixing, noise)[0]
+            st = step(st, prob, mixing, noise)
     exc = caught.value
     assert isinstance(exc, ValueError)
     assert len(st.lanes) == 1 and st.x.shape == (1, 4, 4, 3) and np.isfinite(st.x).all()
@@ -729,15 +731,15 @@ def test_step_raises_the_first_failing_lane_and_a_prefix_reruns_the_round():
         assert (exc.lane, exc.algorithm, exc.iteration, exc.quantity, exc.node) == (
             kept - 1, lanes[kept - 1].algorithm, 5, quantity, 0
         )
-    nxt, info = step(state.take(range(1)), prob, mixing, noise)
+    nxt, bufs = step_with_buffers(state.take(range(1)), prob, mixing, noise)
     one = RunState(5, x[:1].copy(), np.zeros((1, 3, 4, 3)), np.zeros((1, 3, 4, 3)), lanes[:1])
-    alone, alone_info = step(one, prob, mixing, noise)
+    alone, alone_bufs = step_with_buffers(one, prob, mixing, noise)
     for name in ("x", "m", "v"):
         np.testing.assert_array_equal(getattr(nxt, name), getattr(alone, name))
     assert nxt.iter == alone.iter == 6 and nxt.lanes == alone.lanes
-    for name in ("exact_grads", "noise", "directions"):
-        np.testing.assert_array_equal(info[name], alone_info[name])
-    assert (info["eta"], info["tau"]) == (alone_info["eta"], alone_info["tau"])
+    for name in ("grads", "noise", "directions"):
+        np.testing.assert_array_equal(getattr(bufs, name), getattr(alone_bufs, name))
+    assert [_round_schedule(lane, 5) for lane in nxt.lanes] == [_round_schedule(lane, 5) for lane in alone.lanes]
 
 
 def _untimed_rows(rows):
@@ -1033,15 +1035,17 @@ def test_step_on_an_interleaved_stack_equals_one_lane_steps():
     shape = (len(INTERLEAVED), 3, 14, 12)
     tracked = np.array([lane.algorithm in TRACKER_ALGORITHMS for lane in INTERLEAVED]).reshape(-1, 1, 1, 1)
     x, m, v = rng.standard_normal(shape), tracked * rng.standard_normal(shape), tracked * rng.standard_normal(shape)
-    nxt, info = step(RunState(9, x, m, v, tuple(INTERLEAVED)), prob, mixing, noise)
+    nxt, bufs = step_with_buffers(RunState(9, x, m, v, tuple(INTERLEAVED)), prob, mixing, noise)
     for i, lane in enumerate(INTERLEAVED):
-        alone, alone_info = step(RunState(9, x[i : i + 1], m[i : i + 1], v[i : i + 1], (lane,)), prob, mixing, noise)
+        alone, alone_bufs = step_with_buffers(
+            RunState(9, x[i : i + 1], m[i : i + 1], v[i : i + 1], (lane,)), prob, mixing, noise
+        )
         for got, want in ((nxt.x, alone.x), (nxt.m, alone.m), (nxt.v, alone.v)):
             assert got[i : i + 1].tobytes() == want.tobytes(), (i, lane.algorithm)
-        for name in ("exact_grads", "directions"):
-            assert info[name][i : i + 1].tobytes() == alone_info[name].tobytes(), (i, name)
-        assert (info["eta"][i], info["tau"][i]) == (alone_info["eta"][0], alone_info["tau"][0])
-        assert info["noise"].tobytes() == alone_info["noise"].tobytes()
+        for name in ("grads", "directions"):
+            assert getattr(bufs, name)[i : i + 1].tobytes() == getattr(alone_bufs, name).tobytes(), (i, name)
+        assert _round_schedule(nxt.lanes[i], 9) == _round_schedule(alone.lanes[0], 9)
+        assert bufs.noise.tobytes() == alone_bufs.noise.tobytes()
 
 
 def test_a_lane_stacked_ahead_of_its_caller_order_does_not_outlive_a_failure(monkeypatch):
@@ -1224,10 +1228,10 @@ def test_window_norms_equal_per_row_norms_bit_for_bit(alpha):
     state, live = initial_state(lanes, 4, np.zeros((6, 5))), [0, 1, 2, 3]
     max_resid = [0.0] * len(lanes)
     for k in range(48):
-        nxt, info = step(state, prob, mixing, noise)
+        nxt, bufs = step_with_buffers(state, prob, mixing, noise)
         for pos, j in enumerate(live):
             row = results[j].rows[k]
-            applied = info["eta"][pos] * node_mean(info["directions"][pos])
+            applied = _round_schedule(state.lanes[pos], k)[0] * node_mean(bufs.directions[pos])
             resid = float(np.linalg.norm(node_mean(nxt.x[pos]) - (node_mean(state.x[pos]) - applied)))
             max_resid[j] = max(max_resid[j], resid)
             if lanes[j].algorithm == "dsgd":
@@ -1238,7 +1242,7 @@ def test_window_norms_equal_per_row_norms_bit_for_bit(alpha):
             if w is None:
                 assert row.potential is None
                 continue
-            gap = float(np.linalg.norm(info["exact_grads"][pos] - nxt.m[pos]))
+            gap = float(np.linalg.norm(bufs.grads[pos] - nxt.m[pos]))
             assert row.potential == row.objective_at_mean + w.p * gap**w.alpha + w.q * row.consensus_error_v
         keep = [pos for pos, j in enumerate(live) if results[j].horizon > k + 1]
         state, live = nxt.take(keep), [live[pos] for pos in keep]
@@ -1337,11 +1341,11 @@ def test_step_maps_zero_trackers_to_zero_and_deficient_ones_to_partial_isometrie
     from demuon.topology import mix_blocks
 
     lanes, prob, mixing, state = case
-    nxt, info = step(state, prob, mixing, NOISELESS)
+    nxt, bufs = step_with_buffers(state, prob, mixing, NOISELESS)
     assert not nxt.m.any()
     assert np.array_equal(nxt.v, mix_blocks(mixing.weights, state.v))
     for pos, lane in enumerate(lanes):
-        for tracker, direction in zip(nxt.v[pos], info["directions"][pos]):
+        for tracker, direction in zip(nxt.v[pos], bufs.directions[pos]):
             if not tracker.any():
                 assert not direction.any()
             elif lane.orthogonalizer == "svd" and lane.algorithm == "demuon":
@@ -1352,5 +1356,5 @@ def test_step_maps_zero_trackers_to_zero_and_deficient_ones_to_partial_isometrie
                 np.testing.assert_allclose(unit[rank:], 0.0, rtol=0, atol=1e-9)
         # The tracking identity and the mean-iterate recursion.
         assert np.abs(node_mean(nxt.v[pos]) - node_mean(nxt.m[pos])).max() <= 1e-9
-        expected = node_mean(state.x[pos]) - info["eta"][pos] * node_mean(info["directions"][pos])
+        expected = node_mean(state.x[pos]) - _round_schedule(lane, state.iter)[0] * node_mean(bufs.directions[pos])
         assert np.abs(node_mean(nxt.x[pos]) - expected).max() <= 1e-9

@@ -33,14 +33,15 @@ from demuon.optimizers import (
     ScheduleParams,
     initial_state,
     run,
-    step,
     theoretical_schedule,
+    _round_schedule,
 )
 from demuon.problems import ProblemSet, make_nonconvex_gram, make_quadratic
 from demuon.topology import MixingSpec, build_family, validate_mixing
 from linalg_oracles import polar_oracle
 import reference_engine
 from reference_engine import centralized_run, newton_schulz, reference_round, reference_run
+from stepping import step_with_buffers
 from test_topology import _doubly_stochastic
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,15 +151,15 @@ def assert_rounds_match(lanes, horizons, problem, mixing, noise):
     """
     state = initial_state(lanes, mixing.n_nodes, np.zeros((problem.m, problem.n)))
     for k in range(max(horizons)):
-        nxt, info = step(state, problem, mixing, noise)
+        nxt, bufs = step_with_buffers(state, problem, mixing, noise)
         for j, lane in enumerate(lanes):
             ref = reference_round(lane, problem, mixing.weights, noise, k, list(state.x[j]), list(state.m[j]),
                                   list(state.v[j]), polar_of(lane))
             where = f"round {k}, lane {j} ({lane.algorithm})"
-            assert info["eta"][j] == ref["eta"], where
-            np.testing.assert_array_equal(info["noise"], ref["noise"], err_msg=where)
+            assert _round_schedule(lane, k)[0] == ref["eta"], where
+            np.testing.assert_array_equal(bufs.noise, ref["noise"], err_msg=where)
             for name, engine in (("x", nxt.x[j]), ("m", nxt.m[j]), ("v", nxt.v[j]),
-                                 ("directions", info["directions"][j])):
+                                 ("directions", bufs.directions[j])):
                 assert close(engine, ref[name], ROUND_RTOL), f"{where}: {name}"
         state = nxt
 

@@ -33,6 +33,7 @@ from demuon.optimizers import (
 from demuon.problems import exact_gradient, make_nonconvex_gram, make_quadratic
 from demuon.topology import build_family, mix_blocks
 
+from stepping import step_with_buffers
 from test_stacked import build_stack, gram_dims, slice_kinds
 
 seeds = st.integers(0, 2**32 - 1)
@@ -109,23 +110,15 @@ def rounds(draw):
 def test_step_into_buffers_equals_the_allocating_step(case):
     state, problem, mixing, noise = case
     entering = [a.copy() for a in (state.x, state.m, state.v)]
-    fresh, fresh_info = step(state, problem, mixing, noise)
+    fresh, fresh_bufs = step_with_buffers(state, problem, mixing, noise)
     tracked = [i for i, lane in enumerate(state.lanes) if lane.algorithm in TRACKER_ALGORITHMS]
     bufs = _nan_buffers(state.x.shape, tracked)
-    nxt, info = step(state, problem, mixing, noise, out=bufs)
-    written = {
-        "x": (nxt.x, bufs.x, fresh.x),
-        "m": (nxt.m, bufs.m, fresh.m),
-        "v": (nxt.v, bufs.v, fresh.v),
-        "grads": (info["exact_grads"], bufs.grads, fresh_info["exact_grads"]),
-        "noise": (info["noise"], bufs.noise, fresh_info["noise"]),
-        "directions": (info["directions"], bufs.directions, fresh_info["directions"]),
-    }
-    for name, (got, buf, want) in written.items():
-        assert np.shares_memory(got, buf), name
-        assert _same(got, want), name
+    nxt = step(state, problem, mixing, noise, out=bufs)
+    for name in ("x", "m", "v"):
+        assert np.shares_memory(getattr(nxt, name), getattr(bufs, name)), name
+    for name in _RoundBuffers._fields:
+        assert _same(getattr(bufs, name), getattr(fresh_bufs, name)), name
     assert (nxt.iter, nxt.lanes) == (fresh.iter, fresh.lanes)
-    assert (info["eta"], info["tau"]) == (fresh_info["eta"], fresh_info["tau"])
     for before, after in zip(entering, (state.x, state.m, state.v)):
         assert _same(before, after)
 
@@ -141,9 +134,9 @@ def test_zero_and_rank_deficient_trackers_fall_back_into_the_buffers():
     v_old = np.stack([0.0 - 0.5 * stochastic[0], d - 0.5 * stochastic[1]])
     state = RunState(0, np.ones((2, 2, 14, 12)), np.zeros((2, 2, 14, 12)), v_old, lanes)
     bufs = _nan_buffers(state.x.shape, (0, 1))
-    _, info = step(state, problem, build_family("complete", 2), noise, out=bufs)
-    assert not info["directions"][0].any()
-    s = np.linalg.svd(info["directions"][1], compute_uv=False)
+    step(state, problem, build_family("complete", 2), noise, out=bufs)
+    assert not bufs.directions[0].any()
+    s = np.linalg.svd(bufs.directions[1], compute_uv=False)
     np.testing.assert_allclose(s[:, 0], 1.0, rtol=1e-12)
     assert (s[:, 1:] < 1e-12).all()
 

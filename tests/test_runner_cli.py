@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,15 +131,44 @@ def test_compare_aligned_columns(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == [str(k) for k in range(8)]
 
 
-def test_compare_rejects_mismatch_and_singleton(tmp_path):
-    from demuon.config import ConfigError
+# A value of each key that differs from `config_text`'s, and whether compared configs must share the key: every
+# [topology], [problem] and [noise] key, run.seed and run.horizon must, a schedule key need not.
+COMPARE_KEYS = {
+    ("run", "horizon"): (9, True),
+    ("run", "seed"): (4, True),
+    ("topology", "family"): ("complete", True),
+    ("topology", "n_nodes"): (5, True),
+    ("topology", "weights_csv"): ("w.csv", True),
+    ("problem", "kind"): ("nonconvex_gram", True),
+    ("problem", "m"): (4, True),
+    ("problem", "n"): (3, True),
+    ("problem", "p"): (5, True),
+    ("problem", "heterogeneity"): (0.5, True),
+    ("problem", "seed"): (12, True),
+    ("problem", "path"): ("p.npz", True),
+    ("noise", "family"): ("student_t", True),
+    ("noise", "alpha"): (1.5, True),
+    ("noise", "scale"): (0.3, True),
+    ("noise", "dof"): (2.0, True),
+    ("schedule", "eta"): (0.05, False),
+}
+
+
+@pytest.mark.parametrize("key", COMPARE_KEYS, ids=".".join)
+def test_compare_rejects_mismatch_and_singleton(tmp_path, key):
+    from demuon.config import _FORMAT, ConfigError
 
     cfg = parse_config(config_text(tmp_path))
     with pytest.raises(ConfigError):
         compare([cfg])
-    other = parse_config(config_text(tmp_path, algorithm="dsgd").replace("seed = 3", "seed = 4"))
-    with pytest.raises(ConfigError):
-        compare([cfg, other])
+    field, _ = _FORMAT[key]
+    value, shared = COMPARE_KEYS[key]
+    other = replace(cfg, algorithm="dsgd", **{field: value})
+    if shared:
+        with pytest.raises(ConfigError, match=f"^compare config #2 differs on {field}: "):
+            compare([cfg, other])
+    else:
+        assert os.path.exists(compare([cfg, other]))
 
 
 def test_cli_run_and_validate(tmp_path, capsys):
@@ -608,8 +638,6 @@ def test_cli_sweep_loads_each_custom_file_four_times(tmp_path, capsys, monkeypat
 def test_hand_built_configs_are_validated_by_every_entry_point(tmp_path):
     # Configs that never went through `parse_config` are still validated in
     # full: a bad horizon, a bad sweep entry and a missing weights file.
-    from dataclasses import replace
-
     from demuon.config import ConfigError
 
     cfg = parse_config(config_text(tmp_path / "out"))

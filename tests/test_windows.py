@@ -111,7 +111,7 @@ def test_an_untracked_stack_holds_zero_momentum_and_tracker_rows(monkeypatch):
     # `step` on a state without rows gives a next state without rows, and the same iterates as with zero rows.
     full = initial_state(lanes, 4, np.zeros((6, 5)))
     trimmed = RunState(0, full.x, full.m[:0], full.v[:0], full.lanes)
-    (nxt, _), (want, _) = step(trimmed, prob, mixing, noise), step(full, prob, mixing, noise)
+    nxt, want = step(trimmed, prob, mixing, noise), step(full, prob, mixing, noise)
     assert nxt.m.shape == nxt.v.shape == (0, 4, 6, 5)
     assert nxt.x.tobytes() == want.x.tobytes() and not want.m.any() and not want.v.any()
 
